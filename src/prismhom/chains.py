@@ -1,15 +1,19 @@
 """Finitely generated free integer chain complexes and exact homology.
 
-Boundary data is stored sparsely (one coefficient dict per generator);
-all reduction is done in exact integer arithmetic.  Python integers grow
-as needed, so intermediate coefficient blow-up during Smith reduction is
-harmless, only slow.  Pivoting always picks a smallest-magnitude entry,
-which keeps coefficients tame on the sparse boundary matrices produced
-by the rest of the package.
+Boundary data is stored sparsely (one coefficient dict per generator) and
+all arithmetic is exact: Python integers grow as needed, so coefficient
+growth is harmless, only slow.  One reduction engine serves homology,
+class coordinates and `smith_normal_form`.  It first eliminates ±1 pivots
+on the sparse columns (`_eliminate`), shortest column first, each pivot
+contributing an invariant factor 1; dense Smith reduction (`_snf`) then
+runs only on the small residue that is left.  Transform matrices are
+built only for class coordinates, only on that reduced problem, and only
+when a degree is first asked for.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import NotACycleError, StructureError, VerificationError
@@ -115,7 +119,89 @@ class HomologyGroup:
         return " + ".join(parts) if parts else "0"
 
 
-# -- Smith normal form --------------------------------------------------------
+# -- the reduction engine ------------------------------------------------------
+
+
+def _eliminate(columns):
+    """Sparse elimination on ±1 pivots, by column operations only.
+
+    `columns` lists the matrix as {row: coefficient} dicts and is consumed.
+    Pivots go in Markowitz order: the shortest column that holds a ±1 entry,
+    and in it the ±1 entry whose row meets the fewest columns; ties go to
+    the lower column index, then the lower row index.  Pivot (r, c)
+    subtracts multiples of column c from every other column meeting row r,
+    so row r is left only in column c; row operations would then clear the
+    rest of column c without touching any other column.  The invariant
+    factors of the matrix are therefore a 1 per pivot followed by those of
+    the residue.
+
+    Returns (log, residue): log lists (pivot row, pivot column as it was
+    when chosen) in pivot order, each column zero on the earlier pivot
+    rows; residue lists the nonzero columns left over, all zero on every
+    pivot row.  Log and residue columns together span the original columns.
+    """
+    rows = {}
+    buckets = {}  # length -> column indices, negated and ascending: pop() gives the lowest
+    for j, col in enumerate(columns):
+        for i in col:
+            rows.setdefault(i, set()).add(j)
+        if col:
+            buckets.setdefault(len(col), []).append(-j)
+    for bucket in buckets.values():
+        bucket.reverse()
+    log = []
+    while buckets:
+        length = min(buckets)
+        bucket = buckets[length]
+        c = -bucket.pop()
+        if not bucket:
+            del buckets[length]
+        col = columns[c]
+        if col is None or len(col) != length:
+            continue  # already a pivot, or a stale entry of a changed column
+        best = None
+        for i, v in col.items():
+            if v == 1 or v == -1:
+                key = (len(rows[i]), i)
+                if best is None or key < best:
+                    best = key
+        if best is None:
+            continue  # no unit yet; a later update pushes the column again
+        r = best[1]
+        unit = col[r]
+        columns[c] = None
+        hit = rows.pop(r)
+        hit.discard(c)
+        rest = [(i, v) for i, v in col.items() if i != r]
+        for i, _ in rest:
+            rows[i].discard(c)
+        for j in hit:
+            other = columns[j]
+            q = other.pop(r) * unit
+            for i, v in rest:
+                nv = other.get(i, 0) - q * v
+                if nv:
+                    if i not in other:
+                        rows[i].add(j)
+                    other[i] = nv
+                else:
+                    del other[i]
+                    rows[i].discard(j)
+            if other:
+                insort(buckets.setdefault(len(other), []), -j)
+        log.append((r, col))
+    residue = [col for col in columns if col]
+    return log, residue
+
+
+def _dense(columns):
+    """Dense list-of-rows form of sparse columns, keeping only rows that occur."""
+    where = {i: k for k, i in enumerate(sorted({i for col in columns for i in col}))}
+    A = [[0] * len(columns) for _ in where]
+    for j, col in enumerate(columns):
+        for i, v in col.items():
+            A[where[i]][j] = v
+    return A
 
 
 def _identity(n):
@@ -123,16 +209,14 @@ def _identity(n):
 
 
 def _snf(A, m, n, need_u=False, need_v=False):
-    """Diagonalize an integer matrix by unimodular row/column operations.
+    """Dense Smith reduction of the small matrices the engine leaves over.
 
-    Returns (diag, U, Uinv, V, Vinv) with U·A·V diagonal, diag the list of
-    nonzero diagonal entries d1 | d2 | ..., positive and in divisibility
-    order.  Transform matrices are dense lists (None when not requested).
-    A is consumed.
+    Returns (diag, U, Vinv) with U·A·V diagonal for some unimodular V;
+    diag lists the nonzero diagonal entries d1 | d2 | ..., positive.  U
+    (m×m) and Vinv (n×n) are dense lists, None unless asked for.  A is
+    consumed.
     """
     U = _identity(m) if need_u else None
-    Uinv = _identity(m) if need_u else None
-    V = _identity(n) if need_v else None
     Vinv = _identity(n) if need_v else None
 
     def row_add(i, j, q):
@@ -146,18 +230,13 @@ def _snf(A, m, n, need_u=False, need_v=False):
             for k in range(m):
                 if Uj[k]:
                     Ui[k] += q * Uj[k]
-            for row in Uinv:
-                row[j] -= q * row[i]
 
     def col_add(j, i, q):
         # col_j += q * col_i
         for row in A:
             if row[i]:
                 row[j] += q * row[i]
-        if V is not None:
-            for row in V:
-                if row[i]:
-                    row[j] += q * row[i]
+        if Vinv is not None:
             Vi, Vj = Vinv[i], Vinv[j]
             for k in range(n):
                 if Vj[k]:
@@ -169,25 +248,19 @@ def _snf(A, m, n, need_u=False, need_v=False):
         A[i], A[j] = A[j], A[i]
         if U is not None:
             U[i], U[j] = U[j], U[i]
-            for row in Uinv:
-                row[i], row[j] = row[j], row[i]
 
     def col_swap(i, j):
         if i == j:
             return
         for row in A:
             row[i], row[j] = row[j], row[i]
-        if V is not None:
-            for row in V:
-                row[i], row[j] = row[j], row[i]
+        if Vinv is not None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
 
     def row_negate(i):
         A[i] = [-v for v in A[i]]
         if U is not None:
             U[i] = [-v for v in U[i]]
-            for row in Uinv:
-                row[i] = -row[i]
 
     diag = []
     t = 0
@@ -258,7 +331,19 @@ def _snf(A, m, n, need_u=False, need_v=False):
             row_add(t, offender, 1)
         diag.append(A[t][t])
         t += 1
-    return diag, U, Uinv, V, Vinv
+    return diag, U, Vinv
+
+
+def _reduce(columns):
+    """Invariant factors, pivot log and residue of a matrix given by sparse columns.
+
+    The columns are consumed.  The factors are a 1 per unit pivot followed
+    by the Smith factors of the residue.
+    """
+    log, residue = _eliminate(columns)
+    A = _dense(residue)
+    diag, _, _ = _snf(A, len(A), len(residue))
+    return (1,) * len(log) + tuple(diag), log, residue
 
 
 def smith_normal_form(matrix):
@@ -269,12 +354,12 @@ def smith_normal_form(matrix):
     array); an empty matrix has rank 0.
     """
     rows = [[int(v) for v in row] for row in matrix]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
+    n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise StructureError("matrix rows have unequal lengths")
-    diag, *_ = _snf(rows, m, n)
-    return tuple(diag), len(diag)
+    columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
+    factors, _, _ = _reduce(columns)
+    return factors, len(factors)
 
 
 # -- chain complexes ----------------------------------------------------------
@@ -312,7 +397,7 @@ class ChainComplex:
         for n in range(1, self.top + 1):
             if self.count(n) and n not in self.boundaries:
                 raise StructureError(f"missing boundaries for degree {n}")
-        self._hdata = {}
+        self._cache = {}
 
     def count(self, n):
         return self.counts.get(n, 0)
@@ -328,17 +413,30 @@ class ChainComplex:
             return Chain(-1)
         return self.boundaries[n][index]
 
+    def _boundary_terms(self, n, terms):
+        """∂_n of a {generator: coefficient} dict, accumulated into one dict."""
+        out = {}
+        stored = self.boundaries.get(n)
+        if stored:
+            for g, c in terms.items():
+                for h, v in stored[g].terms.items():
+                    nv = out.get(h, 0) + c * v
+                    if nv:
+                        out[h] = nv
+                    else:
+                        del out[h]
+        return out
+
     def boundary(self, chain: Chain) -> Chain:
         """Integer-linear extension of the generator boundaries."""
         if chain.degree < 1:
             raise StructureError("boundary needs degree >= 1")
-        out = Chain(chain.degree - 1)
-        stored = self.boundaries.get(chain.degree)
         count = self.count(chain.degree)
-        for g, c in chain.terms.items():
+        for g in chain.terms:
             if not 0 <= g < count:
                 raise StructureError(f"unknown generator ({chain.degree},{g})")
-            out = out + (stored[g].scaled(c) if stored else Chain(chain.degree - 1))
+        out = Chain(chain.degree - 1)
+        out.terms = self._boundary_terms(chain.degree, chain.terms)
         return out
 
     def d_squared_violations(self, degrees=None):
@@ -349,8 +447,8 @@ class ChainComplex:
         for n in degrees:
             if n < 2:
                 continue  # lands in degree <= 0; nothing to compose with
-            for idx in range(self.count(n)):
-                if self.boundary(self.boundaries[n][idx]):
+            for idx, ch in enumerate(self.boundaries.get(n, ())):
+                if self._boundary_terms(n - 1, ch.terms):
                     bad.append((n, idx))
         return bad
 
@@ -365,55 +463,70 @@ class ChainComplex:
 
     # -- homology --------------------------------------------------------
 
-    def _homology_data(self, n, allow_truncation):
+    def _reduced(self, n):
+        """(invariant factors, pivot log, residue) of ∂_n, computed once."""
+        key = ("reduced", n)
+        if key not in self._cache:
+            self._cache[key] = _reduce([dict(ch.terms) for ch in self.boundaries.get(n, ())])
+        return self._cache[key]
+
+    def homology(self, n, allow_truncation=False) -> HomologyGroup:
+        """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion.
+
+        The free rank is c_n - rank ∂_n - rank ∂_{n+1}; the torsion is the
+        invariant factors of ∂_{n+1} above 1.
+        """
         if n > self.top and self.truncated:
             raise StructureError(f"degree {n} was never constructed (top is {self.top})")
         if n == self.top and self.truncated and not allow_truncation:
             raise StructureError(
                 f"homology at the top constructed degree {n} needs allow_truncation=True")
-        key = n
-        if key in self._hdata:
-            return self._hdata[key]
-        cols = self.count(n)
-        # kernel of ∂_n via column transforms
-        M = self.matrix(n)
-        diag, _, _, V, Vinv = _snf(M, self.count(n - 1), cols, need_u=False, need_v=True)
+        key = ("group", n)
+        if key not in self._cache:
+            for ch in self.boundaries.get(n + 1, ()):
+                if self._boundary_terms(n, ch.terms):
+                    raise VerificationError(
+                        f"boundary of a degree-{n + 1} generator is not a cycle")
+            lower = self._reduced(n)[0]
+            upper = self._reduced(n + 1)[0]
+            self._cache[key] = HomologyGroup(self.count(n) - len(lower) - len(upper),
+                                             tuple(d for d in upper if d > 1))
+        return self._cache[key]
+
+    def _class_data(self, n):
+        """What class_coordinates needs in degree n, built on first use.
+
+        A cycle reduced against the pivot log of ∂_{n+1} lives on the
+        generators that are not pivot rows, and there it bounds exactly when
+        it lies in the span of the residue of ∂_{n+1}.  So H_n is the kernel
+        of ∂_n restricted to those generators, modulo that span: its kernel
+        coordinates come from the column transform of one Smith reduction,
+        and the class coordinates from the row transform of a second one, on
+        the residue columns written in kernel coordinates.
+        """
+        key = ("classes", n)
+        if key in self._cache:
+            return self._cache[key]
+        _, log, residue = self._reduced(n + 1)
+        pivots = {r for r, _ in log}
+        free = [g for g in range(self.count(n)) if g not in pivots]
+        where = {g: k for k, g in enumerate(free)}
+        stored = self.boundaries.get(n)
+        D = _dense([stored[g].terms for g in free] if stored else [])
+        diag, _, Vinv = _snf(D, len(D), len(free), need_v=True)
         r = len(diag)
-        kdim = cols - r
-        vinv_cols = [[Vinv[i][j] for i in range(cols)] for j in range(cols)] if cols else []
-
-        # image of ∂_{n+1}, written in kernel coordinates
-        upper = self.boundaries.get(n + 1, [])
-        Aprime = [[0] * len(upper) for _ in range(kdim)]
-        for jcol, ch in enumerate(upper):
-            w = [0] * cols
-            for g, c in ch.terms.items():
-                col = vinv_cols[g]
-                for i in range(cols):
-                    if col[i]:
-                        w[i] += c * col[i]
-            if any(w[:r]):
-                raise VerificationError(
-                    f"boundary of a degree-{n + 1} generator is not a cycle")
-            for i in range(kdim):
-                Aprime[i][jcol] = w[r + i]
-        dprime, Uprime, _, _, _ = _snf(Aprime, kdim, len(upper), need_u=True, need_v=False)
-        rprime = len(dprime)
-        group = HomologyGroup(kdim - rprime, tuple(d for d in dprime if d > 1))
-        data = {
-            "group": group,
-            "rank": r,
-            "kdim": kdim,
-            "vinv_cols": vinv_cols,
-            "uprime": Uprime,
-            "dprime": dprime,
-        }
-        self._hdata[key] = data
+        kdim = len(free) - r
+        vinv_cols = [[Vinv[i][j] for i in range(len(free))] for j in range(len(free))]
+        Aprime = [[0] * len(residue) for _ in range(kdim)]
+        for jcol, col in enumerate(residue):
+            for g, c in col.items():
+                for i, v in enumerate(vinv_cols[where[g]][r:]):
+                    if v:
+                        Aprime[i][jcol] += c * v
+        dprime, Uprime, _ = _snf(Aprime, kdim, len(residue), need_u=True)
+        data = (log, where, vinv_cols, r, Uprime, dprime)
+        self._cache[key] = data
         return data
-
-    def homology(self, n, allow_truncation=False) -> HomologyGroup:
-        """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion."""
-        return self._homology_data(n, allow_truncation)["group"]
 
     def class_coordinates(self, z: Chain, allow_truncation=False):
         """Canonical coordinates of the homology class of a cycle.
@@ -423,31 +536,39 @@ class ChainComplex:
         cycles get equal coordinates exactly when their difference bounds.
         """
         n = z.degree
-        data = self._homology_data(n, allow_truncation)
+        self.homology(n, allow_truncation)
         cols = self.count(n)
-        r, kdim = data["rank"], data["kdim"]
-        w = [0] * cols
-        for g, c in z.terms.items():
+        for g in z.terms:
             if not 0 <= g < cols:
                 raise StructureError(f"unknown generator ({n},{g})")
-            col = data["vinv_cols"][g]
-            for i in range(cols):
-                if col[i]:
-                    w[i] += c * col[i]
+        log, where, vinv_cols, r, Uprime, dprime = self._class_data(n)
+        v = dict(z.terms)
+        for row, col in log:
+            c = v.get(row)
+            if c:
+                q = c * col[row]
+                for i, x in col.items():
+                    nv = v.get(i, 0) - q * x
+                    if nv:
+                        v[i] = nv
+                    else:
+                        del v[i]
+        w = [0] * len(where)
+        for g, c in v.items():
+            for i, x in enumerate(vinv_cols[where[g]]):
+                if x:
+                    w[i] += c * x
         if any(w[:r]):
             raise NotACycleError(f"chain in degree {n} is not a cycle",
                                  residue=self.boundary(z))
         kvec = w[r:]
-        Uprime = data["uprime"]
-        u = [sum(Uprime[i][j] * kvec[j] for j in range(kdim) if kvec[j]) for i in range(kdim)]
-        dprime = data["dprime"]
         coords = []
-        for i in range(kdim):
-            if i < len(dprime):
-                if dprime[i] > 1:
-                    coords.append(u[i] % dprime[i])
-            else:
-                coords.append(u[i])
+        for i, row in enumerate(Uprime):
+            u = sum(a * b for a, b in zip(row, kvec) if b)
+            if i >= len(dprime):
+                coords.append(u)
+            elif dprime[i] > 1:
+                coords.append(u % dprime[i])
         return tuple(coords)
 
 

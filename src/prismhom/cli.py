@@ -2,8 +2,10 @@
 
 Subcommands: axioms, homology, invariant, verify, export-prism.
 Exit codes: 0 success, 1 mathematical failure (axioms, verification),
-2 input or format error.  Output is deterministic for fixed inputs and
-flags; JSON is emitted with sorted keys.
+2 input or format error, 141 when the reader of stdout closes it early.
+Output is deterministic for fixed inputs and flags; JSON is emitted with
+sorted keys.  Warnings go to stderr, so stdout stays comparable byte for
+byte.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .prismatic import (BracketedTuple, boundary_generator, build_bar_complex,
 EXIT_OK = 0
 EXIT_MATH = 1
 EXIT_INPUT = 2
+EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 THEORIES = ("prismatic", "qualgebra", "normalized", "rack", "group")
 
@@ -90,26 +93,17 @@ def cmd_homology(args):
     dot, tri, names = _load_structure(args.structure)
     S = Shalgebra(dot, tri, names=names)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
+    for w in getattr(K, "warnings", ()):
+        labels = "all labels" if w["labels"] is None else f"labels {w['labels']}"
+        print(f"warning: unresolved cell {w['cell']} at {labels}: {w['reason']}",
+              file=sys.stderr)
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
-    groups = []
-    for n in degrees:
-        g = K.homology(n, allow_truncation=args.allow_truncation)
-        groups.append({"degree": n, "free_rank": g.free_rank, "torsion": list(g.torsion)})
-    payload = {"theory": args.theory, "max_degree": args.max_degree, "groups": groups}
-    text = "\n".join(
-        f"H_{g['degree']} = " + _group_text(g["free_rank"], g["torsion"]) for g in groups)
-    _emit(args, payload, text)
+    groups = [(n, K.homology(n, allow_truncation=args.allow_truncation)) for n in degrees]
+    payload = {"theory": args.theory, "max_degree": args.max_degree,
+               "groups": [{"degree": n, "free_rank": g.free_rank, "torsion": list(g.torsion)}
+                          for n, g in groups]}
+    _emit(args, payload, "\n".join(f"H_{n} = {g}" for n, g in groups))
     return EXIT_OK
-
-
-def _group_text(free_rank, torsion):
-    parts = []
-    if free_rank == 1:
-        parts.append("Z")
-    elif free_rank > 1:
-        parts.append(f"Z^{free_rank}")
-    parts.extend(f"Z/{d}" for d in torsion)
-    return " + ".join(parts) if parts else "0"
 
 
 def cmd_invariant(args):
@@ -144,7 +138,7 @@ def verify_structure(S: Shalgebra, N, _corrupt=None):
         degree, gidx, tidx, delta = _corrupt
         ch = K.cc.boundaries[degree][gidx]
         ch.terms[tidx] = ch.terms.get(tidx, 0) + delta
-        K.cc._hdata.clear()
+        K.cc._cache.clear()
     bad = K.cc.d_squared_violations()
     if bad:
         ok = False
@@ -401,7 +395,14 @@ def main(argv=None) -> int:
             print("PRISMHOM_JOBS must be an integer", file=sys.stderr)
             return EXIT_INPUT
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`prismhom ... | head`): send what is
+        # still buffered to the null device so the exit flush cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_PIPE
     except (AxiomError, VerificationError, NotACycleError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MATH

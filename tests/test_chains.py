@@ -259,3 +259,157 @@ def test_export_triplets(z2, tmp_path):
         deg, row, col, val = map(int, line.split())
         if deg == 2:
             assert M[row][col] == val
+
+
+# -- the sparse engine against independent oracles ------------------------------
+
+# mostly 0 and ±1, the entries of boundary matrices, with some larger ones
+_ENTRIES = st.sampled_from([0] * 10 + [1, -1] * 3 + [2, -2, 3, -3, 4, -4, 5, -5, 6, -6])
+
+
+@st.composite
+def _sparse_matrices(draw):
+    m, n = draw(st.integers(0, 8)), draw(st.integers(0, 10))
+    rows = [[draw(_ENTRIES) for _ in range(n)] for _ in range(m)]
+    if m:
+        for i in draw(st.sets(st.integers(0, m - 1), max_size=2)):
+            rows[i] = [0] * n
+    if n:
+        for j in draw(st.sets(st.integers(0, n - 1), max_size=2)):
+            for row in rows:
+                row[j] = 0
+    return m, n, rows
+
+
+@settings(max_examples=80, deadline=None)
+@given(_sparse_matrices())
+def test_sparse_snf_matches_sympy(shape):
+    m, n, rows = shape
+    factors, rank = smith_normal_form(rows)
+    assert rank == len(factors)
+    assert all(d2 % d1 == 0 for d1, d2 in zip(factors, factors[1:]))
+    if m == 0 or n == 0:
+        assert factors == ()
+        return
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    D = sympy_snf(sympy.Matrix(rows))
+    diag = sorted(abs(int(D[i, i])) for i in range(min(m, n)) if D[i, i] != 0)
+    assert list(factors) == diag
+    transposed = [[rows[i][j] for i in range(m)] for j in range(n)]
+    assert smith_normal_form(transposed) == (factors, rank)
+
+
+def _in_span_mod(chain, columns, p):
+    """Whether a chain reduced mod p lies in the span of the columns mod p
+    (plain Gaussian elimination over GF(p), independent of the library)."""
+    pivots = {}  # leading generator -> reduced vector with leading entry 1
+
+    def reduce(v):
+        v = {g: c % p for g, c in v.items() if c % p}
+        while v:
+            lead = max(v)
+            if lead not in pivots:
+                return v
+            f = v[lead]
+            for g, c in pivots[lead].items():
+                x = (v.get(g, 0) - f * c) % p
+                if x:
+                    v[g] = x
+                else:
+                    v.pop(g, None)
+        return v
+
+    for col in columns:
+        v = reduce(col)
+        if v:
+            lead = max(v)
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = {g: c * inv % p for g, c in v.items()}
+    return not reduce(chain.terms)
+
+
+def _order(S, a):
+    k, x = 1, a
+    while x != S.unit:
+        x, k = S.mul(x, a), k + 1
+    return k
+
+
+def test_class_coordinates_on_s3_degree_one(s3):
+    # H_1 of the S3 qualgebra complex is Z/2 and detects the sign of a
+    # permutation: [a] bounds exactly when a is even
+    K = prismatic.build_complex(s3, 3, mode="qualgebra")
+    cc = K.cc
+    assert cc.homology(1) == HomologyGroup(0, (2,))
+    for a in range(s3.size):
+        z = K.chain(1, {prismatic.bracketed((1,), (a,)): 1})
+        odd = _order(s3, a) == 2
+        assert cc.class_coordinates(z) == ((1,) if odd else (0,))
+        assert _in_span_mod(z, [ch.terms for ch in cc.boundaries[2]], 2) == (not odd)
+        assert cc.class_coordinates(2 * z) == (0,)
+
+
+def test_class_coordinates_on_s3_degree_two(s3):
+    # degree-2 cycles of the S3 complexes built through degree 3: unit pivots
+    # of ∂_3 cover 66 of the 72 rows (qualgebra) and 65 (plain, which keeps
+    # a one-row residue with factor 2)
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(3)
+    for mode, group in (("qualgebra", HomologyGroup(0)), ("plain", HomologyGroup(0, (2,)))):
+        K = prismatic.build_complex(s3, 3, mode=mode)
+        cc = K.cc
+        assert cc.homology(2) == group
+        cycles = []
+        for v in sympy.Matrix(cc.matrix(2)).nullspace()[:24]:
+            den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
+            cycles.append(Chain(2, {i: int(x * den) for i, x in enumerate(v) if x}))
+        upper = [ch.terms for ch in cc.boundaries[3]]
+        nonzero = 0
+        for z in cycles:
+            assert not cc.boundary(z)
+            coords = cc.class_coordinates(z)
+            # H_2 is 0 or Z/2 here, so z bounds exactly when it does mod 2
+            assert any(coords) == (not _in_span_mod(z, upper, 2))
+            nonzero += any(coords)
+            w = Chain(3, {rng.randrange(cc.count(3)): rng.choice((-2, -1, 1, 3))
+                          for _ in range(4)})
+            assert cc.class_coordinates(z + cc.boundary(w)) == coords
+            assert not any(cc.class_coordinates(2 * z))
+        assert (nonzero > 0) == (not group.trivial)
+        g = next(i for i, ch in enumerate(cc.boundaries[2]) if ch)
+        with pytest.raises(NotACycleError):
+            cc.class_coordinates(Chain(2, {g: 1}))
+
+
+def _cyclic_cycle(S, g):
+    """Σ_i [g | g^i | g], the cycle generating H_3 of the cyclic group <g>."""
+    terms, x = {}, S.unit
+    while True:
+        terms[(g, x, g)] = terms.get((g, x, g), 0) + 1
+        x = S.mul(x, g)
+        if x == S.unit:
+            return terms
+
+
+def test_torsion_class_order_in_group_homology(s3):
+    # H_3(S3) = Z/6; the cyclic cycles of a transposition and of a 3-cycle
+    # have classes of order 2 and 3, their sum one of order 6
+    K = prismatic.build_bar_complex(s3, 4)
+    cc = K.cc
+    assert cc.homology(3) == HomologyGroup(0, (6,))
+    t = next(a for a in range(s3.size) if _order(s3, a) == 2)
+    c = next(a for a in range(s3.size) if _order(s3, a) == 3)
+
+    def chain(terms):
+        return Chain(3, {K.index_of(e): k for e, k in terms.items()})
+
+    zt, zc = chain(_cyclic_cycle(s3, t)), chain(_cyclic_cycle(s3, c))
+    rng = random.Random(7)
+    for z, order in ((zt, 2), (zc, 3), (zt + zc, 6)):
+        assert not cc.boundary(z)
+        for k in range(1, order):
+            assert any(cc.class_coordinates(k * z))
+        assert cc.class_coordinates(order * z) == (0,)
+        w = Chain(4, {rng.randrange(cc.count(4)): rng.choice((-1, 1, 2)) for _ in range(5)})
+        assert cc.class_coordinates(z + cc.boundary(w)) == cc.class_coordinates(z)

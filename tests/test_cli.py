@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import prismhom
 
 from prismhom import algebra, cli
 from prismhom.cli import main, verify_structure
@@ -14,12 +19,13 @@ def files(tmp_path_factory):
     paths = {}
     algebra.save_structure(algebra.conj_symmetric(3), root / "s3.json")
     algebra.save_structure(algebra.conj_cyclic(2), root / "z2.json")
+    algebra.save_structure(algebra.conj_cyclic(3), root / "z3.json")
     (root / "spindleless.json").write_text(json.dumps(
         {"size": 2, "dot": [[0, 1], [1, 0]], "tri": [[0, 0], [0, 0]]}))
     (root / "broken.json").write_text("{nope")
     save_diagram(load_fixture_diagram("trefoil"), root / "trefoil.json")
     paths.update({name: str(root / f"{name}.json")
-                  for name in ("s3", "z2", "spindleless", "broken", "trefoil")})
+                  for name in ("s3", "z2", "z3", "spindleless", "broken", "trefoil")})
     paths["root"] = root
     return paths
 
@@ -56,6 +62,38 @@ def test_homology_outputs_are_deterministic(files, capsys):
         {"degree": 1, "free_rank": 0, "torsion": [2]},
         {"degree": 2, "free_rank": 0, "torsion": [2]},
     ]
+
+
+def test_homology_warnings_go_to_stderr(files, capsys):
+    # Z3 has twelve B4_1/B4_2 labels the twist-cell search cannot close; each
+    # gets one stderr line, and stdout is exactly the JSON it was without them
+    assert main(["homology", files["z3"], "--theory", "qualgebra",
+                 "--max-degree", "4", "--format", "json"]) == 0
+    captured = capsys.readouterr()
+    expected = {"theory": "qualgebra", "max_degree": 4, "groups": [
+        {"degree": 1, "free_rank": 0, "torsion": [3]},
+        {"degree": 2, "free_rank": 0, "torsion": []},
+        {"degree": 3, "free_rank": 11, "torsion": [3, 3]},
+    ]}
+    assert captured.out == json.dumps(expected, sort_keys=True, indent=2) + "\n"
+    unresolved = [("B4_1", (0, 1)), ("B4_1", (0, 2)), ("B4_1", (1, 1)),
+                  ("B4_1", (1, 2)), ("B4_1", (2, 1)), ("B4_1", (2, 2)),
+                  ("B4_2", (1, 0)), ("B4_2", (1, 1)), ("B4_2", (1, 2)),
+                  ("B4_2", (2, 0)), ("B4_2", (2, 1)), ("B4_2", (2, 2))]
+    assert captured.err.splitlines() == [
+        f"warning: unresolved cell {cell} at labels {labels}: no_solution"
+        for cell, labels in unresolved]
+    assert main(["homology", files["z3"], "--theory", "qualgebra", "--max-degree", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "H_1 = Z/3\nH_2 = 0\nH_3 = Z^11 + Z/3 + Z/3\n"
+    assert len(captured.err.splitlines()) == 12
+
+
+def test_homology_without_unresolved_cells_writes_no_stderr(files, capsys):
+    assert main(["homology", files["z2"], "--max-degree", "3"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "H_1 = Z/2\nH_2 = Z/2\n"
+    assert captured.err == ""
 
 
 def test_homology_truncation_flag(files, capsys):
@@ -138,6 +176,25 @@ def test_export_matrices(files, capsys, tmp_path):
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines and all(len(line.split()) == 4 for line in lines)
+
+
+def test_export_matrices_survives_closed_pipe(files):
+    # the reader takes one line and closes the pipe, as `| head -1` does; the
+    # rest of the roughly 0.5 MB dump must be dropped without a traceback
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prismhom.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "prismhom.cli", "export-matrices", files["s3"],
+         "--theory", "group", "--max-degree", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == cli.EXIT_PIPE
+    assert len(first.split()) == 4
+    assert "Traceback" not in err and "BrokenPipeError" not in err
 
 
 def test_jobs_env_override(files, capsys, monkeypatch):

@@ -294,3 +294,46 @@ def test_mode_and_degree_validation(z2):
         build_complex(z2, 3, mode="fancy")
     with pytest.raises(StructureError):
         build_complex(z2, 0)
+
+
+# -- closed forms for the group and rack slices ----------------------------------
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_cyclic_group_homology_closed_form(n):
+    # H_k(Z/n) is Z/n in odd degrees and 0 in positive even degrees
+    K = build_bar_complex(algebra.conj_cyclic(n), 4)
+    for k in (1, 2, 3):
+        assert K.homology(k) == (HomologyGroup(0, (n,)) if k % 2 else HomologyGroup(0))
+
+
+def test_symmetric_group_homology_closed_form(s3):
+    K = build_bar_complex(s3, 4)
+    assert [K.homology(k) for k in (1, 2, 3)] == [
+        HomologyGroup(0, (2,)), HomologyGroup(0), HomologyGroup(0, (6,))]
+
+
+def _orbit_count(S):
+    """Orbits of the carrier under all the maps x -> x◁y (union-find)."""
+    parent = list(range(S.size))
+
+    def root(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for x, y in product(range(S.size), repeat=2):
+        parent[root(S.act(x, y))] = root(x)
+    return len({root(x) for x in range(S.size)})
+
+
+@pytest.mark.parametrize("make, orbits", [
+    pytest.param(lambda: algebra.conj_cyclic(3), 3, id="z3"),
+    pytest.param(lambda: algebra.conj_symmetric(3), 3, id="s3"),
+    pytest.param(lambda: algebra.conj_cyclic(4), 4, id="z4")])
+def test_rack_free_ranks_are_orbit_powers(make, orbits):
+    # the free rank of rack homology in degree k is |orbits|^k
+    carrier = make()
+    assert _orbit_count(carrier) == orbits
+    K = build_rack_complex(carrier, 4)
+    assert [K.homology(k).free_rank for k in (1, 2, 3)] == [orbits ** k for k in (1, 2, 3)]
