@@ -49,13 +49,16 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _load_structure(path):
-    dot, tri, names = load_structure_tables(path)
-    return dot, tri, names
+def _warn_unresolved(K):
+    """One stderr line per relation cell the build of K left out."""
+    for w in getattr(K, "warnings", ()):
+        labels = "all labels" if w["labels"] is None else f"labels {w['labels']}"
+        print(f"warning: unresolved cell {w['cell']} at {labels}: {w['reason']}",
+              file=sys.stderr)
 
 
 def cmd_axioms(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     report = check_axioms(dot, tri)
     cls = classify(dot, tri)
     lines = []
@@ -90,13 +93,10 @@ def _build_theory(S, theory, N, include_d3):
 
 
 def cmd_homology(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
-    for w in getattr(K, "warnings", ()):
-        labels = "all labels" if w["labels"] is None else f"labels {w['labels']}"
-        print(f"warning: unresolved cell {w['cell']} at {labels}: {w['reason']}",
-              file=sys.stderr)
+    _warn_unresolved(K)
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
     groups = [(n, K.homology(n, allow_truncation=args.allow_truncation)) for n in degrees]
     payload = {"theory": args.theory, "max_degree": args.max_degree,
@@ -107,7 +107,7 @@ def cmd_homology(args):
 
 
 def cmd_invariant(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     if not S.is_qualgebra:
         name, witness = S.report.first_failure()
@@ -126,6 +126,9 @@ def cmd_invariant(args):
 def verify_structure(S: Shalgebra, N, _corrupt=None):
     """The verification battery behind `verify`; returns (ok, line list).
 
+    Relation cells the build leaves out are named on stderr, as `homology`
+    names them.
+
     _corrupt is a test hook: (degree, generator index, target index, delta)
     is added to one stored boundary entry after the build, so the failure
     path of the boundary-squared check can be exercised.
@@ -134,6 +137,7 @@ def verify_structure(S: Shalgebra, N, _corrupt=None):
     ok = True
 
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
+    _warn_unresolved(K)
     if _corrupt is not None:
         degree, gidx, tidx, delta = _corrupt
         ch = K.cc.boundaries[degree][gidx]
@@ -178,7 +182,7 @@ def verify_structure(S: Shalgebra, N, _corrupt=None):
 
 
 def cmd_verify(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     ok, lines = verify_structure(S, args.max_degree)
     payload = {"ok": ok, "checks": lines}
@@ -187,7 +191,7 @@ def cmd_verify(args):
 
 
 def cmd_export_prism(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     partition = tuple(int(v) for v in args.partition.split(","))
     elements = tuple(int(v) for v in args.elements.split(","))
@@ -208,7 +212,7 @@ def cmd_export_prism(args):
 
 
 def cmd_export_matrices(args):
-    dot, tri, names = _load_structure(args.structure)
+    dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
     cc = K.cc if hasattr(K, "cc") else K

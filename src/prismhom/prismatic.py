@@ -22,7 +22,7 @@ satisfying H, YI, IY, III this squares to zero (verified on every build).
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations_with_replacement, product
+from itertools import product
 from typing import NamedTuple
 
 from . import chains
@@ -100,30 +100,28 @@ def face(g: BracketedTuple, j, i, S: Shalgebra):
     Returns (sign, BracketedTuple); the result of the two deletions on a
     size-one block is the generator with that block removed.
     """
-    blocks = g.blocks()
-    if not 1 <= j <= len(blocks):
+    partition = g.partition
+    if not 1 <= j <= len(partition):
         raise StructureError(f"block index {j} out of range")
-    kj = len(blocks[j - 1])
+    kj = partition[j - 1]
     if not 0 <= i <= kj:
         raise StructureError(f"face index {i} out of range for block of size {kj}")
-    sign = -1 if (sum(g.partition[: j - 1]) + i) % 2 else 1
-    tri = S.tri.rows
-    dot = S.dot.rows
-    new_blocks = [list(b) for b in blocks]
+    start = sum(partition[:j - 1])          # position of the block's first entry
+    sign = -1 if (start + i) % 2 else 1
+    e = g.elements
     if i == 0:
-        h = new_blocks[j - 1][0]
-        del new_blocks[j - 1][0]
-        for u in range(j - 1):
-            new_blocks[u] = [tri[x][h] for x in new_blocks[u]]
+        h = e[start]
+        tri = S.tri.rows
+        elements = tuple(tri[x][h] for x in e[:start]) + e[start + 1:]
     elif i == kj:
-        del new_blocks[j - 1][-1]
+        elements = e[:start + kj - 1] + e[start + kj:]
     else:
-        b = new_blocks[j - 1]
-        b[i - 1:i + 1] = [dot[b[i - 1]][b[i]]]
-    if not new_blocks[j - 1]:
-        del new_blocks[j - 1]
-    partition = tuple(len(b) for b in new_blocks)
-    elements = tuple(x for b in new_blocks for x in b)
+        p = start + i - 1
+        elements = e[:p] + (S.dot.rows[e[p]][e[p + 1]],) + e[p + 2:]
+    if kj == 1:
+        partition = partition[:j - 1] + partition[j:]
+    else:
+        partition = partition[:j - 1] + (kj - 1,) + partition[j:]
     return sign, BracketedTuple(partition, elements)
 
 
@@ -312,8 +310,9 @@ class ExtraCell(NamedTuple):
                 relation; boundary (a|b) + (b, a◁b) - (a, b).
           D3    degree 3, labels (a,): fills the idempotence square;
                 boundary (a|a).
-          B4_1  degree 4, labels (a, b): twist cell over (a,b)|b, boundary
-                found by sign resolution (may be absent).
+          B4_1  degree 4, labels (a, b): twist cell over (a,b)|b plus B3
+                cells, boundary solved by `resolve_twist_cell` (absent
+                where no solution exists).
           B4_2  degree 4, labels (a, b): twist cell over a|(a,b), likewise.
           B4_3  degree 4, labels (a, b, c): boundary
                 (a|b|c) + (a|(c, b◁c)) - (a|(b, c)).
@@ -390,18 +389,22 @@ def _word_values(S, letters):
 
 
 def resolve_twist_cell(kind, a, b, S):
-    """Search the boundary of a degree-4 twist cell (B4_1 or B4_2).
+    """Solve for the boundary of a degree-4 twist cell (B4_1 or B4_2).
 
     The supported cells are one regular prism generator — (a,b)|b for B4_1,
-    a|(a,b) for B4_2 — and three B3 cells.  The regular cell is fixed with
-    coefficient +1 (the global sign is a free choice); each B3 slot ranges
-    over ±1 coefficients and labels built from words of length <= 3 in a, b
-    and their group inverses.  An assignment is accepted when the total
-    boundary vanishes; solutions are normalised by cancelling opposite
-    pairs and must be unique.
+    a|(a,b) for B4_2 — with coefficient +1 (the global sign is a free
+    choice), and B3 cells labeled by values of ·-words of length <= 3 in a,
+    b and their group inverses, whose coefficients are the net of three ±1
+    picks: their absolute values sum to 1 or 3.  The total boundary must
+    vanish.
+
+    Among the B3 cells only ∂B3(x, y) holds the square x|y, with coefficient
+    +1, so the coefficient of B3(x, y) is forced to be minus that of x|y in
+    the boundary of the prism generator, and a solution is unique when it
+    exists.
 
     Returns ("ok", terms) with the full degree-4 boundary chain, or
-    ("no_solution" | "ambiguous", detail).
+    ("no_solution", None).
     """
     if kind == "B4_1":
         base = BracketedTuple((2, 1), (a, b, b))
@@ -409,37 +412,22 @@ def resolve_twist_cell(kind, a, b, S):
         base = BracketedTuple((1, 2), (a, a, b))
     else:
         raise StructureError(f"not a twist cell kind: {kind}")
-    base_boundary = boundary_generator(base, S)
-    values = _word_values(S, (a, b))
-    b3_cache = {(x, y): _b3_boundary(x, y, S) for x in values for y in values}
-
-    options = [(s, lbl) for s in (1, -1) for lbl in sorted(b3_cache)]
-    solutions = {}
-    for combo in combinations_with_replacement(options, 3):
-        total = dict(base_boundary)
-        for s, lbl in combo:
-            for g, c in b3_cache[lbl].items():
-                nc = total.get(g, 0) + s * c
-                if nc:
-                    total[g] = nc
-                else:
-                    del total[g]
-        if total:
-            continue
-        net = {}
-        for s, lbl in combo:
-            net[lbl] = net.get(lbl, 0) + s
-        signature = frozenset((lbl, c) for lbl, c in net.items() if c)
-        solutions.setdefault(signature, net)
-    if not solutions:
+    total = boundary_generator(base, S)
+    net = {g.elements: -c for g, c in total.items() if g.partition == (1, 1)}
+    for (x, y), c in net.items():
+        for g, cg in _b3_boundary(x, y, S).items():
+            nc = total.get(g, 0) + c * cg
+            if nc:
+                total[g] = nc
+            else:
+                del total[g]
+    values = set(_word_values(S, (a, b)))
+    if (total or sum(abs(c) for c in net.values()) not in (1, 3)
+            or not all(x in values and y in values for x, y in net)):
         return "no_solution", None
-    if len(solutions) > 1:
-        return "ambiguous", sorted(str(sorted(sig)) for sig in solutions)
-    (net,) = solutions.values()
     terms = {base: 1}
     for (x, y), c in sorted(net.items()):
-        if c:
-            terms[ExtraCell("B3", (x, y))] = c
+        terms[ExtraCell("B3", (x, y))] = c
     return "ok", terms
 
 

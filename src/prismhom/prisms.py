@@ -21,6 +21,7 @@ verification suite leans on.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, product
 
 from .algebra import Shalgebra, diagonal_action
@@ -31,13 +32,12 @@ from .prismatic import BracketedTuple, face
 class LabeledPrism:
     """A product of simplices with carrier-labeled directed edges."""
 
-    __slots__ = ("partition", "label", "edges", "_key")
+    __slots__ = ("partition", "label", "edges")
 
     def __init__(self, partition, label, edges):
         self.partition = tuple(partition)
         self.label = label                     # BracketedTuple or None
         self.edges = dict(edges)               # (vfrom, vto) -> element
-        self._key = (self.partition, frozenset(self.edges.items()))
 
     @property
     def vertices(self):
@@ -50,40 +50,55 @@ class LabeledPrism:
             raise StructureError(f"no edge {vfrom} -> {vto}")
 
     def __eq__(self, other):
-        return isinstance(other, LabeledPrism) and self._key == other._key
+        return (isinstance(other, LabeledPrism) and self.partition == other.partition
+                and self.edges == other.edges)
 
     def __hash__(self):
-        return hash(self._key)
+        return hash((self.partition, frozenset(self.edges.items())))
 
     def __repr__(self):
         lbl = self.label.pretty() if self.label is not None else "?"
         return f"<LabeledPrism {lbl} on {self.partition}>"
 
 
-def _edge_keys(partition):
-    """All directed edges of the prism: per factor, pairs p < p', others fixed."""
+@lru_cache(maxsize=None)
+def _edge_plan(partition):
+    """Per directed edge: (key, slice start, slice stop, acting positions).
+
+    Edges run per factor q over pairs p < p', the other coordinates fixed.
+    The label multiplies elements[start:stop] (entries p+1..p' of block q)
+    and acts on the product with the elements at the acting positions (the
+    first v_u entries of every later block u, v the edge's tail).
+    """
+    starts = [sum(partition[:q]) for q in range(len(partition))]
     ranges = [range(k + 1) for k in partition]
+    plan = []
     for q in range(len(partition)):
         others = [ranges[u] for u in range(len(partition)) if u != q]
         for p, pp in combinations(range(partition[q] + 1), 2):
             for rest in product(*others):
-                vfrom = list(rest[:q]) + [p] + list(rest[q:])
-                vto = list(rest[:q]) + [pp] + list(rest[q:])
-                yield q, p, pp, tuple(vfrom), tuple(vto)
+                vfrom = rest[:q] + (p,) + rest[q:]
+                vto = rest[:q] + (pp,) + rest[q:]
+                acting = tuple(starts[u] + t for u in range(q + 1, len(partition))
+                               for t in range(vfrom[u]))
+                plan.append(((vfrom, vto), starts[q] + p, starts[q] + pp, acting))
+    return tuple(plan)
 
 
 def good_labeling(g: BracketedTuple, S: Shalgebra) -> LabeledPrism:
     """The edge labeling of the prism of `g` determined by the labeling rule."""
-    blocks = g.blocks()
-    partition = g.partition
+    e = g.elements
+    dot = S.dot.rows
+    tri = S.tri.rows
     edges = {}
-    for q, p, pp, vfrom, vto in _edge_keys(partition):
-        seg = S.product(blocks[q][p:pp])
-        acting = []
-        for u in range(q + 1, len(partition)):
-            acting.extend(blocks[u][:vfrom[u]])
-        edges[(vfrom, vto)] = S.act_by_all(seg, acting)
-    return LabeledPrism(partition, g, edges)
+    for key, start, stop, acting in _edge_plan(g.partition):
+        x = e[start]
+        for t in range(start + 1, stop):
+            x = dot[x][e[t]]
+        for t in acting:
+            x = tri[x][e[t]]
+        edges[key] = x
+    return LabeledPrism(g.partition, g, edges)
 
 
 def act_on_prism(prism: LabeledPrism, b, S: Shalgebra) -> LabeledPrism:
@@ -124,12 +139,17 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
     return LabeledPrism(g.partition + (m,), label, edges)
 
 
-def _face_prism(prism: LabeledPrism, j, i):
-    """Sub-prism obtained by deleting vertex i of factor j (0-based factor index)."""
-    partition = prism.partition
+@lru_cache(maxsize=None)
+def _face_plan(partition, j, i):
+    """Deleting vertex i of factor j (0-based factor index) from the prism.
+
+    Returns the face's partition, its edges as (edge of the prism, renamed
+    edge of the face) pairs, and the face's generating edges (t-1 -> t at
+    the base point, factor by factor).  A factor of size one collapses to a
+    point and disappears; the other slice is kept.
+    """
     kj = partition[j]
     if kj == 1:
-        # the factor collapses to a point and disappears; keep the other slice
         keep = 1 - i
         new_partition = partition[:j] + partition[j + 1:]
 
@@ -147,25 +167,16 @@ def _face_prism(prism: LabeledPrism, j, i):
         def rename(v):
             return v[:j] + (v[j] - (1 if v[j] > i else 0),) + v[j + 1:]
 
-    edges = {}
-    for (vfrom, vto), lbl in prism.edges.items():
-        if keep_vertex(vfrom) and keep_vertex(vto):
-            edges[(rename(vfrom), rename(vto))] = lbl
-    return new_partition, edges
-
-
-def _recover_label(partition, edges):
-    """Read the labeling tuple off the generating edges (t-1 -> t at the base point)."""
-    elements = []
-    for q, k in enumerate(partition):
+    pairs = tuple(((vfrom, vto), (rename(vfrom), rename(vto)))
+                  for (vfrom, vto), *_ in _edge_plan(partition)
+                  if keep_vertex(vfrom) and keep_vertex(vto))
+    generating = []
+    for q, k in enumerate(new_partition):
         for t in range(1, k + 1):
-            vfrom = tuple(0 if u != q else t - 1 for u in range(len(partition)))
-            vto = tuple(0 if u != q else t for u in range(len(partition)))
-            try:
-                elements.append(edges[(vfrom, vto)])
-            except KeyError:
-                raise VerificationError(f"face labeling misses edge {vfrom}->{vto}")
-    return BracketedTuple(tuple(partition), tuple(elements))
+            vfrom = tuple(0 if u != q else t - 1 for u in range(len(new_partition)))
+            vto = tuple(0 if u != q else t for u in range(len(new_partition)))
+            generating.append((vfrom, vto))
+    return new_partition, pairs, tuple(generating)
 
 
 def geometric_faces(prism: LabeledPrism, S: Shalgebra):
@@ -177,13 +188,18 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     """
     out = []
     offset = 0
+    edges = prism.edges
     for j, kj in enumerate(prism.partition):
         for i in range(kj + 1):
             sign = -1 if (offset + i) % 2 else 1
-            new_partition, edges = _face_prism(prism, j, i)
-            label = _recover_label(new_partition, edges)
+            new_partition, pairs, generating = _face_plan(prism.partition, j, i)
+            try:
+                face_edges = {new: edges[old] for old, new in pairs}
+            except KeyError as exc:
+                raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
+            label = BracketedTuple(new_partition, tuple(face_edges[e] for e in generating))
             candidate = good_labeling(label, S)
-            if candidate.edges != edges:
+            if candidate.edges != face_edges:
                 raise VerificationError(
                     f"induced labeling of face (j={j + 1}, i={i}) of "
                     f"{prism!r} is not good")
@@ -193,16 +209,21 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
 
 
 def faces_match_algebra(g: BracketedTuple, S: Shalgebra) -> bool:
-    """Signed multiset equality of geometric and algebraic faces for one tuple."""
+    """Signed multiset equality of geometric and algebraic faces for one tuple.
+
+    Both sides are prisms from `good_labeling`, whose edges follow the plan
+    order of their partition, so the partition and the edge labels in that
+    order determine the whole labeled prism.
+    """
     prism = good_labeling(g, S)
-    geometric = sorted((sign, p.partition, p.label.elements, tuple(sorted(p.edges.items())))
+    geometric = sorted((sign, p.partition, p.label.elements, tuple(p.edges.values()))
                        for sign, p in geometric_faces(prism, S))
     algebraic = []
     for j, k in enumerate(g.partition, start=1):
         for i in range(k + 1):
             sign, f = face(g, j, i, S)
             p = good_labeling(f, S)
-            algebraic.append((sign, p.partition, f.elements, tuple(sorted(p.edges.items()))))
+            algebraic.append((sign, p.partition, f.elements, tuple(p.edges.values())))
     return geometric == sorted(algebraic)
 
 

@@ -254,7 +254,7 @@ def test_criterion_06_relation_cells():
             if len(cells) + len(fails) != 2 * S.size ** 2:
                 failures.append((S.size, "resolution accounting"))
             for w in fails:
-                if w["reason"] not in ("no_solution", "ambiguous"):
+                if w["reason"] != "no_solution":
                     failures.append((S.size, w))
     _report(6, "relation cell cycles and sign resolution", failures)
 

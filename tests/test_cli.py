@@ -65,7 +65,7 @@ def test_homology_outputs_are_deterministic(files, capsys):
 
 
 def test_homology_warnings_go_to_stderr(files, capsys):
-    # Z3 has twelve B4_1/B4_2 labels the twist-cell search cannot close; each
+    # Z3 has twelve B4_1/B4_2 labels the twist-cell solve cannot close; each
     # gets one stderr line, and stdout is exactly the JSON it was without them
     assert main(["homology", files["z3"], "--theory", "qualgebra",
                  "--max-degree", "4", "--format", "json"]) == 0
@@ -144,6 +144,23 @@ def test_verify_command(files, capsys):
     assert "boundary-squared: ok" in out
     assert "symbolic expansions: ok" in out
     assert "geometric faces: ok" in out
+
+
+def test_verify_warnings_go_to_stderr(files, capsys):
+    # the twelve Z3 twist cells `homology` names are named by `verify` too,
+    # in the same format and on stderr only
+    assert main(["verify", files["z3"], "--max-degree", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("boundary-squared: ok through degree 4 (qualgebra mode)\n"
+                            "symbolic expansions: ok (degrees 2..4)\n"
+                            "geometric faces: ok (degrees 1..4)\n"
+                            "all checks passed\n")
+    assert main(["homology", files["z3"], "--theory", "qualgebra", "--max-degree", "4"]) == 0
+    homology_err = capsys.readouterr().err
+    lines = captured.err.splitlines()
+    assert len(lines) == 12
+    assert all(line.startswith("warning: unresolved cell B4_") for line in lines)
+    assert captured.err == homology_err
 
 
 def test_verify_fault_injection(z2):

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -215,7 +215,7 @@ def test_twist_cell_resolution_outcomes(z2, z3):
         assert len(resolved) + len(failures) == 2 * S.size ** 2
         assert failures, "expected at least one documented resolution failure"
         for w in failures:
-            assert w["reason"] in ("no_solution", "ambiguous")
+            assert w["reason"] == "no_solution"
         # a directly resolved cell really bounds a cycle
         for kind in ("B4_1", "B4_2"):
             for a in range(S.size):
@@ -224,6 +224,65 @@ def test_twist_cell_resolution_outcomes(z2, z3):
                     if status == "ok":
                         ch = K._chain_from_terms(3, terms)
                         assert not K.cc.boundary(ch)
+
+
+def _oracle_twist_cell(kind, a, b, S):
+    """Brute-force search over C(2L+2, 3) signed B3 picks (L = labels tried).
+
+    The twist cell is its prism generator with coefficient +1 plus three ±1
+    picks of B3 cells, each labeled by a pair of values of ·-words of length
+    <= 3 in a, b and their group inverses; accepted when the total boundary
+    vanishes, and unique up to cancelling pairs.
+    """
+    base = (BracketedTuple((2, 1), (a, b, b)) if kind == "B4_1"
+            else BracketedTuple((1, 2), (a, a, b)))
+    letters = {a, b}
+    letters |= {next(y for y in range(S.size) if S.mul(x, y) == S.unit) for x in letters}
+    values = set(letters)
+    values |= {S.mul(u, v) for u in letters for v in letters}
+    values |= {S.mul(S.mul(u, v), w) for u in letters for v in letters for w in letters}
+
+    def b3(x, y):
+        terms = {}
+        for g, c in ((BracketedTuple((1, 1), (x, y)), 1),
+                     (BracketedTuple((2,), (y, S.act(x, y))), 1),
+                     (BracketedTuple((2,), (x, y)), -1)):
+            terms[g] = terms.get(g, 0) + c
+        return terms
+
+    labels = sorted(product(sorted(values), repeat=2))
+    cells = {lbl: b3(*lbl) for lbl in labels}
+    base_boundary = boundary_generator(base, S)
+    solutions = set()
+    options = [(s, lbl) for s in (1, -1) for lbl in labels]
+    for combo in combinations_with_replacement(options, 3):
+        total = dict(base_boundary)
+        for s, lbl in combo:
+            for g, c in cells[lbl].items():
+                total[g] = total.get(g, 0) + s * c
+        if any(total.values()):
+            continue
+        net = {}
+        for s, lbl in combo:
+            net[lbl] = net.get(lbl, 0) + s
+        solutions.add(tuple(sorted((lbl, c) for lbl, c in net.items() if c)))
+    if not solutions:
+        return "no_solution", None
+    if len(solutions) > 1:
+        return "ambiguous", sorted(solutions)
+    (net,) = solutions
+    terms = {base: 1}
+    terms.update((ExtraCell("B3", lbl), c) for lbl, c in net)
+    return "ok", terms
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_twist_cell_solve_matches_search(n):
+    S = algebra.conj_cyclic(n)
+    for kind in ("B4_1", "B4_2"):
+        for a, b in product(range(n), repeat=2):
+            assert resolve_twist_cell(kind, a, b, S) == _oracle_twist_cell(kind, a, b, S), \
+                (kind, a, b)
 
 
 def test_b4_4_cycle_requires_self_distributivity(z2):

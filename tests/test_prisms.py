@@ -46,6 +46,20 @@ def test_vertex_and_edge_counts():
     assert len(p.edges) == 2 * (3 * 3)  # three edges per triangle, per slice, per factor
 
 
+def test_edge_set_is_the_product_of_simplices(z2):
+    # the edges are the vertex pairs that differ in exactly one coordinate,
+    # directed from the smaller entry to the larger
+    from prismhom.prismatic import compositions
+    for n in range(1, 6):
+        for partition in compositions(n):
+            vertices = list(product(*[range(k + 1) for k in partition]))
+            expected = {(v, w) for v in vertices for w in vertices
+                        if sum(a != b for a, b in zip(v, w)) == 1
+                        and all(a <= b for a, b in zip(v, w))}
+            p = good_labeling(BracketedTuple(partition, (0,) * n), z2)
+            assert set(p.edges) == expected, partition
+
+
 def test_act_on_prism_matches_diagonal_action(s3):
     rnd = random.Random(3)
     for _ in range(25):
