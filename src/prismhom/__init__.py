@@ -12,9 +12,8 @@ from .algebra import (AxiomReport, Classification, OperationTable, Shalgebra,
                       conj_cyclic, conj_symmetric, conjugation_qualgebra,
                       diagonal_action, load_structure, mul_mod_shalgebra,
                       one_element, save_structure)
-from .chains import (Chain, ChainComplex, HomologyGroup, boundary,
-                     export_boundary_triplets, smith_normal_form,
-                     verify_d_squared)
+from .chains import (Chain, ChainComplex, HomologyGroup,
+                     export_boundary_triplets, smith_normal_form)
 from .errors import (AxiomError, NotACycleError, StructureError,
                      VerificationError)
 from .knots import (InvariantResult, KTGDiagram, apply_move,
@@ -22,11 +21,10 @@ from .knots import (InvariantResult, KTGDiagram, apply_move,
                     load_diagram, load_fixture_diagram, move_fixture_pairs,
                     represented_cycle, save_diagram)
 from .prismatic import (BracketedTuple, ExtraCell, PrismaticComplex,
-                        bar_differential, boundary_generator, bracketed,
-                        build_bar_complex, build_complex, build_rack_complex,
-                        compositions, degenerate_span, enumerate_partitions,
-                        extend_qualgebra, face, prismatic_homology,
-                        qualgebra_homology, rack_differential)
+                        boundary_generator, bracketed, build_bar_complex,
+                        build_complex, build_rack_complex, compositions,
+                        degenerate_span, face, prismatic_homology,
+                        qualgebra_homology)
 from .prisms import (LabeledPrism, act_on_prism, geometric_faces,
                      good_labeling, inductive_labeling, path_endomorphism,
                      prism_to_dict)

@@ -20,9 +20,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from itertools import permutations
-
-import numpy as np
+from itertools import permutations, product
 
 from .errors import AxiomError, StructureError
 
@@ -65,9 +63,6 @@ class OperationTable:
         a, b = ab
         return self.rows[a][b]
 
-    def as_array(self):
-        return np.array(self.rows, dtype=np.int64)
-
     def __eq__(self, other):
         return isinstance(other, OperationTable) and self.rows == other.rows
 
@@ -82,12 +77,9 @@ def _as_table(obj):
     return obj if isinstance(obj, OperationTable) else OperationTable(obj)
 
 
-def _first_bad(eq):
-    """Lexicographically smallest index where a boolean array is False, or None."""
-    bad = np.argwhere(~eq)
-    if bad.size == 0:
-        return None
-    return tuple(int(v) for v in bad[0])
+def _first_failure(n, arity, fails):
+    """Lexicographically smallest tuple over {0..n-1} on which `fails` holds, or None."""
+    return next((w for w in product(range(n), repeat=arity) if fails(*w)), None)
 
 
 @dataclass(frozen=True)
@@ -146,45 +138,29 @@ def check_axioms(dot, tri) -> AxiomReport:
     if dot.size != tri.size:
         raise StructureError(f"table sizes differ: {dot.size} vs {tri.size}")
     n = dot.size
-    D = dot.as_array()
-    T = tri.as_array()
+    D = dot.rows
+    T = tri.rows
 
-    statuses = {}
+    def status(arity, fails):
+        witness = _first_failure(n, arity, fails)
+        return AxiomStatus(witness is None, witness)
 
-    # Ternary axioms; argwhere row-major order makes witnesses lexicographically minimal.
-    lhs = D[D]                      # (a,b,c) -> (ab)c
-    rhs = D[:, D]                   # (a,b,c) -> a(bc)
-    statuses["H"] = _status(lhs == rhs)
+    # II: each column of tri, read as x -> x<b, must be a permutation; the
+    # witness (x, b) is the first value x that column b does not hit exactly once.
+    hits = [[0] * n for _ in range(n)]
+    for row in T:
+        for b, x in enumerate(row):
+            hits[x][b] += 1
 
-    lhs = T[D]                      # (ab)<c
-    rhs = D[T[:, None, :], T[None, :, :]]   # (a<c)(b<c)
-    statuses["YI"] = _status(lhs == rhs)
-
-    lhs = T[T]                      # (a<b)<c
-    rhs = T[:, D]                   # a<(bc)
-    statuses["IY"] = _status(lhs == rhs)
-
-    lhs = T[T]
-    rhs = T[T[:, None, :], T[None, :, :]]   # (a<c)<(b<c)
-    statuses["III"] = _status(lhs == rhs)
-
-    # II: each column of tri, read as x -> x<b, must be a permutation.
-    counts = np.zeros((n, n), dtype=np.int64)
-    cols = np.broadcast_to(np.arange(n)[None, :], (n, n))
-    np.add.at(counts, (T, cols), 1)
-    statuses["II"] = _status(counts == 1)
-
-    statuses["I"] = _status(np.diagonal(T) == np.arange(n))
-
-    rhs = D[cols, T]                # b.(a<b)
-    statuses["T"] = _status(D == rhs)
-
-    return AxiomReport(statuses)
-
-
-def _status(eq):
-    w = _first_bad(np.asarray(eq))
-    return AxiomStatus(w is None, w)
+    return AxiomReport({
+        "H": status(3, lambda a, b, c: D[D[a][b]][c] != D[a][D[b][c]]),
+        "YI": status(3, lambda a, b, c: T[D[a][b]][c] != D[T[a][c]][T[b][c]]),
+        "IY": status(3, lambda a, b, c: T[T[a][b]][c] != T[a][D[b][c]]),
+        "III": status(3, lambda a, b, c: T[T[a][b]][c] != T[T[a][c]][T[b][c]]),
+        "II": status(2, lambda x, b: hits[x][b] != 1),
+        "I": status(1, lambda a: T[a][a] != a),
+        "T": status(2, lambda a, b: D[a][b] != D[b][T[a][b]]),
+    })
 
 
 class Shalgebra:
@@ -317,10 +293,10 @@ class Shalgebra:
 def is_group_table(dot):
     """Check a group structure; returns (ok, first failed law or None, unit, inverses)."""
     dot = _as_table(dot)
-    D = dot.as_array()
-    if _first_bad(D[D] == D[:, D]) is not None:
-        return False, "associativity", None, None
     n = dot.size
+    D = dot.rows
+    if _first_failure(n, 3, lambda a, b, c: D[D[a][b]][c] != D[a][D[b][c]]) is not None:
+        return False, "associativity", None, None
     unit = None
     for e in range(n):
         if all(dot.rows[e][x] == x and dot.rows[x][e] == x for x in range(n)):

@@ -350,8 +350,8 @@ def smith_normal_form(matrix):
     """Invariant factors and rank of an integer matrix.
 
     Returns (factors, rank) with factors = (d1, ..., dr), d1 | d2 | ... all
-    positive, and rank r.  Accepts any rectangular list-of-rows (or numpy
-    array); an empty matrix has rank 0.
+    positive, and rank r.  Accepts any rectangular list-of-rows; an empty
+    matrix has rank 0.
     """
     rows = [[int(v) for v in row] for row in matrix]
     n = len(rows[0]) if rows else 0
@@ -570,15 +570,6 @@ class ChainComplex:
             elif dprime[i] > 1:
                 coords.append(u % dprime[i])
         return tuple(coords)
-
-
-def boundary(chain: Chain, complex_: ChainComplex) -> Chain:
-    return complex_.boundary(chain)
-
-
-def verify_d_squared(complex_: ChainComplex, degrees=None):
-    """Report of ∂∘∂ checks; empty violation list means the complex is consistent."""
-    return complex_.d_squared_violations(degrees)
 
 
 def export_boundary_triplets(complex_: ChainComplex, stream):

@@ -51,7 +51,7 @@ def _emit(args, payload, text):
 
 def _warn_unresolved(K):
     """One stderr line per relation cell the build of K left out."""
-    for w in getattr(K, "warnings", ()):
+    for w in K.warnings:
         labels = "all labels" if w["labels"] is None else f"labels {w['labels']}"
         print(f"warning: unresolved cell {w['cell']} at {labels}: {w['reason']}",
               file=sys.stderr)
@@ -215,13 +215,12 @@ def cmd_export_matrices(args):
     dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
-    cc = K.cc if hasattr(K, "cc") else K
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
-            export_boundary_triplets(cc, fh)
+            export_boundary_triplets(K.cc, fh)
         print(f"wrote {args.out}")
     else:
-        export_boundary_triplets(cc, sys.stdout)
+        export_boundary_triplets(K.cc, sys.stdout)
     return EXIT_OK
 
 
@@ -346,8 +345,6 @@ def build_parser():
                    help="also report the top degree, treating higher boundaries as zero")
     p.add_argument("--include-d3", action=argparse.BooleanOptionalAction, default=True,
                    help="include the idempotence-square cells in qualgebra mode")
-    p.add_argument("--jobs", type=int, default=None,
-                   help="parallelism bound (currently evaluated serially)")
     common(p)
 
     p = sub.add_parser("invariant", help="coloring classes of a diagram over a qualgebra")
@@ -392,12 +389,6 @@ _COMMANDS = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "jobs", None) is None and "PRISMHOM_JOBS" in os.environ:
-        try:
-            args.jobs = int(os.environ["PRISMHOM_JOBS"])
-        except ValueError:
-            print("PRISMHOM_JOBS must be an integer", file=sys.stderr)
-            return EXIT_INPUT
     try:
         code = _COMMANDS[args.command](args)
         sys.stdout.flush()

@@ -48,10 +48,6 @@ def _compositions(n):
     return tuple(out)
 
 
-# Spec alias: the enumeration order is part of the generator numbering contract.
-enumerate_partitions = compositions
-
-
 class BracketedTuple(NamedTuple):
     """An ordered partition together with the elements filling its blocks."""
 
@@ -94,6 +90,52 @@ def bracketed(partition, elements) -> BracketedTuple:
     return BracketedTuple(partition, elements)
 
 
+@lru_cache(maxsize=None)
+def _boundary_plan(partition):
+    """The faces of a partition in (j, i) order, as (sign, kind, position, face partition).
+
+    kind 0 deletes the entry at `position` and acts with it on every entry
+    before it (i = 0 on a block that is not the first); kind 1 replaces the
+    entries at position and position + 1 by their product (0 < i < kj);
+    kind 2 deletes the entry at position (i = kj, or i = 0 on the first
+    block, where nothing is left of it to act on).
+    """
+    plan = []
+    start = 0
+    for j, k in enumerate(partition):
+        shrunk = partition[:j] + ((k - 1,) if k > 1 else ()) + partition[j + 1:]
+        for i in range(k + 1):
+            sign = -1 if (start + i) % 2 else 1
+            if i == 0:
+                plan.append((sign, 0 if start else 2, start, shrunk))
+            elif i < k:
+                plan.append((sign, 1, start + i - 1, shrunk))
+            else:
+                plan.append((sign, 2, start + k - 1, shrunk))
+        start += k
+    return tuple(plan)
+
+
+def _faces(e, plan, S: Shalgebra):
+    dot = S.dot.rows
+    tri = S.tri.rows
+    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
+    for sign, kind, p, partition in plan:
+        if kind == 0:
+            h = e[p]
+            face_elements = tuple([tri[x][h] for x in e[:p]]) + e[p + 1:]
+        elif kind == 1:
+            face_elements = e[:p] + (dot[e[p]][e[p + 1]],) + e[p + 2:]
+        else:
+            face_elements = e[:p] + e[p + 1:]
+        yield sign, new(BracketedTuple, (partition, face_elements))
+
+
+def faces(g: BracketedTuple, S: Shalgebra):
+    """All signed faces of a generator, (sign, BracketedTuple), in (j, i) order."""
+    return _faces(g.elements, _boundary_plan(g.partition), S)
+
+
 def face(g: BracketedTuple, j, i, S: Shalgebra):
     """Signed face of a generator: block j (1-based), vertex i in 0..kj.
 
@@ -106,23 +148,9 @@ def face(g: BracketedTuple, j, i, S: Shalgebra):
     kj = partition[j - 1]
     if not 0 <= i <= kj:
         raise StructureError(f"face index {i} out of range for block of size {kj}")
-    start = sum(partition[:j - 1])          # position of the block's first entry
-    sign = -1 if (start + i) % 2 else 1
-    e = g.elements
-    if i == 0:
-        h = e[start]
-        tri = S.tri.rows
-        elements = tuple(tri[x][h] for x in e[:start]) + e[start + 1:]
-    elif i == kj:
-        elements = e[:start + kj - 1] + e[start + kj:]
-    else:
-        p = start + i - 1
-        elements = e[:p] + (S.dot.rows[e[p]][e[p + 1]],) + e[p + 2:]
-    if kj == 1:
-        partition = partition[:j - 1] + partition[j:]
-    else:
-        partition = partition[:j - 1] + (kj - 1,) + partition[j:]
-    return sign, BracketedTuple(partition, elements)
+    # each earlier block q contributes its k_q + 1 faces to the plan
+    at = sum(partition[:j - 1]) + j - 1 + i
+    return next(_faces(g.elements, _boundary_plan(partition)[at:at + 1], S))
 
 
 def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
@@ -135,106 +163,13 @@ def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
     if g.degree <= 1:
         return {}
     out = {}
-    for j, k in enumerate(g.partition, start=1):
-        for i in range(k + 1):
-            sign, f = face(g, j, i, S)
-            c = out.get(f, 0) + sign
-            if c:
-                out[f] = c
-            else:
-                del out[f]
-    return out
-
-
-# -- classical specializations -------------------------------------------------
-
-
-def bar_differential(elements, S: Shalgebra) -> dict:
-    """Simplicial differential of the multiplication alone, on plain tuples."""
-    n = len(elements)
-    out = {}
-    for i in range(n + 1):
-        if i == 0:
-            t = tuple(elements[1:])
-        elif i == n:
-            t = tuple(elements[:-1])
-        else:
-            t = (elements[:i - 1]
-                 + (S.mul(elements[i - 1], elements[i]),)
-                 + elements[i + 1:])
-        sign = -1 if i % 2 else 1
-        c = out.get(t, 0) + sign
+    for sign, f in faces(g, S):
+        c = out.get(f, 0) + sign
         if c:
-            out[t] = c
+            out[f] = c
         else:
-            del out[t]
+            del out[f]
     return out
-
-
-def rack_differential(elements, S: Shalgebra) -> dict:
-    """Cubical differential of the action alone, on plain tuples.
-
-    Face maps run over positions 1..n; the i-th pair is the acted deletion
-    (everything left of position i acted by its entry) minus the plain
-    deletion, with sign (-1)^i.
-    """
-    n = len(elements)
-    tri = S.tri.rows
-    out = {}
-    for i in range(1, n + 1):
-        h = elements[i - 1]
-        plus = tuple(tri[x][h] for x in elements[:i - 1]) + tuple(elements[i:])
-        minus = tuple(elements[:i - 1]) + tuple(elements[i:])
-        sign = -1 if i % 2 else 1
-        for t, s in ((plus, sign), (minus, -sign)):
-            c = out.get(t, 0) + s
-            if c:
-                out[t] = c
-            else:
-                del out[t]
-    return out
-
-
-class TupleComplex:
-    """Chain complex over plain tuples G^n (degree 0 = the empty tuple)."""
-
-    def __init__(self, S, N, differential, name):
-        self.S = S
-        self.N = N
-        self.name = name
-        counts = {0: 1}
-        boundaries = {}
-        for n in range(1, N + 1):
-            counts[n] = S.size ** n
-            chs = []
-            for elements in product(range(S.size), repeat=n):
-                terms = {self.index_of(t): c for t, c in differential(elements, S).items()}
-                chs.append(chains.Chain(n - 1, terms))
-            boundaries[n] = chs
-        self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
-
-    def index_of(self, elements):
-        idx = 0
-        for x in elements:
-            idx = idx * self.S.size + x
-        return idx
-
-    def homology(self, n, allow_truncation=False):
-        return self.cc.homology(n, allow_truncation)
-
-
-def build_bar_complex(S: Shalgebra, N) -> TupleComplex:
-    if not S.report.ok("H"):
-        raise AxiomError("the multiplication is not associative",
-                         witness=S.report.witness("H"))
-    return TupleComplex(S, N, bar_differential, "group")
-
-
-def build_rack_complex(S: Shalgebra, N) -> TupleComplex:
-    if not S.report.ok("III"):
-        raise AxiomError("the action is not self-distributive",
-                         witness=S.report.witness("III"))
-    return TupleComplex(S, N, rack_differential, "rack")
 
 
 # -- degeneracies ---------------------------------------------------------------
@@ -288,9 +223,12 @@ def degenerate_span(S: Shalgebra, N, flavor):
 
 def degenerate_closure_violations(S: Shalgebra, N, flavor):
     """Degenerate generators whose boundary leaves the degenerate span."""
-    span = degenerate_span(S, N, flavor)
+    return _closure_violations(S, degenerate_span(S, N, flavor))
+
+
+def _closure_violations(S, span):
     bad = []
-    for n in range(2, N + 1):
+    for n in range(2, max(span, default=0) + 1):
         lower = set(span.get(n - 1, ()))
         for g in span[n]:
             for t in boundary_generator(g, S):
@@ -444,13 +382,16 @@ class PrismaticComplex:
     cells (B3 and, by default, D3 in degree 3; the B4 family in degree 4);
     "normalized" is the qualgebra complex with every generator containing
     an adjacent equal pair of singleton blocks collapsed to zero (D3 cells
-    are dropped there because their boundary collapses with them).
+    are dropped there because their boundary collapses with them).  The
+    slices "group" and "rack" keep only the one-block generators (n,),
+    resp. the all-singleton generators (1,...,1).
 
     Homology is reliable for degrees below N; degree N itself needs
     allow_truncation.
     """
 
-    def __init__(self, S, N, mode, generators, boundaries_terms, warnings, dropped):
+    def __init__(self, S, N, mode, generators, boundaries_terms, warnings=(),
+                 dropped=frozenset()):
         self.S = S
         self.N = N
         self.mode = mode
@@ -493,17 +434,19 @@ class PrismaticComplex:
         idx = self._index.get(degree, {})
         out = {}
         for g, c in (terms.items() if isinstance(terms, dict) else terms):
-            if g in self._dropped:
-                continue
-            if g not in idx:
+            i = idx.get(g)
+            if i is None:
+                if g in self._dropped:
+                    continue
                 raise StructureError(f"generator {g!r} is not part of this complex")
-            i = idx[g]
             nc = out.get(i, 0) + c
             if nc:
                 out[i] = nc
             else:
                 del out[i]
-        return chains.Chain(degree, out)
+        chain = chains.Chain(degree)
+        chain.terms = out
+        return chain
 
     def chain(self, degree, terms) -> chains.Chain:
         """Index-space chain from {generator: coefficient} terms.
@@ -535,6 +478,25 @@ class PrismaticComplex:
                 f"counts={[self.generator_count(n) for n in range(1, self.N + 1)]}>")
 
 
+def _prism_generators(S: Shalgebra, N, shapes, dropped=frozenset()):
+    """Generators of degrees 1..N on the partitions shapes(n), with their boundaries.
+
+    Per degree, partitions in the order shapes(n) gives and, within each,
+    element tuples in lexicographic order; generators in `dropped` are
+    skipped.
+    """
+    generators = {}
+    boundary_terms = {}
+    for n in range(1, N + 1):
+        gens = [BracketedTuple(partition, elements) for partition in shapes(n)
+                for elements in product(range(S.size), repeat=n)]
+        if dropped:
+            gens = [g for g in gens if g not in dropped]
+        generators[n] = gens
+        boundary_terms[n] = [boundary_generator(g, S) for g in gens]
+    return generators, boundary_terms
+
+
 def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticComplex:
     """Construct the prismatic complex of S through degree N.
 
@@ -557,15 +519,15 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
         raise AxiomError(f"not a qualgebra: axiom {name} fails at {witness}",
                          witness=witness)
 
-    generators = {}
-    boundary_terms = {}
-    for n in range(1, N + 1):
-        gens = []
-        for partition in compositions(n):
-            for elements in product(range(S.size), repeat=n):
-                gens.append(BracketedTuple(partition, elements))
-        generators[n] = gens
-        boundary_terms[n] = [boundary_generator(g, S) for g in gens]
+    dropped = frozenset()
+    if mode == "normalized":
+        span = degenerate_span(S, N, "adjacent-equal-singletons")
+        violations = _closure_violations(S, span)
+        if violations:
+            raise VerificationError(
+                f"degenerate span is not closed under the boundary: {violations[0]}")
+        dropped = frozenset(g for gens in span.values() for g in gens)
+    generators, boundary_terms = _prism_generators(S, N, compositions, dropped)
 
     warnings = []
     if mode in ("qualgebra", "normalized"):
@@ -601,32 +563,28 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
                 generators[4].append(ExtraCell("B4_4", (a, b, c)))
                 boundary_terms[4].append(_b4_4_boundary(a, b, c, S))
 
-    dropped = frozenset()
-    if mode == "normalized":
-        violations = degenerate_closure_violations(S, N, "adjacent-equal-singletons")
-        if violations:
-            raise VerificationError(
-                f"degenerate span is not closed under the boundary: {violations[0]}")
-        span = degenerate_span(S, N, "adjacent-equal-singletons")
-        dropped = frozenset(g for gens in span.values() for g in gens)
-        filtered_gens = {}
-        filtered_terms = {}
-        for n in generators:
-            keep = [(g, t) for g, t in zip(generators[n], boundary_terms[n])
-                    if g not in dropped]
-            filtered_gens[n] = [g for g, _ in keep]
-            filtered_terms[n] = [{h: c for h, c in t.items() if h not in dropped}
-                                 for _, t in keep]
-        generators, boundary_terms = filtered_gens, filtered_terms
-
     return PrismaticComplex(S, N, mode, generators, boundary_terms, warnings, dropped)
 
 
-def extend_qualgebra(K: PrismaticComplex, include_d3=True) -> PrismaticComplex:
-    """The qualgebra-extended complex over the same structure and degree range."""
-    if K.mode != "plain":
-        raise StructureError("extend_qualgebra expects a plain-mode complex")
-    return build_complex(K.S, K.N, mode="qualgebra", include_d3=include_d3)
+def build_bar_complex(S: Shalgebra, N) -> PrismaticComplex:
+    """The simplicial complex of the multiplication: the one-block slice (n,)."""
+    if not S.report.ok("H"):
+        raise AxiomError("the multiplication is not associative",
+                         witness=S.report.witness("H"))
+    generators, boundary_terms = _prism_generators(S, N, lambda n: ((n,),))
+    return PrismaticComplex(S, N, "group", generators, boundary_terms)
+
+
+def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:
+    """The cubical complex of the action: the all-singleton slice (1,...,1).
+
+    Its boundary is the classical rack differential up to a global sign.
+    """
+    if not S.report.ok("III"):
+        raise AxiomError("the action is not self-distributive",
+                         witness=S.report.witness("III"))
+    generators, boundary_terms = _prism_generators(S, N, lambda n: ((1,) * n,))
+    return PrismaticComplex(S, N, "rack", generators, boundary_terms)
 
 
 @lru_cache(maxsize=32)

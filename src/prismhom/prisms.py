@@ -26,7 +26,7 @@ from itertools import combinations, product
 
 from .algebra import Shalgebra, diagonal_action
 from .errors import StructureError, VerificationError
-from .prismatic import BracketedTuple, face
+from .prismatic import BracketedTuple, faces
 
 
 class LabeledPrism:
@@ -218,13 +218,9 @@ def faces_match_algebra(g: BracketedTuple, S: Shalgebra) -> bool:
     prism = good_labeling(g, S)
     geometric = sorted((sign, p.partition, p.label.elements, tuple(p.edges.values()))
                        for sign, p in geometric_faces(prism, S))
-    algebraic = []
-    for j, k in enumerate(g.partition, start=1):
-        for i in range(k + 1):
-            sign, f = face(g, j, i, S)
-            p = good_labeling(f, S)
-            algebraic.append((sign, p.partition, f.elements, tuple(p.edges.values())))
-    return geometric == sorted(algebraic)
+    algebraic = sorted((sign, f.partition, f.elements, tuple(good_labeling(f, S).edges.values()))
+                       for sign, f in faces(g, S))
+    return geometric == algebraic
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 
@@ -42,6 +43,23 @@ def test_xor_with_constant_action_fails_idempotence():
     assert 0 != 1  # 1<1 = 0 != 1
 
 
+def _iy_fails(dot, tri, a, b, c):
+    return tri[tri[a][b]][c] != tri[a][dot[b][c]]
+
+
+# Per axiom: the arity of its witness and when a witness is a counterexample.
+# For II the witness (x, b) is a value x hit other than once in column b.
+_COUNTEREXAMPLES = {
+    "H": (3, lambda D, T, a, b, c: D[D[a][b]][c] != D[a][D[b][c]]),
+    "YI": (3, lambda D, T, a, b, c: T[D[a][b]][c] != D[T[a][c]][T[b][c]]),
+    "IY": (3, _iy_fails),
+    "III": (3, lambda D, T, a, b, c: T[T[a][b]][c] != T[T[a][c]][T[b][c]]),
+    "II": (2, lambda D, T, x, b: sum(T[a][b] == x for a in range(len(T))) != 1),
+    "I": (1, lambda D, T, a: T[a][a] != a),
+    "T": (2, lambda D, T, a, b: D[a][b] != D[b][T[a][b]]),
+}
+
+
 def test_witnesses_are_lexicographically_minimal():
     # break associativity at a known place: dot[1][1] = 1 on a size-2 "or" table
     report = algebra.check_axioms([[0, 1], [1, 1]], [[0, 0], [1, 1]])
@@ -54,10 +72,20 @@ def test_witnesses_are_lexicographically_minimal():
             (a, b, c)
             for a in range(2) for b in range(2) for c in range(2)
             if _iy_fails([[0, 1], [1, 0]], [[0, 1], [0, 1]], a, b, c))
-
-
-def _iy_fails(dot, tri, a, b, c):
-    return tri[tri[a][b]][c] != tri[a][dot[b][c]]
+    # on random tables, each reported witness is the lexicographically first
+    # counterexample of its axiom
+    rng = random.Random(3)
+    failures = dict.fromkeys(algebra.AXIOM_NAMES, 0)
+    for _ in range(300):
+        dot, tri = algebra.random_tables(3, rng)
+        report = algebra.check_axioms(dot, tri)
+        for name, (arity, fails) in _COUNTEREXAMPLES.items():
+            bad = [w for w in itertools.product(range(3), repeat=arity)
+                   if fails(dot.rows, tri.rows, *w)]
+            assert report.ok(name) == (not bad)
+            assert report.witness(name) == (min(bad) if bad else None), name
+            failures[name] += bool(bad)
+    assert all(failures.values()), failures
 
 
 def test_conjugation_z2_action_trivial(z2):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from prismhom import chains, prismatic
 from prismhom.chains import Chain, ChainComplex, HomologyGroup, smith_normal_form
 from prismhom.errors import NotACycleError, StructureError
+from prismhom.prismatic import BracketedTuple
 
 
 def test_chain_arithmetic():
@@ -402,7 +403,7 @@ def test_torsion_class_order_in_group_homology(s3):
     c = next(a for a in range(s3.size) if _order(s3, a) == 3)
 
     def chain(terms):
-        return Chain(3, {K.index_of(e): k for e, k in terms.items()})
+        return Chain(3, {K.index_of(BracketedTuple((3,), e)): k for e, k in terms.items()})
 
     zt, zc = chain(_cyclic_cycle(s3, t)), chain(_cyclic_cycle(s3, c))
     rng = random.Random(7)

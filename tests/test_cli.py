@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import product
 
 import pytest
 
@@ -11,6 +12,8 @@ from prismhom import algebra, cli
 from prismhom.cli import main, verify_structure
 from prismhom.knots import load_fixture_diagram, save_diagram
 from prismhom.prismatic import build_rack_complex
+
+from oracles import bar_differential, rack_differential
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +117,36 @@ def test_homology_rack_theory_matches_direct_build(files, capsys, z2):
         assert entry["torsion"] == list(g.torsion)
 
 
+def _oracle_triplets(S, N, differential, sign):
+    """`degree row col value` lines of a plain-tuple differential on G^n.
+
+    A tuple's index is the tuple read as a base-|G| numeral, so columns
+    follow the lexicographic order of G^n.
+    """
+    def index(t):
+        idx = 0
+        for x in t:
+            idx = idx * S.size + x
+        return idx
+
+    lines = []
+    for n in range(2, N + 1):
+        for col, elements in enumerate(product(range(S.size), repeat=n)):
+            terms = {index(t): c for t, c in differential(elements, S).items()}
+            lines.extend(f"{n} {row} {col} {sign * terms[row]}\n" for row in sorted(terms))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("theory, differential, sign", [
+    ("group", bar_differential, 1), ("rack", rack_differential, -1)], ids=("group", "rack"))
+def test_export_matrices_of_the_slices_match_tuple_oracles(files, capsys, s3, theory,
+                                                           differential, sign):
+    # the group slice exports the bar differential itself, the rack slice the
+    # cubical differential negated, with the same rows, columns and order
+    assert main(["export-matrices", files["s3"], "--theory", theory, "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out == _oracle_triplets(s3, 3, differential, sign)
+
+
 def test_homology_input_error_exit_code(files):
     assert main(["homology", files["broken"], "--max-degree", "2"]) == 2
 
@@ -212,13 +245,3 @@ def test_export_matrices_survives_closed_pipe(files):
     assert proc.wait(timeout=120) == cli.EXIT_PIPE
     assert len(first.split()) == 4
     assert "Traceback" not in err and "BrokenPipeError" not in err
-
-
-def test_jobs_env_override(files, capsys, monkeypatch):
-    monkeypatch.setenv("PRISMHOM_JOBS", "2")
-    assert main(["homology", files["z2"], "--max-degree", "2",
-                 "--allow-truncation"]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("PRISMHOM_JOBS", "nope")
-    assert main(["homology", files["z2"], "--max-degree", "2",
-                 "--allow-truncation"]) == 2

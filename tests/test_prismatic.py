@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement, product
 
 import pytest
@@ -5,11 +6,12 @@ import pytest
 from prismhom import algebra, prismatic
 from prismhom.chains import HomologyGroup
 from prismhom.errors import AxiomError, StructureError
-from prismhom.prismatic import (BracketedTuple, ExtraCell, bar_differential,
-                                boundary_generator, bracketed, build_bar_complex, build_complex,
-                                build_rack_complex, compositions, degenerate_span,
-                                degenerate_closure_violations, extend_qualgebra, face,
-                                qualgebra_homology, rack_differential, resolve_twist_cell)
+from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator, bracketed,
+                                build_bar_complex, build_complex, build_rack_complex,
+                                compositions, degenerate_span, degenerate_closure_violations,
+                                face, faces, qualgebra_homology, resolve_twist_cell)
+
+from oracles import bar_differential, rack_differential
 
 
 def test_compositions_order_and_count():
@@ -88,11 +90,53 @@ def test_seven_term_expansion_of_square_pair(z3):
     assert got == expected
 
 
+def _docstring_face(g, j, i, S):
+    """Face (j, i), 0-based block j, by the rule of the module docstring on block lists."""
+    blocks = [list(b) for b in g.blocks()]
+    block = blocks[j]
+    if i == 0:
+        h = block.pop(0)
+        for q in range(j):
+            blocks[q] = [S.act(x, h) for x in blocks[q]]
+    elif i < len(g.blocks()[j]):
+        block[i - 1:i + 1] = [S.mul(block[i - 1], block[i])]
+    else:
+        block.pop()
+    sign = (-1) ** (sum(g.partition[:j]) + i)
+    blocks = [b for b in blocks if b]
+    return sign, BracketedTuple(tuple(len(b) for b in blocks),
+                                tuple(x for b in blocks for x in b))
+
+
+def test_high_degree_boundary_matches_docstring_rule(s3, proj4):
+    # degrees 5 and 6 lie beyond the expansion table of degrees 2..4
+    rng = random.Random(11)
+    for S in (s3, proj4):
+        for _ in range(150):
+            n = rng.choice((5, 6))
+            partition = rng.choice(compositions(n))
+            g = BracketedTuple(partition, tuple(rng.randrange(S.size) for _ in range(n)))
+            expected = [_docstring_face(g, j, i, S)
+                        for j, k in enumerate(partition) for i in range(k + 1)]
+            assert list(faces(g, S)) == expected
+            assert [face(g, j + 1, i, S) for j, k in enumerate(partition)
+                    for i in range(k + 1)] == expected
+            combined = {}
+            for sign, f in expected:
+                combined[f] = combined.get(f, 0) + sign
+            assert boundary_generator(g, S) == {f: c for f, c in combined.items() if c}
+
+
 def test_build_complex_counts(one_elt, z2):
     K = build_complex(one_elt, 3)
     assert [K.generator_count(n) for n in range(0, 4)] == [0, 1, 2, 4]
     K = build_complex(z2, 4)
     assert K.generator_count(4) == 2 ** 4 * 8
+    # the qualgebra complex adds the B3 cells and, unless left out, the D3 cells
+    plain = build_complex(z2, 3).generator_count(3)
+    E = build_complex(z2, 3, mode="qualgebra")
+    assert E.mode == "qualgebra" and E.generator_count(3) == plain + 4 + 2
+    assert build_complex(z2, 3, mode="qualgebra", include_d3=False).generator_count(3) == plain + 4
 
 
 def test_build_complex_refuses_corrupt_structures():
@@ -184,17 +228,6 @@ def test_b3_relation_in_degree_two_homology(z3):
             triangles = [(bracketed((2,), (a, b)), 1),
                          (bracketed((2,), (b, z3.act(a, b))), -1)]
             assert K.class_of(square, 2) == K.class_of(triangles, 2)
-
-
-def test_extend_qualgebra_entry_point(z2):
-    K = build_complex(z2, 3)
-    E = extend_qualgebra(K)
-    assert E.mode == "qualgebra"
-    assert E.generator_count(3) == K.generator_count(3) + 4 + 2  # B3 cells + D3 cells
-    E2 = extend_qualgebra(K, include_d3=False)
-    assert E2.generator_count(3) == K.generator_count(3) + 4
-    with pytest.raises(StructureError):
-        extend_qualgebra(E)
 
 
 def test_extension_requires_qualgebra():
