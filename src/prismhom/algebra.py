@@ -264,9 +264,6 @@ class Shalgebra:
             raise StructureError(f"not a group: {reason}")
         return inv[a]
 
-    def name_of(self, a):
-        return self.names[a] if self.names else str(a)
-
     # -- plumbing ----------------------------------------------------------
 
     def __eq__(self, other):

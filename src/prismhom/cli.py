@@ -19,10 +19,10 @@ from itertools import product
 from . import prisms
 from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, classify,
                       load_structure_tables)
-from .chains import export_boundary_triplets
+from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (BracketedTuple, boundary_generator, build_bar_complex,
+from .prismatic import (BracketedTuple, boundary_generator, bracketed, build_bar_complex,
                         build_complex, build_rack_complex, compositions)
 
 EXIT_OK = 0
@@ -152,32 +152,25 @@ def verify_structure(S: Shalgebra, N, _corrupt=None):
     else:
         lines.append(f"boundary-squared: ok through degree {N} ({K.mode} mode)")
 
-    sym_bad = 0
-    for n in range(2, min(N, 4) + 1):
-        for partition in compositions(n):
-            for elements in product(range(S.size), repeat=n):
-                g = BracketedTuple(partition, elements)
-                if boundary_generator(g, S) != _expansion_terms(g, S):
-                    sym_bad += 1
-    lines.append("symbolic expansions: "
-                 + ("ok (degrees 2..%d)" % min(N, 4) if not sym_bad
-                    else f"FAIL on {sym_bad} generators"))
-    ok = ok and not sym_bad
-
-    face_bad = 0
+    sym_bad = face_bad = 0
     for n in range(1, min(N, 4) + 1):
         for partition in compositions(n):
             for elements in product(range(S.size), repeat=n):
                 g = BracketedTuple(partition, elements)
+                if n > 1 and boundary_generator(g, S) != _expansion_terms(g, S):
+                    sym_bad += 1
                 try:
                     if not prisms.faces_match_algebra(g, S):
                         face_bad += 1
                 except VerificationError:
                     face_bad += 1
+    lines.append("symbolic expansions: "
+                 + ("ok (degrees 2..%d)" % min(N, 4) if not sym_bad
+                    else f"FAIL on {sym_bad} generators"))
     lines.append("geometric faces: "
                  + (f"ok (degrees 1..{min(N, 4)})" if not face_bad
                     else f"FAIL on {face_bad} generators"))
-    ok = ok and not face_bad
+    ok = ok and not sym_bad and not face_bad
     return ok, lines
 
 
@@ -193,12 +186,9 @@ def cmd_verify(args):
 def cmd_export_prism(args):
     dot, tri, names = load_structure_tables(args.structure)
     S = Shalgebra(dot, tri, names=names)
-    partition = tuple(int(v) for v in args.partition.split(","))
-    elements = tuple(int(v) for v in args.elements.split(","))
-    if sum(partition) != len(elements):
-        raise StructureError(
-            f"partition {partition} does not fit {len(elements)} elements")
-    g = BracketedTuple(partition, elements)
+    g = bracketed(args.partition.split(","), args.elements.split(","))
+    if not all(0 <= x < S.size for x in g.elements):
+        raise StructureError(f"elements {g.elements} lie outside the carrier 0..{S.size - 1}")
     prism = prisms.good_labeling(g, S)
     data = prisms.prism_to_dict(prism, S)
     text = json.dumps(data, sort_keys=True, indent=2)
@@ -311,15 +301,8 @@ def _expansion_terms(g: BracketedTuple, S: Shalgebra):
                 (1, (1, 1, 1), (a, b, c))]
     else:
         return boundary_generator(g, S)
-    terms = {}
-    for sign, partition, elements in rows:
-        t = BracketedTuple(partition, elements)
-        c = terms.get(t, 0) + sign
-        if c:
-            terms[t] = c
-        else:
-            del terms[t]
-    return terms
+    return Chain(g.degree - 1, [(BracketedTuple(partition, elements), sign)
+                                for sign, partition, elements in rows]).terms
 
 
 def build_parser():

@@ -137,6 +137,8 @@ class KTGDiagram:
             return cls(data["arcs"], crossings, vertices)
         except KeyError as exc:
             raise StructureError(f"diagram misses field {exc}")
+        except (TypeError, ValueError) as exc:
+            raise StructureError(f"malformed diagram: {exc}")
 
     def __eq__(self, other):
         return (isinstance(other, KTGDiagram)
@@ -319,29 +321,10 @@ def vertex_chain_term(v: TrivalentVertex, colors):
 
 def represented_cycle(D: KTGDiagram, colors, S: Shalgebra) -> dict:
     """The degree-2 chain of a colored diagram; checked to be a cycle."""
-    terms = {}
-    for x in D.crossings:
-        g, c = crossing_chain_term(x, colors)
-        nc = terms.get(g, 0) + c
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    for v in D.vertices:
-        g, c = vertex_chain_term(v, colors)
-        nc = terms.get(g, 0) + c
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    residue = {}
-    for g, c in terms.items():
-        for t, ct in boundary_generator(g, S).items():
-            nc = residue.get(t, 0) + c * ct
-            if nc:
-                residue[t] = nc
-            else:
-                del residue[t]
+    terms = chains.Chain(2, [*(crossing_chain_term(x, colors) for x in D.crossings),
+                             *(vertex_chain_term(v, colors) for v in D.vertices)]).terms
+    residue = chains.Chain(1, [(t, c * ct) for g, c in terms.items()
+                               for t, ct in boundary_generator(g, S).items()]).terms
     if residue:
         raise NotACycleError(
             "represented chain is not a cycle; the diagram violates the sign conventions",
@@ -401,20 +384,15 @@ def foam_chain(presentation):
     four degree-3 prisms (3), (2,1), (1,2), (1,1,1).
     """
     allowed = {(3,), (2, 1), (1, 2), (1, 1, 1)}
-    terms = {}
+    pairs = []
     for sign, partition, elements in presentation:
         partition = tuple(int(k) for k in partition)
         if partition not in allowed:
             raise StructureError(f"not a generalized crossing shape: {partition}")
         if sign not in (1, -1):
             raise StructureError(f"crossing sign must be ±1, got {sign}")
-        g = BracketedTuple(partition, tuple(int(x) for x in elements))
-        nc = terms.get(g, 0) + sign
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    return terms
+        pairs.append((BracketedTuple(partition, tuple(int(x) for x in elements)), sign))
+    return chains.Chain(3, pairs).terms
 
 
 def foam_invariant(presentation, S: Shalgebra, K: PrismaticComplex = None):

@@ -21,6 +21,8 @@ satisfying H, YI, IY, III this squares to zero (verified on every build).
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Sequence
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -80,8 +82,11 @@ class BracketedTuple(NamedTuple):
 
 
 def bracketed(partition, elements) -> BracketedTuple:
-    partition = tuple(int(k) for k in partition)
-    elements = tuple(int(g) for g in elements)
+    try:
+        partition = tuple(int(k) for k in partition)
+        elements = tuple(int(g) for g in elements)
+    except (TypeError, ValueError) as exc:
+        raise StructureError(f"partition and elements must be integers: {exc}")
     if any(k < 1 for k in partition):
         raise StructureError("partition parts must be positive")
     if sum(partition) != len(elements):
@@ -117,10 +122,10 @@ def _boundary_plan(partition):
 
 
 def _faces(e, plan, S: Shalgebra):
+    """Apply a plan to an element tuple: (sign, the plan's last field, face elements)."""
     dot = S.dot.rows
     tri = S.tri.rows
-    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-    for sign, kind, p, partition in plan:
+    for sign, kind, p, last in plan:
         if kind == 0:
             h = e[p]
             face_elements = tuple([tri[x][h] for x in e[:p]]) + e[p + 1:]
@@ -128,12 +133,14 @@ def _faces(e, plan, S: Shalgebra):
             face_elements = e[:p] + (dot[e[p]][e[p + 1]],) + e[p + 2:]
         else:
             face_elements = e[:p] + e[p + 1:]
-        yield sign, new(BracketedTuple, (partition, face_elements))
+        yield sign, last, face_elements
 
 
 def faces(g: BracketedTuple, S: Shalgebra):
     """All signed faces of a generator, (sign, BracketedTuple), in (j, i) order."""
-    return _faces(g.elements, _boundary_plan(g.partition), S)
+    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
+    for sign, partition, f in _faces(g.elements, _boundary_plan(g.partition), S):
+        yield sign, new(BracketedTuple, (partition, f))
 
 
 def face(g: BracketedTuple, j, i, S: Shalgebra):
@@ -150,7 +157,8 @@ def face(g: BracketedTuple, j, i, S: Shalgebra):
         raise StructureError(f"face index {i} out of range for block of size {kj}")
     # each earlier block q contributes its k_q + 1 faces to the plan
     at = sum(partition[:j - 1]) + j - 1 + i
-    return next(_faces(g.elements, _boundary_plan(partition)[at:at + 1], S))
+    sign, partition, f = next(_faces(g.elements, _boundary_plan(partition)[at:at + 1], S))
+    return sign, BracketedTuple(partition, f)
 
 
 def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
@@ -160,16 +168,7 @@ def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
     deletions of size-one blocks cancel here, which is why e.g. the
     boundary of a|b has two terms, not four.
     """
-    if g.degree <= 1:
-        return {}
-    out = {}
-    for sign, f in faces(g, S):
-        c = out.get(f, 0) + sign
-        if c:
-            out[f] = c
-        else:
-            del out[f]
-    return out
+    return chains.Chain(g.degree - 1, ((f, sign) for sign, f in faces(g, S))).terms
 
 
 # -- degeneracies ---------------------------------------------------------------
@@ -273,57 +272,23 @@ class ExtraCell(NamedTuple):
 
 
 def _b3_boundary(a, b, S):
-    terms = {}
-    for g, c in ((BracketedTuple((1, 1), (a, b)), 1),
-                 (BracketedTuple((2,), (b, S.act(a, b))), 1),
-                 (BracketedTuple((2,), (a, b)), -1)):
-        nc = terms.get(g, 0) + c
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    return terms
+    return chains.Chain(2, ((BracketedTuple((1, 1), (a, b)), 1),
+                            (BracketedTuple((2,), (b, S.act(a, b))), 1),
+                            (BracketedTuple((2,), (a, b)), -1))).terms
 
 
 def _b4_3_boundary(a, b, c, S):
-    terms = {}
-    for g, cf in ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
-                  (BracketedTuple((1, 2), (a, c, S.act(b, c))), 1),
-                  (BracketedTuple((1, 2), (a, b, c)), -1)):
-        nc = terms.get(g, 0) + cf
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    return terms
+    return chains.Chain(3, ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
+                            (BracketedTuple((1, 2), (a, c, S.act(b, c))), 1),
+                            (BracketedTuple((1, 2), (a, b, c)), -1))).terms
 
 
 def _b4_4_boundary(a, b, c, S):
-    terms = {}
-    for g, cf in ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
-                  (BracketedTuple((2, 1), (b, S.act(a, b), c)), 1),
-                  (ExtraCell("B3", (S.act(a, c), S.act(b, c))), -1),
-                  (BracketedTuple((2, 1), (a, b, c)), -1),
-                  (ExtraCell("B3", (a, b)), 1)):
-        nc = terms.get(g, 0) + cf
-        if nc:
-            terms[g] = nc
-        else:
-            del terms[g]
-    return terms
-
-
-def _word_values(S, letters):
-    """Values of all ·-words of length <= 3 over the letters and their inverses."""
-    alphabet = set(letters)
-    for x in letters:
-        alphabet.add(S.group_inverse(x))
-    values = set(alphabet)
-    for u, v in product(alphabet, repeat=2):
-        values.add(S.mul(u, v))
-    for u, v, w in product(alphabet, repeat=3):
-        values.add(S.mul(S.mul(u, v), w))
-    return sorted(values)
+    return chains.Chain(3, ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
+                            (BracketedTuple((2, 1), (b, S.act(a, b), c)), 1),
+                            (ExtraCell("B3", (S.act(a, c), S.act(b, c))), -1),
+                            (BracketedTuple((2, 1), (a, b, c)), -1),
+                            (ExtraCell("B3", (a, b)), 1))).terms
 
 
 def resolve_twist_cell(kind, a, b, S):
@@ -350,18 +315,16 @@ def resolve_twist_cell(kind, a, b, S):
         base = BracketedTuple((1, 2), (a, a, b))
     else:
         raise StructureError(f"not a twist cell kind: {kind}")
-    total = boundary_generator(base, S)
-    net = {g.elements: -c for g, c in total.items() if g.partition == (1, 1)}
-    for (x, y), c in net.items():
-        for g, cg in _b3_boundary(x, y, S).items():
-            nc = total.get(g, 0) + c * cg
-            if nc:
-                total[g] = nc
-            else:
-                del total[g]
-    values = set(_word_values(S, (a, b)))
-    if (total or sum(abs(c) for c in net.values()) not in (1, 3)
-            or not all(x in values and y in values for x, y in net)):
+    prism = boundary_generator(base, S)
+    # The label and coefficient conditions above hold without a check on a
+    # group qualgebra, the only input `build_complex` passes: the prism
+    # boundary holds exactly three ±1 squares, labeled (b,b), (a·b,b), (a,b)
+    # for B4_1 and (a◁a,b), (a,a·b), (a,a) for B4_2, and a◁a = a (axiom I).
+    net = {g.elements: -c for g, c in prism.items() if g.partition == (1, 1)}
+    total = chains.Chain(2, [*prism.items(),
+                             *((g, c * cg) for (x, y), c in net.items()
+                               for g, cg in _b3_boundary(x, y, S).items())])
+    if total:
         return "no_solution", None
     terms = {base: 1}
     for (x, y), c in sorted(net.items()):
@@ -375,6 +338,40 @@ def resolve_twist_cell(kind, a, b, S):
 MODES = ("plain", "qualgebra", "normalized")
 
 
+def _full_index(rank, elements, q):
+    """Full index of a prism: its partition rank, then its elements, read in base q."""
+    for x in elements:
+        rank = rank * q + x
+    return rank
+
+
+class _Generators(Sequence):
+    """The generators of one degree of a complex, decoded from their index on access."""
+
+    def __init__(self, K, n):
+        self._K = K
+        self._n = n
+
+    def __len__(self):
+        return self._K.generator_count(self._n)
+
+    def __getitem__(self, i):
+        K, n, count = self._K, self._n, len(self)
+        if i < 0:
+            i += count
+        if not 0 <= i < count:
+            raise IndexError(f"no generator {i} in degree {n}")
+        prisms = count - len(K._cells[n])
+        if i >= prisms:
+            return K._cells[n][i - prisms]
+        full = K._kept[n][i] if n in K._kept else i
+        elements = []
+        for _ in range(n):
+            full, x = divmod(full, K.S.size)
+            elements.append(x)
+        return BracketedTuple(K._shapes[n][full], tuple(reversed(elements)))
+
+
 class PrismaticComplex:
     """Generators, boundaries and homology of one shalgebra, up to degree N.
 
@@ -386,67 +383,124 @@ class PrismaticComplex:
     slices "group" and "rack" keep only the one-block generators (n,),
     resp. the all-singleton generators (1,...,1).
 
+    Numbering, in every mode: the degree-n prism with partition P and
+    elements (e1, ..., en) has full index r·|G|^n + (e1...en read in base
+    |G|, e1 most significant), where r is the rank of P among the mode's
+    partitions (`compositions(n)`, or the one partition of a slice).  In
+    normalized mode the collapsed generators are skipped and the rest keep
+    their order.  The relation cells come after the prisms, in build order:
+    B3 and D3 in degree 3, then B4_1, B4_2 (those that resolve), B4_3 and
+    B4_4 in degree 4, each kind in lexicographic label order.
+
     Homology is reliable for degrees below N; degree N itself needs
     allow_truncation.
     """
 
-    def __init__(self, S, N, mode, generators, boundaries_terms, warnings=(),
-                 dropped=frozenset()):
+    def __init__(self, S, N, mode, shapes, cells=None, collapsed=None, warnings=()):
+        # shapes(n) lists the partitions of degree n; cells maps a degree to
+        # (ExtraCell, boundary terms) pairs in build order; collapsed maps a
+        # degree to the generators normalized mode collapses.
         self.S = S
         self.N = N
         self.mode = mode
         self.warnings = tuple(warnings)
-        self._gens = generators
-        self._dropped = dropped
-        self._index = {n: {g: i for i, g in enumerate(gens)}
-                       for n, gens in generators.items()}
+        self._shapes = {}
+        self._ranks = {}
+        self._kept = {}  # normalized mode: per degree, the sorted full indices kept
+        self._cells = {}
+        self._cell_index = {}
+        q = S.size
         counts = {0: 0}
         boundaries = {}
         for n in range(1, N + 1):
-            counts[n] = len(generators.get(n, ()))
-            boundaries[n] = [self._chain_from_terms(n - 1, terms)
-                             for terms in boundaries_terms.get(n, ())]
+            self._shapes[n] = tuple(shapes(n))
+            self._ranks[n] = {p: r for r, p in enumerate(self._shapes[n])}
+            gone = frozenset()
+            if collapsed is not None:
+                gone = frozenset(_full_index(self._ranks[n][g.partition], g.elements, q)
+                                 for g in collapsed.get(n, ()))
+                self._kept[n] = [i for i in range(len(self._shapes[n]) * q ** n)
+                                 if i not in gone]
+            columns = self._prism_columns(n, gone)
+            self._cells[n] = []
+            for cell, terms in (cells or {}).get(n, ()):
+                self._cell_index[cell] = len(columns)
+                self._cells[n].append(cell)
+                columns.append(self.chain(n - 1, terms))
+            counts[n] = len(columns)
+            boundaries[n] = columns
         self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
         bad = self.cc.d_squared_violations()
         if bad:
             n, idx = bad[0]
             raise VerificationError(
-                f"boundary squared is nonzero on {self._gens[n][idx]!r}")
+                f"boundary squared is nonzero on {self.generators(n)[idx]!r}")
+
+    def _prism_columns(self, n, gone):
+        """Boundary chains of the degree-n prisms outside `gone`, in index order."""
+        S = self.S
+        q = S.size
+        ranks = self._ranks.get(n - 1)
+        kept = self._kept.get(n - 1)
+        out = []
+        for r, partition in enumerate(self._shapes[n]):
+            # the last plan field becomes the face partition's rank, the
+            # leading digit of every face index
+            plan = tuple((sign, kind, p, ranks[f])
+                         for sign, kind, p, f in _boundary_plan(partition)) if n > 1 else ()
+            for i, e in enumerate(product(range(q), repeat=n), r * q ** n):
+                if i in gone:
+                    continue
+                col = {}
+                for sign, j, f in _faces(e, plan, S):
+                    for x in f:
+                        j = j * q + x
+                    c = col.get(j, 0) + sign
+                    if c:
+                        col[j] = c
+                    else:
+                        del col[j]
+                if kept is not None:
+                    col = {k: c for j, c in col.items()
+                           if (k := self._compact(n - 1, j)) is not None}
+                chain = chains.Chain(n - 1)
+                chain.terms = col
+                out.append(chain)
+        return out
+
+    def _compact(self, n, full):
+        """Index of the prism with this full index; None if it is collapsed."""
+        kept = self._kept.get(n)
+        if kept is None:
+            return full
+        k = bisect_left(kept, full)
+        return k if k < len(kept) and kept[k] == full else None
+
+    def _locate(self, g):
+        """Index of a generator; None for a prism normalized mode collapsed."""
+        if isinstance(g, BracketedTuple):
+            n = g.degree
+            rank = self._ranks.get(n, {}).get(g.partition)
+            q = self.S.size
+            if rank is not None and all(0 <= x < q for x in g.elements):
+                return self._compact(n, _full_index(rank, g.elements, q))
+        elif isinstance(g, ExtraCell) and g in self._cell_index:
+            return self._cell_index[g]
+        raise StructureError(f"generator {g!r} is not part of this complex")
 
     # -- generator bookkeeping --------------------------------------------
 
     def generators(self, n):
-        return self._gens.get(n, ())
+        return _Generators(self, n)
 
     def generator_count(self, n):
-        return len(self._gens.get(n, ()))
+        return self.cc.count(n)
 
     def index_of(self, gen):
-        n = gen.degree
-        try:
-            return self._index[n][gen]
-        except KeyError:
+        i = self._locate(gen)
+        if i is None:
             raise StructureError(f"generator {gen!r} is not part of this complex")
-
-    def _chain_from_terms(self, degree, terms):
-        if degree == 0:
-            return chains.Chain(0)
-        idx = self._index.get(degree, {})
-        out = {}
-        for g, c in (terms.items() if isinstance(terms, dict) else terms):
-            i = idx.get(g)
-            if i is None:
-                if g in self._dropped:
-                    continue
-                raise StructureError(f"generator {g!r} is not part of this complex")
-            nc = out.get(i, 0) + c
-            if nc:
-                out[i] = nc
-            else:
-                del out[i]
-        chain = chains.Chain(degree)
-        chain.terms = out
-        return chain
+        return i
 
     def chain(self, degree, terms) -> chains.Chain:
         """Index-space chain from {generator: coefficient} terms.
@@ -456,7 +510,14 @@ class PrismaticComplex:
         """
         if not 1 <= degree <= self.N:
             raise StructureError(f"degree {degree} outside built range 1..{self.N}")
-        return self._chain_from_terms(degree, terms)
+        pairs = []
+        for g, c in (terms.items() if isinstance(terms, dict) else terms):
+            i = self._locate(g)
+            if g.degree != degree:
+                raise StructureError(f"generator {g!r} is not of degree {degree}")
+            if i is not None:
+                pairs.append((i, c))
+        return chains.Chain(degree, pairs)
 
     # -- homology ----------------------------------------------------------
 
@@ -476,25 +537,6 @@ class PrismaticComplex:
     def __repr__(self):
         return (f"<PrismaticComplex mode={self.mode} size={self.S.size} N={self.N} "
                 f"counts={[self.generator_count(n) for n in range(1, self.N + 1)]}>")
-
-
-def _prism_generators(S: Shalgebra, N, shapes, dropped=frozenset()):
-    """Generators of degrees 1..N on the partitions shapes(n), with their boundaries.
-
-    Per degree, partitions in the order shapes(n) gives and, within each,
-    element tuples in lexicographic order; generators in `dropped` are
-    skipped.
-    """
-    generators = {}
-    boundary_terms = {}
-    for n in range(1, N + 1):
-        gens = [BracketedTuple(partition, elements) for partition in shapes(n)
-                for elements in product(range(S.size), repeat=n)]
-        if dropped:
-            gens = [g for g in gens if g not in dropped]
-        generators[n] = gens
-        boundary_terms[n] = [boundary_generator(g, S) for g in gens]
-    return generators, boundary_terms
 
 
 def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticComplex:
@@ -519,37 +561,33 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
         raise AxiomError(f"not a qualgebra: axiom {name} fails at {witness}",
                          witness=witness)
 
-    dropped = frozenset()
+    collapsed = None
     if mode == "normalized":
-        span = degenerate_span(S, N, "adjacent-equal-singletons")
-        violations = _closure_violations(S, span)
+        collapsed = degenerate_span(S, N, "adjacent-equal-singletons")
+        violations = _closure_violations(S, collapsed)
         if violations:
             raise VerificationError(
                 f"degenerate span is not closed under the boundary: {violations[0]}")
-        dropped = frozenset(g for gens in span.values() for g in gens)
-    generators, boundary_terms = _prism_generators(S, N, compositions, dropped)
 
+    cells = {3: [], 4: []}
     warnings = []
     if mode in ("qualgebra", "normalized"):
         rng = range(S.size)
         if N >= 3:
             for a, b in product(rng, repeat=2):
-                generators[3].append(ExtraCell("B3", (a, b)))
-                boundary_terms[3].append(_b3_boundary(a, b, S))
+                cells[3].append((ExtraCell("B3", (a, b)), _b3_boundary(a, b, S)))
             if include_d3 and mode == "qualgebra":
                 # In normalized mode the idempotence square is collapsed, so
                 # the D3 cells would be boundary-free; they are left out there.
                 for a in rng:
-                    generators[3].append(ExtraCell("D3", (a,)))
-                    boundary_terms[3].append({BracketedTuple((1, 1), (a, a)): 1})
+                    cells[3].append((ExtraCell("D3", (a,)), {BracketedTuple((1, 1), (a, a)): 1}))
         if N >= 4:
             if S.is_group:
                 for kind in ("B4_1", "B4_2"):
                     for a, b in product(rng, repeat=2):
                         status, terms = resolve_twist_cell(kind, a, b, S)
                         if status == "ok":
-                            generators[4].append(ExtraCell(kind, (a, b)))
-                            boundary_terms[4].append(terms)
+                            cells[4].append((ExtraCell(kind, (a, b)), terms))
                         else:
                             warnings.append({"cell": kind, "labels": (a, b),
                                              "reason": status})
@@ -557,13 +595,11 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
                 warnings.append({"cell": "B4_1/B4_2", "labels": None,
                                  "reason": "not_a_group"})
             for a, b, c in product(rng, repeat=3):
-                generators[4].append(ExtraCell("B4_3", (a, b, c)))
-                boundary_terms[4].append(_b4_3_boundary(a, b, c, S))
+                cells[4].append((ExtraCell("B4_3", (a, b, c)), _b4_3_boundary(a, b, c, S)))
             for a, b, c in product(rng, repeat=3):
-                generators[4].append(ExtraCell("B4_4", (a, b, c)))
-                boundary_terms[4].append(_b4_4_boundary(a, b, c, S))
+                cells[4].append((ExtraCell("B4_4", (a, b, c)), _b4_4_boundary(a, b, c, S)))
 
-    return PrismaticComplex(S, N, mode, generators, boundary_terms, warnings, dropped)
+    return PrismaticComplex(S, N, mode, compositions, cells, collapsed, warnings)
 
 
 def build_bar_complex(S: Shalgebra, N) -> PrismaticComplex:
@@ -571,8 +607,7 @@ def build_bar_complex(S: Shalgebra, N) -> PrismaticComplex:
     if not S.report.ok("H"):
         raise AxiomError("the multiplication is not associative",
                          witness=S.report.witness("H"))
-    generators, boundary_terms = _prism_generators(S, N, lambda n: ((n,),))
-    return PrismaticComplex(S, N, "group", generators, boundary_terms)
+    return PrismaticComplex(S, N, "group", lambda n: ((n,),))
 
 
 def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:
@@ -583,8 +618,7 @@ def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:
     if not S.report.ok("III"):
         raise AxiomError("the action is not self-distributive",
                          witness=S.report.witness("III"))
-    generators, boundary_terms = _prism_generators(S, N, lambda n: ((1,) * n,))
-    return PrismaticComplex(S, N, "rack", generators, boundary_terms)
+    return PrismaticComplex(S, N, "rack", lambda n: ((1,) * n,))
 
 
 @lru_cache(maxsize=32)

@@ -11,7 +11,7 @@ import prismhom
 from prismhom import algebra, cli
 from prismhom.cli import main, verify_structure
 from prismhom.knots import load_fixture_diagram, save_diagram
-from prismhom.prismatic import build_rack_complex
+from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex
 
 from oracles import bar_differential, rack_differential
 
@@ -147,6 +147,60 @@ def test_export_matrices_of_the_slices_match_tuple_oracles(files, capsys, s3, th
     assert capsys.readouterr().out == _oracle_triplets(s3, 3, differential, sign)
 
 
+def _documented_triplets(S, N, collapse):
+    """`degree row col value` lines of the prismatic complex, numbered as documented.
+
+    Prisms are ordered by partition rank · |G|^n + elements read in base
+    |G|; generators with two neighbouring equal singleton blocks are
+    skipped when `collapse` is set, and the B3 cells then follow the prisms
+    of degree 3 with boundary (a|b) + (b, a◁b) - (a, b).
+    """
+    def partitions(n):
+        return sorted(p for k in range(1, n + 1) for p in product(range(1, n + 1), repeat=k)
+                      if sum(p) == n)
+
+    def collapsed(g):
+        starts = [sum(g.partition[:j]) for j in range(len(g.partition))]
+        return collapse and any(
+            k1 == k2 == 1 and g.elements[s] == g.elements[s + 1]
+            for k1, k2, s in zip(g.partition, g.partition[1:], starts))
+
+    def full_index(g):
+        value = 0
+        for x in g.elements:
+            value = value * S.size + x
+        return partitions(g.degree).index(g.partition) * S.size ** g.degree + value
+
+    numbering = {}
+    columns = {}
+    for n in range(1, N + 1):
+        gens = {bracketed(p, e) for p in partitions(n) for e in product(range(S.size), repeat=n)}
+        kept = sorted((g for g in gens if not collapsed(g)), key=full_index)
+        numbering[n] = {g: i for i, g in enumerate(kept)}
+        columns[n] = [list(boundary_generator(g, S).items()) for g in kept]
+        if collapse and n == 3:
+            columns[n] += [[(bracketed((1, 1), (a, b)), 1), (bracketed((2,), (b, S.act(a, b))), 1),
+                            (bracketed((2,), (a, b)), -1)]
+                           for a, b in product(range(S.size), repeat=2)]
+    lines = []
+    for n in range(2, N + 1):
+        for col, terms in enumerate(columns[n]):
+            rows = {}
+            for t, c in terms:
+                if not collapsed(t):
+                    row = numbering[n - 1][t]
+                    rows[row] = rows.get(row, 0) + c
+            rows = {row: c for row, c in rows.items() if c}
+            lines.extend(f"{n} {row} {col} {rows[row]}\n" for row in sorted(rows))
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("theory", ("prismatic", "normalized"))
+def test_export_matrices_follow_the_documented_numbering(files, capsys, s3, theory):
+    assert main(["export-matrices", files["s3"], "--theory", theory, "--max-degree", "3"]) == 0
+    assert capsys.readouterr().out == _documented_triplets(s3, 3, theory == "normalized")
+
+
 def test_homology_input_error_exit_code(files):
     assert main(["homology", files["broken"], "--max-degree", "2"]) == 2
 
@@ -217,6 +271,24 @@ def test_export_prism(files, capsys, tmp_path):
     assert len(data["vertices"]) == 6
     assert main(["export-prism", files["z2"], "--partition", "2",
                  "--elements", "0,1,1"]) == 2
+    # elements outside the carrier, a zero part and a non-integer: all input errors
+    for partition, elements in (("2", "-1,0"), ("1", "7"), ("0,1", "0"), ("1", "x")):
+        capsys.readouterr()
+        assert main(["export-prism", files["s3"], "--partition", partition,
+                     f"--elements={elements}"]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("diagram", [
+    {"arcs": 5},
+    {"arcs": ["a", "b"], "crossings": [{"over": "a", "under_in": "b", "under_out": "b",
+                                        "sign": "x"}]},
+    {"arcs": [[1], [2]]}], ids=("arcs-not-a-list", "sign-not-an-integer", "list-arc-ids"))
+def test_invariant_rejects_malformed_diagrams(files, capsys, tmp_path, diagram):
+    path = tmp_path / "diagram.json"
+    path.write_text(json.dumps(diagram))
+    assert main(["invariant", files["s3"], str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_export_matrices(files, capsys, tmp_path):

@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 from prismhom import algebra, prismatic
-from prismhom.chains import HomologyGroup
+from prismhom.chains import Chain, HomologyGroup
 from prismhom.errors import AxiomError, StructureError
 from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator, bracketed,
                                 build_bar_complex, build_complex, build_rack_complex,
@@ -255,7 +255,7 @@ def test_twist_cell_resolution_outcomes(z2, z3):
                 for b in range(S.size):
                     status, terms = resolve_twist_cell(kind, a, b, S)
                     if status == "ok":
-                        ch = K._chain_from_terms(3, terms)
+                        ch = K.chain(3, terms)
                         assert not K.cc.boundary(ch)
 
 
@@ -356,19 +356,61 @@ def test_twist_cells_skipped_without_group(proj4):
 
 def test_normalized_mode(z3):
     K = build_complex(z3, 4, mode="normalized")
+    span = degenerate_span(z3, 4, "adjacent-equal-singletons")
     # no degenerate generator and no D3 cell survives
     for n in range(1, 5):
+        collapsed = set(span[n])
         for g in K.generators(n):
             if isinstance(g, ExtraCell):
                 assert g.kind != "D3"
             else:
-                assert g not in K._dropped
+                assert g not in collapsed
     # collapsed generators are silently dropped from chains
     ch = K.chain(2, {bracketed((1, 1), (1, 1)): 5})
     assert not ch
     # a kept generator with an unknown partner errors
     with pytest.raises(StructureError):
         K.chain(2, {bracketed((5,), (0, 0, 0, 0, 0)): 1})
+
+
+def _all_modes(S, N):
+    return [build_complex(S, N, mode) for mode in ("plain", "qualgebra", "normalized")] + [
+        build_bar_complex(S, N), build_rack_complex(S, N)]
+
+
+@pytest.mark.parametrize("name", ("z3", "s3"))
+def test_index_of_inverts_generators(name, request):
+    S = request.getfixturevalue(name)
+    for K in _all_modes(S, 4):
+        for n in range(1, 5):
+            gens = K.generators(n)
+            assert len(gens) == K.generator_count(n)
+            for i, g in enumerate(gens):
+                assert K.index_of(g) == i and gens[i] == g, (K.mode, n, i)
+
+
+def test_index_of_and_chain_refuse_foreign_generators(z3):
+    plain, qualgebra, normalized, group, rack = _all_modes(z3, 4)
+    unresolved = ExtraCell(qualgebra.warnings[0]["cell"], qualgebra.warnings[0]["labels"])
+    foreign = [
+        (plain, BracketedTuple((2,), (0, 3))), (plain, BracketedTuple((2,), (0, 7))),
+        (plain, BracketedTuple((2,), (-1, 0))),
+        (group, bracketed((1, 1), (0, 1))), (rack, bracketed((2,), (0, 1))),
+        (plain, bracketed((5,), (0, 0, 0, 0, 0))),
+        (plain, ExtraCell("B3", (0, 1))), (qualgebra, ExtraCell("B3", (0, 3))),
+        (qualgebra, ExtraCell("B9", (0,))), (qualgebra, unresolved),
+        (normalized, ExtraCell("D3", (0,)))]
+    for K, g in foreign:
+        with pytest.raises(StructureError):
+            K.index_of(g)
+        with pytest.raises(StructureError):
+            K.chain(g.degree if g.degree <= 4 else 4, {g: 1})
+    # a collapsed generator has no index, and chains drop it
+    square = bracketed((1, 1), (1, 1))
+    with pytest.raises(StructureError):
+        normalized.index_of(square)
+    assert not normalized.chain(2, {square: 1})
+    assert plain.chain(2, {square: 1}) == Chain(2, {plain.index_of(square): 1})
 
 
 def test_homology_values_including_extension(z2, z3, one_elt):
