@@ -37,6 +37,14 @@ AXIOM_EQUATIONS = {
 }
 
 
+def integer(value):
+    """int(value), refusing a number with a fractional part instead of truncating it."""
+    out = int(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError(f"{value!r} is not an integer")
+    return out
+
+
 class OperationTable:
     """A total binary operation on {0..size-1}, stored row-major: rows[a][b] = a op b."""
 
@@ -44,8 +52,8 @@ class OperationTable:
 
     def __init__(self, rows):
         try:
-            rows = tuple(tuple(int(v) for v in row) for row in rows)
-        except (TypeError, ValueError) as exc:
+            rows = tuple(tuple(integer(v) for v in row) for row in rows)
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StructureError(f"operation table must be a square array of integers: {exc}")
         n = len(rows)
         if n == 0:
@@ -424,12 +432,19 @@ def parse_structure_tables(data):
             raise StructureError(f"structure file misses field '{key}'")
     dot = OperationTable(data["dot"])
     tri = OperationTable(data["tri"])
-    if "size" in data and int(data["size"]) != dot.size:
-        raise StructureError(f"declared size {data['size']} != table size {dot.size}")
+    if "size" in data:
+        try:
+            size = integer(data["size"])
+        except (TypeError, ValueError, OverflowError):
+            raise StructureError(f"declared size {data['size']!r} is not an integer")
+        if size != dot.size:
+            raise StructureError(f"declared size {data['size']} != table size {dot.size}")
     if dot.size != tri.size:
         raise StructureError(f"table sizes differ: {dot.size} vs {tri.size}")
     names = data.get("names")
     if names is not None:
+        if not isinstance(names, list):
+            raise StructureError(f"names must be a list, got {names!r}")
         names = [str(s) for s in names]
         if len(names) != dot.size:
             raise StructureError(f"expected {dot.size} names, got {len(names)}")

@@ -14,7 +14,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import product
 
 from . import prisms
 from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, classify,
@@ -22,8 +21,8 @@ from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, cla
 from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (BracketedTuple, boundary_generator, bracketed, build_bar_complex,
-                        build_complex, build_rack_complex, compositions)
+from .prismatic import (BracketedTuple, ExtraCell, bracketed, build_bar_complex, build_complex,
+                        build_rack_complex)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -123,55 +122,37 @@ def cmd_invariant(args):
     return EXIT_OK
 
 
-def verify_structure(S: Shalgebra, N, _corrupt=None):
+def verify_structure(S: Shalgebra, N):
     """The verification battery behind `verify`; returns (ok, line list).
 
-    Relation cells the build leaves out are named on stderr, as `homology`
-    names them.
-
-    _corrupt is a test hook: (degree, generator index, target index, delta)
-    is added to one stored boundary entry after the build, so the failure
-    path of the boundary-squared check can be exercised.
+    Building the complex checks ∂∘∂ = 0 (a violation raises
+    VerificationError).  Every prism of degree 2..min(N, 4) then has its
+    stored boundary column compared with the expansion table, and every
+    prism of degree 1..min(N, 4) has its geometric faces compared with its
+    algebraic ones.  Relation cells the build leaves out are named on
+    stderr, as `homology` names them.
     """
-    lines = []
-    ok = True
-
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
     _warn_unresolved(K)
-    if _corrupt is not None:
-        degree, gidx, tidx, delta = _corrupt
-        ch = K.cc.boundaries[degree][gidx]
-        ch.terms[tidx] = ch.terms.get(tidx, 0) + delta
-        K.cc._cache.clear()
-    bad = K.cc.d_squared_violations()
-    if bad:
-        ok = False
-        n, idx = bad[0]
-        lines.append(f"boundary-squared: FAIL at degree {n} generator "
-                     f"{K.generators(n)[idx]!r} (+{len(bad) - 1} more)")
-    else:
-        lines.append(f"boundary-squared: ok through degree {N} ({K.mode} mode)")
-
+    top = min(N, 4)
     sym_bad = face_bad = 0
-    for n in range(1, min(N, 4) + 1):
-        for partition in compositions(n):
-            for elements in product(range(S.size), repeat=n):
-                g = BracketedTuple(partition, elements)
-                if n > 1 and boundary_generator(g, S) != _expansion_terms(g, S):
-                    sym_bad += 1
-                try:
-                    if not prisms.faces_match_algebra(g, S):
-                        face_bad += 1
-                except VerificationError:
+    for n in range(1, top + 1):
+        for i, g in enumerate(K.generators(n)):
+            if isinstance(g, ExtraCell):
+                break  # the relation cells follow the prisms
+            if n > 1 and K.chain(n - 1, _expansion_terms(g, S)) != K.cc.boundary_of(n, i):
+                sym_bad += 1
+            try:
+                if not prisms.faces_match_algebra(g, S):
                     face_bad += 1
-    lines.append("symbolic expansions: "
-                 + ("ok (degrees 2..%d)" % min(N, 4) if not sym_bad
-                    else f"FAIL on {sym_bad} generators"))
-    lines.append("geometric faces: "
-                 + (f"ok (degrees 1..{min(N, 4)})" if not face_bad
-                    else f"FAIL on {face_bad} generators"))
-    ok = ok and not sym_bad and not face_bad
-    return ok, lines
+            except VerificationError:
+                face_bad += 1
+    lines = [f"boundary-squared: ok through degree {N} ({K.mode} mode)",
+             "symbolic expansions: " + (f"ok (degrees 2..{top})" if not sym_bad
+                                        else f"FAIL on {sym_bad} generators"),
+             "geometric faces: " + (f"ok (degrees 1..{top})" if not face_bad
+                                    else f"FAIL on {face_bad} generators")]
+    return not sym_bad and not face_bad, lines
 
 
 def cmd_verify(args):
@@ -215,9 +196,10 @@ def cmd_export_matrices(args):
 
 
 # The expansion table mirrors the explicit low-degree boundary formulas and
-# backs the symbolic check of `verify`.  Each entry lists (sign, partition,
-# element expression) with expressions over the tuple entries; cancelling
-# pairs are kept and collapse when the terms are combined.
+# backs the symbolic check of `verify`: one entry per partition of degrees
+# 2..4.  Each entry lists (sign, partition, element expression) with
+# expressions over the tuple entries; cancelling pairs are kept and collapse
+# when the terms are combined.
 def _expansion_terms(g: BracketedTuple, S: Shalgebra):
     key = g.partition
     e = g.elements
@@ -299,8 +281,6 @@ def _expansion_terms(g: BracketedTuple, S: Shalgebra):
                 (1, (1, 1, 1), (act(a, c), act(b, c), d)), (-1, (1, 1, 1), (a, b, d)),
                 (-1, (1, 1, 1), (act(a, d), act(b, d), act(c, d))),
                 (1, (1, 1, 1), (a, b, c))]
-    else:
-        return boundary_generator(g, S)
     return Chain(g.degree - 1, [(BracketedTuple(partition, elements), sign)
                                 for sign, partition, elements in rows]).terms
 

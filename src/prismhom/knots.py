@@ -31,7 +31,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import chains
-from .algebra import Shalgebra
+from .algebra import Shalgebra, integer
 from .errors import NotACycleError, StructureError
 from .prismatic import BracketedTuple, PrismaticComplex, boundary_generator, cached_complex
 
@@ -126,18 +126,18 @@ class KTGDiagram:
             raise StructureError("diagram file must contain a JSON object")
         try:
             crossings = [
-                (x["over"], x["under_in"], x["under_out"], int(x["sign"]))
+                (x["over"], x["under_in"], x["under_out"], integer(x["sign"]))
                 for x in data.get("crossings", ())
             ]
             vertices = []
             for v in data.get("vertices", ()):
                 role = v["role"]
-                sign = int(v.get("sign", 1 if role == "zip" else -1))
+                sign = integer(v.get("sign", 1 if role == "zip" else -1))
                 vertices.append((tuple(v["arcs"]), role, sign))
             return cls(data["arcs"], crossings, vertices)
         except KeyError as exc:
             raise StructureError(f"diagram misses field {exc}")
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise StructureError(f"malformed diagram: {exc}")
 
     def __eq__(self, other):

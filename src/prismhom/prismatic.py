@@ -430,11 +430,6 @@ class PrismaticComplex:
             counts[n] = len(columns)
             boundaries[n] = columns
         self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
-        bad = self.cc.d_squared_violations()
-        if bad:
-            n, idx = bad[0]
-            raise VerificationError(
-                f"boundary squared is nonzero on {self.generators(n)[idx]!r}")
 
     def _prism_columns(self, n, gone):
         """Boundary chains of the degree-n prisms outside `gone`, in index order."""

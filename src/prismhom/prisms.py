@@ -211,16 +211,12 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
 def faces_match_algebra(g: BracketedTuple, S: Shalgebra) -> bool:
     """Signed multiset equality of geometric and algebraic faces for one tuple.
 
-    Both sides are prisms from `good_labeling`, whose edges follow the plan
-    order of their partition, so the partition and the edge labels in that
-    order determine the whole labeled prism.
+    Only the face generators are compared: `geometric_faces` has already
+    checked that each face's edges are the good labeling of its generator,
+    so the generator determines the labeled face.
     """
-    prism = good_labeling(g, S)
-    geometric = sorted((sign, p.partition, p.label.elements, tuple(p.edges.values()))
-                       for sign, p in geometric_faces(prism, S))
-    algebraic = sorted((sign, f.partition, f.elements, tuple(good_labeling(f, S).edges.values()))
-                       for sign, f in faces(g, S))
-    return geometric == algebraic
+    geometric = sorted((sign, p.label) for sign, p in geometric_faces(good_labeling(g, S), S))
+    return geometric == sorted(faces(g, S))
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

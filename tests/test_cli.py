@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,11 +7,14 @@ import sys
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import prismhom
 
-from prismhom import algebra, cli
-from prismhom.cli import main, verify_structure
+from prismhom import algebra, cli, prismatic
+from prismhom.chains import Chain, ChainComplex
+from prismhom.cli import main
 from prismhom.knots import load_fixture_diagram, save_diagram
 from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex
 
@@ -250,15 +255,57 @@ def test_verify_warnings_go_to_stderr(files, capsys):
     assert captured.err == homology_err
 
 
-def test_verify_fault_injection(z2):
-    # the test hook plants one wrong coefficient; the battery must notice
-    K_probe = __import__("prismhom.prismatic", fromlist=["build_complex"])
-    complex_ = K_probe.build_complex(z2, 3, mode="qualgebra")
-    target = next(i for i in range(complex_.cc.count(2))
-                  if complex_.cc.boundaries[2][i])
-    ok, lines = verify_structure(z2, 3, _corrupt=(3, 5, target, 1))
-    assert not ok
-    assert any("boundary-squared: FAIL" in line for line in lines)
+def test_verify_fault_injection(files, capsys, monkeypatch, z2):
+    # one wrong coefficient in a stored degree-3 column breaks ∂∘∂ = 0, so the
+    # complex is refused when it is built and no check line is printed
+    cc = prismatic.build_complex(z2, 3, mode="qualgebra").cc
+    target = next(i for i in range(cc.count(2)) if cc.boundaries[2][i])
+    build = prismatic.PrismaticComplex._prism_columns
+
+    def planted(self, n, gone):
+        columns = build(self, n, gone)
+        if n == 3:
+            columns[5] = columns[5] + Chain(2, {target: 1})
+        return columns
+
+    monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", planted)
+    assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: boundary squared is nonzero")
+
+
+def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
+    # negated top-degree columns still square to zero; only the comparison of
+    # the stored columns with the expansion table can notice them
+    build = prismatic.PrismaticComplex._prism_columns
+
+    def negated(self, n, gone):
+        columns = build(self, n, gone)
+        return [-c for c in columns] if n == self.N else columns
+
+    monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", negated)
+    assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "boundary-squared: ok through degree 3 (qualgebra mode)"
+    assert out[1].startswith("symbolic expansions: FAIL on ")
+    assert out[2:] == ["geometric faces: ok (degrees 1..3)", "FAILURES found"]
+
+
+@pytest.mark.parametrize("argv", [
+    *(["homology", "z3", "--theory", theory, "--max-degree", "3"] for theory in cli.THEORIES),
+    ["verify", "z3", "--max-degree", "3"]], ids=(*cli.THEORIES, "verify"))
+def test_each_job_checks_boundary_squared_once(files, capsys, monkeypatch, argv):
+    calls = []
+    check = ChainComplex.d_squared_violations
+
+    def counted(self, *args, **kwargs):
+        calls.append(self)
+        return check(self, *args, **kwargs)
+
+    monkeypatch.setattr(ChainComplex, "d_squared_violations", counted)
+    assert main([argv[0], files[argv[1]], *argv[2:]]) == 0
+    assert len(calls) == 1
 
 
 def test_export_prism(files, capsys, tmp_path):
@@ -283,12 +330,83 @@ def test_export_prism(files, capsys, tmp_path):
     {"arcs": 5},
     {"arcs": ["a", "b"], "crossings": [{"over": "a", "under_in": "b", "under_out": "b",
                                         "sign": "x"}]},
-    {"arcs": [[1], [2]]}], ids=("arcs-not-a-list", "sign-not-an-integer", "list-arc-ids"))
+    {"arcs": ["a", "b"], "crossings": [{"over": "a", "under_in": "b", "under_out": "b",
+                                        "sign": 1.5}]},
+    {"arcs": [[1], [2]]}],
+    ids=("arcs-not-a-list", "sign-not-an-integer", "fractional-sign", "list-arc-ids"))
 def test_invariant_rejects_malformed_diagrams(files, capsys, tmp_path, diagram):
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(diagram))
     assert main(["invariant", files["s3"], str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("structure", [
+    {"size": "x"}, {"size": None}, {"size": [1]}, {"names": 5},
+    {"dot": [[0, 0.9], [1, 0]]}, {"size": 2.5}],
+    ids=("size-text", "size-null", "size-list", "names-number", "fractional-entry",
+         "fractional-size"))
+def test_structure_file_errors_exit_2(files, capsys, tmp_path, structure):
+    path = tmp_path / "structure.json"
+    path.write_text(json.dumps({"dot": [[0, 1], [1, 0]], "tri": [[0, 0], [1, 1]],
+                                **structure}))
+    assert main(["axioms", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+# -- fuzzing the file inputs -----------------------------------------------------
+
+_LEAVES = (st.none() | st.booleans() | st.integers(-2, 4) | st.floats() | st.text(max_size=3))
+_KEYS = st.sampled_from(("size", "dot", "tri", "names", "arcs", "crossings", "vertices",
+                         "over", "under_in", "under_out", "sign", "role", "zip", "unzip"))
+_JSON = st.recursive(_LEAVES, lambda inner: (st.lists(inner, max_size=4)
+                                             | st.dictionaries(_KEYS | st.text(max_size=2),
+                                                               inner, max_size=5)),
+                     max_leaves=24)
+
+
+def _square(n):
+    def table(entries):
+        return st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n)
+
+    return table(st.integers(0, n - 1)) | table(st.integers(0, n - 1) | _LEAVES)
+
+
+_STRUCTURES = _JSON | st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
+    {"dot": _square(n), "tri": _square(n)}, optional={"size": st.just(n) | _LEAVES,
+                                                       "names": _JSON}))
+_ARCS = st.sampled_from(("a", "b", "c", 0, 1))
+_CROSSINGS = st.lists(st.fixed_dictionaries(
+    {"over": _ARCS, "under_in": _ARCS, "under_out": _ARCS, "sign": st.sampled_from((1, -1))
+     | _LEAVES}), max_size=3)
+_VERTICES = st.lists(st.fixed_dictionaries(
+    {"arcs": st.lists(_ARCS, min_size=2, max_size=4), "role": st.sampled_from(("zip", "unzip"))
+     | _LEAVES}, optional={"sign": _LEAVES}), max_size=2)
+_DIAGRAMS = _JSON | st.fixed_dictionaries(
+    {"arcs": st.lists(_ARCS, max_size=4, unique=True) | _JSON},
+    optional={"crossings": _CROSSINGS | _JSON, "vertices": _VERTICES | _JSON})
+
+
+def _exit_code(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_STRUCTURES)
+def test_random_structure_files_never_raise(files, structure):
+    path = files["root"] / "fuzz-structure.json"
+    path.write_text(json.dumps(structure))
+    assert _exit_code(["axioms", str(path)]) in (0, 1, 2)
+    assert _exit_code(["homology", str(path), "--max-degree", "2"]) in (0, 1, 2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_DIAGRAMS)
+def test_random_diagram_files_never_raise(files, diagram):
+    path = files["root"] / "fuzz-diagram.json"
+    path.write_text(json.dumps(diagram))
+    assert _exit_code(["invariant", files["z3"], str(path)]) in (0, 1, 2)
 
 
 def test_export_matrices(files, capsys, tmp_path):

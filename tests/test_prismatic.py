@@ -1,5 +1,5 @@
 import random
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -445,6 +445,75 @@ def test_symmetric_group_homology_closed_form(s3):
     K = build_bar_complex(s3, 4)
     assert [K.homology(k) for k in (1, 2, 3)] == [
         HomologyGroup(0, (2,)), HomologyGroup(0), HomologyGroup(0, (6,))]
+
+
+def _conjugation_structure(elements, mul):
+    """The conjugation structure of a finite group, tables built in the test.
+
+    a·b = mul(a, b) and a◁b = b¯¹ab, by index into `elements`.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    dot = [[index[mul(x, y)] for y in elements] for x in elements]
+    unit = next(i for i, row in enumerate(dot) if row == list(range(len(elements))))
+    inverse = [row.index(unit) for row in dot]
+    tri = [[dot[dot[inverse[b]][a]][b] for b in range(len(elements))]
+           for a in range(len(elements))]
+    return algebra.Shalgebra(dot, tri)
+
+
+def _permutation_group(generators):
+    """All products of the generating permutations, composed as (p∘q)(i) = p(q(i))."""
+    def mul(p, q):
+        return tuple(p[i] for i in q)
+
+    elements = {tuple(range(len(generators[0])))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [y for x in frontier for g in generators if (y := mul(x, g)) not in elements]
+        elements.update(frontier)
+    return sorted(elements), mul
+
+
+def _quaternion_group():
+    """Q8 as (sign, unit) pairs with i² = j² = k² = ijk = -1."""
+    units = "1ijk"
+    table = {("1", u): (1, u) for u in units}
+    table.update({(u, "1"): (1, u) for u in units})
+    table.update({(u, u): (-1, "1") for u in "ijk"})
+    for u, v, w in ("ijk", "jki", "kij"):
+        table[u, v] = (1, w)
+        table[v, u] = (-1, w)
+
+    def mul(x, y):
+        sign, unit = table[x[1], y[1]]
+        return x[0] * y[0] * sign, unit
+
+    return [(sign, u) for sign in (1, -1) for u in units], mul
+
+
+def _even_permutations(n):
+    def mul(p, q):
+        return tuple(p[i] for i in q)
+
+    def even(p):
+        return sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n)) % 2 == 0
+
+    return [p for p in permutations(range(n)) if even(p)], mul
+
+
+@pytest.mark.parametrize("group, order, expected", [
+    pytest.param(lambda: _permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]), 8,
+                 ["Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/4"], id="d4"),
+    pytest.param(_quaternion_group, 8, ["Z/2 + Z/2", "0", "Z/8"], id="q8"),
+    pytest.param(lambda: _even_permutations(4), 12, ["Z/3", "Z/2", "Z/6"], id="a4")])
+def test_small_group_homology_closed_form(group, order, expected):
+    # H_1, H_2, H_3 of the dihedral group of order 8, the quaternion group
+    # and the alternating group on four letters
+    elements, mul = group()
+    S = _conjugation_structure(elements, mul)
+    assert S.size == order and S.is_group
+    K = build_bar_complex(S, 4)
+    assert [str(K.homology(k)) for k in (1, 2, 3)] == expected
 
 
 def _orbit_count(S):
