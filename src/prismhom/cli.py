@@ -127,26 +127,34 @@ def verify_structure(S: Shalgebra, N):
 
     Building the complex checks ∂∘∂ = 0 (a violation raises
     VerificationError).  Every prism of degree 2..min(N, 4) then has its
-    stored boundary column compared with the expansion table, and every
-    prism of degree 1..min(N, 4) has its geometric faces compared with its
-    algebraic ones.  Relation cells the build leaves out are named on
-    stderr, as `homology` names them.
+    stored boundary column compared with the expansion table.  Degree by
+    degree from 1 to min(N, 4), every prism is labeled once by
+    `good_labeling`; its geometric faces must carry the labelings stored
+    for degree n-1 and match its algebraic faces.  Only the previous
+    degree's labelings are kept.  Relation cells the build leaves out are
+    named on stderr, as `homology` names them.
     """
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
     _warn_unresolved(K)
     top = min(N, 4)
     sym_bad = face_bad = 0
+    below = {BracketedTuple((), ()): ()}
     for n in range(1, top + 1):
+        labeled = {}
         for i, g in enumerate(K.generators(n)):
             if isinstance(g, ExtraCell):
                 break  # the relation cells follow the prisms
             if n > 1 and K.chain(n - 1, _expansion_terms(g, S)) != K.cc.boundary_of(n, i):
                 sym_bad += 1
+            prism = prisms.good_labeling(g, S)
             try:
-                if not prisms.faces_match_algebra(g, S):
+                if not prisms.faces_match_algebra(prism, S, below):
                     face_bad += 1
             except VerificationError:
                 face_bad += 1
+            if n < top:
+                labeled[g] = prisms.edge_labels(prism)
+        below = labeled
     lines = [f"boundary-squared: ok through degree {N} ({K.mode} mode)",
              "symbolic expansions: " + (f"ok (degrees 2..{top})" if not sym_bad
                                         else f"FAIL on {sym_bad} generators"),

@@ -26,7 +26,7 @@ shrinks the diagram:
 
 from __future__ import annotations
 
-from .algebra import Shalgebra
+from .algebra import Shalgebra, integer
 from .errors import StructureError
 from .knots import Crossing, KTGDiagram, TrivalentVertex
 
@@ -104,11 +104,18 @@ def _identity_map(extra=None, drop=()):
     return fwd
 
 
+def _site_sign(site):
+    try:
+        return integer(site.get("sign", 1))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"move site sign must be an integer: {exc}")
+
+
 def _move_i(D, site, S):
     direction = site.get("direction", "grow")
     if direction == "grow":
         arc = site["arc"]
-        sign = int(site.get("sign", 1))
+        sign = _site_sign(site)
         consumers = _consumer_slots(D)
         crossings = list(D.crossings)
         vertices = list(D.vertices)
@@ -161,7 +168,7 @@ def _move_ii(D, site, S):
     direction = site.get("direction", "grow")
     if direction == "grow":
         a, b = site["under"], site["over"]
-        sign = int(site.get("sign", 1))
+        sign = _site_sign(site)
         for arc in (a, b):
             if arc not in D.arcs:
                 raise StructureError(f"unknown arc {arc!r}")

@@ -17,12 +17,18 @@ exponential law.  Deleting vertex i of factor j induces a labeling of the
 face that is again of this form, for the tuple produced by the algebraic
 face map — that equality is what `geometric_faces` checks and what the
 verification suite leans on.
+
+Faces are read by position: each face plan picks the face's labels and its
+generating edges out of the prism's `edge_labels`, so `verify` can label
+every prism once and compare its faces with the labels stored one degree
+lower.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
+from operator import itemgetter
 
 from .algebra import Shalgebra, diagonal_action
 from .errors import StructureError, VerificationError
@@ -139,14 +145,38 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
     return LabeledPrism(g.partition + (m,), label, edges)
 
 
+def _getter(indices):
+    """Like `operator.itemgetter(*indices)`, but always returning a tuple."""
+    if len(indices) == 1:
+        (k,) = indices
+        return lambda seq: (seq[k],)
+    if not indices:
+        return lambda seq: ()
+    return itemgetter(*indices)
+
+
+@lru_cache(maxsize=None)
+def _edge_keys(partition):
+    return _getter(tuple(key for key, *_ in _edge_plan(partition)))
+
+
+def edge_labels(prism: LabeledPrism) -> tuple:
+    """The prism's edge labels as a tuple, in `_edge_plan` order."""
+    try:
+        return _edge_keys(prism.partition)(prism.edges)
+    except KeyError as exc:
+        raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
+
+
 @lru_cache(maxsize=None)
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
-    Returns the face's partition, its edges as (edge of the prism, renamed
-    edge of the face) pairs, and the face's generating edges (t-1 -> t at
-    the base point, factor by factor).  A factor of size one collapses to a
-    point and disappears; the other slice is kept.
+    Returns the face's partition and two getters over the prism's
+    `edge_labels`: `gather` picks the edges the face keeps, in the face's
+    own plan order, and `generating` picks the face's generating edges
+    (t-1 -> t at the base point, factor by factor).  A factor of size one
+    collapses to a point and disappears; the other slice is kept.
     """
     kj = partition[j]
     if kj == 1:
@@ -167,16 +197,40 @@ def _face_plan(partition, j, i):
         def rename(v):
             return v[:j] + (v[j] - (1 if v[j] > i else 0),) + v[j + 1:]
 
-    pairs = tuple(((vfrom, vto), (rename(vfrom), rename(vto)))
-                  for (vfrom, vto), *_ in _edge_plan(partition)
-                  if keep_vertex(vfrom) and keep_vertex(vto))
+    position = {(rename(vfrom), rename(vto)): at
+                for at, ((vfrom, vto), *_) in enumerate(_edge_plan(partition))
+                if keep_vertex(vfrom) and keep_vertex(vto)}
+    gather = tuple(position[key] for key, *_ in _edge_plan(new_partition))
     generating = []
     for q, k in enumerate(new_partition):
         for t in range(1, k + 1):
             vfrom = tuple(0 if u != q else t - 1 for u in range(len(new_partition)))
             vto = tuple(0 if u != q else t for u in range(len(new_partition)))
-            generating.append((vfrom, vto))
-    return new_partition, pairs, tuple(generating)
+            generating.append(position[(vfrom, vto)])
+    return new_partition, _getter(gather), _getter(tuple(generating))
+
+
+def _face_walk(prism: LabeledPrism):
+    """Per codimension-one face, in (j, i) order: (j, i, sign, generator, labels).
+
+    The generator is the tuple read off the face's generating edges and the
+    labels are the face's edge labels in its own plan order, both gathered
+    from the prism's labels by position.
+    """
+    labels = edge_labels(prism)
+    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
+    offset = 0
+    for j, kj in enumerate(prism.partition):
+        for i in range(kj + 1):
+            partition, gather, generating = _face_plan(prism.partition, j, i)
+            yield (j, i, -1 if (offset + i) % 2 else 1,
+                   new(BracketedTuple, (partition, generating(labels))), gather(labels))
+        offset += kj
+
+
+def _not_good(prism, j, i):
+    return VerificationError(
+        f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
 
 
 def geometric_faces(prism: LabeledPrism, S: Shalgebra):
@@ -187,36 +241,36 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     geometric and algebraic face maps disagree.
     """
     out = []
-    offset = 0
-    edges = prism.edges
-    for j, kj in enumerate(prism.partition):
-        for i in range(kj + 1):
-            sign = -1 if (offset + i) % 2 else 1
-            new_partition, pairs, generating = _face_plan(prism.partition, j, i)
-            try:
-                face_edges = {new: edges[old] for old, new in pairs}
-            except KeyError as exc:
-                raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
-            label = BracketedTuple(new_partition, tuple(face_edges[e] for e in generating))
-            candidate = good_labeling(label, S)
-            if candidate.edges != face_edges:
-                raise VerificationError(
-                    f"induced labeling of face (j={j + 1}, i={i}) of "
-                    f"{prism!r} is not good")
-            out.append((sign, candidate))
-        offset += kj
+    for j, i, sign, face, labels in _face_walk(prism):
+        candidate = good_labeling(face, S)
+        if edge_labels(candidate) != labels:
+            raise _not_good(prism, j, i)
+        out.append((sign, candidate))
     return out
 
 
-def faces_match_algebra(g: BracketedTuple, S: Shalgebra) -> bool:
-    """Signed multiset equality of geometric and algebraic faces for one tuple.
+def faces_match_algebra(prism: LabeledPrism, S: Shalgebra, below) -> bool:
+    """Signed multiset equality of geometric and algebraic faces for one prism.
 
-    Only the face generators are compared: `geometric_faces` has already
-    checked that each face's edges are the good labeling of its generator,
-    so the generator determines the labeled face.
+    `prism.label` names the generator.  `below` maps generators of one
+    degree lower to their `edge_labels`; each face's induced labels must
+    equal the entry of the tuple recovered from its generating edges, and
+    a face missing from `below` is labeled by `good_labeling` instead, so
+    `{}` checks every face from scratch.  A face that is not good raises
+    VerificationError.  The signed face generators are then compared with
+    the algebraic face map: the generator determines the labeled face.
     """
-    geometric = sorted((sign, p.label) for sign, p in geometric_faces(good_labeling(g, S), S))
-    return geometric == sorted(faces(g, S))
+    if prism.label is None:
+        raise StructureError(f"{prism!r} names no generator to compare faces with")
+    geometric = []
+    for j, i, sign, face, labels in _face_walk(prism):
+        expected = below.get(face)
+        if expected is None:
+            expected = edge_labels(good_labeling(face, S))
+        if expected != labels:
+            raise _not_good(prism, j, i)
+        geometric.append((sign, face))
+    return sorted(geometric) == sorted(faces(prism.label, S))
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

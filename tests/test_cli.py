@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import prismhom
 
-from prismhom import algebra, cli, prismatic
+from prismhom import algebra, cli, prismatic, prisms
 from prismhom.chains import Chain, ChainComplex
 from prismhom.cli import main
 from prismhom.knots import load_fixture_diagram, save_diagram
@@ -290,6 +291,44 @@ def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
     assert out[0] == "boundary-squared: ok through degree 3 (qualgebra mode)"
     assert out[1].startswith("symbolic expansions: FAIL on ")
     assert out[2:] == ["geometric faces: ok (degrees 1..3)", "FAILURES found"]
+
+
+def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
+    # the first algebraic face of every generator changes sign, so no
+    # prism's signed geometric faces match any more
+    algebraic = prisms.faces
+
+    def flipped(g, S):
+        (sign, face), *rest = algebraic(g, S)
+        return [(-sign, face), *rest]
+
+    monkeypatch.setattr(prisms, "faces", flipped)
+    assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out == ["boundary-squared: ok through degree 3 (qualgebra mode)",
+                   "symbolic expansions: ok (degrees 2..3)",
+                   "geometric faces: FAIL on 42 generators", "FAILURES found"]
+
+
+def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
+    # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
+    calls = Counter()
+    for name in ("good_labeling", "faces_match_algebra", "edge_labels"):
+        def counted(prism, *args, _name=name, _original=getattr(prisms, name)):
+            calls[_name, getattr(prism, "label", prism).degree] += 1
+            return _original(prism, *args)
+
+        monkeypatch.setattr(prisms, name, counted)
+    assert main(["verify", files["s3"], "--max-degree", "4"]) == 0
+    capsys.readouterr()
+    prisms_of = {1: 6, 2: 72, 3: 864, 4: 10368}
+    for n, count in prisms_of.items():
+        assert calls["good_labeling", n] == count
+        assert calls["faces_match_algebra", n] == count
+        # read once by the prism's own face walk, and once more to be stored
+        # for the next degree unless it is the top one
+        assert calls["edge_labels", n] == count * (2 if n < 4 else 1)
+    assert sum(calls.values()) == 3 * 11310 + 942
 
 
 @pytest.mark.parametrize("argv", [

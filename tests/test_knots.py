@@ -187,6 +187,16 @@ def test_move_h_turns_theta_into_handcuff(s3):
     assert invariant(D, s3) == invariant(new, s3)
 
 
+@pytest.mark.parametrize("sign", [1.5, "x"])
+def test_move_site_sign_must_be_an_integer(z3, sign):
+    unknot = load_fixture_diagram("unknot")
+    with pytest.raises(StructureError, match="sign"):
+        apply_move(unknot, "I", {"arc": "a", "sign": sign}, z3)
+    kinked, _ = apply_move(unknot, "I", {"arc": "a", "sign": 1}, z3)
+    with pytest.raises(StructureError, match="sign"):
+        apply_move(kinked, "II", {"under": "a", "over": "a", "sign": sign}, z3)
+
+
 def test_move_pattern_mismatch_errors(s3):
     D = theta()
     with pytest.raises(StructureError):

@@ -2,13 +2,16 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prismhom import prisms
-from prismhom.algebra import diagonal_action
-from prismhom.errors import StructureError
-from prismhom.prismatic import BracketedTuple, bracketed
-from prismhom.prisms import (act_on_prism, geometric_faces, good_labeling,
-                             inductive_labeling, path_endomorphism, prism_to_dict)
+from prismhom.algebra import conj_symmetric, diagonal_action
+from prismhom.errors import StructureError, VerificationError
+from prismhom.prismatic import BracketedTuple, bracketed, compositions, faces
+from prismhom.prisms import (LabeledPrism, act_on_prism, edge_labels, geometric_faces,
+                             good_labeling, inductive_labeling, path_endomorphism,
+                             prism_to_dict)
 
 
 def test_simplex_edge_labels(s3):
@@ -132,13 +135,82 @@ def test_geometric_faces_of_square(s3):
 
 
 def test_faces_match_algebra_small(z2, z3):
-    from prismhom.prismatic import compositions
     for S, maxn in ((z2, 4), (z3, 3)):
         for n in range(1, maxn + 1):
             for partition in compositions(n):
                 for elements in product(range(S.size), repeat=n):
-                    assert prisms.faces_match_algebra(
-                        BracketedTuple(partition, elements), S)
+                    prism = good_labeling(BracketedTuple(partition, elements), S)
+                    assert prisms.faces_match_algebra(prism, S, {})
+
+
+def test_edge_labels_and_unlabeled_prisms(s3):
+    p = good_labeling(bracketed((1, 1), (1, 2)), s3)
+    assert edge_labels(p) == tuple(p.edges[key] for key, *_ in prisms._edge_plan((1, 1)))
+    with pytest.raises(StructureError, match="names no generator"):
+        prisms.faces_match_algebra(LabeledPrism(p.partition, None, p.edges), s3, {})
+    del p.edges[((0, 0), (1, 0))]
+    with pytest.raises(VerificationError, match=r"misses edge \(\(0, 0\), \(1, 0\)\)"):
+        edge_labels(p)
+
+
+def _tampered(prism, S, at=0, shift=1):
+    """The prism with the label of edge number `at` moved on by `shift` elements."""
+    edges = dict(prism.edges)
+    key = list(edges)[at % len(edges)]
+    edges[key] = (edges[key] + shift) % S.size
+    return LabeledPrism(prism.partition, prism.label, edges)
+
+
+def _face_table(S, n):
+    """edge_labels of every degree-n prism, keyed by its generator."""
+    return {g: edge_labels(good_labeling(g, S))
+            for partition in compositions(n)
+            for g in (BracketedTuple(partition, e) for e in product(range(S.size), repeat=n))}
+
+
+_S3 = conj_symmetric(3)
+_TABLES = {0: {BracketedTuple((), ()): ()}, **{n: _face_table(_S3, n) for n in range(1, 4)}}
+
+
+def test_tampered_prisms_fail_the_face_checks():
+    # a degree-2 prism has one-edge faces, which are always good: one wrong
+    # label shows as signed faces that differ from the algebraic ones
+    p = _tampered(good_labeling(bracketed((2,), (1, 2)), _S3), _S3)
+    assert not prisms.faces_match_algebra(p, _S3, _TABLES[1])
+    assert not prisms.faces_match_algebra(p, _S3, {})
+    # on degree 3 the induced labeling of a face is no longer good
+    for partition in ((3,), (1, 2), (1, 1, 1)):
+        p = _tampered(good_labeling(bracketed(partition, (1, 2, 3)), _S3), _S3)
+        for below in (_TABLES[2], {}):
+            with pytest.raises(VerificationError, match="is not good"):
+                prisms.faces_match_algebra(p, _S3, below)
+        with pytest.raises(VerificationError, match=r"face \(j=\d, i=\d\) of .* is not good"):
+            geometric_faces(p, _S3)
+
+
+def _verdict(prism, below):
+    try:
+        return prisms.faces_match_algebra(prism, _S3, below)
+    except VerificationError as exc:
+        return str(exc)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+           st.sampled_from(list(compositions(n))),
+           st.lists(st.integers(0, 5), min_size=n, max_size=n))),
+       st.none() | st.tuples(st.integers(0, 99), st.integers(1, 5)))
+def test_stored_face_table_agrees_with_relabeling(shape, tamper):
+    partition, elements = shape
+    g = BracketedTuple(partition, tuple(elements))
+    prism = good_labeling(g, _S3)
+    if tamper:
+        prism = _tampered(prism, _S3, *tamper)
+    below = {face: edge_labels(good_labeling(face, _S3)) for _, face in faces(g, _S3)}
+    assert _verdict(prism, below) == _verdict(prism, {})
+    assert _verdict(prism, _TABLES[g.degree - 1]) == _verdict(prism, {})
+    if not tamper:
+        assert _verdict(prism, below) is True
 
 
 def test_path_endomorphism_identity_and_composition(s3):
