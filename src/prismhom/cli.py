@@ -21,8 +21,8 @@ from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, cla
 from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (BracketedTuple, ExtraCell, bracketed, build_bar_complex, build_complex,
-                        build_rack_complex)
+from .prismatic import (ExtraCell, _full_index, bracketed, build_bar_complex, build_complex,
+                        build_rack_complex, partition_ranks)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -127,24 +127,25 @@ def verify_structure(S: Shalgebra, N):
 
     Building the complex checks ∂∘∂ = 0 (a violation raises
     VerificationError).  Every prism of degree 2..min(N, 4) then has its
-    stored boundary column compared with the expansion table.  Degree by
-    degree from 1 to min(N, 4), every prism is labeled once by
-    `good_labeling`; its geometric faces must carry the labelings stored
-    for degree n-1 and match its algebraic faces.  Only the previous
-    degree's labelings are kept.  Relation cells the build leaves out are
-    named on stderr, as `homology` names them.
+    stored boundary column compared with the expansion table, both as
+    {generator index: coefficient}.  Degree by degree from 1 to min(N, 4),
+    every prism is labeled once by `good_labeling`; its geometric faces
+    must carry the labelings stored for degree n-1 under their generator
+    indices and match its algebraic faces.  Only the previous degree's
+    labelings are kept.  Relation cells the build leaves out are named on
+    stderr, as `homology` names them.
     """
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
     _warn_unresolved(K)
     top = min(N, 4)
     sym_bad = face_bad = 0
-    below = {BracketedTuple((), ()): ()}
+    below = {0: ()}  # the empty tuple, the one generator of degree 0
     for n in range(1, top + 1):
         labeled = {}
         for i, g in enumerate(K.generators(n)):
             if isinstance(g, ExtraCell):
                 break  # the relation cells follow the prisms
-            if n > 1 and K.chain(n - 1, _expansion_terms(g, S)) != K.cc.boundary_of(n, i):
+            if n > 1 and _expansion_column(g, S) != K.cc.boundary_of(n, i):
                 sym_bad += 1
             prism = prisms.good_labeling(g, S)
             try:
@@ -153,7 +154,7 @@ def verify_structure(S: Shalgebra, N):
             except VerificationError:
                 face_bad += 1
             if n < top:
-                labeled[g] = prisms.edge_labels(prism)
+                labeled[i] = prisms.edge_labels(prism)
         below = labeled
     lines = [f"boundary-squared: ok through degree {N} ({K.mode} mode)",
              "symbolic expansions: " + (f"ok (degrees 2..{top})" if not sym_bad
@@ -203,12 +204,20 @@ def cmd_export_matrices(args):
     return EXIT_OK
 
 
+def _expansion_column(g, S: Shalgebra) -> Chain:
+    """The expansion of g as a chain on generator indices, like terms combined."""
+    ranks = partition_ranks(g.degree - 1)
+    q = S.size
+    return Chain(g.degree - 1, ((_full_index(ranks[partition], elements, q), sign)
+                                for sign, partition, elements in _expansion_terms(g, S)))
+
+
 # The expansion table mirrors the explicit low-degree boundary formulas and
 # backs the symbolic check of `verify`: one entry per partition of degrees
 # 2..4.  Each entry lists (sign, partition, element expression) with
 # expressions over the tuple entries; cancelling pairs are kept and collapse
 # when the terms are combined.
-def _expansion_terms(g: BracketedTuple, S: Shalgebra):
+def _expansion_terms(g, S: Shalgebra):
     key = g.partition
     e = g.elements
     mul, act = S.mul, S.act
@@ -289,8 +298,7 @@ def _expansion_terms(g: BracketedTuple, S: Shalgebra):
                 (1, (1, 1, 1), (act(a, c), act(b, c), d)), (-1, (1, 1, 1), (a, b, d)),
                 (-1, (1, 1, 1), (act(a, d), act(b, d), act(c, d))),
                 (1, (1, 1, 1), (a, b, c))]
-    return Chain(g.degree - 1, [(BracketedTuple(partition, elements), sign)
-                                for sign, partition, elements in rows]).terms
+    return rows
 
 
 def build_parser():

@@ -33,7 +33,8 @@ from typing import NamedTuple
 from . import chains
 from .algebra import Shalgebra, integer
 from .errors import NotACycleError, StructureError
-from .prismatic import BracketedTuple, PrismaticComplex, boundary_generator, cached_complex
+from .prismatic import (BracketedTuple, PrismaticComplex, boundary_generator, bracketed,
+                        cached_complex)
 
 MOVES = ("H", "YI", "IY", "III", "II", "I", "T")
 
@@ -386,12 +387,12 @@ def foam_chain(presentation):
     allowed = {(3,), (2, 1), (1, 2), (1, 1, 1)}
     pairs = []
     for sign, partition, elements in presentation:
-        partition = tuple(int(k) for k in partition)
-        if partition not in allowed:
-            raise StructureError(f"not a generalized crossing shape: {partition}")
+        g = bracketed(partition, elements)
+        if g.partition not in allowed:
+            raise StructureError(f"not a generalized crossing shape: {g.partition}")
         if sign not in (1, -1):
             raise StructureError(f"crossing sign must be ±1, got {sign}")
-        pairs.append((BracketedTuple(partition, tuple(int(x) for x in elements)), sign))
+        pairs.append((g, sign))
     return chains.Chain(3, pairs).terms
 
 

@@ -28,7 +28,7 @@ from itertools import product
 from typing import NamedTuple
 
 from . import chains
-from .algebra import Shalgebra
+from .algebra import Shalgebra, integer
 from .errors import AxiomError, StructureError, VerificationError
 
 
@@ -83,9 +83,9 @@ class BracketedTuple(NamedTuple):
 
 def bracketed(partition, elements) -> BracketedTuple:
     try:
-        partition = tuple(int(k) for k in partition)
-        elements = tuple(int(g) for g in elements)
-    except (TypeError, ValueError) as exc:
+        partition = tuple(integer(k) for k in partition)
+        elements = tuple(integer(g) for g in elements)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"partition and elements must be integers: {exc}")
     if any(k < 1 for k in partition):
         raise StructureError("partition parts must be positive")
@@ -345,6 +345,25 @@ def _full_index(rank, elements, q):
     return rank
 
 
+@lru_cache(maxsize=None)
+def _rank_table(shapes):
+    return {p: r for r, p in enumerate(shapes)}
+
+
+def partition_ranks(n):
+    """Rank of each ordered partition of n in `compositions` order; {(): 0} for n = 0.
+
+    The rank is the leading digit of a prism's full index.  The table is
+    shared between callers and must not be modified.
+    """
+    return _rank_table(_compositions(n))
+
+
+def _ranked_plan(partition, ranks):
+    """`_boundary_plan` with each face partition replaced by its rank in `ranks`."""
+    return tuple((sign, kind, p, ranks[f]) for sign, kind, p, f in _boundary_plan(partition))
+
+
 class _Generators(Sequence):
     """The generators of one degree of a complex, decoded from their index on access."""
 
@@ -414,7 +433,7 @@ class PrismaticComplex:
         boundaries = {}
         for n in range(1, N + 1):
             self._shapes[n] = tuple(shapes(n))
-            self._ranks[n] = {p: r for r, p in enumerate(self._shapes[n])}
+            self._ranks[n] = _rank_table(self._shapes[n])
             gone = frozenset()
             if collapsed is not None:
                 gone = frozenset(_full_index(self._ranks[n][g.partition], g.elements, q)
@@ -439,10 +458,9 @@ class PrismaticComplex:
         kept = self._kept.get(n - 1)
         out = []
         for r, partition in enumerate(self._shapes[n]):
-            # the last plan field becomes the face partition's rank, the
-            # leading digit of every face index
-            plan = tuple((sign, kind, p, ranks[f])
-                         for sign, kind, p, f in _boundary_plan(partition)) if n > 1 else ()
+            # the last plan field is the face partition's rank, the leading
+            # digit of every face index
+            plan = _ranked_plan(partition, ranks) if n > 1 else ()
             for i, e in enumerate(product(range(q), repeat=n), r * q ** n):
                 if i in gone:
                     continue

@@ -21,7 +21,10 @@ verification suite leans on.
 Faces are read by position: each face plan picks the face's labels and its
 generating edges out of the prism's `edge_labels`, so `verify` can label
 every prism once and compare its faces with the labels stored one degree
-lower.
+lower.  `faces_match_algebra` names every face by its generator index (the
+numbering of `PrismaticComplex`: partition rank, then the elements read in
+base |G|), on the geometric side from the face's generating labels and on
+the algebraic side from the boundary plan, so it compares integers.
 """
 
 from __future__ import annotations
@@ -30,9 +33,9 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
 
-from .algebra import Shalgebra, diagonal_action
+from .algebra import Shalgebra, diagonal_action, integer
 from .errors import StructureError, VerificationError
-from .prismatic import BracketedTuple, faces
+from .prismatic import BracketedTuple, _faces, _full_index, _ranked_plan, partition_ranks
 
 
 class LabeledPrism:
@@ -126,7 +129,10 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
     label h_{i+1}···h_j.  Agrees edge-for-edge with `good_labeling` of the
     concatenated tuple.
     """
-    h = tuple(int(x) for x in h)
+    try:
+        h = tuple(integer(x) for x in h)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"appended block must hold integers: {exc}")
     m = len(h)
     if m < 1:
         raise StructureError("appended block must be non-empty")
@@ -168,7 +174,6 @@ def edge_labels(prism: LabeledPrism) -> tuple:
         raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
 
 
-@lru_cache(maxsize=None)
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
@@ -210,22 +215,28 @@ def _face_plan(partition, j, i):
     return new_partition, _getter(gather), _getter(tuple(generating))
 
 
-def _face_walk(prism: LabeledPrism):
-    """Per codimension-one face, in (j, i) order: (j, i, sign, generator, labels).
+@lru_cache(maxsize=None)
+def _face_plans(partition):
+    """Every face's (j, i, sign, *`_face_plan`), in (j, i) order."""
+    plans = []
+    offset = 0
+    for j, kj in enumerate(partition):
+        for i in range(kj + 1):
+            plans.append((j, i, -1 if (offset + i) % 2 else 1, *_face_plan(partition, j, i)))
+        offset += kj
+    return tuple(plans)
 
-    The generator is the tuple read off the face's generating edges and the
-    labels are the face's edge labels in its own plan order, both gathered
-    from the prism's labels by position.
+
+def _face_walk(prism: LabeledPrism):
+    """Per codimension-one face, in (j, i) order: (j, i, sign, partition, elements, labels).
+
+    The face's generator is its partition with the elements read off its
+    generating edges, and the labels are the face's edge labels in its own
+    plan order, both gathered from the prism's labels by position.
     """
     labels = edge_labels(prism)
-    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-    offset = 0
-    for j, kj in enumerate(prism.partition):
-        for i in range(kj + 1):
-            partition, gather, generating = _face_plan(prism.partition, j, i)
-            yield (j, i, -1 if (offset + i) % 2 else 1,
-                   new(BracketedTuple, (partition, generating(labels))), gather(labels))
-        offset += kj
+    for j, i, sign, partition, gather, generating in _face_plans(prism.partition):
+        yield j, i, sign, partition, generating(labels), gather(labels)
 
 
 def _not_good(prism, j, i):
@@ -241,36 +252,51 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     geometric and algebraic face maps disagree.
     """
     out = []
-    for j, i, sign, face, labels in _face_walk(prism):
-        candidate = good_labeling(face, S)
+    for j, i, sign, partition, elements, labels in _face_walk(prism):
+        candidate = good_labeling(BracketedTuple(partition, elements), S)
         if edge_labels(candidate) != labels:
             raise _not_good(prism, j, i)
         out.append((sign, candidate))
     return out
 
 
+@lru_cache(maxsize=None)
+def _algebraic_plan(partition):
+    """The boundary plan of a partition, its face partitions replaced by their ranks."""
+    return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
+
+
 def faces_match_algebra(prism: LabeledPrism, S: Shalgebra, below) -> bool:
     """Signed multiset equality of geometric and algebraic faces for one prism.
 
-    `prism.label` names the generator.  `below` maps generators of one
-    degree lower to their `edge_labels`; each face's induced labels must
-    equal the entry of the tuple recovered from its generating edges, and
-    a face missing from `below` is labeled by `good_labeling` instead, so
-    `{}` checks every face from scratch.  A face that is not good raises
-    VerificationError.  The signed face generators are then compared with
-    the algebraic face map: the generator determines the labeled face.
+    `prism.label` names the generator.  `below` maps the generator indices
+    of one degree lower to their `edge_labels`.  Each face's index is read
+    off its generating edges, and its induced labels must equal the entry
+    of that index; a face missing from `below` is labeled by `good_labeling`
+    instead, so `{}` checks every face from scratch.  A face that is not
+    good raises VerificationError.  The signed face indices are then
+    compared with those of the algebraic face map: the index determines the
+    generator, and the generator the labeled face.
     """
-    if prism.label is None:
+    g = prism.label
+    if g is None:
         raise StructureError(f"{prism!r} names no generator to compare faces with")
+    q = S.size
+    ranks = partition_ranks(sum(prism.partition) - 1)
     geometric = []
-    for j, i, sign, face, labels in _face_walk(prism):
-        expected = below.get(face)
+    for j, i, sign, partition, elements, labels in _face_walk(prism):
+        index = _full_index(ranks[partition], elements, q)
+        expected = below.get(index)
         if expected is None:
-            expected = edge_labels(good_labeling(face, S))
+            expected = edge_labels(good_labeling(BracketedTuple(partition, elements), S))
         if expected != labels:
             raise _not_good(prism, j, i)
-        geometric.append((sign, face))
-    return sorted(geometric) == sorted(faces(prism.label, S))
+        geometric.append((sign, index))
+    if g.degree != sum(prism.partition):
+        return False  # faces of different degrees can share an index
+    algebraic = [(sign, _full_index(rank, f, q))
+                 for sign, rank, f in _faces(g.elements, _algebraic_plan(g.partition), S)]
+    return sorted(geometric) == sorted(algebraic)
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

@@ -17,7 +17,7 @@ from prismhom import algebra, cli, prismatic, prisms
 from prismhom.chains import Chain, ChainComplex
 from prismhom.cli import main
 from prismhom.knots import load_fixture_diagram, save_diagram
-from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex
+from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex, faces
 
 from oracles import bar_differential, rack_differential
 
@@ -295,14 +295,15 @@ def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
 
 def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
     # the first algebraic face of every generator changes sign, so no
-    # prism's signed geometric faces match any more
-    algebraic = prisms.faces
+    # prism's signed geometric faces match any more; the complex itself is
+    # built from prismatic's own face arithmetic and stays correct
+    algebraic = prisms._faces
 
-    def flipped(g, S):
-        (sign, face), *rest = algebraic(g, S)
-        return [(-sign, face), *rest]
+    def flipped(e, plan, S):
+        (sign, last, face), *rest = algebraic(e, plan, S)
+        return [(-sign, last, face), *rest]
 
-    monkeypatch.setattr(prisms, "faces", flipped)
+    monkeypatch.setattr(prisms, "_faces", flipped)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["boundary-squared: ok through degree 3 (qualgebra mode)",
@@ -319,8 +320,30 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
             return _original(prism, *args)
 
         monkeypatch.setattr(prisms, name, counted)
+    # the checks run on generator indices: once the complex is built, no
+    # generator is looked up by its tuple and no face is built as a tuple
+    for owner, name in ((prismatic.PrismaticComplex, "chain"),
+                        (prismatic.PrismaticComplex, "_locate"), (prismatic, "faces")):
+        def tallied(*args, _name=name, _original=getattr(owner, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(owner, name, tallied)
+    build = cli.build_complex
+    during_build = Counter()
+
+    def built(*args, **kwargs):
+        K = build(*args, **kwargs)
+        during_build.update(calls)
+        calls.clear()
+        return K
+
+    monkeypatch.setattr(cli, "build_complex", built)
     assert main(["verify", files["s3"], "--max-degree", "4"]) == 0
     capsys.readouterr()
+    # the relation cells' boundaries are still assembled from tuples
+    assert all(during_build[name] for name in ("chain", "_locate", "faces"))
+    assert [calls[name] for name in ("chain", "_locate", "faces")] == [0, 0, 0]
     prisms_of = {1: 6, 2: 72, 3: 864, 4: 10368}
     for n, count in prisms_of.items():
         assert calls["good_labeling", n] == count
@@ -329,6 +352,55 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
         # for the next degree unless it is the top one
         assert calls["edge_labels", n] == count * (2 if n < 4 else 1)
     assert sum(calls.values()) == 3 * 11310 + 942
+
+
+def _dihedral4():
+    """D4 as the symmetries of a square's vertices, acting on itself by conjugation."""
+    def mul(p, q):
+        return tuple(p[i] for i in q)
+
+    group = {(0, 1, 2, 3)}
+    frontier = list(group)
+    while frontier:
+        frontier = [y for x in frontier for g in ((1, 2, 3, 0), (0, 3, 2, 1))
+                    if (y := mul(x, g)) not in group]
+        group.update(frontier)
+    elements = sorted(group)
+    return algebra.conjugation_qualgebra([[elements.index(mul(p, q)) for q in elements]
+                                          for p in elements])
+
+
+class _Recorded(dict):
+    """A face table that records the generator indices looked up in it."""
+
+    asked = ()
+
+    def get(self, key, default=None):
+        self.asked.append(key)
+        return super().get(key, default)
+
+
+@pytest.mark.parametrize("make, top", [
+    (lambda: algebra.conj_cyclic(3), 4), (lambda: algebra.conj_symmetric(3), 4),
+    (lambda: algebra.mul_mod_shalgebra(4), 4), (_dihedral4, 3)],
+    ids=["z3", "s3", "mul-mod-4", "d4"])
+def test_verify_numbering_agrees_with_the_complex(make, top):
+    # verify's index-space expansion columns and face indices name the same
+    # generators as the complex's own tuple lookup
+    S = make()
+    K = prismatic.build_complex(S, top)
+    for n in range(2, top + 1):
+        lower = K.generators(n - 1)
+        below = _Recorded((k, prisms.edge_labels(prisms.good_labeling(h, S)))
+                          for k, h in enumerate(lower))
+        for g in K.generators(n):
+            rows = cli._expansion_terms(g, S)
+            by_tuple = K.chain(n - 1, [(bracketed(p, e), sign) for sign, p, e in rows])
+            assert cli._expansion_column(g, S).terms == by_tuple.terms
+            below.asked = []
+            assert prisms.faces_match_algebra(prisms.good_labeling(g, S), S, below)
+            # face (j, i) of the prism is face (j, i) of the tuple
+            assert [lower[k] for k in below.asked] == [face for _, face in faces(g, S)]
 
 
 @pytest.mark.parametrize("argv", [

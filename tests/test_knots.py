@@ -240,6 +240,15 @@ def test_foam_invariant_rejects_non_cycles(z3):
         foam_invariant([(2, (3,), (0, 0, 0))], z3)
 
 
+@pytest.mark.parametrize("term", [(1, (3.0,), (0.5, 1.9, 2)), (1, (3,), ("x", 1, 2)),
+                                  (1, (2.5, 1), (0, 1, 2))])
+def test_foam_chain_refuses_non_integers(term):
+    with pytest.raises(StructureError, match="must be integers"):
+        knots.foam_chain([term])
+    # an integral float is read as its integer
+    assert knots.foam_chain([(1, (3.0,), (0, 1.0, 2))]) == {bracketed((3,), (0, 1, 2)): 1}
+
+
 def test_foam_move_shift_preserves_classes(z3):
     # over a trivial action every cube is a cycle; shifting such a base cycle
     # by the three-term boundary of a twist cell must not change its class

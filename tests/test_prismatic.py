@@ -29,6 +29,11 @@ def test_bracketed_validation():
         bracketed((2, 0), (1, 2))
     with pytest.raises(StructureError):
         bracketed((2,), (1, 2, 3))
+    for partition, elements in (((2.0,), (1.7, 2.2)), ((1.5, 1), (0, 1, 2)),
+                                ((1,), ("x",)), ((1,), (float("inf"),))):
+        with pytest.raises(StructureError, match="must be integers"):
+            bracketed(partition, elements)
+    assert bracketed((2.0,), (1.0, "2")) == BracketedTuple((2,), (1, 2))
     g = bracketed((2, 1), (0, 1, 2))
     assert g.blocks() == [(0, 1), (2,)]
     assert g.pretty() == "(0,1)|2"

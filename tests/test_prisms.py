@@ -95,6 +95,12 @@ def test_inductive_labeling_matches_explicit(s3):
         assert inductive_labeling(g, h, s3) == good_labeling(combined, s3)
 
 
+@pytest.mark.parametrize("h", [(2.9,), (1, 0.5), ("x",), ()])
+def test_inductive_labeling_refuses_bad_blocks(s3, h):
+    with pytest.raises(StructureError, match="appended block must"):
+        inductive_labeling(bracketed((1,), (1,)), h, s3)
+
+
 def test_inductive_labeling_copy_action(s3):
     # the copy placed at vertex i of the appended factor is the prism of the
     # base tuple acted by the prefix product h1...hi
@@ -161,15 +167,19 @@ def _tampered(prism, S, at=0, shift=1):
     return LabeledPrism(prism.partition, prism.label, edges)
 
 
-def _face_table(S, n):
-    """edge_labels of every degree-n prism, keyed by its generator."""
-    return {g: edge_labels(good_labeling(g, S))
-            for partition in compositions(n)
-            for g in (BracketedTuple(partition, e) for e in product(range(S.size), repeat=n))}
+def _generators(S, n):
+    """The degree-n prisms in index order: partitions as `compositions` lists them,
+    then the elements counted in base |G| with the first most significant."""
+    return [BracketedTuple(partition, e) for partition in compositions(n)
+            for e in product(range(S.size), repeat=n)]
 
 
 _S3 = conj_symmetric(3)
-_TABLES = {0: {BracketedTuple((), ()): ()}, **{n: _face_table(_S3, n) for n in range(1, 4)}}
+_INDEX = {0: {BracketedTuple((), ()): 0},
+          **{n: {g: i for i, g in enumerate(_generators(_S3, n))} for n in range(1, 4)}}
+# edge_labels of every prism of degree 0..3, keyed by its generator index
+_TABLES = {n: {i: edge_labels(good_labeling(g, _S3)) for g, i in index.items()}
+           for n, index in _INDEX.items()}
 
 
 def test_tampered_prisms_fail_the_face_checks():
@@ -206,7 +216,8 @@ def test_stored_face_table_agrees_with_relabeling(shape, tamper):
     prism = good_labeling(g, _S3)
     if tamper:
         prism = _tampered(prism, _S3, *tamper)
-    below = {face: edge_labels(good_labeling(face, _S3)) for _, face in faces(g, _S3)}
+    below = {_INDEX[g.degree - 1][face]: edge_labels(good_labeling(face, _S3))
+             for _, face in faces(g, _S3)}
     assert _verdict(prism, below) == _verdict(prism, {})
     assert _verdict(prism, _TABLES[g.degree - 1]) == _verdict(prism, {})
     if not tamper:
