@@ -122,9 +122,6 @@ class AxiomReport:
     def qualgebra_ok(self):
         return self.all_ok(AXIOM_NAMES)
 
-    def failures(self):
-        return tuple(n for n in AXIOM_NAMES if not self.statuses[n].ok)
-
     def first_failure(self, names=AXIOM_NAMES):
         for n in names:
             if not self.statuses[n].ok:

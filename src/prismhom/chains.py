@@ -20,6 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
+from .algebra import integer
 from .errors import NotACycleError, StructureError, VerificationError
 
 
@@ -80,7 +81,11 @@ class Chain:
         return res
 
     def __rmul__(self, k):
-        return self.scaled(int(k))
+        try:
+            k = integer(k)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"a chain scales by integers only: {exc}")
+        return self.scaled(k)
 
     def items(self):
         return self.terms.items()
@@ -357,7 +362,10 @@ def smith_normal_form(matrix):
     positive, and rank r.  Accepts any rectangular list-of-rows; an empty
     matrix has rank 0.
     """
-    rows = [[int(v) for v in row] for row in matrix]
+    try:
+        rows = [[integer(v) for v in row] for row in matrix]
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"matrix entries must be integers: {exc}")
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise StructureError("matrix rows have unequal lengths")
@@ -410,10 +418,6 @@ class ChainComplex:
 
     def count(self, n):
         return self.counts.get(n, 0)
-
-    @property
-    def degrees(self):
-        return tuple(sorted(self.counts))
 
     def boundary_of(self, n, index):
         if not 0 <= index < self.count(n):

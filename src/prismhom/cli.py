@@ -17,7 +17,7 @@ import sys
 
 from . import prisms
 from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, classify,
-                      load_structure_tables)
+                      load_structure, load_structure_tables)
 from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
@@ -92,8 +92,7 @@ def _build_theory(S, theory, N, include_d3):
 
 
 def cmd_homology(args):
-    dot, tri, names = load_structure_tables(args.structure)
-    S = Shalgebra(dot, tri, names=names)
+    S = load_structure(args.structure)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
     _warn_unresolved(K)
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
@@ -106,8 +105,7 @@ def cmd_homology(args):
 
 
 def cmd_invariant(args):
-    dot, tri, names = load_structure_tables(args.structure)
-    S = Shalgebra(dot, tri, names=names)
+    S = load_structure(args.structure)
     if not S.is_qualgebra:
         name, witness = S.report.first_failure()
         raise AxiomError(f"invariants need a qualgebra; axiom {name} fails at {witness}",
@@ -165,8 +163,7 @@ def verify_structure(S: Shalgebra, N):
 
 
 def cmd_verify(args):
-    dot, tri, names = load_structure_tables(args.structure)
-    S = Shalgebra(dot, tri, names=names)
+    S = load_structure(args.structure)
     ok, lines = verify_structure(S, args.max_degree)
     payload = {"ok": ok, "checks": lines}
     _emit(args, payload, "\n".join(lines + ["all checks passed" if ok else "FAILURES found"]))
@@ -174,8 +171,7 @@ def cmd_verify(args):
 
 
 def cmd_export_prism(args):
-    dot, tri, names = load_structure_tables(args.structure)
-    S = Shalgebra(dot, tri, names=names)
+    S = load_structure(args.structure)
     g = bracketed(args.partition.split(","), args.elements.split(","))
     if not all(0 <= x < S.size for x in g.elements):
         raise StructureError(f"elements {g.elements} lie outside the carrier 0..{S.size - 1}")
@@ -192,8 +188,7 @@ def cmd_export_prism(args):
 
 
 def cmd_export_matrices(args):
-    dot, tri, names = load_structure_tables(args.structure)
-    S = Shalgebra(dot, tri, names=names)
+    S = load_structure(args.structure)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -13,13 +13,23 @@ may still pass over crossings).  Coloring rules per crossing: positive
 means under_out = under_in ◁ over, negative means under_out ◁ over =
 under_in (solved by invertibility of the action).
 
-A colored diagram represents a degree-2 chain: each positive crossing
-contributes +(under_in | over), each negative one -(under_out | over),
-each vertex its input pair (zip, +) or output pair (unzip, -).  With
-these signs the boundary telescopes along every strand, so the chain is
-a cycle; that is asserted on every call rather than assumed.  The class
-of the cycle in the degree-2 homology of the qualgebra-extended complex
-is invariant under the diagram moves implemented in `apply_move`.
+Every crossing and vertex compiles to one rule (sign, shape, out, left,
+right), read as out = left ◁ right for shape (1, 1) and out = left · right
+for shape (2,):
+
+    positive crossing   (+1, (1, 1), under_out, under_in, over)
+    negative crossing   (-1, (1, 1), under_in, under_out, over)
+    zip (x, y, z)       (sign, (2,), z, x, y)
+    unzip (x, y, z)     (sign, (2,), x, y, z)
+
+A colored diagram represents a degree-2 chain: each rule contributes
+sign·(left | right), so a positive crossing gives +(under_in | over), a
+negative one -(under_out | over), and a vertex its input pair (zip, +1 by
+default) or output pair (unzip, -1).  With these signs the boundary
+telescopes along every strand, so the chain is a cycle; that is asserted
+on every call rather than assumed.  The class of the cycle in the
+degree-2 homology of the qualgebra-extended complex is invariant under
+the diagram moves implemented in `apply_move`.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
-from itertools import product
 from typing import NamedTuple
 
 from . import chains
@@ -45,6 +54,12 @@ class Crossing(NamedTuple):
     under_out: str
     sign: int
 
+    @property
+    def rule(self):
+        if self.sign == 1:
+            return 1, (1, 1), self.under_out, self.under_in, self.over
+        return -1, (1, 1), self.under_in, self.under_out, self.over
+
 
 class TrivalentVertex(NamedTuple):
     arcs: tuple
@@ -59,6 +74,11 @@ class TrivalentVertex(NamedTuple):
     def emitted(self):
         return self.arcs[2:] if self.role == "zip" else self.arcs[1:]
 
+    @property
+    def rule(self):
+        x, y, z = self.arcs
+        return (self.sign, (2,), z, x, y) if self.role == "zip" else (self.sign, (2,), x, y, z)
+
 
 class KTGDiagram:
     """A combinatorial diagram of a knotted trivalent graph."""
@@ -69,6 +89,7 @@ class KTGDiagram:
         self.vertices = tuple(TrivalentVertex(tuple(v[0]), v[1], v[2])
                               for v in vertices)
         self._validate()
+        self.rules = tuple(item.rule for item in self.crossings + self.vertices)
 
     def _validate(self):
         known = set(self.arcs)
@@ -172,81 +193,30 @@ def save_diagram(D: KTGDiagram, path):
 # -- colorings -----------------------------------------------------------------
 
 
-def _constraints(D: KTGDiagram):
-    """Per-constraint arc triples with check and propagation rules."""
-    cons = []
-    for x in D.crossings:
-        cons.append(("crossing", x))
-    for v in D.vertices:
-        cons.append(("vertex", v))
-    return cons
-
-
-def _check_constraint(kind, item, colors, S):
-    """True/False once all arcs involved are colored, None otherwise."""
-    if kind == "crossing":
-        a, b, c = (colors.get(item.under_in), colors.get(item.over),
-                   colors.get(item.under_out))
-        if a is None or b is None or c is None:
-            return None
-        if item.sign == 1:
-            return S.act(a, b) == c
-        return S.act(c, b) == a
-    a, b, c = (colors.get(item.arcs[0]), colors.get(item.arcs[1]),
-               colors.get(item.arcs[2]))
-    if a is None or b is None or c is None:
-        return None
-    if item.role == "zip":
-        return S.mul(a, b) == c
-    return S.mul(b, c) == a
-
-
-def _propagate(kind, item, colors, S):
-    """Derive one arc color when the functional direction applies.
-
-    Returns (arc, value) or None.  Crossings determine either under end
-    from the other plus the over arc; zip vertices determine their output,
-    unzip vertices their input.  Divisions inside the multiplication are
-    left to the search.
-    """
-    if kind == "crossing":
-        b = colors.get(item.over)
-        if b is None:
-            return None
-        a = colors.get(item.under_in)
-        c = colors.get(item.under_out)
-        if a is not None and c is None:
-            return item.under_out, (S.act(a, b) if item.sign == 1 else S.act_inv(a, b))
-        if c is not None and a is None:
-            return item.under_in, (S.act_inv(c, b) if item.sign == 1 else S.act(c, b))
-        return None
-    x, y, z = item.arcs
-    cx, cy, cz = colors.get(x), colors.get(y), colors.get(z)
-    if item.role == "zip" and cx is not None and cy is not None and cz is None:
-        return z, S.mul(cx, cy)
-    if item.role == "unzip" and cy is not None and cz is not None and cx is None:
-        return x, S.mul(cy, cz)
-    return None
-
-
 def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
-    """All colorings satisfying every crossing and vertex rule, in search order.
+    """All colorings satisfying every rule of D, in search order.
 
-    Backtracking over arcs in their listed order with constraint
-    propagation; the output order is deterministic.  Negative crossings
-    rely on invertibility of the action, so a full qualgebra is required.
+    Backtracking over arcs in their listed order with propagation: a rule
+    with left and right colored sets out, and a crossing rule with out and
+    right colored sets left by the inverse action.  Divisions inside the
+    multiplication are left to the search.  The output order is
+    deterministic.  Negative crossings rely on invertibility of the action,
+    so a full qualgebra is required.
     """
     if not S.report.qualgebra_ok:
         name, witness = S.report.first_failure()
         raise StructureError(
             f"coloring needs a qualgebra; axiom {name} fails at {witness}")
-    cons = _constraints(D)
+    op = {(1, 1): S.act, (2,): S.mul}
+    rules = [(op[shape], shape == (1, 1), out, left, right)
+             for _, shape, out, left, right in D.rules]
     arcs = list(D.arcs)
-    out = []
+    found = []
 
     def consistent(colors):
-        for kind, item in cons:
-            if _check_constraint(kind, item, colors, S) is False:
+        for f, _, out, left, right in rules:
+            a, b, c = colors.get(left), colors.get(right), colors.get(out)
+            if a is not None and b is not None and c is not None and f(a, b) != c:
                 return False
         return True
 
@@ -255,12 +225,18 @@ def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
         changed = True
         while changed:
             changed = False
-            for kind, item in cons:
-                got = _propagate(kind, item, colors, S)
-                if got is not None:
-                    arc, val = got
-                    colors[arc] = val
-                    added.append(arc)
+            for f, invertible, out, left, right in rules:
+                b = colors.get(right)
+                if b is None:
+                    continue
+                a, c = colors.get(left), colors.get(out)
+                if a is not None and c is None:
+                    colors[out] = f(a, b)
+                    added.append(out)
+                    changed = True
+                elif invertible and c is not None and a is None:
+                    colors[left] = S.act_inv(c, b)
+                    added.append(left)
                     changed = True
             if not consistent(colors):
                 return added, False
@@ -271,7 +247,7 @@ def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
             return
         todo = [a for a in arcs if a not in colors]
         if not todo:
-            out.append(dict(colors))
+            found.append(dict(colors))
             return
         arc = todo[0]
         for val in range(S.size):
@@ -284,18 +260,7 @@ def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
             del colors[arc]
 
     search({})
-    return out
-
-
-def brute_force_colorings(D: KTGDiagram, S: Shalgebra):
-    """All colorings by trying every assignment; the oracle for small diagrams."""
-    cons = _constraints(D)
-    out = []
-    for values in product(range(S.size), repeat=len(D.arcs)):
-        colors = dict(zip(D.arcs, values))
-        if all(_check_constraint(kind, item, colors, S) for kind, item in cons):
-            out.append(colors)
-    return out
+    return found
 
 
 def coloring_key(D: KTGDiagram, colors):
@@ -305,25 +270,10 @@ def coloring_key(D: KTGDiagram, colors):
 # -- represented cycles and invariants -------------------------------------------
 
 
-def crossing_chain_term(x: Crossing, colors):
-    """The signed degree-2 generator one colored crossing stands for."""
-    if x.sign == 1:
-        return BracketedTuple((1, 1), (colors[x.under_in], colors[x.over])), 1
-    return BracketedTuple((1, 1), (colors[x.under_out], colors[x.over])), -1
-
-
-def vertex_chain_term(v: TrivalentVertex, colors):
-    if v.role == "zip":
-        pair = (colors[v.arcs[0]], colors[v.arcs[1]])
-    else:
-        pair = (colors[v.arcs[1]], colors[v.arcs[2]])
-    return BracketedTuple((2,), pair), v.sign
-
-
 def represented_cycle(D: KTGDiagram, colors, S: Shalgebra) -> dict:
     """The degree-2 chain of a colored diagram; checked to be a cycle."""
-    terms = chains.Chain(2, [*(crossing_chain_term(x, colors) for x in D.crossings),
-                             *(vertex_chain_term(v, colors) for v in D.vertices)]).terms
+    terms = chains.Chain(2, [(BracketedTuple(shape, (colors[left], colors[right])), sign)
+                             for sign, shape, _, left, right in D.rules]).terms
     residue = chains.Chain(1, [(t, c * ct) for g, c in terms.items()
                                for t, ct in boundary_generator(g, S).items()]).terms
     if residue:
@@ -390,6 +340,10 @@ def foam_chain(presentation):
         g = bracketed(partition, elements)
         if g.partition not in allowed:
             raise StructureError(f"not a generalized crossing shape: {g.partition}")
+        try:
+            sign = integer(sign)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"crossing sign must be an integer: {exc}")
         if sign not in (1, -1):
             raise StructureError(f"crossing sign must be ±1, got {sign}")
         pairs.append((g, sign))

@@ -47,27 +47,17 @@ def _fresh_ids(D, count, hint="w"):
     return out
 
 
-def _consumer_slots(D):
-    """arc -> ("crossing"|"vertex", index, slot) for the consuming end."""
-    table = {}
+def _slots(D):
+    """(emitters, consumers): arc -> ("crossing"|"vertex", index, slot) at each end."""
+    emitters, consumers = {}, {}
     for i, x in enumerate(D.crossings):
-        table[x.under_in] = ("crossing", i, "under_in")
+        emitters[x.under_out] = ("crossing", i, "under_out")
+        consumers[x.under_in] = ("crossing", i, "under_in")
     for i, v in enumerate(D.vertices):
+        inputs = len(v.consumed)
         for k, a in enumerate(v.arcs):
-            if a in v.consumed:
-                table.setdefault(a, ("vertex", i, k))
-    return table
-
-
-def _emitter_slots(D):
-    table = {}
-    for i, x in enumerate(D.crossings):
-        table[x.under_out] = ("crossing", i, "under_out")
-    for i, v in enumerate(D.vertices):
-        for k, a in enumerate(v.arcs):
-            if a in v.emitted:
-                table.setdefault(a, ("vertex", i, k))
-    return table
+            (consumers if k < inputs else emitters)[a] = ("vertex", i, k)
+    return emitters, consumers
 
 
 def _over_uses(D, arc):
@@ -88,17 +78,17 @@ def _internal_arc(D, arc, emitted_by, consumed_by):
     """Check an arc only touches the two given slots (and no over-passages)."""
     if _over_uses(D, arc):
         return False
-    return (_emitter_slots(D).get(arc) == emitted_by
-            and _consumer_slots(D).get(arc) == consumed_by)
+    emitters, consumers = _slots(D)
+    return emitters.get(arc) == emitted_by and consumers.get(arc) == consumed_by
 
 
 def _identity_map(extra=None, drop=()):
     extra = extra or {}
 
-    def fwd(colors, S):
+    def fwd(colors):
         out = {a: v for a, v in colors.items() if a not in drop}
         for arc, fn in extra.items():
-            out[arc] = fn(colors, S)
+            out[arc] = fn(colors)
         return out
 
     return fwd
@@ -116,7 +106,7 @@ def _move_i(D, site, S):
     if direction == "grow":
         arc = site["arc"]
         sign = _site_sign(site)
-        consumers = _consumer_slots(D)
+        _, consumers = _slots(D)
         crossings = list(D.crossings)
         vertices = list(D.vertices)
         if arc not in D.arcs:
@@ -126,7 +116,7 @@ def _move_i(D, site, S):
             _rewire(crossings, vertices, consumers[arc], n)
             crossings.append(Crossing(arc, arc, n, sign))
             new = KTGDiagram(D.arcs + (n,), crossings, vertices)
-            return new, _identity_map(extra={n: lambda c, S_: c[arc]})
+            return new, _identity_map(extra={n: lambda c: c[arc]})
         # closed loop: the kink breaks it into a single self-crossing arc
         crossings.append(Crossing(arc, arc, arc, sign))
         return KTGDiagram(D.arcs, crossings, vertices), _identity_map()
@@ -140,24 +130,18 @@ def _move_i(D, site, S):
     if X.under_out == X.under_in:
         return KTGDiagram(D.arcs, crossings, vertices), _identity_map()
     n = X.under_out
-    if len(_over_uses(D, n)) or _emitter_slots(D).get(n) != ("crossing", k, "under_out"):
+    emitters, consumers = _slots(D)
+    if len(_over_uses(D, n)) or emitters.get(n) != ("crossing", k, "under_out"):
         raise StructureError(f"kink exit arc {n!r} has other incidences")
-    consumers = _consumer_slots(D)
     if n not in consumers:
         raise StructureError(f"kink exit arc {n!r} has no consumer")
-    _rewire(crossings, vertices, _shift_crossing(consumers[n], k), X.under_in)
+    _rewire(crossings, vertices, _shift_crossing(consumers[n], (k,)), X.under_in)
     arcs = tuple(a for a in D.arcs if a != n)
     return KTGDiagram(arcs, crossings, vertices), _identity_map(drop=(n,))
 
 
-def _shift_crossing(where, removed_index):
-    kind, i, slot = where
-    if kind == "crossing" and i > removed_index:
-        return (kind, i - 1, slot)
-    return where
-
-
-def _shift_crossing2(where, removed):
+def _shift_crossing(where, removed):
+    """A slot's address once the crossings at the indices in `removed` are gone."""
     kind, i, slot = where
     if kind == "crossing":
         i -= sum(1 for r in removed if r < i)
@@ -172,7 +156,7 @@ def _move_ii(D, site, S):
         for arc in (a, b):
             if arc not in D.arcs:
                 raise StructureError(f"unknown arc {arc!r}")
-        consumers = _consumer_slots(D)
+        _, consumers = _slots(D)
         if a not in consumers:
             raise StructureError(f"arc {a!r} has no consumer to slide under {b!r}")
         m, n = _fresh_ids(D, 2, hint=f"{a}r")
@@ -182,11 +166,11 @@ def _move_ii(D, site, S):
         crossings.append(Crossing(b, a, m, sign))
         crossings.append(Crossing(b, m, n, -sign))
 
-        def mid(colors, S_):
-            return (S_.act(colors[a], colors[b]) if sign == 1
-                    else S_.act_inv(colors[a], colors[b]))
+        def mid(colors):
+            return (S.act(colors[a], colors[b]) if sign == 1
+                    else S.act_inv(colors[a], colors[b]))
 
-        fwd = _identity_map(extra={m: mid, n: lambda c, S_: c[a]})
+        fwd = _identity_map(extra={m: mid, n: lambda c: c[a]})
         return KTGDiagram(D.arcs + (m, n), crossings, vertices), fwd
     # shrink
     k1, k2 = site["crossing1"], site["crossing2"]
@@ -196,14 +180,14 @@ def _move_ii(D, site, S):
     m, n, a = X1.under_out, X2.under_out, X1.under_in
     if not _internal_arc(D, m, ("crossing", k1, "under_out"), ("crossing", k2, "under_in")):
         raise StructureError(f"middle arc {m!r} has other incidences")
-    if len(_over_uses(D, n)) or _emitter_slots(D).get(n) != ("crossing", k2, "under_out"):
+    emitters, consumers = _slots(D)
+    if len(_over_uses(D, n)) or emitters.get(n) != ("crossing", k2, "under_out"):
         raise StructureError(f"exit arc {n!r} has other incidences")
-    consumers = _consumer_slots(D)
     if n not in consumers:
         raise StructureError(f"exit arc {n!r} has no consumer")
     crossings = [x for i, x in enumerate(D.crossings) if i not in (k1, k2)]
     vertices = list(D.vertices)
-    _rewire(crossings, vertices, _shift_crossing2(consumers[n], (k1, k2)), a)
+    _rewire(crossings, vertices, _shift_crossing(consumers[n], (k1, k2)), a)
     arcs = tuple(x for x in D.arcs if x not in (m, n))
     return KTGDiagram(arcs, crossings, vertices), _identity_map(drop=(m, n))
 
@@ -226,14 +210,14 @@ def _move_iii(D, site, S):
         crossings[k1] = Crossing(X3.over, X1.under_in, mp, 1)
         crossings[k2] = Crossing(X3.under_out, mp, X2.under_out, 1)
 
-        def mid(colors, S_):
-            return S_.act(colors[X1.under_in], colors[X3.over])
+        def mid(colors):
+            return S.act(colors[X1.under_in], colors[X3.over])
     elif X1.over == X3.over and X2.over == X3.under_out:
         crossings[k1] = Crossing(X3.under_in, X1.under_in, mp, 1)
         crossings[k2] = Crossing(X3.over, mp, X2.under_out, 1)
 
-        def mid(colors, S_):
-            return S_.act(colors[X1.under_in], colors[X3.under_in])
+        def mid(colors):
+            return S.act(colors[X1.under_in], colors[X3.under_in])
     else:
         raise StructureError("crossings do not form a slide pattern")
     arcs = tuple(mp if a == m else a for a in D.arcs)
@@ -244,6 +228,8 @@ def _move_iii(D, site, S):
 def _move_h(D, site, S):
     i1, i2 = site["vertex1"], site["vertex2"]
     v1, v2 = D.vertices[i1], D.vertices[i2]
+    if i1 == i2:
+        raise StructureError("H move needs two distinct vertices")
     vertices = list(D.vertices)
     crossings = list(D.crossings)
     if v1.role == ZIP and v2.role == ZIP:
@@ -258,16 +244,16 @@ def _move_h(D, site, S):
             vertices[i1] = TrivalentVertex((y, z, m), ZIP, 1)
             vertices[i2] = TrivalentVertex((x, m, w), ZIP, 1)
 
-            def mid(colors, S_):
-                return S_.mul(colors[y], colors[z])
+            def mid(colors):
+                return S.mul(colors[y], colors[z])
         elif v2.arcs[1] == u:
             # x·(y·z) -> (x·y)·z
             y, z, x, w = v1.arcs[0], v1.arcs[1], v2.arcs[0], v2.arcs[2]
             vertices[i1] = TrivalentVertex((x, y, m), ZIP, 1)
             vertices[i2] = TrivalentVertex((m, z, w), ZIP, 1)
 
-            def mid(colors, S_):
-                return S_.mul(colors[x], colors[y])
+            def mid(colors):
+                return S.mul(colors[x], colors[y])
         else:
             raise StructureError("vertices do not share an internal arc")
         arcs = tuple(m if a == u else a for a in D.arcs)
@@ -287,8 +273,8 @@ def _move_h(D, site, S):
         vertices[i1] = TrivalentVertex((s, x, m), UNZIP, -1)
         vertices[i2] = TrivalentVertex((m, t, y), ZIP, 1)
 
-        def mid(colors, S_):
-            sols = [g for g in range(S_.size) if S_.mul(colors[x], g) == colors[s]]
+        def mid(colors):
+            sols = [g for g in range(S.size) if S.mul(colors[x], g) == colors[s]]
             if len(sols) != 1:
                 raise StructureError(
                     f"division {colors[s]} / {colors[x]} is not unique; "
@@ -321,8 +307,8 @@ def _move_yi(D, site, S):
         crossings.append(Crossing(w, y, yp, 1))
         vertices[iv] = TrivalentVertex((xp, yp, t), ZIP, 1)
         arcs = tuple(a for a in D.arcs if a != z) + (xp, yp)
-        fwd = _identity_map(extra={xp: lambda c, S_: S_.act(c[x], c[w]),
-                                   yp: lambda c, S_: S_.act(c[y], c[w])},
+        fwd = _identity_map(extra={xp: lambda c: S.act(c[x], c[w]),
+                                   yp: lambda c: S.act(c[y], c[w])},
                             drop=(z,))
         return KTGDiagram(arcs, crossings, vertices), fwd
     # shrink
@@ -343,7 +329,7 @@ def _move_yi(D, site, S):
     keep.append(Crossing(w, z, t, 1))
     vertices[iv] = TrivalentVertex((x, y, z), ZIP, 1)
     arcs = tuple(a for a in D.arcs if a not in (xp, yp)) + (z,)
-    fwd = _identity_map(extra={z: lambda c, S_: S_.mul(c[x], c[y])}, drop=(xp, yp))
+    fwd = _identity_map(extra={z: lambda c: S.mul(c[x], c[y])}, drop=(xp, yp))
     return KTGDiagram(arcs, keep, vertices), fwd
 
 
@@ -364,7 +350,7 @@ def _move_iy(D, site, S):
         crossings[ix] = Crossing(x, s, m, 1)
         crossings.append(Crossing(y, m, t, 1))
         arcs = D.arcs + (m,)
-        fwd = _identity_map(extra={m: lambda c, S_: S_.act(c[s], c[x])})
+        fwd = _identity_map(extra={m: lambda c: S.act(c[s], c[x])})
         return KTGDiagram(arcs, crossings, vertices), fwd
     # shrink
     iv, ix1, ix2 = site["vertex"], site["crossing1"], site["crossing2"]
@@ -397,7 +383,7 @@ def _move_t(D, site, S):
         (m,) = _fresh_ids(D, 1, hint=f"{x}t")
         crossings.append(Crossing(y, x, m, 1))
         vertices[iv] = TrivalentVertex((y, m, z), ZIP, 1)
-        fwd = _identity_map(extra={m: lambda c, S_: S_.act(c[x], c[y])})
+        fwd = _identity_map(extra={m: lambda c: S.act(c[x], c[y])})
         return KTGDiagram(D.arcs + (m,), crossings, vertices), fwd
     # shrink
     iv, ix = site["vertex"], site["crossing"]
@@ -436,11 +422,6 @@ def apply_move(D: KTGDiagram, move, site, S: Shalgebra):
     if move not in _MOVE_TABLE:
         raise StructureError(f"unknown move {move!r}; choose from {sorted(_MOVE_TABLE)}")
     try:
-        new, raw = _MOVE_TABLE[move](D, dict(site), S)
+        return _MOVE_TABLE[move](D, dict(site), S)
     except (IndexError, KeyError) as exc:
         raise StructureError(f"move {move} site does not match the diagram: {exc}")
-
-    def bijection(colors):
-        return raw(colors, S)
-
-    return new, bijection

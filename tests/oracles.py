@@ -1,10 +1,15 @@
-"""The classical differentials on plain tuples, kept as independent oracles.
+"""Independent oracles: classical differentials and brute-force colorings.
 
 The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
 simplicial differential of the multiplication and the cubical differential
-of the action share no code with it.
+of the action share no code with it.  The coloring oracle is written from
+the coloring rules as the `knots` docstring states them, not from the rule
+tuples the search uses.  Nothing here imports `prismhom`: structures and
+diagrams are read through their attributes and operation tables only.
 """
+
+from itertools import product
 
 
 def bar_differential(elements, S) -> dict:
@@ -50,4 +55,31 @@ def rack_differential(elements, S) -> dict:
                 out[t] = c
             else:
                 del out[t]
+    return out
+
+
+def brute_force_colorings(D, S) -> list:
+    """Every coloring of a KTG diagram, found by trying every assignment.
+
+    A positive crossing colors under_out = under_in ◁ over and a negative
+    one under_out ◁ over = under_in; a zip vertex (x, y, z) colors z = x·y
+    and an unzip vertex x = y·z.
+    """
+    dot, tri = S.dot.rows, S.tri.rows
+
+    def crossing_ok(c, x):
+        if x.sign == 1:
+            return tri[c[x.under_in]][c[x.over]] == c[x.under_out]
+        return tri[c[x.under_out]][c[x.over]] == c[x.under_in]
+
+    def vertex_ok(c, v):
+        x, y, z = (c[a] for a in v.arcs)
+        return dot[x][y] == z if v.role == "zip" else dot[y][z] == x
+
+    out = []
+    for values in product(range(S.size), repeat=len(D.arcs)):
+        c = dict(zip(D.arcs, values))
+        if all(crossing_ok(c, x) for x in D.crossings) and \
+                all(vertex_ok(c, v) for v in D.vertices):
+            out.append(c)
     return out

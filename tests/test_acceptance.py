@@ -2,9 +2,10 @@
 
 Every criterion prints a single PASS/FAIL line (visible with `pytest -s`,
 and in the failure output otherwise).  Expected values come from
-independent oracles computed inside this module: a hand-transcribed
-low-degree expansion table, brute-force coloring enumeration, and a
-stand-alone dense Smith reduction that shares no code with the library.
+independent oracles that share no code with the library: a hand-transcribed
+low-degree expansion table and a stand-alone dense Smith reduction in this
+module, and the tuple differentials and brute-force coloring enumeration
+of `oracles.py`.
 """
 
 import time
@@ -14,13 +15,12 @@ import pytest
 
 from prismhom import algebra, prisms
 from prismhom.chains import HomologyGroup
-from prismhom.knots import (apply_move, brute_force_colorings, coloring_key,
-                            enumerate_colorings, invariant, load_fixture_diagram,
-                            move_fixture_pairs)
+from prismhom.knots import (apply_move, coloring_key, enumerate_colorings, invariant,
+                            load_fixture_diagram, move_fixture_pairs)
 from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator,
                                 bracketed, build_complex, compositions, face)
 
-from oracles import bar_differential, rack_differential
+from oracles import bar_differential, brute_force_colorings, rack_differential
 
 
 def _report(num, name, failures):

@@ -39,6 +39,22 @@ def test_smith_normal_form_examples():
     assert smith_normal_form([]) == ((), 0)
 
 
+@pytest.mark.parametrize("k", [2.5, -0.5, "x", float("inf")])
+def test_chains_scale_by_integers_only(k):
+    with pytest.raises(StructureError, match="integers only"):
+        k * Chain(1, {0: 1})
+    # an integral float is read as its integer
+    scaled = 2.0 * Chain(1, {0: 1})
+    assert scaled.terms == {0: 2} and type(scaled.terms[0]) is int
+
+
+@pytest.mark.parametrize("matrix", [[[2.7, 0], [0, 1.2]], [[1, "x"]], [[float("nan")]]])
+def test_smith_normal_form_refuses_non_integers(matrix):
+    with pytest.raises(StructureError, match="must be integers"):
+        smith_normal_form(matrix)
+    assert smith_normal_form([[2.0, 0], [0, 3.0]]) == ((1, 6), 2)
+
+
 def _det(M):
     n = len(M)
     if n == 0:

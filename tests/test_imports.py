@@ -1,8 +1,10 @@
-"""Every name a prismhom module imports is used in that module.
+"""Import rules, checked by parsing source files with `ast`.
 
-A small stand-in for a linter: each source file is parsed with `ast`, and
-an imported name must occur somewhere in the module as a plain name (an
-attribute access `module.name` counts as a use of `module`).
+Every name a prismhom module imports is used in that module: a small
+stand-in for a linter, where an imported name must occur somewhere in the
+module as a plain name (an attribute access `module.name` counts as a use
+of `module`).  And `tests/oracles.py` imports nothing from prismhom, so
+the oracles stay independent of the code they check.
 """
 
 import ast
@@ -50,3 +52,32 @@ def test_no_unused_imports(module):
 def test_the_check_sees_an_unused_import():
     tree = ast.parse("from itertools import product\nfrom . import chains\nchains.Chain\n")
     assert _unused_imports(tree) == [(1, "product")]
+
+
+def _package_imports(tree):
+    """(line, module) for every import in the tree that reaches prismhom."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] if node.level == 0 else ["<relative>"]
+        else:
+            continue
+        found += [(node.lineno, name) for name in names
+                  if name == "<relative>" or name.split(".")[0] == "prismhom"]
+    return found
+
+
+def test_oracles_import_nothing_from_prismhom():
+    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "oracles.py")
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="oracles.py")
+    assert _package_imports(tree) == [], "tests/oracles.py must stay independent of prismhom"
+
+
+def test_the_check_sees_a_package_import():
+    tree = ast.parse("import itertools\nimport prismhom.knots\n"
+                     "from prismhom import knots\nfrom . import chains\n")
+    assert _package_imports(tree) == [(2, "prismhom.knots"), (3, "prismhom"),
+                                      (4, "<relative>")]

@@ -1,13 +1,14 @@
 import pytest
 
-from prismhom import knots
+from prismhom import knots, moves
 from prismhom.errors import NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
-                            apply_move, brute_force_colorings, coloring_key,
-                            crossing_chain_term, enumerate_colorings, foam_invariant,
+                            apply_move, coloring_key, enumerate_colorings, foam_invariant,
                             invariant, load_fixture_diagram, move_fixture_pairs,
-                            represented_cycle, vertex_chain_term)
+                            represented_cycle)
 from prismhom.prismatic import bracketed
+
+from oracles import brute_force_colorings
 
 
 def theta():
@@ -70,14 +71,23 @@ def test_trefoil_colorings(s3):
 
 
 def test_enumeration_matches_brute_force(s3, z2):
-    for name in ("unknot", "theta", "trefoil", "handcuff_flat"):
-        D = load_fixture_diagram(name)
+    diagrams = [load_fixture_diagram(name)
+                for name in ("unknot", "theta", "trefoil", "handcuff_flat")]
+    # negative crossings too: S3 also acts by order-3 conjugations, so the
+    # action and its inverse differ there
+    for name, move, site in (("trefoil", "I", {"arc": "x", "sign": -1}),
+                             ("theta", "II", {"under": "s", "over": "t", "sign": -1}),
+                             ("theta", "II", {"under": "t", "over": "u", "sign": 1})):
+        D, _ = apply_move(load_fixture_diagram(name), move, site, s3)
+        assert any(x.sign == -1 for x in D.crossings)
+        diagrams.append(D)
+    for D in diagrams:
         if len(D.arcs) > 5:
             continue
         for S in (z2, s3):
-            fast = {coloring_key(D, c) for c in enumerate_colorings(D, S)}
+            fast = [coloring_key(D, c) for c in enumerate_colorings(D, S)]
             slow = {coloring_key(D, c) for c in brute_force_colorings(D, S)}
-            assert fast == slow
+            assert len(fast) == len(set(fast)) and set(fast) == slow
 
 
 def test_coloring_requires_qualgebra(z2):
@@ -88,18 +98,35 @@ def test_coloring_requires_qualgebra(z2):
 
 
 def test_chain_term_conventions(s3):
+    # a rule (sign, shape, out, left, right) reads out = left ◁ right for
+    # shape (1, 1) and out = left · right for (2,), and stands for
+    # sign·(left | right)
+    def term(rule, colors):
+        sign, shape, out, left, right = rule
+        op = s3.act if shape == (1, 1) else s3.mul
+        assert colors[out] == op(colors[left], colors[right])
+        return bracketed(shape, (colors[left], colors[right])), sign
+
     # a positive crossing with under-in a and over b stands for +(a|b)
     colors = {"u": 3, "o": 1, "w": s3.act(3, 1)}
-    g, sign = crossing_chain_term(Crossing("o", "u", "w", 1), colors)
-    assert (g, sign) == (bracketed((1, 1), (3, 1)), 1)
-    g, sign = crossing_chain_term(Crossing("o", "w", "u", -1), colors)
-    assert (g, sign) == (bracketed((1, 1), (3, 1)), -1)
-    g, sign = vertex_chain_term(TrivalentVertex(("x", "y", "z"), "zip", 1),
-                                {"x": 2, "y": 4, "z": s3.mul(2, 4)})
-    assert (g, sign) == (bracketed((2,), (2, 4)), 1)
-    g, sign = vertex_chain_term(TrivalentVertex(("x", "y", "z"), "unzip", -1),
-                                {"x": s3.mul(2, 4), "y": 2, "z": 4})
-    assert (g, sign) == (bracketed((2,), (2, 4)), -1)
+    rule = Crossing("o", "u", "w", 1).rule
+    assert rule == (1, (1, 1), "w", "u", "o")
+    assert term(rule, colors) == (bracketed((1, 1), (3, 1)), 1)
+    # a negative one with under-out a and over b stands for -(a|b)
+    rule = Crossing("o", "w", "u", -1).rule
+    assert rule == (-1, (1, 1), "w", "u", "o")
+    assert term(rule, colors) == (bracketed((1, 1), (3, 1)), -1)
+    # a zip stands for its input pair, an unzip for its output pair
+    rule = TrivalentVertex(("x", "y", "z"), "zip", 1).rule
+    assert rule == (1, (2,), "z", "x", "y")
+    assert term(rule, {"x": 2, "y": 4, "z": s3.mul(2, 4)}) == (bracketed((2,), (2, 4)), 1)
+    rule = TrivalentVertex(("x", "y", "z"), "unzip", -1).rule
+    assert rule == (-1, (2,), "x", "y", "z")
+    assert term(rule, {"x": s3.mul(2, 4), "y": 2, "z": 4}) == (bracketed((2,), (2, 4)), -1)
+    # a diagram lists its crossing rules, then its vertex rules
+    for name in ("trefoil", "theta", "handcuff_knotted"):
+        D = load_fixture_diagram(name)
+        assert D.rules == tuple(item.rule for item in D.crossings + D.vertices)
 
 
 def test_theta_cycle_vanishes(s3):
@@ -208,6 +235,17 @@ def test_move_pattern_mismatch_errors(s3):
         apply_move(D, "X", {}, s3)
 
 
+def test_move_slots_follow_vertex_positions(s3):
+    # the zip (q, r, r) of the flat handcuff consumes r at slot 1 and emits
+    # it at slot 2; an H move on that one vertex is refused
+    D = load_fixture_diagram("handcuff_flat")
+    emitters, consumers = moves._slots(D)
+    assert emitters["r"] == ("vertex", 1, 2) and consumers["r"] == ("vertex", 1, 1)
+    assert emitters["q"] == ("vertex", 0, 2) and consumers["q"] == ("vertex", 1, 0)
+    with pytest.raises(StructureError, match="two distinct vertices"):
+        apply_move(D, "H", {"vertex1": 1, "vertex2": 1}, s3)
+
+
 def test_kink_move_changes_cycle_by_square(s3):
     D = load_fixture_diagram("unknot")
     new, fwd = apply_move(D, "I", {"arc": "a", "sign": 1, "direction": "grow"}, s3)
@@ -247,6 +285,15 @@ def test_foam_chain_refuses_non_integers(term):
         knots.foam_chain([term])
     # an integral float is read as its integer
     assert knots.foam_chain([(1, (3.0,), (0, 1.0, 2))]) == {bracketed((3,), (0, 1, 2)): 1}
+
+
+@pytest.mark.parametrize("sign", [1.5, "x", float("nan")])
+def test_foam_chain_signs_are_integers(sign):
+    with pytest.raises(StructureError, match="sign must be an integer"):
+        knots.foam_chain([(sign, (3,), (0, 1, 2))])
+    terms = knots.foam_chain([(1.0, (3,), (0, 1, 2)), (-1.0, (2, 1), (0, 1, 2))])
+    assert terms == {bracketed((3,), (0, 1, 2)): 1, bracketed((2, 1), (0, 1, 2)): -1}
+    assert all(type(c) is int for c in terms.values())
 
 
 def test_foam_move_shift_preserves_classes(z3):
