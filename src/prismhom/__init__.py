@@ -23,8 +23,7 @@ from .knots import (InvariantResult, KTGDiagram, apply_move,
 from .prismatic import (BracketedTuple, ExtraCell, PrismaticComplex,
                         boundary_generator, bracketed, build_bar_complex,
                         build_complex, build_rack_complex, compositions,
-                        degenerate_span, face, prismatic_homology,
-                        qualgebra_homology)
+                        degenerate_span, face)
 from .prisms import (LabeledPrism, act_on_prism, geometric_faces,
                      good_labeling, inductive_labeling, path_endomorphism,
                      prism_to_dict)

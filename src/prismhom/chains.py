@@ -103,16 +103,18 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
+        try:
+            object.__setattr__(self, "free_rank", integer(self.free_rank))
+            object.__setattr__(self, "torsion", tuple(integer(d) for d in self.torsion))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"free rank and torsion must be integers: {exc}")
         if self.free_rank < 0:
             raise StructureError("free rank must be non-negative")
-        object.__setattr__(self, "torsion", tuple(int(d) for d in self.torsion))
-        prev = None
-        for d in self.torsion:
+        for prev, d in zip((1,) + self.torsion, self.torsion):
             if d < 2:
                 raise StructureError(f"torsion coefficient {d} < 2")
-            if prev is not None and d % prev != 0:
+            if d % prev:
                 raise StructureError(f"torsion coefficients must divide in order: {prev}, {d}")
-            prev = d
 
     @property
     def trivial(self):
@@ -388,12 +390,17 @@ class ChainComplex:
     """
 
     def __init__(self, counts, boundaries, truncated=False):
-        self.counts = {int(k): int(v) for k, v in dict(counts).items() if int(v) >= 0}
+        try:
+            self.counts = {integer(k): integer(v) for k, v in dict(counts).items()}
+            boundaries = {integer(n): chains for n, chains in boundaries.items()}
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise StructureError(f"degrees and generator counts must be integers: {exc}")
+        if any(v < 0 for v in self.counts.values()):
+            raise StructureError(f"generator counts must be non-negative: {self.counts}")
         self.boundaries = {}
         self.truncated = truncated
         self.top = max((d for d, c in self.counts.items() if c), default=0)
         for n, chains in boundaries.items():
-            n = int(n)
             if len(chains) != self.count(n):
                 raise StructureError(
                     f"degree {n}: {len(chains)} boundaries for {self.count(n)} generators")

@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
 from typing import NamedTuple
 
 from . import chains
@@ -32,8 +32,17 @@ from .algebra import Shalgebra, integer
 from .errors import AxiomError, StructureError, VerificationError
 
 
+def _degree(n):
+    """A degree read as an integer; StructureError for a fraction or a non-number."""
+    try:
+        return integer(n)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"degree must be an integer: {exc}")
+
+
 def compositions(n):
     """All ordered partitions of n, lexicographic by parts; empty for n = 0."""
+    n = _degree(n)
     if n < 0:
         raise StructureError("degree must be non-negative")
     return _compositions(n) if n else ()
@@ -177,30 +186,17 @@ def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
 DEGENERACY_FLAVORS = ("monoid", "spindle", "adjacent-equal-singletons")
 
 
-def _is_degenerate(g: BracketedTuple, flavor, unit):
-    if flavor == "monoid":
-        return len(g.partition) == 1 and unit in g.elements
-    if flavor == "spindle":
-        return (all(k == 1 for k in g.partition)
-                and any(a == b for a, b in zip(g.elements, g.elements[1:])))
-    # adjacent-equal-singletons: some neighbouring pair of size-one blocks
-    # carries the same element
-    pos = 0
-    for k1, k2 in zip(g.partition, g.partition[1:]):
-        if k1 == 1 and k2 == 1 and g.elements[pos] == g.elements[pos + 1]:
-            return True
-        pos += k1
-    return False
-
-
 def degenerate_span(S: Shalgebra, N, flavor):
     """Spanning generators of the degenerate subcomplex, per degree.
 
     monoid: one-block tuples containing the unit (unit insertion images);
     spindle: all-ones tuples with an adjacent repeat (diagonal images,
     needs idempotence); adjacent-equal-singletons: any generator with two
-    neighbouring size-one blocks holding equal elements.
+    neighbouring size-one blocks holding equal elements.  Each degree lists
+    its generators by partition in `compositions` order, then by elements
+    in lexicographic order.
     """
+    N = _degree(N)
     if flavor not in DEGENERACY_FLAVORS:
         raise StructureError(f"unknown degeneracy flavor {flavor!r}")
     if flavor == "monoid" and S.unit is None:
@@ -208,33 +204,28 @@ def degenerate_span(S: Shalgebra, N, flavor):
     if flavor == "spindle" and not S.report.ok("I"):
         raise AxiomError("spindle degeneracies need idempotence (axiom I)",
                          witness=S.report.witness("I"))
-    out = {}
-    for n in range(1, N + 1):
-        gens = []
-        for partition in compositions(n):
-            for elements in product(range(S.size), repeat=n):
-                g = BracketedTuple(partition, elements)
-                if _is_degenerate(g, flavor, S.unit):
-                    gens.append(g)
-        out[n] = tuple(gens)
-    return out
 
+    def grow(prefix, n, at):
+        # the tuples extending prefix, in lexicographic order, that hold at a
+        # position in `at` the unit (monoid) or a repeat of the entry before
+        p = len(prefix)
+        hit = (S.unit if flavor == "monoid" else prefix[-1]) if p in at else None
+        for x in range(S.size):
+            if x == hit:
+                yield from (prefix + (x,) + t for t in product(range(S.size), repeat=n - p - 1))
+            elif p < max(at, default=-1):
+                yield from grow(prefix + (x,), n, at)
 
-def degenerate_closure_violations(S: Shalgebra, N, flavor):
-    """Degenerate generators whose boundary leaves the degenerate span."""
-    return _closure_violations(S, degenerate_span(S, N, flavor))
+    def positions(partition, n):
+        if flavor == "monoid":
+            return range(n) if len(partition) == 1 else ()
+        # the first entry of a singleton block that follows a singleton block
+        return {p for p, k1, k2 in zip(accumulate(partition), partition, partition[1:])
+                if k1 == k2 == 1 and (flavor != "spindle" or len(partition) == n)}
 
-
-def _closure_violations(S, span):
-    bad = []
-    for n in range(2, max(span, default=0) + 1):
-        lower = set(span.get(n - 1, ()))
-        for g in span[n]:
-            for t in boundary_generator(g, S):
-                if t not in lower:
-                    bad.append((g, t))
-                    break
-    return bad
+    return {n: tuple(BracketedTuple(p, e) for p in compositions(n)
+                     for e in grow((), n, positions(p, n)))
+            for n in range(1, N + 1)}
 
 
 # -- qualgebra extension cells ---------------------------------------------------
@@ -402,12 +393,18 @@ class PrismaticComplex:
     slices "group" and "rack" keep only the one-block generators (n,),
     resp. the all-singleton generators (1,...,1).
 
+    `collapsed`, when given, maps a degree to prisms set to zero, each on
+    one of the complex's partitions (normalized mode passes the
+    adjacent-equal-singletons `degenerate_span`).  Its closure is checked
+    as the boundary columns are built: a collapsed prism with a boundary
+    term outside the span raises VerificationError.
+
     Numbering, in every mode: the degree-n prism with partition P and
     elements (e1, ..., en) has full index r·|G|^n + (e1...en read in base
     |G|, e1 most significant), where r is the rank of P among the mode's
-    partitions (`compositions(n)`, or the one partition of a slice).  In
-    normalized mode the collapsed generators are skipped and the rest keep
-    their order.  The relation cells come after the prisms, in build order:
+    partitions (`compositions(n)`, or the one partition of a slice).  The
+    collapsed prisms are skipped and the rest keep their order.  The
+    relation cells come after the prisms, in build order:
     B3 and D3 in degree 3, then B4_1, B4_2 (those that resolve), B4_3 and
     B4_4 in degree 4, each kind in lexicographic label order.
 
@@ -417,29 +414,22 @@ class PrismaticComplex:
 
     def __init__(self, S, N, mode, shapes, cells=None, collapsed=None, warnings=()):
         # shapes(n) lists the partitions of degree n; cells maps a degree to
-        # (ExtraCell, boundary terms) pairs in build order; collapsed maps a
-        # degree to the generators normalized mode collapses.
+        # (ExtraCell, boundary terms) pairs in build order.
         self.S = S
-        self.N = N
+        self.N = N = _degree(N)
         self.mode = mode
         self.warnings = tuple(warnings)
         self._shapes = {}
         self._ranks = {}
-        self._kept = {}  # normalized mode: per degree, the sorted full indices kept
+        self._kept = {}  # with a collapsed span: per degree, the sorted full indices kept
         self._cells = {}
         self._cell_index = {}
-        q = S.size
         counts = {0: 0}
         boundaries = {}
         for n in range(1, N + 1):
             self._shapes[n] = tuple(shapes(n))
             self._ranks[n] = _rank_table(self._shapes[n])
-            gone = frozenset()
-            if collapsed is not None:
-                gone = frozenset(_full_index(self._ranks[n][g.partition], g.elements, q)
-                                 for g in collapsed.get(n, ()))
-                self._kept[n] = [i for i in range(len(self._shapes[n]) * q ** n)
-                                 if i not in gone]
+            gone = None if collapsed is None else {self._full(g, n) for g in collapsed.get(n, ())}
             columns = self._prism_columns(n, gone)
             self._cells[n] = []
             for cell, terms in (cells or {}).get(n, ()):
@@ -451,19 +441,23 @@ class PrismaticComplex:
         self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
 
     def _prism_columns(self, n, gone):
-        """Boundary chains of the degree-n prisms outside `gone`, in index order."""
+        """Boundary chains of the degree-n prisms outside `gone`, in index order.
+
+        gone is None or holds the collapsed full indices; then the others go
+        onto `_kept[n]`, and a collapsed prism's column must be empty.
+        """
         S = self.S
         q = S.size
         ranks = self._ranks.get(n - 1)
         kept = self._kept.get(n - 1)
+        if gone is not None:
+            self._kept[n] = []
         out = []
         for r, partition in enumerate(self._shapes[n]):
             # the last plan field is the face partition's rank, the leading
             # digit of every face index
             plan = _ranked_plan(partition, ranks) if n > 1 else ()
             for i, e in enumerate(product(range(q), repeat=n), r * q ** n):
-                if i in gone:
-                    continue
                 col = {}
                 for sign, j, f in _faces(e, plan, S):
                     for x in f:
@@ -476,6 +470,13 @@ class PrismaticComplex:
                 if kept is not None:
                     col = {k: c for j, c in col.items()
                            if (k := self._compact(n - 1, j)) is not None}
+                if gone is not None:
+                    if i in gone:
+                        if col:
+                            raise VerificationError("degenerate span is not closed under the "
+                                                    f"boundary at {BracketedTuple(partition, e)}")
+                        continue
+                    self._kept[n].append(i)
                 chain = chains.Chain(n - 1)
                 chain.terms = col
                 out.append(chain)
@@ -489,17 +490,21 @@ class PrismaticComplex:
         k = bisect_left(kept, full)
         return k if k < len(kept) and kept[k] == full else None
 
-    def _locate(self, g):
-        """Index of a generator; None for a prism normalized mode collapsed."""
-        if isinstance(g, BracketedTuple):
-            n = g.degree
+    def _full(self, g, n):
+        """Full index of a degree-n prism on this complex's partitions."""
+        if isinstance(g, BracketedTuple) and g.degree == n:
             rank = self._ranks.get(n, {}).get(g.partition)
             q = self.S.size
             if rank is not None and all(0 <= x < q for x in g.elements):
-                return self._compact(n, _full_index(rank, g.elements, q))
-        elif isinstance(g, ExtraCell) and g in self._cell_index:
-            return self._cell_index[g]
+                return _full_index(rank, g.elements, q)
         raise StructureError(f"generator {g!r} is not part of this complex")
+
+    def _locate(self, g):
+        """Index of a generator; None for a collapsed prism."""
+        if isinstance(g, ExtraCell) and g in self._cell_index:
+            return self._cell_index[g]
+        n = getattr(g, "degree", None)
+        return self._compact(n, self._full(g, n))
 
     # -- generator bookkeeping --------------------------------------------
 
@@ -563,6 +568,7 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
     """
     if mode not in MODES:
         raise StructureError(f"unknown mode {mode!r}; pick one of {MODES}")
+    N = _degree(N)
     if N < 1:
         raise StructureError("max degree must be at least 1")
     if not S.report.shalgebra_ok:
@@ -577,10 +583,6 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
     collapsed = None
     if mode == "normalized":
         collapsed = degenerate_span(S, N, "adjacent-equal-singletons")
-        violations = _closure_violations(S, collapsed)
-        if violations:
-            raise VerificationError(
-                f"degenerate span is not closed under the boundary: {violations[0]}")
 
     cells = {3: [], 4: []}
     warnings = []
@@ -638,12 +640,3 @@ def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:
 def cached_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticComplex:
     return build_complex(S, N, mode=mode, include_d3=include_d3)
 
-
-def prismatic_homology(S: Shalgebra, n) -> chains.HomologyGroup:
-    """H_n of the plain prismatic complex (built through degree n+1)."""
-    return cached_complex(S, n + 1, "plain").homology(n)
-
-
-def qualgebra_homology(S: Shalgebra, n, include_d3=True) -> chains.HomologyGroup:
-    """H_n of the qualgebra-extended complex (built through degree n+1)."""
-    return cached_complex(S, n + 1, "qualgebra", include_d3).homology(n)

@@ -1,12 +1,15 @@
-"""Independent oracles: classical differentials and brute-force colorings.
+"""Independent oracles: classical differentials, degeneracies and brute-force colorings.
 
 The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
 simplicial differential of the multiplication and the cubical differential
-of the action share no code with it.  The coloring oracle is written from
-the coloring rules as the `knots` docstring states them, not from the rule
-tuples the search uses.  Nothing here imports `prismhom`: structures and
-diagrams are read through their attributes and operation tables only.
+of the action share no code with it.  The degeneracy predicate is written
+from the `degenerate_span` docstring, one tuple at a time, where the
+library generates the degenerate tuples from digit patterns.  The coloring
+oracle is written from the coloring rules as the `knots` docstring states
+them, not from the rule tuples the search uses.  Nothing here imports
+`prismhom`: structures and diagrams are read through their attributes and
+operation tables only.
 """
 
 from itertools import product
@@ -56,6 +59,28 @@ def rack_differential(elements, S) -> dict:
             else:
                 del out[t]
     return out
+
+
+def is_degenerate(partition, elements, flavor, unit) -> bool:
+    """Whether a bracketed tuple lies in the degenerate span of a flavor.
+
+    monoid: one block, holding the unit somewhere; spindle: every block a
+    singleton, with two equal neighbouring elements; adjacent-equal-
+    singletons: two neighbouring blocks, both singletons, holding equal
+    elements.
+    """
+    blocks, start = [], 0
+    for k in partition:
+        blocks.append(tuple(elements[start:start + k]))
+        start += k
+    if flavor == "monoid":
+        return len(blocks) == 1 and unit in blocks[0]
+    if flavor == "spindle":
+        return (all(len(b) == 1 for b in blocks)
+                and any(x == y for x, y in zip(elements, elements[1:])))
+    if flavor == "adjacent-equal-singletons":
+        return any(len(b) == len(c) == 1 and b == c for b, c in zip(blocks, blocks[1:]))
+    raise ValueError(f"unknown flavor {flavor!r}")
 
 
 def brute_force_colorings(D, S) -> list:

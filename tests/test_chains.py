@@ -32,6 +32,27 @@ def test_homology_group_validation():
     assert HomologyGroup(0, ()).trivial
 
 
+@pytest.mark.parametrize("free_rank, torsion", [
+    (1.5, ()), (0, (2.5,)), (1.5, (2.5,)), ("x", ()), (0, (float("inf"),)), (-1, ())])
+def test_homology_group_refuses_non_integers(free_rank, torsion):
+    with pytest.raises(StructureError):
+        HomologyGroup(free_rank, torsion)
+    # integral floats are read as their integers
+    g = HomologyGroup(2.0, (2.0, 4))
+    assert g == HomologyGroup(2, (2, 4)) and str(g) == "Z^2 + Z/2 + Z/4"
+    assert type(g.free_rank) is int and all(type(d) is int for d in g.torsion)
+
+
+@pytest.mark.parametrize("counts, boundaries", [
+    ({0: 1, 1: 1.7}, {1: [Chain(0)]}), ({0: 1, 1: -3}, {}), ({0.5: 1}, {}),
+    ({0: 1, 1: 1}, {1.5: [Chain(0)]}), ({0: "x"}, {})])
+def test_chain_complex_refuses_bad_counts(counts, boundaries):
+    with pytest.raises(StructureError):
+        ChainComplex(counts, boundaries)
+    K = ChainComplex({0: 1.0, 1.0: 1}, {1.0: [Chain(0)]})
+    assert K.counts == {0: 1, 1: 1} and K.homology(1) == HomologyGroup(1)
+
+
 def test_smith_normal_form_examples():
     assert smith_normal_form([[2, 4], [6, 8]]) == ((2, 4), 2)
     assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == ((1, 1, 1), 3)
@@ -145,8 +166,8 @@ def test_degree_one_vacuous():
 
 
 def test_homology_of_prismatic_examples(one_elt, z2):
-    assert prismatic.prismatic_homology(one_elt, 1) == HomologyGroup(0)
-    assert prismatic.prismatic_homology(z2, 1) == HomologyGroup(0, (2,))
+    assert prismatic.build_complex(one_elt, 2).homology(1) == HomologyGroup(0)
+    assert prismatic.build_complex(z2, 2).homology(1) == HomologyGroup(0, (2,))
 
 
 def test_class_coordinates_cosets(z2):

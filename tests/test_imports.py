@@ -3,12 +3,15 @@
 Every name a prismhom module imports is used in that module: a small
 stand-in for a linter, where an imported name must occur somewhere in the
 module as a plain name (an attribute access `module.name` counts as a use
-of `module`).  And `tests/oracles.py` imports nothing from prismhom, so
-the oracles stay independent of the code they check.
+of `module`).  `tests/oracles.py` imports nothing from prismhom, so the
+oracles stay independent of the code they check.  And every top-level
+function and class of prismhom is named somewhere outside its own
+definition, in the package, the tests, the demos or the benchmark.
 """
 
 import ast
 import os
+import re
 
 import pytest
 
@@ -16,6 +19,7 @@ import prismhom
 
 SOURCE = os.path.dirname(os.path.abspath(prismhom.__file__))
 MODULES = sorted(f for f in os.listdir(SOURCE) if f.endswith(".py"))
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 # Imports kept only so that other modules can import them from here.
 RE_EXPORTS = {
@@ -81,3 +85,79 @@ def test_the_check_sees_a_package_import():
                      "from prismhom import knots\nfrom . import chains\n")
     assert _package_imports(tree) == [(2, "prismhom.knots"), (3, "prismhom"),
                                       (4, "<relative>")]
+
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _docstrings(tree):
+    """The ids of the docstring constants of a module, its classes and functions."""
+    return {id(body[0].value) for node in ast.walk(tree)
+            if isinstance(body := getattr(node, "body", None), list) and body
+            and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)}
+
+
+def _named(node, docstrings):
+    """Every identifier a syntax tree names: names, attributes, imports, and
+    words inside string constants other than docstrings (the benchmark looks
+    functions up by name)."""
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            out.add(sub.name.split(".")[-1])
+        elif (isinstance(sub, ast.Constant) and isinstance(sub.value, str)
+              and id(sub) not in docstrings):
+            out.update(_WORD.findall(sub.value))
+    return out
+
+
+def _unreferenced(sources, defining):
+    """Top-level functions and classes of the `defining` files named nowhere else.
+
+    sources maps a file name to its text.  A name used only inside its own
+    definition (a recursive call, say) counts as unreferenced.
+    """
+    defined, named = [], []
+    for path, text in sources.items():
+        tree = ast.parse(text, filename=path)
+        docstrings = _docstrings(tree)
+        for node in tree.body:
+            own = None
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                own = node.name
+                if path in defining:
+                    defined.append((path, own))
+            named.append(((path, own), _named(node, docstrings)))
+    return sorted((path, name) for path, name in defined
+                  if not any(name in names for owner, names in named if owner != (path, name)))
+
+
+def test_every_top_level_definition_is_named_somewhere():
+    sources = {}
+    for top in ("src", "tests", "demos", "perfbench"):
+        for folder, _, files in os.walk(os.path.join(REPO, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    path = os.path.join(folder, f)
+                    with open(path, encoding="utf-8") as fh:
+                        sources[os.path.relpath(path, REPO)] = fh.read()
+    defining = {p for p in sources if p.startswith(os.path.join("src", "prismhom", ""))}
+    assert defining
+    assert _unreferenced(sources, defining) == [], "definitions nothing names"
+
+
+def test_the_check_sees_an_unreferenced_definition():
+    sources = {
+        "lib.py": ('"""Mentions hidden."""\n'
+                   "def used():\n    return 1\n"
+                   "def recursive(n):\n    return recursive(n - 1)\n"
+                   "def hidden():\n    'hidden is only in its own docstring'\n"
+                   "class Looked:\n    pass\n"
+                   "def _helper():\n    return used()\n"),
+        "user.py": "import lib\nlib._helper()\nTABLE = {'x': (lib, 'Looked')}\n",
+    }
+    assert _unreferenced(sources, {"lib.py"}) == [("lib.py", "hidden"), ("lib.py", "recursive")]

@@ -3,15 +3,15 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from prismhom import algebra, prismatic
+from prismhom import algebra
 from prismhom.chains import Chain, HomologyGroup
-from prismhom.errors import AxiomError, StructureError
-from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator, bracketed,
+from prismhom.errors import AxiomError, StructureError, VerificationError
+from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
+                                PrismaticComplex, boundary_generator, bracketed,
                                 build_bar_complex, build_complex, build_rack_complex,
-                                compositions, degenerate_span, degenerate_closure_violations,
-                                face, faces, qualgebra_homology, resolve_twist_cell)
+                                compositions, degenerate_span, face, faces, resolve_twist_cell)
 
-from oracles import bar_differential, rack_differential
+from oracles import bar_differential, is_degenerate, rack_differential
 
 
 def test_compositions_order_and_count():
@@ -208,10 +208,69 @@ def test_degenerate_span_preconditions():
         degenerate_span(no_unit, 2, "nonsense")
 
 
+@pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
+def test_degenerate_span_matches_oracle(name, request):
+    # proj4 has a unit but is not a group
+    S = request.getfixturevalue(name)
+    for flavor in DEGENERACY_FLAVORS:
+        span = degenerate_span(S, 4, flavor)
+        assert list(span) == [1, 2, 3, 4]
+        for n in range(1, 5):
+            expected = [BracketedTuple(p, e) for p in compositions(n)
+                        for e in product(range(S.size), repeat=n)
+                        if is_degenerate(p, e, flavor, S.unit)]
+            assert list(span[n]) == expected, (flavor, n)
+
+
 def test_degenerate_spans_closed_under_boundary(z3, s3):
+    # building the quotient checks that each collapsed span is closed, and
+    # its ChainComplex checks that the boundary squares to zero
     for S in (z3, s3):
-        for flavor in ("monoid", "spindle", "adjacent-equal-singletons"):
-            assert degenerate_closure_violations(S, 4, flavor) == []
+        for flavor in DEGENERACY_FLAVORS:
+            span = degenerate_span(S, 4, flavor)
+            for shapes in (compositions, lambda n: ((1,) * n,)):
+                collapsed = {n: [g for g in span[n] if g.partition in shapes(n)]
+                             for n in span}
+                K = PrismaticComplex(S, 4, "quotient", shapes, collapsed=collapsed)
+                for n in range(1, 5):
+                    kept = set(K.generators(n))
+                    assert len(kept) == len(shapes(n)) * S.size ** n - len(collapsed[n])
+                    assert not kept & set(collapsed[n])
+
+
+def test_collapsed_span_failures(z3):
+    # (0,1) has the face 0 in degree 1, which stays in the quotient
+    prism = bracketed((2,), (0, 1))
+    with pytest.raises(VerificationError,
+                       match=r"degenerate span is not closed under the boundary.*\(0, 1\)"):
+        PrismaticComplex(z3, 2, "quotient", compositions, collapsed={2: [prism]})
+    # collapsing its faces too makes the span closed
+    K = PrismaticComplex(z3, 2, "quotient", compositions,
+                         collapsed={1: [bracketed((1,), (0,))], 2: [prism]})
+    assert K.generator_count(2) == 3 * 3 * 2 - 1
+    # a collapsed generator outside the complex's partitions, degree or carrier
+    for collapsed in ({2: [bracketed((2,), (0, 1))]}, {2: [bracketed((1,), (0,))]},
+                      {2: [BracketedTuple((1, 1), (0,))]}, {2: [ExtraCell("B3", (0, 1))]},
+                      {2: [bracketed((1, 1), (0, 3))]}):
+        with pytest.raises(StructureError, match="not part of this complex"):
+            PrismaticComplex(z3, 2, "rack", lambda n: ((1,) * n,), collapsed=collapsed)
+
+
+@pytest.mark.parametrize("N", (2.5, "x", float("inf"), float("nan")))
+def test_degree_must_be_an_integer(z3, N):
+    for call in (lambda: build_complex(z3, N), lambda: build_bar_complex(z3, N),
+                 lambda: build_rack_complex(z3, N), lambda: compositions(N),
+                 lambda: degenerate_span(z3, N, "spindle")):
+        with pytest.raises(StructureError, match="degree must be an integer"):
+            call()
+
+
+def test_integral_degrees_are_read_as_integers(z3):
+    K = build_complex(z3, True)
+    assert K.N == 1 and type(K.N) is int and "N=1 " in repr(K)
+    assert build_complex(z3, "3").N == 3 and build_rack_complex(z3, 2.0).N == 2
+    assert compositions(3.0) == compositions(3)
+    assert degenerate_span(z3, "2", "spindle") == degenerate_span(z3, 2, "spindle")
 
 
 def test_extension_cells_are_cycles(z3):
@@ -419,9 +478,9 @@ def test_index_of_and_chain_refuse_foreign_generators(z3):
 
 
 def test_homology_values_including_extension(z2, z3, one_elt):
-    assert prismatic.prismatic_homology(one_elt, 1).trivial
-    assert prismatic.prismatic_homology(z2, 1) == HomologyGroup(0, (2,))
-    assert qualgebra_homology(z2, 1) == HomologyGroup(0, (2,))
+    assert build_complex(one_elt, 2).homology(1).trivial
+    assert build_complex(z2, 2).homology(1) == HomologyGroup(0, (2,))
+    assert build_complex(z2, 2, mode="qualgebra").homology(1) == HomologyGroup(0, (2,))
     # extension only changes degrees >= 2
     plain = build_complex(z3, 3)
     ext = build_complex(z3, 3, mode="qualgebra")
