@@ -19,12 +19,14 @@ The model case is a group with a·b the product and a◁b = b¯¹ab.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import permutations, product
 
 from .errors import AxiomError, StructureError
 
 AXIOM_NAMES = ("H", "YI", "IY", "III", "II", "I", "T")
+SHALGEBRA_AXIOMS = ("H", "YI", "IY", "III")
 
 AXIOM_EQUATIONS = {
     "H": "(a.b).c == a.(b.c)",
@@ -45,16 +47,27 @@ def integer(value):
     return out
 
 
+@contextmanager
+def reading(what):
+    """Refuse a malformed number read inside the block.
+
+    The TypeError, ValueError or OverflowError that a read such as
+    `integer(...)` raises becomes StructureError(f"{what}: {exc}").
+    """
+    try:
+        yield
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise StructureError(f"{what}: {exc}")
+
+
 class OperationTable:
     """A total binary operation on {0..size-1}, stored row-major: rows[a][b] = a op b."""
 
     __slots__ = ("size", "rows")
 
     def __init__(self, rows):
-        try:
+        with reading("operation table must be a square array of integers"):
             rows = tuple(tuple(integer(v) for v in row) for row in rows)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"operation table must be a square array of integers: {exc}")
         n = len(rows)
         if n == 0:
             raise StructureError("operation table must be non-empty")
@@ -116,7 +129,7 @@ class AxiomReport:
 
     @property
     def shalgebra_ok(self):
-        return self.all_ok(("H", "YI", "IY", "III"))
+        return self.all_ok(SHALGEBRA_AXIOMS)
 
     @property
     def qualgebra_ok(self):
@@ -127,6 +140,14 @@ class AxiomReport:
             if not self.statuses[n].ok:
                 return n, self.statuses[n].witness
         return None
+
+    def require(self, names, what):
+        """Raise AxiomError naming the first of `names` that fails and its witness."""
+        failure = self.first_failure(names)
+        if failure is not None:
+            name, witness = failure
+            raise AxiomError(f"{what}: axiom {name} fails at {witness}: {AXIOM_EQUATIONS[name]}",
+                             witness=witness)
 
     def __str__(self):
         parts = []
@@ -183,28 +204,18 @@ class Shalgebra:
             raise StructureError(f"table sizes differ: {self.dot.size} vs {self.tri.size}")
         self.size = self.dot.size
         self.report = check_axioms(self.dot, self.tri)
-        if _validate and not self.report.shalgebra_ok:
-            name, witness = self.report.first_failure(("H", "YI", "IY", "III"))
-            raise AxiomError(
-                f"axiom {name} fails at {witness}: {AXIOM_EQUATIONS[name]}", witness=witness
-            )
+        if _validate:
+            self.report.require(SHALGEBRA_AXIOMS, "not a shalgebra")
         if names is not None:
             names = tuple(str(s) for s in names)
             if len(names) != self.size:
                 raise StructureError(f"expected {self.size} names, got {len(names)}")
         self.names = names
-        self.unit = self._find_unit()
+        self.unit = _unit(self.dot.rows)
         self._dot_rows = self.dot.rows
         self._tri_rows = self.tri.rows
         self._tri_inv_rows = None
         self._group_info = None
-
-    def _find_unit(self):
-        rows = self.dot.rows
-        for e in range(self.size):
-            if all(rows[e][x] == x and rows[x][e] == x for x in range(self.size)):
-                return e
-        return None
 
     # -- operations ------------------------------------------------------
 
@@ -218,9 +229,7 @@ class Shalgebra:
     def act_inv(self, a, b):
         """The unique x with x◁b == a.  Needs axiom II."""
         if self._tri_inv_rows is None:
-            if not self.report.ok("II"):
-                raise AxiomError("axiom II fails; the action is not invertible",
-                                 witness=self.report.witness("II"))
+            self.report.require(("II",), "the action is not invertible")
             n = self.size
             inv = [[0] * n for _ in range(n)]
             for x in range(n):
@@ -256,7 +265,7 @@ class Shalgebra:
 
     def group_info(self):
         if self._group_info is None:
-            self._group_info = is_group_table(self.dot)
+            self._group_info = _group_facts(self._dot_rows, self.report.ok("H"), self.unit)
         return self._group_info
 
     @property
@@ -292,29 +301,32 @@ class Shalgebra:
         return data
 
 
-def is_group_table(dot):
-    """Check a group structure; returns (ok, first failed law or None, unit, inverses)."""
-    dot = _as_table(dot)
-    n = dot.size
-    D = dot.rows
-    if _first_failure(n, 3, lambda a, b, c: D[D[a][b]][c] != D[a][D[b][c]]) is not None:
+def _unit(rows):
+    """The two-sided unit of a multiplication table, or None."""
+    n = len(rows)
+    return next((e for e in range(n)
+                 if all(rows[e][x] == x and rows[x][e] == x for x in range(n))), None)
+
+
+def _group_facts(rows, associative, unit):
+    """(ok, first failed law or None, unit, inverses), given associativity and the unit."""
+    if not associative:
         return False, "associativity", None, None
-    unit = None
-    for e in range(n):
-        if all(dot.rows[e][x] == x and dot.rows[x][e] == x for x in range(n)):
-            unit = e
-            break
     if unit is None:
         return False, "identity", None, None
-    inv = [None] * n
-    for a in range(n):
-        for b in range(n):
-            if dot.rows[a][b] == unit and dot.rows[b][a] == unit:
-                inv[a] = b
-                break
+    inv = [None] * len(rows)
+    for a, row in enumerate(rows):
+        inv[a] = next((b for b, ab in enumerate(row) if ab == unit and rows[b][a] == unit), None)
         if inv[a] is None:
             return False, "inverses", unit, None
     return True, None, unit, tuple(inv)
+
+
+def is_group_table(dot):
+    """Check a group structure; returns (ok, first failed law or None, unit, inverses)."""
+    D = _as_table(dot).rows
+    associative = _first_failure(len(D), 3, lambda a, b, c: D[D[a][b]][c] != D[a][D[b][c]]) is None
+    return _group_facts(D, associative, _unit(D))
 
 
 def conjugation_qualgebra(group_dot, names=None) -> Shalgebra:
@@ -338,7 +350,11 @@ class Classification:
 
 def classify(dot, tri) -> Classification:
     """Finest applicable labels for the action, the operation pair, and the multiplication."""
-    report = check_axioms(dot, tri)
+    return classify_report(check_axioms(dot, tri), dot)
+
+
+def classify_report(report: AxiomReport, dot) -> Classification:
+    """`classify` from an axiom report already computed for the pair with `dot`."""
     if not report.ok("III"):
         shelf = "none"
     else:
@@ -350,7 +366,8 @@ def classify(dot, tri) -> Classification:
     pair = ("qualgebra" if report.qualgebra_ok
             else "shalgebra" if report.shalgebra_ok
             else "none")
-    return Classification(shelf, pair, is_group_table(dot)[0])
+    rows = _as_table(dot).rows
+    return Classification(shelf, pair, _group_facts(rows, report.ok("H"), _unit(rows))[0])
 
 
 def diagonal_action(elements, h, S: Shalgebra):
@@ -366,10 +383,7 @@ def axiom_dependency_check(obj, tri=None) -> bool:
     True return witnesses the implication IY ∧ T => III on this carrier.
     """
     report = obj.report if isinstance(obj, Shalgebra) else check_axioms(obj, tri)
-    if not report.all_ok(("IY", "T")):
-        name, witness = report.first_failure(("IY", "T"))
-        raise AxiomError(f"precondition violated: axiom {name} fails at {witness}",
-                         witness=witness)
+    report.require(("IY", "T"), "precondition violated")
     return report.ok("III")
 
 
@@ -430,10 +444,8 @@ def parse_structure_tables(data):
     dot = OperationTable(data["dot"])
     tri = OperationTable(data["tri"])
     if "size" in data:
-        try:
+        with reading(f"declared size {data['size']!r} is not an integer"):
             size = integer(data["size"])
-        except (TypeError, ValueError, OverflowError):
-            raise StructureError(f"declared size {data['size']!r} is not an integer")
         if size != dot.size:
             raise StructureError(f"declared size {data['size']} != table size {dot.size}")
     if dot.size != tri.size:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from bisect import insort
 from dataclasses import dataclass
 
-from .algebra import integer
+from .algebra import integer, reading
 from .errors import NotACycleError, StructureError, VerificationError
 
 
@@ -81,10 +81,8 @@ class Chain:
         return res
 
     def __rmul__(self, k):
-        try:
+        with reading("a chain scales by integers only"):
             k = integer(k)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"a chain scales by integers only: {exc}")
         return self.scaled(k)
 
     def items(self):
@@ -103,11 +101,9 @@ class HomologyGroup:
     torsion: tuple = ()
 
     def __post_init__(self):
-        try:
+        with reading("free rank and torsion must be integers"):
             object.__setattr__(self, "free_rank", integer(self.free_rank))
             object.__setattr__(self, "torsion", tuple(integer(d) for d in self.torsion))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"free rank and torsion must be integers: {exc}")
         if self.free_rank < 0:
             raise StructureError("free rank must be non-negative")
         for prev, d in zip((1,) + self.torsion, self.torsion):
@@ -364,10 +360,8 @@ def smith_normal_form(matrix):
     positive, and rank r.  Accepts any rectangular list-of-rows; an empty
     matrix has rank 0.
     """
-    try:
+    with reading("matrix entries must be integers"):
         rows = [[integer(v) for v in row] for row in matrix]
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"matrix entries must be integers: {exc}")
     n = len(rows[0]) if rows else 0
     if any(len(r) != n for r in rows):
         raise StructureError("matrix rows have unequal lengths")
@@ -390,11 +384,9 @@ class ChainComplex:
     """
 
     def __init__(self, counts, boundaries, truncated=False):
-        try:
+        with reading("degrees and generator counts must be integers"):
             self.counts = {integer(k): integer(v) for k, v in dict(counts).items()}
             boundaries = {integer(n): chains for n, chains in boundaries.items()}
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"degrees and generator counts must be integers: {exc}")
         if any(v < 0 for v in self.counts.values()):
             raise StructureError(f"generator counts must be non-negative: {self.counts}")
         self.boundaries = {}

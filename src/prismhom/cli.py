@@ -16,8 +16,8 @@ import os
 import sys
 
 from . import prisms
-from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, Shalgebra, check_axioms, classify,
-                      load_structure, load_structure_tables)
+from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, check_axioms,
+                      classify_report, load_structure, load_structure_tables)
 from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
@@ -36,7 +36,7 @@ REQUIREMENT_AXIOMS = {
     "spindle": ("III", "I"),
     "rack": ("III", "II"),
     "quandle": ("III", "II", "I"),
-    "shalgebra": ("H", "YI", "IY", "III"),
+    "shalgebra": SHALGEBRA_AXIOMS,
     "qualgebra": AXIOM_NAMES,
 }
 
@@ -59,7 +59,7 @@ def _warn_unresolved(K):
 def cmd_axioms(args):
     dot, tri, names = load_structure_tables(args.structure)
     report = check_axioms(dot, tri)
-    cls = classify(dot, tri)
+    cls = classify_report(report, dot)
     lines = []
     for name in AXIOM_NAMES:
         status = report.statuses[name]
@@ -106,10 +106,7 @@ def cmd_homology(args):
 
 def cmd_invariant(args):
     S = load_structure(args.structure)
-    if not S.is_qualgebra:
-        name, witness = S.report.first_failure()
-        raise AxiomError(f"invariants need a qualgebra; axiom {name} fails at {witness}",
-                         witness=witness)
+    S.report.require(AXIOM_NAMES, "invariants need a qualgebra")
     D = load_diagram(args.diagram)
     result = invariant(D, S, include_d3=args.include_d3)
     payload = result.to_dict()

@@ -40,7 +40,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import chains
-from .algebra import Shalgebra, integer
+from .algebra import Shalgebra, integer, reading
 from .errors import NotACycleError, StructureError
 from .prismatic import (BracketedTuple, PrismaticComplex, boundary_generator, bracketed,
                         cached_complex)
@@ -147,20 +147,19 @@ class KTGDiagram:
         if not isinstance(data, dict):
             raise StructureError("diagram file must contain a JSON object")
         try:
-            crossings = [
-                (x["over"], x["under_in"], x["under_out"], integer(x["sign"]))
-                for x in data.get("crossings", ())
-            ]
-            vertices = []
-            for v in data.get("vertices", ()):
-                role = v["role"]
-                sign = integer(v.get("sign", 1 if role == "zip" else -1))
-                vertices.append((tuple(v["arcs"]), role, sign))
-            return cls(data["arcs"], crossings, vertices)
+            with reading("malformed diagram"):
+                crossings = [
+                    (x["over"], x["under_in"], x["under_out"], integer(x["sign"]))
+                    for x in data.get("crossings", ())
+                ]
+                vertices = []
+                for v in data.get("vertices", ()):
+                    role = v["role"]
+                    sign = integer(v.get("sign", 1 if role == "zip" else -1))
+                    vertices.append((tuple(v["arcs"]), role, sign))
+                return cls(data["arcs"], crossings, vertices)
         except KeyError as exc:
             raise StructureError(f"diagram misses field {exc}")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"malformed diagram: {exc}")
 
     def __eq__(self, other):
         return (isinstance(other, KTGDiagram)
@@ -340,10 +339,8 @@ def foam_chain(presentation):
         g = bracketed(partition, elements)
         if g.partition not in allowed:
             raise StructureError(f"not a generalized crossing shape: {g.partition}")
-        try:
+        with reading("crossing sign must be an integer"):
             sign = integer(sign)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise StructureError(f"crossing sign must be an integer: {exc}")
         if sign not in (1, -1):
             raise StructureError(f"crossing sign must be ±1, got {sign}")
         pairs.append((g, sign))

@@ -26,7 +26,7 @@ shrinks the diagram:
 
 from __future__ import annotations
 
-from .algebra import Shalgebra, integer
+from .algebra import Shalgebra, integer, reading
 from .errors import StructureError
 from .knots import Crossing, KTGDiagram, TrivalentVertex
 
@@ -95,10 +95,8 @@ def _identity_map(extra=None, drop=()):
 
 
 def _site_sign(site):
-    try:
+    with reading("move site sign must be an integer"):
         return integer(site.get("sign", 1))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"move site sign must be an integer: {exc}")
 
 
 def _move_i(D, site, S):

@@ -28,16 +28,22 @@ from itertools import accumulate, product
 from typing import NamedTuple
 
 from . import chains
-from .algebra import Shalgebra, integer
-from .errors import AxiomError, StructureError, VerificationError
+from .algebra import AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, integer, reading
+from .errors import StructureError, VerificationError
 
 
 def _degree(n):
     """A degree read as an integer; StructureError for a fraction or a non-number."""
-    try:
+    with reading("degree must be an integer"):
         return integer(n)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"degree must be an integer: {exc}")
+
+
+def _max_degree(N):
+    """The top degree of a complex: an integer of at least 1."""
+    N = _degree(N)
+    if N < 1:
+        raise StructureError("max degree must be at least 1")
+    return N
 
 
 def compositions(n):
@@ -91,11 +97,9 @@ class BracketedTuple(NamedTuple):
 
 
 def bracketed(partition, elements) -> BracketedTuple:
-    try:
+    with reading("partition and elements must be integers"):
         partition = tuple(integer(k) for k in partition)
         elements = tuple(integer(g) for g in elements)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"partition and elements must be integers: {exc}")
     if any(k < 1 for k in partition):
         raise StructureError("partition parts must be positive")
     if sum(partition) != len(elements):
@@ -196,14 +200,13 @@ def degenerate_span(S: Shalgebra, N, flavor):
     its generators by partition in `compositions` order, then by elements
     in lexicographic order.
     """
-    N = _degree(N)
+    N = _max_degree(N)
     if flavor not in DEGENERACY_FLAVORS:
         raise StructureError(f"unknown degeneracy flavor {flavor!r}")
     if flavor == "monoid" and S.unit is None:
         raise StructureError("monoid degeneracies need a unit element")
-    if flavor == "spindle" and not S.report.ok("I"):
-        raise AxiomError("spindle degeneracies need idempotence (axiom I)",
-                         witness=S.report.witness("I"))
+    if flavor == "spindle":
+        S.report.require(("I",), "spindle degeneracies need idempotence")
 
     def grow(prefix, n, at):
         # the tuples extending prefix, in lexicographic order, that hold at a
@@ -416,7 +419,7 @@ class PrismaticComplex:
         # shapes(n) lists the partitions of degree n; cells maps a degree to
         # (ExtraCell, boundary terms) pairs in build order.
         self.S = S
-        self.N = N = _degree(N)
+        self.N = N = _max_degree(N)
         self.mode = mode
         self.warnings = tuple(warnings)
         self._shapes = {}
@@ -568,17 +571,10 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
     """
     if mode not in MODES:
         raise StructureError(f"unknown mode {mode!r}; pick one of {MODES}")
-    N = _degree(N)
-    if N < 1:
-        raise StructureError("max degree must be at least 1")
-    if not S.report.shalgebra_ok:
-        name, witness = S.report.first_failure(("H", "YI", "IY", "III"))
-        raise AxiomError(f"not a shalgebra: axiom {name} fails at {witness}",
-                         witness=witness)
-    if mode in ("qualgebra", "normalized") and not S.report.qualgebra_ok:
-        name, witness = S.report.first_failure()
-        raise AxiomError(f"not a qualgebra: axiom {name} fails at {witness}",
-                         witness=witness)
+    N = _max_degree(N)
+    S.report.require(SHALGEBRA_AXIOMS, "not a shalgebra")
+    if mode in ("qualgebra", "normalized"):
+        S.report.require(AXIOM_NAMES, "not a qualgebra")
 
     collapsed = None
     if mode == "normalized":
@@ -619,9 +615,7 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
 
 def build_bar_complex(S: Shalgebra, N) -> PrismaticComplex:
     """The simplicial complex of the multiplication: the one-block slice (n,)."""
-    if not S.report.ok("H"):
-        raise AxiomError("the multiplication is not associative",
-                         witness=S.report.witness("H"))
+    S.report.require(("H",), "the multiplication is not associative")
     return PrismaticComplex(S, N, "group", lambda n: ((n,),))
 
 
@@ -630,9 +624,7 @@ def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:
 
     Its boundary is the classical rack differential up to a global sign.
     """
-    if not S.report.ok("III"):
-        raise AxiomError("the action is not self-distributive",
-                         witness=S.report.witness("III"))
+    S.report.require(("III",), "the action is not self-distributive")
     return PrismaticComplex(S, N, "rack", lambda n: ((1,) * n,))
 
 

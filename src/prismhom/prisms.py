@@ -33,7 +33,7 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import itemgetter
 
-from .algebra import Shalgebra, diagonal_action, integer
+from .algebra import Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
 from .prismatic import BracketedTuple, _faces, _full_index, _ranked_plan, partition_ranks
 
@@ -129,10 +129,8 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
     label h_{i+1}···h_j.  Agrees edge-for-edge with `good_labeling` of the
     concatenated tuple.
     """
-    try:
+    with reading("appended block must hold integers"):
         h = tuple(integer(x) for x in h)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StructureError(f"appended block must hold integers: {exc}")
     m = len(h)
     if m < 1:
         raise StructureError("appended block must be non-empty")

@@ -419,6 +419,15 @@ def test_each_job_checks_boundary_squared_once(files, capsys, monkeypatch, argv)
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("theory", cli.THEORIES)
+@pytest.mark.parametrize("command", ("homology", "export-matrices"))
+def test_every_theory_refuses_degree_zero(files, capsys, command, theory):
+    assert main([command, files["z3"], "--theory", theory, "--max-degree", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: max degree must be at least 1\n"
+
+
 def test_export_prism(files, capsys, tmp_path):
     out = tmp_path / "prism.json"
     assert main(["export-prism", files["z2"], "--partition", "2,1",

@@ -7,6 +7,9 @@ of `module`).  `tests/oracles.py` imports nothing from prismhom, so the
 oracles stay independent of the code they check.  And every top-level
 function and class of prismhom is named somewhere outside its own
 definition, in the package, the tests, the demos or the benchmark.
+Refusals go through one path per kind: only `algebra.py` catches
+`(TypeError, ValueError, OverflowError)` (in `reading`) or raises
+`AxiomError` (in `AxiomReport.require`).
 """
 
 import ast
@@ -161,3 +164,50 @@ def test_the_check_sees_an_unreferenced_definition():
         "user.py": "import lib\nlib._helper()\nTABLE = {'x': (lib, 'Looked')}\n",
     }
     assert _unreferenced(sources, {"lib.py"}) == [("lib.py", "hidden"), ("lib.py", "recursive")]
+
+
+REFUSAL_HOME = "algebra.py"
+
+
+def _refusal_sites(tree):
+    """(line, kind) for every handler of exactly (TypeError, ValueError,
+    OverflowError) and every `raise AxiomError`, in either spelling."""
+    number_errors = {"TypeError", "ValueError", "OverflowError"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple)
+                and {getattr(e, "id", None) for e in node.type.elts} == number_errors):
+            found.append((node.lineno, "number handler"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            target = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(target, "id", getattr(target, "attr", None)) == "AxiomError":
+                found.append((node.lineno, "raise AxiomError"))
+    return sorted(found)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != REFUSAL_HOME])
+def test_refusals_stay_in_algebra(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _refusal_sites(tree) == [], (
+        f"{module} refuses input by hand; use algebra.reading or AxiomReport.require")
+
+
+def test_algebra_holds_one_path_per_refusal():
+    with open(os.path.join(SOURCE, REFUSAL_HOME), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=REFUSAL_HOME)
+    assert sorted(kind for _, kind in _refusal_sites(tree)) == ["number handler",
+                                                                "raise AxiomError"]
+
+
+def test_the_check_sees_a_refusal_by_hand():
+    tree = ast.parse(
+        "try:\n    int(x)\nexcept (TypeError, ValueError, OverflowError) as exc:\n"
+        "    raise StructureError(exc)\n"
+        "try:\n    int(x)\nexcept (ValueError, OverflowError, TypeError):\n    pass\n"
+        "try:\n    int(x)\nexcept (TypeError, ValueError):\n    pass\n"
+        "raise AxiomError('no', witness=(0,))\n"
+        "raise errors.AxiomError\n"
+        "raise StructureError('fine')\n")
+    assert _refusal_sites(tree) == [(3, "number handler"), (7, "number handler"),
+                                    (13, "raise AxiomError"), (14, "raise AxiomError")]

@@ -265,6 +265,18 @@ def test_degree_must_be_an_integer(z3, N):
             call()
 
 
+@pytest.mark.parametrize("N", (0, -3))
+def test_every_builder_refuses_degrees_below_one(z3, N):
+    calls = [lambda: build_complex(z3, N), lambda: build_bar_complex(z3, N),
+             lambda: build_rack_complex(z3, N),
+             lambda: PrismaticComplex(z3, N, "quotient", compositions)]
+    calls += [lambda flavor=flavor: degenerate_span(z3, N, flavor)
+              for flavor in DEGENERACY_FLAVORS]
+    for call in calls:
+        with pytest.raises(StructureError, match="max degree must be at least 1"):
+            call()
+
+
 def test_integral_degrees_are_read_as_integers(z3):
     K = build_complex(z3, True)
     assert K.N == 1 and type(K.N) is int and "N=1 " in repr(K)

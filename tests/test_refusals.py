@@ -1,0 +1,128 @@
+"""Every refusal site, one table per kind.
+
+A malformed number is read through `algebra.reading`, which raises
+StructureError("<what was read>: <reason>").  A failed axiom is refused
+through `AxiomReport.require`, which raises AxiomError("<what>: axiom N
+fails at W: <equation>") carrying the report's witness W.  Each row below
+reaches one site and pins its whole message.
+"""
+
+import json
+
+import pytest
+
+from prismhom import algebra, chains, cli, knots, moves, prismatic, prisms
+from prismhom.errors import AxiomError, StructureError
+
+XOR = [[0, 1], [1, 0]]
+ZERO = [[0, 0], [0, 0]]
+SWAP = [[1, 0], [0, 1]]          # a<b = 1 - a
+LEFT = [[0, 0], [1, 1]]          # a.b = a, and a<b = a as an action
+NOT_ASSOCIATIVE = [[0, 0], [1, 0]]
+
+
+READERS = {
+    "operation-table": (lambda: algebra.OperationTable([[0.5]]),
+                        "operation table must be a square array of integers: "
+                        "0.5 is not an integer"),
+    "declared-size": (lambda: algebra.parse_structure_tables(
+                          {"size": 2.5, "dot": [[0]], "tri": [[0]]}),
+                      "declared size 2.5 is not an integer: 2.5 is not an integer"),
+    "chain-scale": (lambda: 2.5 * chains.Chain(1, {0: 1}),
+                    "a chain scales by integers only: 2.5 is not an integer"),
+    "homology-group": (lambda: chains.HomologyGroup(1.5),
+                       "free rank and torsion must be integers: 1.5 is not an integer"),
+    "smith-normal-form": (lambda: chains.smith_normal_form([[2.7]]),
+                          "matrix entries must be integers: 2.7 is not an integer"),
+    "chain-complex": (lambda: chains.ChainComplex({0: 1, 1: 1.7}, {}),
+                      "degrees and generator counts must be integers: 1.7 is not an integer"),
+    "degree": (lambda: prismatic.compositions(2.5),
+               "degree must be an integer: 2.5 is not an integer"),
+    "bracketed": (lambda: prismatic.bracketed((1,), (0.5,)),
+                  "partition and elements must be integers: 0.5 is not an integer"),
+    "appended-block": (lambda: prisms.inductive_labeling(
+                           prismatic.bracketed((1,), (0,)), (0.5,), algebra.conj_cyclic(2)),
+                       "appended block must hold integers: 0.5 is not an integer"),
+    "diagram-sign": (lambda: knots.KTGDiagram.from_dict(
+                         {"arcs": ["a", "b"], "crossings": [
+                             {"over": "a", "under_in": "b", "under_out": "b", "sign": 1.5}]}),
+                     "malformed diagram: 1.5 is not an integer"),
+    "foam-sign": (lambda: knots.foam_chain([(1.5, (3,), (0, 1, 2))]),
+                  "crossing sign must be an integer: 1.5 is not an integer"),
+    "move-sign": (lambda: moves.apply_move(knots.load_fixture_diagram("unknot"), "I",
+                                           {"arc": "a", "sign": 1.5}, algebra.conj_cyclic(3)),
+                  "move site sign must be an integer: 1.5 is not an integer"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(READERS))
+def test_every_number_reader_names_what_it_read(site):
+    call, message = READERS[site]
+    with pytest.raises(StructureError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_a_read_that_succeeds_passes_through():
+    with algebra.reading("unused"):
+        assert algebra.integer(3.0) == 3
+    with pytest.raises(StructureError, match=r"^what: invalid literal"):
+        with algebra.reading("what"):
+            algebra.integer("x")
+
+
+def _unchecked(dot, tri):
+    return algebra.Shalgebra(dot, tri, _validate=False)
+
+
+def _invariant_command(tmp_path):
+    path = tmp_path / "xor.json"
+    path.write_text(json.dumps({"dot": XOR, "tri": ZERO}))
+    args = cli.build_parser().parse_args(
+        ["invariant", str(path), str(tmp_path / "unread.json")])
+    return cli.cmd_invariant(args)
+
+
+# site: (call, the structure whose report names the witness, message)
+REQUIREMENTS = {
+    "shalgebra-constructor": (lambda tmp: algebra.Shalgebra(XOR, SWAP), (XOR, SWAP),
+                              "not a shalgebra: axiom YI fails at (0, 0, 0): "
+                              "(a.b)<c == (a<c).(b<c)"),
+    "act-inv": (lambda tmp: algebra.Shalgebra(XOR, ZERO).act_inv(0, 0), (XOR, ZERO),
+                "the action is not invertible: axiom II fails at (0, 0): "
+                "x -> x<b is a bijection for every b"),
+    "dependency-check": (lambda tmp: algebra.axiom_dependency_check(XOR, ZERO), (XOR, ZERO),
+                         "precondition violated: axiom T fails at (1, 0): a.b == b.(a<b)"),
+    "spindle-span": (lambda tmp: prismatic.degenerate_span(algebra.Shalgebra(XOR, ZERO), 2,
+                                                           "spindle"),
+                     (XOR, ZERO), "spindle degeneracies need idempotence: "
+                                  "axiom I fails at (1,): a<a == a"),
+    "complex-shalgebra": (lambda tmp: prismatic.build_complex(_unchecked(XOR, SWAP), 2),
+                          (XOR, SWAP), "not a shalgebra: axiom YI fails at (0, 0, 0): "
+                                       "(a.b)<c == (a<c).(b<c)"),
+    "complex-qualgebra": (lambda tmp: prismatic.build_complex(algebra.Shalgebra(XOR, ZERO), 2,
+                                                              mode="normalized"),
+                          (XOR, ZERO), "not a qualgebra: axiom II fails at (0, 0): "
+                                       "x -> x<b is a bijection for every b"),
+    "bar-complex": (lambda tmp: prismatic.build_bar_complex(
+                        _unchecked(NOT_ASSOCIATIVE, LEFT), 2),
+                    (NOT_ASSOCIATIVE, LEFT), "the multiplication is not associative: "
+                                             "axiom H fails at (1, 0, 1): (a.b).c == a.(b.c)"),
+    "rack-complex": (lambda tmp: prismatic.build_rack_complex(_unchecked(ZERO, SWAP), 2),
+                     (ZERO, SWAP), "the action is not self-distributive: "
+                                   "axiom III fails at (0, 0, 0): (a<b)<c == (a<c)<(b<c)"),
+    "invariant-command": (_invariant_command, (XOR, ZERO),
+                          "invariants need a qualgebra: axiom II fails at (0, 0): "
+                          "x -> x<b is a bijection for every b"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(REQUIREMENTS))
+def test_every_axiom_requirement_carries_the_report_witness(site, tmp_path):
+    call, (dot, tri), message = REQUIREMENTS[site]
+    with pytest.raises(AxiomError) as info:
+        call(tmp_path)
+    assert str(info.value) == message
+    name = message.split("axiom ")[1].split()[0]
+    assert info.value.witness == algebra.check_axioms(dot, tri).witness(name)
+    assert info.value.witness is not None
