@@ -10,6 +10,20 @@ runs only on the small residue that is left.  Transform matrices are
 built only for class coordinates, only on that reduced problem, and only
 when a degree is first asked for.
 
+Homology coreduces the boundaries up through the degrees (reduction pairs,
+Kaczynski–Mrozek–Ślusarek 1998; coreductions, Mrozek–Batko 2009).  The
+unit pivots of ∂_n pair a set A of degree-n generators with a set of
+degree-(n−1) generators on which ∂_n is unimodular.  Cancelling those
+pairs gives a chain-homotopy-equivalent complex whose ∂_{n+1} is the old
+one with the rows in A deleted, every other entry as it was; and a cycle
+supported on A is 0.  So ∂_{n+1} without the rows A has the rank and the
+invariant factors above 1 of the full ∂_{n+1}, which is all that H_n and
+H_{n+1} read from it.  Its own unit pivots then delete rows of ∂_{n+2},
+and so on to the top degree: far fewer rows reach the expensive top
+boundary.  Class coordinates (`ChainComplex._class_data`) read the pivot
+log and residue of the full ∂_{n+1} instead, since a cycle has
+coordinates on the deleted rows.
+
 ∂∘∂ = 0 is checked once, when a `ChainComplex` is constructed (hand-built
 ones included): a violation raises `VerificationError` there, so homology
 and class coordinates never see a matrix that is not a complex.
@@ -142,10 +156,18 @@ def _eliminate(columns):
     factors of the matrix are therefore a 1 per pivot followed by those of
     the residue.
 
-    Returns (log, residue): log lists (pivot row, pivot column as it was
-    when chosen) in pivot order, each column zero on the earlier pivot
-    rows; residue lists the nonzero columns left over, all zero on every
-    pivot row.  Log and residue columns together span the original columns.
+    Returns (log, residue, pivots): log lists (pivot row, pivot column as
+    it was when chosen) in pivot order, each column zero on the earlier
+    pivot rows; residue lists the nonzero columns left over, all zero on
+    every pivot row.  Log and residue columns together span the original
+    columns.  pivots lists the indices of the pivot columns in pivot order.
+    Each logged column is its original column minus multiples of earlier
+    pivot columns, so on the pivot rows and pivot columns the original
+    matrix becomes triangular with a unit diagonal under a unimodular
+    change of basis: the pivots are reduction pairs.  Homology therefore
+    deletes the pivot columns of ∂_n as rows of ∂_{n+1} (see the module
+    docstring); class coordinates (`ChainComplex._class_data`) read the log
+    and residue of the full ∂_{n+1}.
     """
     rows = {}
     buckets = {}  # length -> column indices, negated and ascending: pop() gives the lowest
@@ -157,6 +179,7 @@ def _eliminate(columns):
     for bucket in buckets.values():
         bucket.reverse()
     log = []
+    pivots = []
     while buckets:
         length = min(buckets)
         bucket = buckets[length]
@@ -197,8 +220,9 @@ def _eliminate(columns):
             if other:
                 insort(buckets.setdefault(len(other), []), -j)
         log.append((r, col))
+        pivots.append(c)
     residue = [col for col in columns if col]
-    return log, residue
+    return log, residue, pivots
 
 
 def _dense(columns):
@@ -342,15 +366,15 @@ def _snf(A, m, n, need_u=False, need_v=False):
 
 
 def _reduce(columns):
-    """Invariant factors, pivot log and residue of a matrix given by sparse columns.
+    """Invariant factors, pivot log, residue and pivot columns of a sparse matrix.
 
     The columns are consumed.  The factors are a 1 per unit pivot followed
     by the Smith factors of the residue.
     """
-    log, residue = _eliminate(columns)
+    log, residue, pivots = _eliminate(columns)
     A = _dense(residue)
     diag, _, _ = _snf(A, len(A), len(residue))
-    return (1,) * len(log) + tuple(diag), log, residue
+    return (1,) * len(log) + tuple(diag), log, residue, pivots
 
 
 def smith_normal_form(matrix):
@@ -366,7 +390,7 @@ def smith_normal_form(matrix):
     if any(len(r) != n for r in rows):
         raise StructureError("matrix rows have unequal lengths")
     columns = [{i: row[j] for i, row in enumerate(rows) if row[j]} for j in range(n)]
-    factors, _, _ = _reduce(columns)
+    factors = _reduce(columns)[0]
     return factors, len(factors)
 
 
@@ -475,18 +499,27 @@ class ChainComplex:
 
     # -- homology --------------------------------------------------------
 
-    def _reduced(self, n):
-        """(invariant factors, pivot log, residue) of ∂_n, computed once."""
-        key = ("reduced", n)
+    def _coreduced(self, n):
+        """(invariant factors, pivot columns) of the coreduced ∂_n, computed once.
+
+        ∂_n loses the rows that are pivot columns of the coreduced ∂_{n−1};
+        rank and invariant factors above 1 stay those of the full ∂_n.
+        """
+        key = ("coreduced", n)
         if key not in self._cache:
-            self._cache[key] = _reduce([dict(ch.terms) for ch in self.boundaries.get(n, ())])
+            drop = self._coreduced(n - 1)[1] if n - 1 in self.boundaries else ()
+            columns = [{i: v for i, v in ch.terms.items() if i not in drop}
+                       for ch in self.boundaries.get(n, ())]
+            factors, _, _, pivots = _reduce(columns)
+            self._cache[key] = factors, set(pivots)
         return self._cache[key]
 
     def homology(self, n, allow_truncation=False) -> HomologyGroup:
         """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion.
 
         The free rank is c_n - rank ∂_n - rank ∂_{n+1}; the torsion is the
-        invariant factors of ∂_{n+1} above 1.
+        invariant factors of ∂_{n+1} above 1.  Both are read off the
+        coreduced boundaries, which keep those ranks and factors.
         """
         if n > self.top and self.truncated:
             raise StructureError(f"degree {n} was never constructed (top is {self.top})")
@@ -495,8 +528,8 @@ class ChainComplex:
                 f"homology at the top constructed degree {n} needs allow_truncation=True")
         key = ("group", n)
         if key not in self._cache:
-            lower = self._reduced(n)[0]
-            upper = self._reduced(n + 1)[0]
+            lower = self._coreduced(n)[0]
+            upper = self._coreduced(n + 1)[0]
             self._cache[key] = HomologyGroup(self.count(n) - len(lower) - len(upper),
                                              tuple(d for d in upper if d > 1))
         return self._cache[key]
@@ -504,6 +537,8 @@ class ChainComplex:
     def _class_data(self, n):
         """What class_coordinates needs in degree n, built on first use.
 
+        This reduces the full ∂_{n+1}, not the coreduced one that homology
+        caches: a cycle has coordinates on the rows that coreduction drops.
         A cycle reduced against the pivot log of ∂_{n+1} lives on the
         generators that are not pivot rows, and there it bounds exactly when
         it lies in the span of the residue of ∂_{n+1}.  So H_n is the kernel
@@ -515,7 +550,7 @@ class ChainComplex:
         key = ("classes", n)
         if key in self._cache:
             return self._cache[key]
-        _, log, residue = self._reduced(n + 1)
+        _, log, residue, _ = _reduce([dict(ch.terms) for ch in self.boundaries.get(n + 1, ())])
         pivots = {r for r, _ in log}
         free = [g for g in range(self.count(n)) if g not in pivots]
         where = {g: k for k, g in enumerate(free)}

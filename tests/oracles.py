@@ -7,7 +7,8 @@ of the action share no code with it.  The degeneracy predicate is written
 from the `degenerate_span` docstring, one tuple at a time, where the
 library generates the degenerate tuples from digit patterns.  The coloring
 oracle is written from the coloring rules as the `knots` docstring states
-them, not from the rule tuples the search uses.  Nothing here imports
+them, not from the rule tuples the search uses.  The conjugation tables of
+permutation groups are built here from their products.  Nothing here imports
 `prismhom`: structures and diagrams are read through their attributes and
 operation tables only.
 """
@@ -108,3 +109,30 @@ def brute_force_colorings(D, S) -> list:
                 all(vertex_ok(c, v) for v in D.vertices):
             out.append(c)
     return out
+
+
+def permutation_group(generators):
+    """All products of the generating permutations, composed as (p∘q)(i) = p(q(i))."""
+    def mul(p, q):
+        return tuple(p[i] for i in q)
+
+    elements = {tuple(range(len(generators[0])))}
+    frontier = list(elements)
+    while frontier:
+        frontier = [y for x in frontier for g in generators if (y := mul(x, g)) not in elements]
+        elements.update(frontier)
+    return sorted(elements), mul
+
+
+def conjugation_tables(elements, mul):
+    """(dot, tri) of a finite group acting on itself by conjugation.
+
+    a·b = mul(a, b) and a◁b = b¯¹ab, by index into `elements`.
+    """
+    index = {x: i for i, x in enumerate(elements)}
+    dot = [[index[mul(x, y)] for y in elements] for x in elements]
+    unit = next(i for i, row in enumerate(dot) if row == list(range(len(elements))))
+    inverse = [row.index(unit) for row in dot]
+    tri = [[dot[dot[inverse[b]][a]][b] for b in range(len(elements))]
+           for a in range(len(elements))]
+    return dot, tri

@@ -8,6 +8,7 @@ module, and the tuple differentials and brute-force coloring enumeration
 of `oracles.py`.
 """
 
+import json
 import time
 from itertools import product
 
@@ -15,10 +16,12 @@ import pytest
 
 from prismhom import algebra, prisms
 from prismhom.chains import HomologyGroup
+from prismhom.cli import main
 from prismhom.knots import (apply_move, coloring_key, enumerate_colorings, invariant,
                             load_fixture_diagram, move_fixture_pairs)
 from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator,
-                                bracketed, build_complex, compositions, face)
+                                bracketed, build_bar_complex, build_complex, build_rack_complex,
+                                compositions, face)
 
 from oracles import bar_differential, brute_force_colorings, rack_differential
 
@@ -371,6 +374,24 @@ def test_criterion_07_homology_oracle():
             except ImportError:
                 pass
     _report(7, "homology vs independent dense reduction", failures)
+
+
+@pytest.mark.parametrize("theory, count", [
+    ("group", 6 ** 3), ("rack", 6 ** 3), ("prismatic", 6 ** 3 * 2 ** 2)])
+def test_truncated_top_degree_oracle(theory, count, tmp_path, capsys):
+    # `homology --allow-truncation` at the top degree N has no ∂_{N+1}, so
+    # H_N is free of rank c_N − rank ∂_N, read after the rows chained up from
+    # ∂_1 are dropped; c_N is |G|^N, times 2^(N−1) partitions for prismatic
+    s3 = algebra.conj_symmetric(3)
+    path = tmp_path / "s3.json"
+    algebra.save_structure(s3, path)
+    assert main(["homology", str(path), "--theory", theory, "--max-degree", "3",
+                 "--allow-truncation", "--format", "json"]) == 0
+    top = json.loads(capsys.readouterr().out)["groups"][-1]
+    build = {"group": build_bar_complex, "rack": build_rack_complex,
+             "prismatic": build_complex}[theory]
+    rank = len(_oracle_snf_factors(build(s3, 3).cc.matrix(3)))
+    assert top == {"degree": 3, "free_rank": count - rank, "torsion": []}
 
 
 # -- 8: coloring counts -------------------------------------------------------------

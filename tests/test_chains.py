@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from prismhom import chains, prismatic
 from prismhom.chains import Chain, ChainComplex, HomologyGroup, smith_normal_form
 from prismhom.errors import NotACycleError, StructureError
+from prismhom.knots import enumerate_colorings, load_fixture_diagram, represented_cycle
 from prismhom.prismatic import BracketedTuple
 
 
@@ -336,6 +338,149 @@ def test_sparse_snf_matches_sympy(shape):
     assert list(factors) == diag
     transposed = [[rows[i][j] for i in range(m)] for j in range(n)]
     assert smith_normal_form(transposed) == (factors, rank)
+
+
+# -- coreduction through the degrees ---------------------------------------------
+
+
+def _invariant_factors(orders):
+    """The divisor chain of a sum of cyclic groups Z/d, by gcd/lcm exchanges.
+
+    Once entry i has met every later entry it divides all of them, and an
+    exchange between later entries keeps both divisible by it.
+    """
+    ds = [d for d in orders if d > 1]
+    for i in range(len(ds)):
+        for j in range(i + 1, len(ds)):
+            g = math.gcd(ds[i], ds[j])
+            ds[i], ds[j] = g, ds[i] * ds[j] // g
+    return tuple(d for d in ds if d > 1)
+
+
+def _unimodular(draw, size):
+    """A random unimodular matrix P and its inverse Q, built from elementary moves."""
+    P = [[int(i == j) for j in range(size)] for i in range(size)]
+    Q = [row[:] for row in P]
+    for _ in range(draw(st.integers(size, 4 * size))):
+        i, j = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))
+        if i == j:  # negate row i of P and column i of Q
+            P[i] = [-v for v in P[i]]
+            for row in Q:
+                row[i] = -row[i]
+        else:  # row i of P gains q·row j; column j of Q loses q·column i
+            q = draw(st.sampled_from([-1, 1]))
+            P[i] = [a + q * b for a, b in zip(P[i], P[j])]
+            for row in Q:
+                row[j] -= q * row[i]
+    return P, Q
+
+
+def _matmul(A, B, cols):
+    return [[sum(a * B[t][j] for t, a in enumerate(row) if a) for j in range(cols)] for row in A]
+
+
+@st.composite
+def _split_complexes(draw):
+    """A complex whose homology is known by construction, with that homology.
+
+    It is a direct sum of pieces Z (one generator in degree k, adding Z to
+    H_k) and Z --d--> Z (degree k+1 onto degree k, adding Z/d to H_k), and
+    each degree then gets a random unimodular change of basis, which hides
+    the pieces and leaves many ±1 entries for the engine to pivot on.
+    """
+    top = draw(st.integers(1, 4))
+    counts = [0] * (top + 1)
+    free = [0] * (top + 1)
+    torsion = [[] for _ in range(top + 1)]
+    pieces = []  # (target degree, target index, source index, d)
+    for _ in range(draw(st.integers(0, 12))):
+        k = draw(st.integers(0, top))
+        if k < top and draw(st.integers(0, 3)):
+            d = draw(st.sampled_from([1, 1, 1, 2, 3, 4, 6]))
+            pieces.append((k, counts[k], counts[k + 1], d))
+            counts[k + 1] += 1
+            torsion[k].append(d)
+        else:
+            free[k] += 1
+        counts[k] += 1
+    bases = [_unimodular(draw, c) for c in counts]
+    boundaries = {}
+    for n in range(1, top + 1):
+        D = [[0] * counts[n] for _ in range(counts[n - 1])]
+        for k, i, j, d in pieces:
+            if k == n - 1:
+                D[i][j] = d
+        M = _matmul(_matmul(bases[n - 1][0], D, counts[n]), bases[n][1], counts[n])
+        boundaries[n] = [Chain(n - 1, {i: row[j] for i, row in enumerate(M) if row[j]})
+                         for j in range(counts[n])]
+    expected = {k: HomologyGroup(free[k], _invariant_factors(torsion[k]))
+                for k in range(top + 1)}
+    return ChainComplex(dict(enumerate(counts)), boundaries), expected
+
+
+def _coreduced_homology(K, degrees):
+    """The groups of `degrees`, checking that ∂_1 reaches the engine whole and
+    each ∂_n without the pivot columns of the coreduced ∂_{n-1}, through
+    every degree."""
+    calls = []
+    eliminate = chains._eliminate
+
+    def spy(columns):
+        seen = [dict(col) for col in columns]
+        log, residue, pivots = eliminate(columns)
+        calls.append((seen, pivots))
+        return log, residue, pivots
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(chains, "_eliminate", spy)
+        groups = {k: K.homology(k, allow_truncation=True) for k in degrees}
+    drop = set()
+    for n in sorted(K.boundaries):
+        want = [{i: v for i, v in ch.terms.items() if i not in drop} for ch in K.boundaries[n]]
+        reached = [pivots for seen, pivots in calls if seen == want]
+        assert reached, f"∂_{n} never reached the engine without rows {sorted(drop)}"
+        drop = set(reached[0])
+    return groups
+
+
+@settings(max_examples=120, deadline=None)
+@given(_split_complexes())
+def test_homology_of_split_complexes(case):
+    K, expected = case
+    assert _coreduced_homology(K, expected) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda S: prismatic.build_bar_complex(S, 4), lambda S: prismatic.build_rack_complex(S, 4),
+    lambda S: prismatic.build_complex(S, 4, mode="qualgebra")], ids=["group", "rack", "qualgebra"])
+def test_prismatic_boundaries_lose_the_pivot_rows_of_the_one_below(build, s3):
+    _coreduced_homology(build(s3).cc, range(1, 5))
+
+
+_FIXTURES = ("theta", "trefoil", "unknot", "handcuff_flat", "handcuff_knotted")
+
+
+@pytest.mark.parametrize("carrier", ["s3", "d4"])
+@pytest.mark.parametrize("mode", ["qualgebra", "plain"])
+def test_class_coordinates_do_not_depend_on_evaluation_order(carrier, mode, request):
+    # class coordinates read the full ∂_3 and homology the coreduced one; a
+    # complex asked for its groups first must give the same coordinates
+    # on the cycles of colored diagrams and a basis of the 2-cycles
+    sympy = pytest.importorskip("sympy")
+    S = request.getfixturevalue(carrier)
+    fresh = prismatic.build_complex(S, 3, mode=mode)
+    diagrams = [load_fixture_diagram(name) for name in _FIXTURES]
+    cycles = [fresh.chain(2, represented_cycle(D, colors, S))
+              for D in diagrams for colors in enumerate_colorings(D, S)]
+    for v in sympy.Matrix(fresh.cc.matrix(2)).nullspace():
+        den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
+        cycles.append(Chain(2, {i: int(x * den) for i, x in enumerate(v) if x}))
+    first = [fresh.class_of(z, 2) for z in cycles]
+    warm = prismatic.build_complex(S, 3, mode=mode)
+    for n in (1, 2, 3):
+        warm.homology(n, allow_truncation=True)
+    assert [warm.class_of(z, 2) for z in cycles] == first
+    assert any(map(any, first)) == (not fresh.homology(2).trivial)
 
 
 def _in_span_mod(chain, columns, p):

@@ -11,7 +11,8 @@ from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
                                 build_bar_complex, build_complex, build_rack_complex,
                                 compositions, degenerate_span, face, faces, resolve_twist_cell)
 
-from oracles import bar_differential, is_degenerate, rack_differential
+from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
+                     rack_differential)
 
 
 def test_compositions_order_and_count():
@@ -523,33 +524,6 @@ def test_symmetric_group_homology_closed_form(s3):
         HomologyGroup(0, (2,)), HomologyGroup(0), HomologyGroup(0, (6,))]
 
 
-def _conjugation_structure(elements, mul):
-    """The conjugation structure of a finite group, tables built in the test.
-
-    a·b = mul(a, b) and a◁b = b¯¹ab, by index into `elements`.
-    """
-    index = {x: i for i, x in enumerate(elements)}
-    dot = [[index[mul(x, y)] for y in elements] for x in elements]
-    unit = next(i for i, row in enumerate(dot) if row == list(range(len(elements))))
-    inverse = [row.index(unit) for row in dot]
-    tri = [[dot[dot[inverse[b]][a]][b] for b in range(len(elements))]
-           for a in range(len(elements))]
-    return algebra.Shalgebra(dot, tri)
-
-
-def _permutation_group(generators):
-    """All products of the generating permutations, composed as (p∘q)(i) = p(q(i))."""
-    def mul(p, q):
-        return tuple(p[i] for i in q)
-
-    elements = {tuple(range(len(generators[0])))}
-    frontier = list(elements)
-    while frontier:
-        frontier = [y for x in frontier for g in generators if (y := mul(x, g)) not in elements]
-        elements.update(frontier)
-    return sorted(elements), mul
-
-
 def _quaternion_group():
     """Q8 as (sign, unit) pairs with i² = j² = k² = ijk = -1."""
     units = "1ijk"
@@ -578,7 +552,7 @@ def _even_permutations(n):
 
 
 @pytest.mark.parametrize("group, order, expected", [
-    pytest.param(lambda: _permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]), 8,
+    pytest.param(lambda: permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]), 8,
                  ["Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/4"], id="d4"),
     pytest.param(_quaternion_group, 8, ["Z/2 + Z/2", "0", "Z/8"], id="q8"),
     pytest.param(lambda: _even_permutations(4), 12, ["Z/3", "Z/2", "Z/6"], id="a4")])
@@ -586,7 +560,7 @@ def test_small_group_homology_closed_form(group, order, expected):
     # H_1, H_2, H_3 of the dihedral group of order 8, the quaternion group
     # and the alternating group on four letters
     elements, mul = group()
-    S = _conjugation_structure(elements, mul)
+    S = algebra.Shalgebra(*conjugation_tables(elements, mul))
     assert S.size == order and S.is_group
     K = build_bar_complex(S, 4)
     assert [str(K.homology(k)) for k in (1, 2, 3)] == expected
