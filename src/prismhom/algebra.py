@@ -28,6 +28,17 @@ from .errors import AxiomError, StructureError
 AXIOM_NAMES = ("H", "YI", "IY", "III", "II", "I", "T")
 SHALGEBRA_AXIOMS = ("H", "YI", "IY", "III")
 
+# The axioms each class needs; `classify_report` names the first class of
+# each kind, in this order, whose axioms all hold.
+CLASS_AXIOMS = {
+    "quandle": ("III", "II", "I"),
+    "rack": ("III", "II"),
+    "spindle": ("III", "I"),
+    "shelf": ("III",),
+    "qualgebra": AXIOM_NAMES,
+    "shalgebra": SHALGEBRA_AXIOMS,
+}
+
 AXIOM_EQUATIONS = {
     "H": "(a.b).c == a.(b.c)",
     "YI": "(a.b)<c == (a<c).(b<c)",
@@ -355,19 +366,13 @@ def classify(dot, tri) -> Classification:
 
 def classify_report(report: AxiomReport, dot) -> Classification:
     """`classify` from an axiom report already computed for the pair with `dot`."""
-    if not report.ok("III"):
-        shelf = "none"
-    else:
-        has_i, has_ii = report.ok("I"), report.ok("II")
-        shelf = ("quandle" if has_i and has_ii
-                 else "rack" if has_ii
-                 else "spindle" if has_i
-                 else "shelf")
-    pair = ("qualgebra" if report.qualgebra_ok
-            else "shalgebra" if report.shalgebra_ok
-            else "none")
+    def finest(classes):
+        return next((c for c in classes if report.all_ok(CLASS_AXIOMS[c])), "none")
+
     rows = _as_table(dot).rows
-    return Classification(shelf, pair, _group_facts(rows, report.ok("H"), _unit(rows))[0])
+    return Classification(finest(("quandle", "rack", "spindle", "shelf")),
+                          finest(("qualgebra", "shalgebra")),
+                          _group_facts(rows, report.ok("H"), _unit(rows))[0])
 
 
 def diagonal_action(elements, h, S: Shalgebra):

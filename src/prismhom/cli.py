@@ -16,7 +16,7 @@ import os
 import sys
 
 from . import prisms
-from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, check_axioms,
+from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, CLASS_AXIOMS, Shalgebra, check_axioms,
                       classify_report, load_structure, load_structure_tables)
 from .chains import Chain, export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
@@ -30,15 +30,6 @@ EXIT_INPUT = 2
 EXIT_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 THEORIES = ("prismatic", "qualgebra", "normalized", "rack", "group")
-
-REQUIREMENT_AXIOMS = {
-    "shelf": ("III",),
-    "spindle": ("III", "I"),
-    "rack": ("III", "II"),
-    "quandle": ("III", "II", "I"),
-    "shalgebra": SHALGEBRA_AXIOMS,
-    "qualgebra": AXIOM_NAMES,
-}
 
 
 def _emit(args, payload, text):
@@ -67,7 +58,7 @@ def cmd_axioms(args):
         lines.append(f"{name:<4} {state:<24} {AXIOM_EQUATIONS[name]}")
     lines.append(f"action class: {cls.shelf}; pair class: {cls.pair}; "
                  f"group multiplication: {'yes' if cls.group else 'no'}")
-    satisfied = report.all_ok(REQUIREMENT_AXIOMS[args.require])
+    satisfied = report.all_ok(CLASS_AXIOMS[args.require])
     lines.append(f"required class {args.require!r}: {'satisfied' if satisfied else 'NOT satisfied'}")
     payload = {
         "axioms": {n: {"ok": report.statuses[n].ok,
@@ -304,7 +295,7 @@ def build_parser():
 
     p = sub.add_parser("axioms", help="check the seven axioms of a structure file")
     p.add_argument("structure")
-    p.add_argument("--require", choices=sorted(REQUIREMENT_AXIOMS), default="shalgebra",
+    p.add_argument("--require", choices=sorted(CLASS_AXIOMS), default="shalgebra",
                    help="class that decides the exit code")
     common(p)
 

@@ -9,9 +9,12 @@ sign); a trivalent vertex records its three arcs and a role:
 
 Each arc must be emitted exactly once and consumed exactly once (by a
 crossing under-slot or a vertex slot), or not at all (a closed loop; it
-may still pass over crossings).  Coloring rules per crossing: positive
-means under_out = under_in ◁ over, negative means under_out ◁ over =
-under_in (solved by invertibility of the action).
+may still pass over crossings).  The incidence table `D.emitters` and
+`D.consumers` maps each arc to the slot at that end, as ("crossing", index,
+"under_out" | "under_in") or ("vertex", index, position in its arcs).
+Coloring rules per crossing: positive means under_out = under_in ◁ over,
+negative means under_out ◁ over = under_in (solved by invertibility of
+the action).
 
 Every crossing and vertex compiles to one rule (sign, shape, out, left,
 right), read as out = left ◁ right for shape (1, 1) and out = left · right
@@ -71,10 +74,6 @@ class TrivalentVertex(NamedTuple):
         return self.arcs[:2] if self.role == "zip" else self.arcs[:1]
 
     @property
-    def emitted(self):
-        return self.arcs[2:] if self.role == "zip" else self.arcs[1:]
-
-    @property
     def rule(self):
         x, y, z = self.arcs
         return (self.sign, (2,), z, x, y) if self.role == "zip" else (self.sign, (2,), x, y, z)
@@ -92,17 +91,24 @@ class KTGDiagram:
         self.rules = tuple(item.rule for item in self.crossings + self.vertices)
 
     def _validate(self):
+        """Check the diagram and build its incidence table `emitters`, `consumers`."""
         known = set(self.arcs)
         if len(known) != len(self.arcs):
             raise StructureError("duplicate arc ids")
-        emitted = {}
-        consumed = {}
+        self.emitters, self.consumers = emitted, consumed = {}, {}
+
+        def named(table, slot):
+            kind, i, end = slot
+            if kind == "vertex":
+                end = "input" if table is consumed else "output"
+            return f"{kind} {i} ({end})"
 
         def hit(table, arc, where):
             if arc not in known:
-                raise StructureError(f"unknown arc {arc!r} at {where}")
+                raise StructureError(f"unknown arc {arc!r} at {named(table, where)}")
             if arc in table:
-                raise StructureError(f"arc {arc!r} used twice: {table[arc]} and {where}")
+                raise StructureError(f"arc {arc!r} used twice: {named(table, table[arc])} "
+                                     f"and {named(table, where)}")
             table[arc] = where
 
         for i, x in enumerate(self.crossings):
@@ -110,17 +116,15 @@ class KTGDiagram:
                 raise StructureError(f"crossing {i} has sign {x.sign}")
             if x.over not in known:
                 raise StructureError(f"unknown arc {x.over!r} at crossing {i}")
-            hit(consumed, x.under_in, f"crossing {i} (under_in)")
-            hit(emitted, x.under_out, f"crossing {i} (under_out)")
+            hit(consumed, x.under_in, ("crossing", i, "under_in"))
+            hit(emitted, x.under_out, ("crossing", i, "under_out"))
         for i, v in enumerate(self.vertices):
             if v.role not in ("zip", "unzip"):
                 raise StructureError(f"vertex {i} has unknown role {v.role!r}")
             if len(v.arcs) != 3:
                 raise StructureError(f"vertex {i} must have three arcs")
-            for a in v.consumed:
-                hit(consumed, a, f"vertex {i} (input)")
-            for a in v.emitted:
-                hit(emitted, a, f"vertex {i} (output)")
+            for k, a in enumerate(v.arcs):
+                hit(consumed if k < len(v.consumed) else emitted, a, ("vertex", i, k))
         for a in self.arcs:
             if (a in emitted) != (a in consumed):
                 end = "emitted" if a in emitted else "consumed"
@@ -195,17 +199,25 @@ def save_diagram(D: KTGDiagram, path):
 def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
     """All colorings satisfying every rule of D, in search order.
 
-    Backtracking over arcs in their listed order with propagation: a rule
-    with left and right colored sets out, and a crossing rule with out and
-    right colored sets left by the inverse action.  Divisions inside the
-    multiplication are left to the search.  The output order is
-    deterministic.  Negative crossings rely on invertibility of the action,
-    so a full qualgebra is required.
+    Negative crossings rely on invertibility of the action, so a full
+    qualgebra is required.
     """
     if not S.report.qualgebra_ok:
         name, witness = S.report.first_failure()
         raise StructureError(
             f"coloring needs a qualgebra; axiom {name} fails at {witness}")
+    return _extensions(D, S, {})
+
+
+def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
+    """All colorings of D that agree with the partial coloring `fixed`, in search order.
+
+    Backtracking over arcs in their listed order with propagation: a rule
+    with left and right colored sets out, and a crossing rule with out and
+    right colored sets left by the inverse action.  Divisions inside the
+    multiplication are left to the search.  The output order is
+    deterministic.
+    """
     op = {(1, 1): S.act, (2,): S.mul}
     rules = [(op[shape], shape == (1, 1), out, left, right)
              for _, shape, out, left, right in D.rules]
@@ -258,7 +270,9 @@ def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
                 del colors[a]
             del colors[arc]
 
-    search({})
+    colors = dict(fixed)
+    if propagate(colors)[1]:
+        search(colors)
     return found
 
 

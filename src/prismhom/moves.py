@@ -1,14 +1,20 @@
 """Local rewrites of KTG diagrams and their coloring bijections.
 
-Seven moves, one per coloring axiom.  Each application returns the
-rewritten diagram together with a map sending a coloring of the old
-diagram to the corresponding coloring of the new one; the map is a
-bijection onto the new diagram's colorings (the invariance tests verify
-this on every fixture rather than trusting it).
+Seven moves, one per coloring axiom.  Each move states only its rewrite.
+`apply_move` returns the rewritten diagram together with a map sending a
+coloring of the old diagram to the corresponding coloring of the new one,
+derived in one place from the new diagram's own rules: it keeps the colors
+of the arcs the two diagrams share and returns the one coloring of the new
+diagram that agrees with them, found by the coloring search of `knots`
+started from those colors.  If no such coloring exists, or more than one
+(an H rotation over a multiplication without unique division, say), the
+map raises StructureError.  The invariance tests check that the map is a
+bijection onto the new diagram's colorings against a brute-force oracle.
 
 Site dictionaries name the local pieces by index ("vertex", "crossing",
-"crossing1", ...) or by arc id, plus "direction" where a move grows or
-shrinks the diagram:
+"crossing1", ...; an integer into the diagram's list of vertices or
+crossings) or by arc id, plus "direction" where a move grows or shrinks
+the diagram:
 
     I    grow: {"arc", "sign"}            kink where a strand crosses itself
          shrink: {"crossing"}
@@ -19,45 +25,28 @@ shrinks the diagram:
     H    {"vertex1", "vertex2"}           reassociate two zip vertices, or
                                           rotate a zip feeding an unzip
     YI   grow: {"vertex", "crossing"}     a vertex slides under a strand
+         shrink: {"vertex", "crossing1", "crossing2"}
     IY   grow: {"vertex", "crossing"}     a strand slides under a vertex
+         shrink: {"vertex", "crossing1", "crossing2"}
     T    grow: {"vertex"}                 a strand end slides across a vertex
          shrink: {"vertex", "crossing"}
 """
 
 from __future__ import annotations
 
+from itertools import count, islice
+
 from .algebra import Shalgebra, integer, reading
 from .errors import StructureError
-from .knots import Crossing, KTGDiagram, TrivalentVertex
+from .knots import Crossing, KTGDiagram, TrivalentVertex, _extensions
 
 ZIP = "zip"
 UNZIP = "unzip"
 
 
-def _fresh_ids(D, count, hint="w"):
-    used = set(D.arcs)
-    out = []
-    i = 0
-    while len(out) < count:
-        cand = f"{hint}{i}"
-        if cand not in used:
-            used.add(cand)
-            out.append(cand)
-        i += 1
-    return out
-
-
-def _slots(D):
-    """(emitters, consumers): arc -> ("crossing"|"vertex", index, slot) at each end."""
-    emitters, consumers = {}, {}
-    for i, x in enumerate(D.crossings):
-        emitters[x.under_out] = ("crossing", i, "under_out")
-        consumers[x.under_in] = ("crossing", i, "under_in")
-    for i, v in enumerate(D.vertices):
-        inputs = len(v.consumed)
-        for k, a in enumerate(v.arcs):
-            (consumers if k < inputs else emitters)[a] = ("vertex", i, k)
-    return emitters, consumers
+def _fresh_ids(D, n, hint="w"):
+    candidates = (f"{hint}{i}" for i in count())
+    return list(islice((c for c in candidates if c not in D.arcs), n))
 
 
 def _over_uses(D, arc):
@@ -76,122 +65,105 @@ def _rewire(crossings, vertices, where, new_arc):
 
 def _internal_arc(D, arc, emitted_by, consumed_by):
     """Check an arc only touches the two given slots (and no over-passages)."""
-    if _over_uses(D, arc):
-        return False
-    emitters, consumers = _slots(D)
-    return emitters.get(arc) == emitted_by and consumers.get(arc) == consumed_by
+    return (not _over_uses(D, arc) and D.emitters.get(arc) == emitted_by
+            and D.consumers.get(arc) == consumed_by)
 
 
-def _identity_map(extra=None, drop=()):
-    extra = extra or {}
-
-    def fwd(colors):
-        out = {a: v for a, v in colors.items() if a not in drop}
-        for arc, fn in extra.items():
-            out[arc] = fn(colors)
-        return out
-
-    return fwd
+def _site_integer(site, key, default=None):
+    with reading(f"move site {key} must be an integer"):
+        return integer(site[key] if default is None else site.get(key, default))
 
 
-def _site_sign(site):
-    with reading("move site sign must be an integer"):
-        return integer(site.get("sign", 1))
+def _indices(D, site, *keys):
+    """The site's vertex or crossing indices under `keys`, each refused outside its list."""
+    out = []
+    for key in keys:
+        i = _site_integer(site, key)
+        items = D.vertices if key.startswith("vertex") else D.crossings
+        if not 0 <= i < len(items):
+            raise StructureError(f"move site {key} {i} is not in range({len(items)})")
+        out.append(i)
+    return out
 
 
-def _move_i(D, site, S):
-    direction = site.get("direction", "grow")
-    if direction == "grow":
+def _unthread(D, removed, exit_label):
+    """Delete the crossings at `removed`, which carry one strand in order.
+
+    The arcs they emit go.  The slot that consumed the last of them reads
+    the strand's entry arc instead, unless the strand closes on itself.
+    """
+    entry = D.crossings[removed[0]].under_in
+    n = D.crossings[removed[-1]].under_out
+    crossings = [x for i, x in enumerate(D.crossings) if i not in removed]
+    dropped = {D.crossings[r].under_out for r in removed} - {entry}
+    arcs = tuple(a for a in D.arcs if a not in dropped)
+    if n == entry:
+        return KTGDiagram(arcs, crossings, D.vertices)
+    if _over_uses(D, n) or D.emitters.get(n) != ("crossing", removed[-1], "under_out"):
+        raise StructureError(f"{exit_label} {n!r} has other incidences")
+    if n not in D.consumers:
+        raise StructureError(f"{exit_label} {n!r} has no consumer")
+    vertices = list(D.vertices)
+    kind, i, slot = D.consumers[n]
+    if kind == "crossing":
+        i -= sum(1 for r in removed if r < i)
+    _rewire(crossings, vertices, (kind, i, slot), entry)
+    return KTGDiagram(arcs, crossings, vertices)
+
+
+def _move_i(D, site):
+    if site.get("direction", "grow") == "grow":
         arc = site["arc"]
-        sign = _site_sign(site)
-        _, consumers = _slots(D)
+        sign = _site_integer(site, "sign", 1)
         crossings = list(D.crossings)
         vertices = list(D.vertices)
         if arc not in D.arcs:
             raise StructureError(f"unknown arc {arc!r}")
-        if arc in consumers:
+        if arc in D.consumers:
             (n,) = _fresh_ids(D, 1, hint=f"{arc}k")
-            _rewire(crossings, vertices, consumers[arc], n)
+            _rewire(crossings, vertices, D.consumers[arc], n)
             crossings.append(Crossing(arc, arc, n, sign))
-            new = KTGDiagram(D.arcs + (n,), crossings, vertices)
-            return new, _identity_map(extra={n: lambda c: c[arc]})
+            return KTGDiagram(D.arcs + (n,), crossings, vertices)
         # closed loop: the kink breaks it into a single self-crossing arc
         crossings.append(Crossing(arc, arc, arc, sign))
-        return KTGDiagram(D.arcs, crossings, vertices), _identity_map()
+        return KTGDiagram(D.arcs, crossings, vertices)
     # shrink
-    k = site["crossing"]
+    (k,) = _indices(D, site, "crossing")
     X = D.crossings[k]
     if X.over != X.under_in:
         raise StructureError("crossing is not a kink (over must equal under_in)")
-    crossings = [x for i, x in enumerate(D.crossings) if i != k]
-    vertices = list(D.vertices)
-    if X.under_out == X.under_in:
-        return KTGDiagram(D.arcs, crossings, vertices), _identity_map()
-    n = X.under_out
-    emitters, consumers = _slots(D)
-    if len(_over_uses(D, n)) or emitters.get(n) != ("crossing", k, "under_out"):
-        raise StructureError(f"kink exit arc {n!r} has other incidences")
-    if n not in consumers:
-        raise StructureError(f"kink exit arc {n!r} has no consumer")
-    _rewire(crossings, vertices, _shift_crossing(consumers[n], (k,)), X.under_in)
-    arcs = tuple(a for a in D.arcs if a != n)
-    return KTGDiagram(arcs, crossings, vertices), _identity_map(drop=(n,))
+    return _unthread(D, (k,), "kink exit arc")
 
 
-def _shift_crossing(where, removed):
-    """A slot's address once the crossings at the indices in `removed` are gone."""
-    kind, i, slot = where
-    if kind == "crossing":
-        i -= sum(1 for r in removed if r < i)
-    return (kind, i, slot)
-
-
-def _move_ii(D, site, S):
-    direction = site.get("direction", "grow")
-    if direction == "grow":
+def _move_ii(D, site):
+    if site.get("direction", "grow") == "grow":
         a, b = site["under"], site["over"]
-        sign = _site_sign(site)
+        sign = _site_integer(site, "sign", 1)
         for arc in (a, b):
             if arc not in D.arcs:
                 raise StructureError(f"unknown arc {arc!r}")
-        _, consumers = _slots(D)
-        if a not in consumers:
+        if a not in D.consumers:
             raise StructureError(f"arc {a!r} has no consumer to slide under {b!r}")
         m, n = _fresh_ids(D, 2, hint=f"{a}r")
         crossings = list(D.crossings)
         vertices = list(D.vertices)
-        _rewire(crossings, vertices, consumers[a], n)
+        _rewire(crossings, vertices, D.consumers[a], n)
         crossings.append(Crossing(b, a, m, sign))
         crossings.append(Crossing(b, m, n, -sign))
-
-        def mid(colors):
-            return (S.act(colors[a], colors[b]) if sign == 1
-                    else S.act_inv(colors[a], colors[b]))
-
-        fwd = _identity_map(extra={m: mid, n: lambda c: c[a]})
-        return KTGDiagram(D.arcs + (m, n), crossings, vertices), fwd
+        return KTGDiagram(D.arcs + (m, n), crossings, vertices)
     # shrink
-    k1, k2 = site["crossing1"], site["crossing2"]
+    k1, k2 = _indices(D, site, "crossing1", "crossing2")
     X1, X2 = D.crossings[k1], D.crossings[k2]
     if X1.over != X2.over or X1.under_out != X2.under_in or X1.sign != -X2.sign:
         raise StructureError("crossings do not form a cancelling pair")
-    m, n, a = X1.under_out, X2.under_out, X1.under_in
+    m = X1.under_out
     if not _internal_arc(D, m, ("crossing", k1, "under_out"), ("crossing", k2, "under_in")):
         raise StructureError(f"middle arc {m!r} has other incidences")
-    emitters, consumers = _slots(D)
-    if len(_over_uses(D, n)) or emitters.get(n) != ("crossing", k2, "under_out"):
-        raise StructureError(f"exit arc {n!r} has other incidences")
-    if n not in consumers:
-        raise StructureError(f"exit arc {n!r} has no consumer")
-    crossings = [x for i, x in enumerate(D.crossings) if i not in (k1, k2)]
-    vertices = list(D.vertices)
-    _rewire(crossings, vertices, _shift_crossing(consumers[n], (k1, k2)), a)
-    arcs = tuple(x for x in D.arcs if x not in (m, n))
-    return KTGDiagram(arcs, crossings, vertices), _identity_map(drop=(m, n))
+    return _unthread(D, (k1, k2), "exit arc")
 
 
-def _move_iii(D, site, S):
-    k1, k2, k3 = site["crossing1"], site["crossing2"], site["crossing3"]
+def _move_iii(D, site):
+    k1, k2, k3 = _indices(D, site, "crossing1", "crossing2", "crossing3")
     X1, X2, X3 = D.crossings[k1], D.crossings[k2], D.crossings[k3]
     if not (X1.sign == X2.sign == X3.sign == 1):
         raise StructureError("the implemented slide needs three positive crossings")
@@ -201,96 +173,61 @@ def _move_iii(D, site, S):
     if not _internal_arc(D, m, ("crossing", k1, "under_out"), ("crossing", k2, "under_in")):
         raise StructureError(f"middle arc {m!r} has other incidences")
     crossings = list(D.crossings)
-    vertices = list(D.vertices)
     (mp,) = _fresh_ids(D, 1, hint=f"{X1.under_in}s")
     if X1.over == X3.under_in and X2.over == X3.over:
         # strand passes under B then C; afterwards under C then the moved B
         crossings[k1] = Crossing(X3.over, X1.under_in, mp, 1)
         crossings[k2] = Crossing(X3.under_out, mp, X2.under_out, 1)
-
-        def mid(colors):
-            return S.act(colors[X1.under_in], colors[X3.over])
     elif X1.over == X3.over and X2.over == X3.under_out:
         crossings[k1] = Crossing(X3.under_in, X1.under_in, mp, 1)
         crossings[k2] = Crossing(X3.over, mp, X2.under_out, 1)
-
-        def mid(colors):
-            return S.act(colors[X1.under_in], colors[X3.under_in])
     else:
         raise StructureError("crossings do not form a slide pattern")
-    arcs = tuple(mp if a == m else a for a in D.arcs)
-    fwd = _identity_map(extra={mp: mid}, drop=(m,))
-    return KTGDiagram(arcs, crossings, vertices), fwd
+    return KTGDiagram(tuple(mp if a == m else a for a in D.arcs), crossings, D.vertices)
 
 
-def _move_h(D, site, S):
-    i1, i2 = site["vertex1"], site["vertex2"]
+def _move_h(D, site):
+    i1, i2 = _indices(D, site, "vertex1", "vertex2")
     v1, v2 = D.vertices[i1], D.vertices[i2]
     if i1 == i2:
         raise StructureError("H move needs two distinct vertices")
+    u = v1.arcs[2]
+    (m,) = _fresh_ids(D, 1, hint="h")
     vertices = list(D.vertices)
-    crossings = list(D.crossings)
     if v1.role == ZIP and v2.role == ZIP:
-        u = v1.arcs[2]
-        if not _internal_arc(D, u, ("vertex", i1, 2),
-                             ("vertex", i2, 0 if v2.arcs[0] == u else 1)):
+        slot = 0 if v2.arcs[0] == u else 1
+        if not _internal_arc(D, u, ("vertex", i1, 2), ("vertex", i2, slot)):
             raise StructureError(f"shared arc {u!r} has other incidences")
-        (m,) = _fresh_ids(D, 1, hint="h")
-        if v2.arcs[0] == u:
-            # ((x·y)·z -> x·(y·z)
-            x, y, z, w = v1.arcs[0], v1.arcs[1], v2.arcs[1], v2.arcs[2]
+        if slot == 0:
+            # (x·y)·z -> x·(y·z)
+            (x, y, _), (_, z, w) = v1.arcs, v2.arcs
             vertices[i1] = TrivalentVertex((y, z, m), ZIP, 1)
             vertices[i2] = TrivalentVertex((x, m, w), ZIP, 1)
-
-            def mid(colors):
-                return S.mul(colors[y], colors[z])
-        elif v2.arcs[1] == u:
+        else:
             # x·(y·z) -> (x·y)·z
-            y, z, x, w = v1.arcs[0], v1.arcs[1], v2.arcs[0], v2.arcs[2]
+            (y, z, _), (x, _, w) = v1.arcs, v2.arcs
             vertices[i1] = TrivalentVertex((x, y, m), ZIP, 1)
             vertices[i2] = TrivalentVertex((m, z, w), ZIP, 1)
-
-            def mid(colors):
-                return S.mul(colors[x], colors[y])
-        else:
-            raise StructureError("vertices do not share an internal arc")
-        arcs = tuple(m if a == u else a for a in D.arcs)
-        return KTGDiagram(arcs, crossings, vertices), _identity_map(extra={m: mid},
-                                                                    drop=(u,))
-    if v1.role == ZIP and v2.role == UNZIP:
+    elif v1.role == ZIP and v2.role == UNZIP:
         # rotate: zip((s,t)->u) feeding unzip(u->(x,y)) becomes
         # unzip(s->(x,m)) feeding zip((m,t)->y)
-        u = v1.arcs[2]
         if v2.arcs[0] != u:
             raise StructureError("the unzip vertex must consume the zip output")
         if not _internal_arc(D, u, ("vertex", i1, 2), ("vertex", i2, 0)):
             raise StructureError(f"shared arc {u!r} has other incidences")
-        s, t = v1.arcs[0], v1.arcs[1]
-        x, y = v2.arcs[1], v2.arcs[2]
-        (m,) = _fresh_ids(D, 1, hint="h")
+        (s, t, _), (_, x, y) = v1.arcs, v2.arcs
         vertices[i1] = TrivalentVertex((s, x, m), UNZIP, -1)
         vertices[i2] = TrivalentVertex((m, t, y), ZIP, 1)
-
-        def mid(colors):
-            sols = [g for g in range(S.size) if S.mul(colors[x], g) == colors[s]]
-            if len(sols) != 1:
-                raise StructureError(
-                    f"division {colors[s]} / {colors[x]} is not unique; "
-                    "the rotation needs a group-like multiplication")
-            return sols[0]
-
-        arcs = tuple(m if a == u else a for a in D.arcs)
-        return KTGDiagram(arcs, crossings, vertices), _identity_map(extra={m: mid},
-                                                                    drop=(u,))
-    raise StructureError("H move needs zip+zip or zip feeding unzip")
+    else:
+        raise StructureError("H move needs zip+zip or zip feeding unzip")
+    return KTGDiagram(tuple(m if a == u else a for a in D.arcs), D.crossings, vertices)
 
 
-def _move_yi(D, site, S):
-    direction = site.get("direction", "grow")
+def _move_yi(D, site):
     crossings = list(D.crossings)
     vertices = list(D.vertices)
-    if direction == "grow":
-        iv, ix = site["vertex"], site["crossing"]
+    if site.get("direction", "grow") == "grow":
+        iv, ix = _indices(D, site, "vertex", "crossing")
         v, X = D.vertices[iv], D.crossings[ix]
         if v.role != ZIP or X.sign != 1:
             raise StructureError("pattern needs a zip vertex and a positive crossing")
@@ -305,12 +242,9 @@ def _move_yi(D, site, S):
         crossings.append(Crossing(w, y, yp, 1))
         vertices[iv] = TrivalentVertex((xp, yp, t), ZIP, 1)
         arcs = tuple(a for a in D.arcs if a != z) + (xp, yp)
-        fwd = _identity_map(extra={xp: lambda c: S.act(c[x], c[w]),
-                                   yp: lambda c: S.act(c[y], c[w])},
-                            drop=(z,))
-        return KTGDiagram(arcs, crossings, vertices), fwd
+        return KTGDiagram(arcs, crossings, vertices)
     # shrink
-    iv, ix1, ix2 = site["vertex"], site["crossing1"], site["crossing2"]
+    iv, ix1, ix2 = _indices(D, site, "vertex", "crossing1", "crossing2")
     v, X1, X2 = D.vertices[iv], D.crossings[ix1], D.crossings[ix2]
     if v.role != ZIP or X1.sign != 1 or X2.sign != 1 or X1.over != X2.over:
         raise StructureError("pattern mismatch for the reverse slide")
@@ -327,16 +261,13 @@ def _move_yi(D, site, S):
     keep.append(Crossing(w, z, t, 1))
     vertices[iv] = TrivalentVertex((x, y, z), ZIP, 1)
     arcs = tuple(a for a in D.arcs if a not in (xp, yp)) + (z,)
-    fwd = _identity_map(extra={z: lambda c: S.mul(c[x], c[y])}, drop=(xp, yp))
-    return KTGDiagram(arcs, keep, vertices), fwd
+    return KTGDiagram(arcs, keep, vertices)
 
 
-def _move_iy(D, site, S):
-    direction = site.get("direction", "grow")
+def _move_iy(D, site):
     crossings = list(D.crossings)
-    vertices = list(D.vertices)
-    if direction == "grow":
-        iv, ix = site["vertex"], site["crossing"]
+    if site.get("direction", "grow") == "grow":
+        iv, ix = _indices(D, site, "vertex", "crossing")
         v, X = D.vertices[iv], D.crossings[ix]
         if v.role != ZIP or X.sign != 1:
             raise StructureError("pattern needs a zip vertex and a positive crossing")
@@ -347,11 +278,9 @@ def _move_iy(D, site, S):
         (m,) = _fresh_ids(D, 1, hint=f"{s}i")
         crossings[ix] = Crossing(x, s, m, 1)
         crossings.append(Crossing(y, m, t, 1))
-        arcs = D.arcs + (m,)
-        fwd = _identity_map(extra={m: lambda c: S.act(c[s], c[x])})
-        return KTGDiagram(arcs, crossings, vertices), fwd
+        return KTGDiagram(D.arcs + (m,), crossings, D.vertices)
     # shrink
-    iv, ix1, ix2 = site["vertex"], site["crossing1"], site["crossing2"]
+    iv, ix1, ix2 = _indices(D, site, "vertex", "crossing1", "crossing2")
     v, X1, X2 = D.vertices[iv], D.crossings[ix1], D.crossings[ix2]
     if v.role != ZIP or X1.sign != 1 or X2.sign != 1:
         raise StructureError("pattern mismatch for the reverse slide")
@@ -365,15 +294,14 @@ def _move_iy(D, site, S):
     keep = [c for i, c in enumerate(crossings) if i not in (ix1, ix2)]
     keep.append(Crossing(z, s, t, 1))
     arcs = tuple(a for a in D.arcs if a != m)
-    return KTGDiagram(arcs, keep, vertices), _identity_map(drop=(m,))
+    return KTGDiagram(arcs, keep, D.vertices)
 
 
-def _move_t(D, site, S):
-    direction = site.get("direction", "grow")
+def _move_t(D, site):
     crossings = list(D.crossings)
     vertices = list(D.vertices)
-    if direction == "grow":
-        iv = site["vertex"]
+    if site.get("direction", "grow") == "grow":
+        (iv,) = _indices(D, site, "vertex")
         v = D.vertices[iv]
         if v.role != ZIP:
             raise StructureError("the implemented slide starts from a zip vertex")
@@ -381,10 +309,9 @@ def _move_t(D, site, S):
         (m,) = _fresh_ids(D, 1, hint=f"{x}t")
         crossings.append(Crossing(y, x, m, 1))
         vertices[iv] = TrivalentVertex((y, m, z), ZIP, 1)
-        fwd = _identity_map(extra={m: lambda c: S.act(c[x], c[y])})
-        return KTGDiagram(D.arcs + (m,), crossings, vertices), fwd
+        return KTGDiagram(D.arcs + (m,), crossings, vertices)
     # shrink
-    iv, ix = site["vertex"], site["crossing"]
+    iv, ix = _indices(D, site, "vertex", "crossing")
     v, X = D.vertices[iv], D.crossings[ix]
     if v.role != ZIP or X.sign != 1:
         raise StructureError("pattern mismatch for the reverse slide")
@@ -397,7 +324,7 @@ def _move_t(D, site, S):
     keep = [c for i, c in enumerate(crossings) if i != ix]
     vertices[iv] = TrivalentVertex((x, y, z), ZIP, 1)
     arcs = tuple(a for a in D.arcs if a != m)
-    return KTGDiagram(arcs, keep, vertices), _identity_map(drop=(m,))
+    return KTGDiagram(arcs, keep, vertices)
 
 
 _MOVE_TABLE = {
@@ -415,11 +342,24 @@ def apply_move(D: KTGDiagram, move, site, S: Shalgebra):
     """Rewrite the diagram at the given site.
 
     Returns (new_diagram, bijection) where bijection maps a coloring dict
-    of D to the matching coloring of the new diagram.
+    of D to the one coloring of the new diagram that agrees with it on the
+    arcs both share, and raises StructureError if there is none or more
+    than one.
     """
     if move not in _MOVE_TABLE:
         raise StructureError(f"unknown move {move!r}; choose from {sorted(_MOVE_TABLE)}")
     try:
-        return _MOVE_TABLE[move](D, dict(site), S)
-    except (IndexError, KeyError) as exc:
+        new = _MOVE_TABLE[move](D, dict(site))
+    except KeyError as exc:
         raise StructureError(f"move {move} site does not match the diagram: {exc}")
+    old = set(D.arcs)
+    shared = [a for a in new.arcs if a in old]
+
+    def fwd(colors):
+        found = _extensions(new, S, {a: colors[a] for a in shared})
+        if len(found) != 1:
+            raise StructureError(f"move {move}: {len(found)} colorings of the new diagram "
+                                 "agree with this one on the arcs both share, not one")
+        return found[0]
+
+    return new, fwd

@@ -9,7 +9,9 @@ function and class of prismhom is named somewhere outside its own
 definition, in the package, the tests, the demos or the benchmark.
 Refusals go through one path per kind: only `algebra.py` catches
 `(TypeError, ValueError, OverflowError)` (in `reading`) or raises
-`AxiomError` (in `AxiomReport.require`).
+`AxiomError` (in `AxiomReport.require`).  `moves.py` calls no carrier
+operation: a move states only its rewrite, and its coloring bijection is
+derived from the new diagram's rules.
 """
 
 import ast
@@ -211,3 +213,26 @@ def test_the_check_sees_a_refusal_by_hand():
         "raise StructureError('fine')\n")
     assert _refusal_sites(tree) == [(3, "number handler"), (7, "number handler"),
                                     (13, "raise AxiomError"), (14, "raise AxiomError")]
+
+
+CARRIER_OPERATIONS = {"act", "act_inv", "act_by_all", "mul", "product", "group_inverse",
+                      "dot", "tri"}
+
+
+def _carrier_operations(tree):
+    """(line, name) for every attribute access that names a carrier operation."""
+    return sorted((node.lineno, node.attr) for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute) and node.attr in CARRIER_OPERATIONS)
+
+
+def test_moves_call_no_carrier_operation():
+    with open(os.path.join(SOURCE, "moves.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="moves.py")
+    assert _carrier_operations(tree) == [], (
+        "moves.py colors arcs by hand; derive the bijection from the diagram's rules")
+
+
+def test_the_check_sees_a_carrier_operation():
+    tree = ast.parse("S.act(a, b)\nS.size\nrows = S.tri.rows\nf = S.mul\n"
+                     "product(x)\nS.report.act_inv\n")
+    assert _carrier_operations(tree) == [(1, "act"), (3, "tri"), (4, "mul"), (6, "act_inv")]

@@ -1,6 +1,6 @@
 import pytest
 
-from prismhom import knots, moves
+from prismhom import algebra, knots
 from prismhom.errors import NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
                             apply_move, coloring_key, enumerate_colorings, foam_invariant,
@@ -235,15 +235,102 @@ def test_move_pattern_mismatch_errors(s3):
         apply_move(D, "X", {}, s3)
 
 
+@pytest.mark.parametrize("name, move, site, message", [
+    ("theta", "H", {"vertex1": 1, "vertex2": 0}, r"zip\+zip or zip feeding unzip"),
+    ("theta", "I", {"arc": "q"}, "unknown arc 'q'"),
+    ("theta", "II", {"under": "s", "over": "q"}, "unknown arc 'q'"),
+    ("theta", "T", {}, "site does not match the diagram: 'vertex'"),
+    ("unknot", "II", {"under": "a", "over": "a"}, "no consumer to slide under"),
+    ("moves/H_before", "H", {"vertex1": 0, "vertex2": 2}, "must consume the zip output"),
+    ("moves/H_before", "H", {"vertex1": 1, "vertex2": 0}, "shared arc 'w' has other"),
+    ("moves/YI_before", "YI", {"vertex": 1, "crossing": 0}, "needs a zip vertex"),
+    ("moves/YI_before", "IY", {"vertex": 0, "crossing": 0}, "must pass under the vertex"),
+    ("moves/III_before", "III", {"crossing1": 1, "crossing2": 0, "crossing3": 2},
+     "middle strand does not run"),
+    ("moves/III_before", "II", {"direction": "shrink", "crossing1": 0, "crossing2": 1},
+     "cancelling pair"),
+    ("moves/II_after", "I", {"direction": "shrink", "crossing": 0}, "not a kink"),
+    ("moves/T_after", "YI", {"direction": "shrink", "vertex": 0, "crossing1": 0,
+                             "crossing2": 0}, "vertex inputs must be the two slid arcs"),
+    ("moves/YI_after", "IY", {"direction": "shrink", "vertex": 0, "crossing1": 0,
+                              "crossing2": 1}, "do not pass under the two vertex inputs"),
+])
+def test_move_refusals_name_the_mismatch(s3, name, move, site, message):
+    with pytest.raises(StructureError, match=message):
+        apply_move(load_fixture_diagram(name), move, site, s3)
+
+
 def test_move_slots_follow_vertex_positions(s3):
     # the zip (q, r, r) of the flat handcuff consumes r at slot 1 and emits
     # it at slot 2; an H move on that one vertex is refused
     D = load_fixture_diagram("handcuff_flat")
-    emitters, consumers = moves._slots(D)
+    emitters, consumers = D.emitters, D.consumers
     assert emitters["r"] == ("vertex", 1, 2) and consumers["r"] == ("vertex", 1, 1)
     assert emitters["q"] == ("vertex", 0, 2) and consumers["q"] == ("vertex", 1, 0)
     with pytest.raises(StructureError, match="two distinct vertices"):
         apply_move(D, "H", {"vertex1": 1, "vertex2": 1}, s3)
+
+
+# (diagram, move, site) for branches the packaged pairs do not reach; the
+# shrinks name the two crossings of the grown diagrams
+UNPAIRED_MOVES = {
+    "YI-shrink": ("moves/YI_after", "YI", {"direction": "shrink", "vertex": 0,
+                                           "crossing1": 0, "crossing2": 1}),
+    "IY-shrink": ("moves/IY_after", "IY", {"direction": "shrink", "vertex": 0,
+                                           "crossing1": 0, "crossing2": 1}),
+    "H-reverse": ("moves/H_after", "H", {"vertex1": 0, "vertex2": 1}),
+    "H-rotation": ("theta", "H", {"vertex1": 0, "vertex2": 1}),
+    "III-second-orientation": ("moves/III_after", "III",
+                               {"crossing1": 0, "crossing2": 1, "crossing3": 2}),
+}
+
+
+def _assert_oracle_bijection(D, new, fwd, S):
+    mapped = sorted(coloring_key(new, fwd(c)) for c in brute_force_colorings(D, S))
+    # the oracle lists each coloring once, so equal lists make fwd one-to-one
+    assert mapped == sorted(coloring_key(new, c) for c in brute_force_colorings(new, S))
+
+
+@pytest.mark.parametrize("case", sorted(UNPAIRED_MOVES))
+def test_unpaired_moves_biject_the_oracle_colorings(case, z3, s3):
+    name, move, site = UNPAIRED_MOVES[case]
+    D = load_fixture_diagram(name)
+    for S in (z3, s3):
+        new, fwd = apply_move(D, move, site, S)
+        _assert_oracle_bijection(D, new, fwd, S)
+        assert invariant(D, S) == invariant(new, S)
+
+
+def test_move_ii_shrink_on_a_strand_that_closes_on_itself(s3):
+    # a passes under b and back onto itself; the loop a stays, m goes
+    D = KTGDiagram(["a", "m", "b", "c"],
+                   [("b", "a", "m", 1), ("b", "m", "a", -1), ("a", "c", "c", 1)])
+    new, fwd = apply_move(D, "II", {"direction": "shrink", "crossing1": 0, "crossing2": 1}, s3)
+    assert new == KTGDiagram(["a", "b", "c"], [("a", "c", "c", 1)])
+    _assert_oracle_bijection(D, new, fwd, s3)
+    assert invariant(D, s3) == invariant(new, s3)
+
+
+def test_move_bijection_refuses_an_ambiguous_extension():
+    # over multiplication mod 4 the rotated theta colors its new arc h0 by
+    # s = s·h0 and h0·t = t: one h0 for s = t = 1, four for s = t = 0
+    S = algebra.mul_mod_shalgebra(4)
+    _, fwd = apply_move(theta(), "H", {"vertex1": 0, "vertex2": 1}, S)
+    assert fwd({"s": 1, "t": 1, "u": 1}) == {"s": 1, "t": 1, "h0": 1}
+    with pytest.raises(StructureError, match="4 colorings of the new diagram"):
+        fwd({"s": 0, "t": 0, "u": 0})
+
+
+@pytest.mark.parametrize("move, site", [
+    ("T", {"vertex": -1}),
+    ("T", {"vertex": 2}),
+    ("H", {"vertex1": 0, "vertex2": -2}),
+    ("I", {"direction": "shrink", "crossing": 0}),
+    ("YI", {"direction": "shrink", "vertex": 0, "crossing1": -1, "crossing2": 0}),
+])
+def test_move_site_indices_outside_the_lists_are_refused(s3, move, site):
+    with pytest.raises(StructureError, match=r"is not in range\((0|2)\)"):
+        apply_move(theta(), move, site, s3)
 
 
 def test_kink_move_changes_cycle_by_square(s3):

@@ -52,6 +52,9 @@ READERS = {
     "move-sign": (lambda: moves.apply_move(knots.load_fixture_diagram("unknot"), "I",
                                            {"arc": "a", "sign": 1.5}, algebra.conj_cyclic(3)),
                   "move site sign must be an integer: 1.5 is not an integer"),
+    "move-site-index": (lambda: moves.apply_move(knots.load_fixture_diagram("theta"), "T",
+                                                 {"vertex": 0.5}, algebra.conj_cyclic(3)),
+                        "move site vertex must be an integer: 0.5 is not an integer"),
 }
 
 
