@@ -115,10 +115,10 @@ def verify_structure(S: Shalgebra, N):
     VerificationError).  Every prism of degree 2..min(N, 4) then has its
     stored boundary column compared with the expansion table, both as
     {generator index: coefficient}.  Degree by degree from 1 to min(N, 4),
-    every prism is labeled once by `good_labeling`; its geometric faces
-    must carry the labelings stored for degree n-1 under their generator
-    indices and match its algebraic faces.  Only the previous degree's
-    labelings are kept.  Relation cells the build leaves out are named on
+    every prism is labeled once by `good_labeling`, as a tuple; its
+    geometric faces must carry the label tuples stored for degree n-1 under
+    their generator indices and match its algebraic faces.  Only the
+    previous degree's tuples are kept.  Relation cells the build leaves out are named on
     stderr, as `homology` names them.
     """
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
@@ -191,8 +191,12 @@ def _expansion_column(g, S: Shalgebra) -> Chain:
     """The expansion of g as a chain on generator indices, like terms combined."""
     ranks = partition_ranks(g.degree - 1)
     q = S.size
-    return Chain(g.degree - 1, ((_full_index(ranks[partition], elements, q), sign)
-                                for sign, partition, elements in _expansion_terms(g, S)))
+    column = Chain(g.degree - 1)
+    for sign, partition, elements in _expansion_terms(g, S):
+        index = _full_index(ranks[partition], elements, q)
+        column.terms[index] = column.terms.get(index, 0) + sign
+    column.terms = {index: c for index, c in column.terms.items() if c}
+    return column
 
 
 # The expansion table mirrors the explicit low-degree boundary formulas and

@@ -43,7 +43,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import chains
-from .algebra import Shalgebra, integer, reading
+from .algebra import AXIOM_NAMES, Shalgebra, integer, reading
 from .errors import NotACycleError, StructureError
 from .prismatic import (BracketedTuple, PrismaticComplex, boundary_generator, bracketed,
                         cached_complex)
@@ -200,12 +200,9 @@ def enumerate_colorings(D: KTGDiagram, S: Shalgebra):
     """All colorings satisfying every rule of D, in search order.
 
     Negative crossings rely on invertibility of the action, so a full
-    qualgebra is required.
+    qualgebra is required; AxiomError names the first axiom that fails.
     """
-    if not S.report.qualgebra_ok:
-        name, witness = S.report.first_failure()
-        raise StructureError(
-            f"coloring needs a qualgebra; axiom {name} fails at {witness}")
+    S.report.require(AXIOM_NAMES, "coloring needs a qualgebra")
     return _extensions(D, S, {})
 
 

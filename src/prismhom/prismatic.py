@@ -359,7 +359,7 @@ def _ranked_plan(partition, ranks):
 
 
 class _Generators(Sequence):
-    """The generators of one degree of a complex, decoded from their index on access."""
+    """The generators of one degree of a complex: decoded from an index, or walked in order."""
 
     def __init__(self, K, n):
         self._K = K
@@ -383,6 +383,14 @@ class _Generators(Sequence):
             full, x = divmod(full, K.S.size)
             elements.append(x)
         return BracketedTuple(K._shapes[n][full], tuple(reversed(elements)))
+
+    def __iter__(self):
+        K, n = self._K, self._n
+        kept = set(K._kept[n]) if n in K._kept else None
+        prisms = (BracketedTuple(partition, e) for partition in K._shapes.get(n, ())
+                  for e in product(range(K.S.size), repeat=n))
+        yield from (g for full, g in enumerate(prisms) if kept is None or full in kept)
+        yield from K._cells.get(n, ())
 
 
 class PrismaticComplex:

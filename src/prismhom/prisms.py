@@ -18,13 +18,15 @@ face that is again of this form, for the tuple produced by the algebraic
 face map — that equality is what `geometric_faces` checks and what the
 verification suite leans on.
 
-Faces are read by position: each face plan picks the face's labels and its
-generating edges out of the prism's `edge_labels`, so `verify` can label
-every prism once and compare its faces with the labels stored one degree
-lower.  `faces_match_algebra` names every face by its generator index (the
+A partition's labels come from one straight-line program: its edges share
+their block products and acting prefixes, each is computed once, and the
+labels are read out as a tuple in plan order.  Faces are read by position:
+each face plan picks the face's labels and generating edges out of that
+tuple, so `verify` labels every prism once and compares its faces with the
+labels stored one degree lower, under their generator indices (the
 numbering of `PrismaticComplex`: partition rank, then the elements read in
-base |G|), on the geometric side from the face's generating labels and on
-the algebraic side from the boundary plan, so it compares integers.
+base |G|).  Signed faces are compared with the algebraic face map as
+(sign, partition rank, elements).
 """
 
 from __future__ import annotations
@@ -41,12 +43,20 @@ from .prismatic import BracketedTuple, _faces, _full_index, _ranked_plan, partit
 class LabeledPrism:
     """A product of simplices with carrier-labeled directed edges."""
 
-    __slots__ = ("partition", "label", "edges")
+    __slots__ = ("partition", "label", "_edges", "_labels")
 
-    def __init__(self, partition, label, edges):
+    def __init__(self, partition, label, edges=(), labels=None):
         self.partition = tuple(partition)
         self.label = label                     # BracketedTuple or None
-        self.edges = dict(edges)               # (vfrom, vto) -> element
+        self._edges = None if labels is not None else dict(edges)  # (vfrom, vto) -> element
+        self._labels = labels  # in `_edge_plan` order; dropped once `edges`, editable, is built
+
+    @property
+    def edges(self):
+        if self._edges is None:
+            self._edges = dict(zip(_edge_keys(self.partition), self._labels))
+            self._labels = None
+        return self._edges
 
     @property
     def vertices(self):
@@ -94,20 +104,42 @@ def _edge_plan(partition):
     return tuple(plan)
 
 
+@lru_cache(maxsize=None)
+def _label_program(partition):
+    """The edge labels of a partition as a straight-line program: (steps, read).
+
+    Slots 0..n-1 hold the elements; step (table, src, t) appends
+    table[slot src][element t], table 0 being dot and 1 tri.  Every distinct
+    block product and acting prefix, keyed by (start, stop, acting), is one
+    step; `read` picks the labels out of the slots in `_edge_plan` order.
+    """
+    steps, slots, read = [], {}, []
+    for _, start, stop, acting in _edge_plan(partition):
+        at = start
+        chain = [(0, t, (start, t + 1, ())) for t in range(start + 1, stop)]
+        chain += [(1, t, (start, stop, acting[:k + 1])) for k, t in enumerate(acting)]
+        for table, t, key in chain:
+            if key not in slots:
+                slots[key] = sum(partition) + len(steps)
+                steps.append((table, at, t))
+            at = slots[key]
+        read.append(at)
+    return tuple(steps), _getter(tuple(read))
+
+
+def good_labels(partition, elements, S: Shalgebra) -> tuple:
+    """The edge labels of the prism of (partition, elements), in `_edge_plan` order."""
+    steps, read = _label_program(partition)
+    tables = (S.dot.rows, S.tri.rows)
+    slots = list(elements)
+    for table, src, t in steps:
+        slots.append(tables[table][slots[src]][slots[t]])
+    return read(slots)
+
+
 def good_labeling(g: BracketedTuple, S: Shalgebra) -> LabeledPrism:
     """The edge labeling of the prism of `g` determined by the labeling rule."""
-    e = g.elements
-    dot = S.dot.rows
-    tri = S.tri.rows
-    edges = {}
-    for key, start, stop, acting in _edge_plan(g.partition):
-        x = e[start]
-        for t in range(start + 1, stop):
-            x = dot[x][e[t]]
-        for t in acting:
-            x = tri[x][e[t]]
-        edges[key] = x
-    return LabeledPrism(g.partition, g, edges)
+    return LabeledPrism(g.partition, g, labels=good_labels(g.partition, g.elements, S))
 
 
 def act_on_prism(prism: LabeledPrism, b, S: Shalgebra) -> LabeledPrism:
@@ -161,13 +193,16 @@ def _getter(indices):
 
 @lru_cache(maxsize=None)
 def _edge_keys(partition):
-    return _getter(tuple(key for key, *_ in _edge_plan(partition)))
+    return tuple(key for key, *_ in _edge_plan(partition))
 
 
 def edge_labels(prism: LabeledPrism) -> tuple:
     """The prism's edge labels as a tuple, in `_edge_plan` order."""
+    if prism._labels is not None:
+        return prism._labels
+    edges = prism.edges
     try:
-        return _edge_keys(prism.partition)(prism.edges)
+        return tuple(edges[key] for key in _edge_keys(prism.partition))
     except KeyError as exc:
         raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
 
@@ -175,42 +210,27 @@ def edge_labels(prism: LabeledPrism) -> tuple:
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
-    Returns the face's partition and two getters over the prism's
-    `edge_labels`: `gather` picks the edges the face keeps, in the face's
-    own plan order, and `generating` picks the face's generating edges
-    (t-1 -> t at the base point, factor by factor).  A factor of size one
-    collapses to a point and disappears; the other slice is kept.
+    Returns the face's partition, its `partition_ranks` rank and two getters
+    over the prism's `edge_labels`: `gather` picks the edges the face keeps,
+    in its own plan order, and `generating` its generating edges (t-1 -> t
+    at the base point, factor by factor).  A factor of size one collapses to
+    a point and disappears; the other slice is kept.
     """
     kj = partition[j]
-    if kj == 1:
-        keep = 1 - i
-        new_partition = partition[:j] + partition[j + 1:]
+    new_partition = partition[:j] + ((kj - 1,) if kj > 1 else ()) + partition[j + 1:]
 
-        def keep_vertex(v):
-            return v[j] == keep
-
-        def rename(v):
-            return v[:j] + v[j + 1:]
-    else:
-        new_partition = partition[:j] + (kj - 1,) + partition[j + 1:]
-
-        def keep_vertex(v):
-            return v[j] != i
-
-        def rename(v):
-            return v[:j] + (v[j] - (1 if v[j] > i else 0),) + v[j + 1:]
+    def rename(v):
+        return v[:j] + ((v[j] - (v[j] > i),) if kj > 1 else ()) + v[j + 1:]
 
     position = {(rename(vfrom), rename(vto)): at
                 for at, ((vfrom, vto), *_) in enumerate(_edge_plan(partition))
-                if keep_vertex(vfrom) and keep_vertex(vto)}
+                if vfrom[j] != i and vto[j] != i}
     gather = tuple(position[key] for key, *_ in _edge_plan(new_partition))
-    generating = []
-    for q, k in enumerate(new_partition):
-        for t in range(1, k + 1):
-            vfrom = tuple(0 if u != q else t - 1 for u in range(len(new_partition)))
-            vto = tuple(0 if u != q else t for u in range(len(new_partition)))
-            generating.append(position[(vfrom, vto)])
-    return new_partition, _getter(gather), _getter(tuple(generating))
+    zero = (0,) * len(new_partition)
+    generating = tuple(position[zero[:q] + (t - 1,) + zero[q + 1:], zero[:q] + (t,) + zero[q + 1:]]
+                       for q, k in enumerate(new_partition) for t in range(1, k + 1))
+    rank = partition_ranks(sum(new_partition))[new_partition]
+    return new_partition, rank, _getter(gather), _getter(generating)
 
 
 @lru_cache(maxsize=None)
@@ -225,18 +245,6 @@ def _face_plans(partition):
     return tuple(plans)
 
 
-def _face_walk(prism: LabeledPrism):
-    """Per codimension-one face, in (j, i) order: (j, i, sign, partition, elements, labels).
-
-    The face's generator is its partition with the elements read off its
-    generating edges, and the labels are the face's edge labels in its own
-    plan order, both gathered from the prism's labels by position.
-    """
-    labels = edge_labels(prism)
-    for j, i, sign, partition, gather, generating in _face_plans(prism.partition):
-        yield j, i, sign, partition, generating(labels), gather(labels)
-
-
 def _not_good(prism, j, i):
     return VerificationError(
         f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
@@ -249,10 +257,11 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     recovered tuple generates); a mismatch raises, since it would mean the
     geometric and algebraic face maps disagree.
     """
+    labels = edge_labels(prism)
     out = []
-    for j, i, sign, partition, elements, labels in _face_walk(prism):
-        candidate = good_labeling(BracketedTuple(partition, elements), S)
-        if edge_labels(candidate) != labels:
+    for j, i, sign, partition, _, gather, generating in _face_plans(prism.partition):
+        candidate = good_labeling(BracketedTuple(partition, generating(labels)), S)
+        if edge_labels(candidate) != gather(labels):
             raise _not_good(prism, j, i)
         out.append((sign, candidate))
     return out
@@ -267,34 +276,40 @@ def _algebraic_plan(partition):
 def faces_match_algebra(prism: LabeledPrism, S: Shalgebra, below) -> bool:
     """Signed multiset equality of geometric and algebraic faces for one prism.
 
-    `prism.label` names the generator.  `below` maps the generator indices
-    of one degree lower to their `edge_labels`.  Each face's index is read
-    off its generating edges, and its induced labels must equal the entry
-    of that index; a face missing from `below` is labeled by `good_labeling`
-    instead, so `{}` checks every face from scratch.  A face that is not
-    good raises VerificationError.  The signed face indices are then
-    compared with those of the algebraic face map: the index determines the
-    generator, and the generator the labeled face.
+    `prism.label` names the generator (one on another partition has other
+    faces), and `_faces_agree` compares the faces of its `edge_labels`.
     """
     g = prism.label
     if g is None:
         raise StructureError(f"{prism!r} names no generator to compare faces with")
+    if g.partition != prism.partition:
+        return False
+    return _faces_agree(g.partition, g.elements, edge_labels(prism), S, below)
+
+
+def _faces_agree(partition, elements, labels, S: Shalgebra, below) -> bool:
+    """The face check of `faces_match_algebra` on a prism's edge labels.
+
+    `below` maps the generator indices of one degree lower to their labels.
+    Each face's elements are read off its generating edges, and its induced
+    labels must equal the entry of its index (or, missing there, its
+    `good_labels`; so `{}` checks every face from scratch); a face that is
+    not good raises VerificationError.  The signed faces, as (sign,
+    partition rank, elements), must then be those of the algebraic face map.
+    """
     q = S.size
-    ranks = partition_ranks(sum(prism.partition) - 1)
     geometric = []
-    for j, i, sign, partition, elements, labels in _face_walk(prism):
-        index = _full_index(ranks[partition], elements, q)
-        expected = below.get(index)
+    for j, i, sign, face, rank, gather, generating in _face_plans(partition):
+        face_elements = generating(labels)
+        expected = below.get(_full_index(rank, face_elements, q))
         if expected is None:
-            expected = edge_labels(good_labeling(BracketedTuple(partition, elements), S))
-        if expected != labels:
-            raise _not_good(prism, j, i)
-        geometric.append((sign, index))
-    if g.degree != sum(prism.partition):
-        return False  # faces of different degrees can share an index
-    algebraic = [(sign, _full_index(rank, f, q))
-                 for sign, rank, f in _faces(g.elements, _algebraic_plan(g.partition), S)]
-    return sorted(geometric) == sorted(algebraic)
+            expected = good_labels(face, face_elements, S)
+        if expected != gather(labels):
+            raise _not_good(LabeledPrism(partition, BracketedTuple(partition, elements)), j, i)
+        geometric.append((sign, rank, face_elements))
+    algebraic = list(_faces(elements, _algebraic_plan(partition), S))
+    # both sides list the faces in (j, i) order, so a good prism needs no sort
+    return geometric == algebraic or sorted(geometric) == sorted(algebraic)
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

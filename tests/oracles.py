@@ -1,4 +1,4 @@
-"""Independent oracles: classical differentials, degeneracies and brute-force colorings.
+"""Independent oracles: classical differentials, degeneracies, colorings and prism labels.
 
 The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
@@ -7,10 +7,12 @@ of the action share no code with it.  The degeneracy predicate is written
 from the `degenerate_span` docstring, one tuple at a time, where the
 library generates the degenerate tuples from digit patterns.  The coloring
 oracle is written from the coloring rules as the `knots` docstring states
-them, not from the rule tuples the search uses.  The conjugation tables of
-permutation groups are built here from their products.  Nothing here imports
-`prismhom`: structures and diagrams are read through their attributes and
-operation tables only.
+them, not from the rule tuples the search uses.  The prism edge labels are
+computed edge by edge from the labeling rule of the `prisms` docstring,
+where the library shares subproducts between edges.  The conjugation
+tables of permutation groups are built here from their products.  Nothing
+here imports `prismhom`: structures and diagrams are read through their
+attributes and operation tables only.
 """
 
 from itertools import product
@@ -108,6 +110,32 @@ def brute_force_colorings(D, S) -> list:
         if all(crossing_ok(c, x) for x in D.crossings) and \
                 all(vertex_ok(c, v) for v in D.vertices):
             out.append(c)
+    return out
+
+
+def prism_edge_labels(partition, elements, S) -> dict:
+    """Every directed edge label of a prism, (vfrom, vto) -> element, one edge at a time.
+
+    Written from the `prisms` module docstring: at vertex v, the edge
+    p -> p' in factor q carries the product of the block-q entries
+    p+1..p', acted on one element at a time by the first v_u entries of
+    every later block u.
+    """
+    blocks, start = [], 0
+    for k in partition:
+        blocks.append(tuple(elements[start:start + k]))
+        start += k
+    out = {}
+    for v in product(*[range(k + 1) for k in partition]):
+        for q, k in enumerate(partition):
+            for p_to in range(v[q] + 1, k + 1):
+                x = blocks[q][v[q]]
+                for y in blocks[q][v[q] + 1:p_to]:
+                    x = S.mul(x, y)
+                for u in range(q + 1, len(partition)):
+                    for y in blocks[u][:v[u]]:
+                        x = S.act(x, y)
+                out[(v, v[:q] + (p_to,) + v[q + 1:])] = x
     return out
 
 

@@ -314,10 +314,16 @@ def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
 def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
     calls = Counter()
-    for name in ("good_labeling", "faces_match_algebra", "edge_labels"):
-        def counted(prism, *args, _name=name, _original=getattr(prisms, name)):
-            calls[_name, getattr(prism, "label", prism).degree] += 1
-            return _original(prism, *args)
+    for name in ("good_labels", "_faces_agree"):
+        def counted(partition, *args, _name=name, _original=getattr(prisms, name)):
+            calls[_name, sum(partition)] += 1
+            return _original(partition, *args)
+
+        monkeypatch.setattr(prisms, name, counted)
+    for name in ("good_labeling", "faces_match_algebra"):
+        def counted(g, *args, _name=name, _original=getattr(prisms, name)):
+            calls[_name, getattr(g, "label", g).degree] += 1
+            return _original(g, *args)
 
         monkeypatch.setattr(prisms, name, counted)
     # the checks run on generator indices: once the complex is built, no
@@ -346,12 +352,15 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     assert [calls[name] for name in ("chain", "_locate", "faces")] == [0, 0, 0]
     prisms_of = {1: 6, 2: 72, 3: 864, 4: 10368}
     for n, count in prisms_of.items():
+        # the labeling program runs once per prism: each face finds its
+        # labels stored one degree lower, so no face is labeled again
+        assert calls["good_labels", n] == count
+        assert calls["_faces_agree", n] == count
+        # verify reaches both through the public functions the benchmark
+        # traces, once per prism
         assert calls["good_labeling", n] == count
         assert calls["faces_match_algebra", n] == count
-        # read once by the prism's own face walk, and once more to be stored
-        # for the next degree unless it is the top one
-        assert calls["edge_labels", n] == count * (2 if n < 4 else 1)
-    assert sum(calls.values()) == 3 * 11310 + 942
+    assert sum(calls.values()) == 4 * 11310
 
 
 def _dihedral4():

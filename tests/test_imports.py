@@ -8,8 +8,9 @@ oracles stay independent of the code they check.  And every top-level
 function and class of prismhom is named somewhere outside its own
 definition, in the package, the tests, the demos or the benchmark.
 Refusals go through one path per kind: only `algebra.py` catches
-`(TypeError, ValueError, OverflowError)` (in `reading`) or raises
-`AxiomError` (in `AxiomReport.require`).  `moves.py` calls no carrier
+`(TypeError, ValueError, OverflowError)` (in `reading`), raises
+`AxiomError` (in `AxiomReport.require`) or calls `first_failure`, so no
+module names a failing axiom by hand.  `moves.py` calls no carrier
 operation: a move states only its rewrite, and its coloring bijection is
 derived from the new diagram's rules.
 """
@@ -213,6 +214,27 @@ def test_the_check_sees_a_refusal_by_hand():
         "raise StructureError('fine')\n")
     assert _refusal_sites(tree) == [(3, "number handler"), (7, "number handler"),
                                     (13, "raise AxiomError"), (14, "raise AxiomError")]
+
+
+def _first_failure_calls(tree):
+    """Lines that call `first_failure`, as a method or as a plain name."""
+    return sorted(node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call) and
+                  getattr(node.func, "attr", getattr(node.func, "id", None)) == "first_failure")
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != REFUSAL_HOME])
+def test_failing_axioms_are_named_only_in_algebra(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _first_failure_calls(tree) == [], (
+        f"{module} refuses an axiom by hand; use AxiomReport.require")
+
+
+def test_the_check_sees_a_first_failure_call():
+    tree = ast.parse("name, witness = S.report.first_failure()\nfirst_failure(names)\n"
+                     "_first_failure(3, 2, fails)\nS.report.require(names, 'what')\n"
+                     "f = report.first_failure\n")
+    assert _first_failure_calls(tree) == [1, 2]
 
 
 CARRIER_OPERATIONS = {"act", "act_inv", "act_by_all", "mul", "product", "group_inverse",

@@ -1,7 +1,7 @@
 import pytest
 
 from prismhom import algebra, knots
-from prismhom.errors import NotACycleError, StructureError
+from prismhom.errors import AxiomError, NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
                             apply_move, coloring_key, enumerate_colorings, foam_invariant,
                             invariant, load_fixture_diagram, move_fixture_pairs,
@@ -91,10 +91,13 @@ def test_enumeration_matches_brute_force(s3, z2):
 
 
 def test_coloring_requires_qualgebra(z2):
-    from prismhom.algebra import Shalgebra
-    shalg = Shalgebra([[0, 1], [1, 0]], [[0, 0], [0, 0]], _validate=False)
-    with pytest.raises(StructureError, match="qualgebra"):
+    # the XOR table with the zero action: x -> x◁b is no bijection, so the
+    # refusal names axiom II and its witness, as every axiom requirement does
+    shalg = algebra.Shalgebra([[0, 1], [1, 0]], [[0, 0], [0, 0]], _validate=False)
+    with pytest.raises(AxiomError, match=r"coloring needs a qualgebra: axiom II fails at "
+                                         r"\(0, 0\): x -> x<b is a bijection") as caught:
         enumerate_colorings(load_fixture_diagram("unknot"), shalg)
+    assert caught.value.witness == (0, 0)
 
 
 def test_chain_term_conventions(s3):

@@ -466,6 +466,25 @@ def test_index_of_inverts_generators(name, request):
                 assert K.index_of(g) == i and gens[i] == g, (K.mode, n, i)
 
 
+@pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
+def test_generators_iterate_as_they_index(name, request):
+    # iteration walks the partitions and element tuples in index order; it
+    # must skip exactly the collapsed prisms and end with the relation cells
+    S = request.getfixturevalue(name)
+    modes = _all_modes(S, 4) if S.is_qualgebra else [
+        build_complex(S, 4, "plain"), build_bar_complex(S, 4), build_rack_complex(S, 4)]
+    for K in modes:
+        for n in range(0, 6):
+            gens = K.generators(n)
+            assert list(gens) == [gens[i] for i in range(len(gens))], (K.mode, n)
+    if S.is_qualgebra:
+        plain, qualgebra, normalized = modes[:3]
+        assert isinstance(list(qualgebra.generators(3))[-1], ExtraCell)
+        assert not any(isinstance(g, ExtraCell) for g in plain.generators(3))
+        kept = [g for g in normalized.generators(2) if not isinstance(g, ExtraCell)]
+        assert 0 < len(kept) < plain.generator_count(2)
+
+
 def test_index_of_and_chain_refuse_foreign_generators(z3):
     plain, qualgebra, normalized, group, rack = _all_modes(z3, 4)
     unresolved = ExtraCell(qualgebra.warnings[0]["cell"], qualgebra.warnings[0]["labels"])

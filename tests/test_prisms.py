@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prismhom import prisms
-from prismhom.algebra import conj_symmetric, diagonal_action
+from prismhom.algebra import (Shalgebra, conj_cyclic, conj_symmetric, diagonal_action,
+                              mul_mod_shalgebra)
 from prismhom.errors import StructureError, VerificationError
 from prismhom.prismatic import BracketedTuple, bracketed, compositions, faces
 from prismhom.prisms import (LabeledPrism, act_on_prism, edge_labels, geometric_faces,
                              good_labeling, inductive_labeling, path_endomorphism,
                              prism_to_dict)
+
+from oracles import conjugation_tables, permutation_group, prism_edge_labels
 
 
 def test_simplex_edge_labels(s3):
@@ -222,6 +225,50 @@ def test_stored_face_table_agrees_with_relabeling(shape, tamper):
     assert _verdict(prism, _TABLES[g.degree - 1]) == _verdict(prism, {})
     if not tamper:
         assert _verdict(prism, below) is True
+
+
+_CARRIERS = {"z3": conj_cyclic(3), "s3": _S3, "mul-mod-4": mul_mod_shalgebra(4),
+             "d4": Shalgebra(*conjugation_tables(*permutation_group([(1, 2, 3, 0),
+                                                                    (0, 3, 2, 1)])))}
+_SHAPES = [partition for n in range(1, 6) for partition in compositions(n)]
+
+
+def _agrees_with_the_rule(partition, elements, S):
+    rule = prism_edge_labels(partition, elements, S)
+    in_plan_order = tuple(rule[key] for key, *_ in prisms._edge_plan(partition))
+    assert prisms.good_labels(partition, elements, S) == in_plan_order
+    prism = good_labeling(BracketedTuple(partition, elements), S)
+    assert edge_labels(prism) == in_plan_order
+    assert prism.edges == rule
+
+
+@pytest.mark.parametrize("name", sorted(_CARRIERS))
+def test_every_partition_is_labeled_by_the_rule(name):
+    # the straight-line programs of all 31 partitions of degree 1..5, each
+    # against the rule applied edge by edge
+    S = _CARRIERS[name]
+    rnd = random.Random(name)
+    for partition in _SHAPES:
+        for _ in range(3):
+            _agrees_with_the_rule(partition, tuple(rnd.randrange(S.size)
+                                                   for _ in range(sum(partition))), S)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(sorted(_CARRIERS)), st.sampled_from(_SHAPES).flatmap(
+    lambda p: st.tuples(st.just(p), st.lists(st.integers(0, 7), min_size=sum(p),
+                                             max_size=sum(p)))))
+def test_labels_agree_with_the_rule(name, shape):
+    S = _CARRIERS[name]
+    partition, elements = shape
+    _agrees_with_the_rule(partition, tuple(x % S.size for x in elements), S)
+
+
+def test_a_label_on_another_partition_matches_no_faces(s3):
+    p = good_labeling(bracketed((1, 1), (1, 2)), s3)
+    assert prisms.faces_match_algebra(p, s3, {})
+    assert not prisms.faces_match_algebra(LabeledPrism(p.partition, bracketed((2,), (1, 2)),
+                                                       p.edges), s3, {})
 
 
 def test_path_endomorphism_identity_and_composition(s3):
