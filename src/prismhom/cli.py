@@ -158,6 +158,16 @@ def cmd_verify(args):
     return EXIT_OK if ok else EXIT_MATH
 
 
+def _write_out(path, write):
+    """Write a file through write(fh) and say so on stdout; StructureError if it cannot be."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            write(fh)
+    except OSError as exc:
+        raise StructureError(f"cannot write {path}: {exc}")
+    print(f"wrote {path}")
+
+
 def cmd_export_prism(args):
     S = load_structure(args.structure)
     g = bracketed(args.partition.split(","), args.elements.split(","))
@@ -167,9 +177,7 @@ def cmd_export_prism(args):
     data = prisms.prism_to_dict(prism, S)
     text = json.dumps(data, sort_keys=True, indent=2)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
+        _write_out(args.out, lambda fh: fh.write(text + "\n"))
     else:
         print(text)
     return EXIT_OK
@@ -179,9 +187,7 @@ def cmd_export_matrices(args):
     S = load_structure(args.structure)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            export_boundary_triplets(K.cc, fh)
-        print(f"wrote {args.out}")
+        _write_out(args.out, lambda fh: export_boundary_triplets(K.cc, fh))
     else:
         export_boundary_triplets(K.cc, sys.stdout)
     return EXIT_OK

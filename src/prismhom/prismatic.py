@@ -358,6 +358,42 @@ def _ranked_plan(partition, ranks):
     return tuple((sign, kind, p, ranks[f]) for sign, kind, p, f in _boundary_plan(partition))
 
 
+def _face_tables(plan, n, S):
+    """The faces of every degree-n element tuple as full indices, one list per ranked-plan entry.
+
+    Item t of an entry's list is the full index (`_full_index`) of that face
+    of the tuple whose elements, read in base q = |G|, give t.  A face at
+    position p keeps the k digits after p (after p + 1 for a product) as
+    they are, so the list runs through q^k consecutive indices for each
+    value of the digits up to there.  A deletion drops digit p; a product
+    replaces digits p and p + 1 by their ·-product; an action drops digit
+    h = e_p and maps the value of the digits before p through ◁ h, read off
+    a table of all p-digit values built one digit at a time.
+    """
+    q = S.size
+    dot, tri = S.dot.rows, S.tri.rows
+    acted = [[0] * q]  # acted[p][v*q + h]: the p-digit value v, each digit acted on by h
+    out = []
+    for sign, kind, p, rank in plan:
+        if kind == 1:
+            starts = [v * q + d for v in range(q ** p) for row in dot for d in row]
+            run = q ** (n - 2 - p)
+        else:
+            if kind == 0:
+                while len(acted) <= p:
+                    prev = acted[-1]
+                    acted.append([w * q + t for v in range(0, len(prev), q) for x in range(q)
+                                  for w, t in zip(prev[v:v + q], tri[x])])
+                starts = acted[p]
+            else:
+                starts = [v for v in range(q ** p) for _ in range(q)]
+            run = q ** (n - 1 - p)
+        off = rank * q ** (n - 1)
+        starts = [off + v * run for v in starts]
+        out.append(starts if run == 1 else [x for s in starts for x in range(s, s + run)])
+    return out
+
+
 class _Generators(Sequence):
     """The generators of one degree of a complex: decoded from an index, or walked in order."""
 
@@ -455,35 +491,45 @@ class PrismaticComplex:
         """Boundary chains of the degree-n prisms outside `gone`, in index order.
 
         gone is None or holds the collapsed full indices; then the others go
-        onto `_kept[n]`, and a collapsed prism's column must be empty.
+        onto `_kept[n]`, and a collapsed prism's column must be empty.  Each
+        partition's faces come from `_face_tables`, one table per face of
+        the plan; the columns sum the signs of the faces in (j, i) order.
+        When degree n - 1 has collapsed prisms, the tables are first mapped
+        to compact indices, with None for a collapsed face, and those terms
+        are dropped.
         """
         S = self.S
         q = S.size
         ranks = self._ranks.get(n - 1)
         kept = self._kept.get(n - 1)
+        compact = None
+        if kept is not None:
+            compact = [None] * (len(self._shapes[n - 1]) * q ** (n - 1))
+            for k, full in enumerate(kept):
+                compact[full] = k
         if gone is not None:
             self._kept[n] = []
         out = []
         for r, partition in enumerate(self._shapes[n]):
-            # the last plan field is the face partition's rank, the leading
-            # digit of every face index
             plan = _ranked_plan(partition, ranks) if n > 1 else ()
-            for i, e in enumerate(product(range(q), repeat=n), r * q ** n):
-                col = {}
-                for sign, j, f in _faces(e, plan, S):
-                    for x in f:
-                        j = j * q + x
+            tables = _face_tables(plan, n, S)
+            if compact is not None:
+                tables = [[compact[j] for j in table] for table in tables]
+            cols = [{} for _ in range(q ** n)]
+            for (sign, *_), table in zip(plan, tables):
+                for col, j in zip(cols, table):
                     c = col.get(j, 0) + sign
                     if c:
                         col[j] = c
                     else:
                         del col[j]
-                if kept is not None:
-                    col = {k: c for j, c in col.items()
-                           if (k := self._compact(n - 1, j)) is not None}
+            for i, col in enumerate(cols, r * q ** n):
+                if compact is not None:
+                    col.pop(None, None)
                 if gone is not None:
                     if i in gone:
                         if col:
+                            e = tuple(i // q ** k % q for k in reversed(range(n)))
                             raise VerificationError("degenerate span is not closed under the "
                                                     f"boundary at {BracketedTuple(partition, e)}")
                         continue

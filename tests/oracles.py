@@ -9,13 +9,25 @@ library generates the degenerate tuples from digit patterns.  The coloring
 oracle is written from the coloring rules as the `knots` docstring states
 them, not from the rule tuples the search uses.  The prism edge labels are
 computed edge by edge from the labeling rule of the `prisms` docstring,
-where the library shares subproducts between edges.  The conjugation
+where the library shares subproducts between edges.  The prism faces
+follow the face rule of the `prismatic` docstring on lists of blocks, one
+face at a time, where the library reads every face of a partition off
+index tables.  The conjugation
 tables of permutation groups are built here from their products.  Nothing
 here imports `prismhom`: structures and diagrams are read through their
 attributes and operation tables only.
 """
 
 from itertools import product
+
+
+def _blocks(partition, elements):
+    """The blocks of a bracketed tuple, as a list of lists."""
+    blocks, start = [], 0
+    for k in partition:
+        blocks.append(list(elements[start:start + k]))
+        start += k
+    return blocks
 
 
 def bar_differential(elements, S) -> dict:
@@ -64,6 +76,45 @@ def rack_differential(elements, S) -> dict:
     return out
 
 
+def prism_face(partition, elements, j, i, S):
+    """Face (j, i) of a bracketed tuple, block j 0-based, by the `prismatic` docstring rule.
+
+    i = 0 deletes the first entry of block j and acts with it on every entry
+    of the blocks before; 0 < i < kj multiplies entries i and i + 1 (1-based)
+    of block j; i = kj deletes its last entry.  A block left empty goes.
+    Returns (sign, face partition, face elements); the sign is -1 to the
+    power i plus the number of entries in the blocks before block j.
+    """
+    blocks = _blocks(partition, elements)
+    block = blocks[j]
+    if i == 0:
+        h = block.pop(0)
+        for q in range(j):
+            blocks[q] = [S.act(x, h) for x in blocks[q]]
+    elif i < partition[j]:
+        block[i - 1:i + 1] = [S.mul(block[i - 1], block[i])]
+    else:
+        block.pop()
+    sign = (-1) ** (sum(partition[:j]) + i)
+    blocks = [b for b in blocks if b]
+    return sign, tuple(len(b) for b in blocks), tuple(x for b in blocks for x in b)
+
+
+def prismatic_differential(partition, elements, S) -> dict:
+    """Boundary of a bracketed tuple, {(partition, elements): coefficient}, like terms combined."""
+    out = {}
+    for j, k in enumerate(partition):
+        for i in range(k + 1):
+            sign, face_partition, face_elements = prism_face(partition, elements, j, i, S)
+            f = (face_partition, face_elements)
+            c = out.get(f, 0) + sign
+            if c:
+                out[f] = c
+            else:
+                del out[f]
+    return out
+
+
 def is_degenerate(partition, elements, flavor, unit) -> bool:
     """Whether a bracketed tuple lies in the degenerate span of a flavor.
 
@@ -72,10 +123,7 @@ def is_degenerate(partition, elements, flavor, unit) -> bool:
     singletons: two neighbouring blocks, both singletons, holding equal
     elements.
     """
-    blocks, start = [], 0
-    for k in partition:
-        blocks.append(tuple(elements[start:start + k]))
-        start += k
+    blocks = _blocks(partition, elements)
     if flavor == "monoid":
         return len(blocks) == 1 and unit in blocks[0]
     if flavor == "spindle":
@@ -121,10 +169,7 @@ def prism_edge_labels(partition, elements, S) -> dict:
     p+1..p', acted on one element at a time by the first v_u entries of
     every later block u.
     """
-    blocks, start = [], 0
-    for k in partition:
-        blocks.append(tuple(elements[start:start + k]))
-        start += k
+    blocks = _blocks(partition, elements)
     out = {}
     for v in product(*[range(k + 1) for k in partition]):
         for q, k in enumerate(partition):

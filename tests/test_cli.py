@@ -276,6 +276,29 @@ def test_verify_fault_injection(files, capsys, monkeypatch, z2):
     assert captured.err.startswith("error: boundary squared is nonzero")
 
 
+def test_verify_catches_a_wrong_face_table_entry(files, capsys, monkeypatch):
+    # one face of one degree-3 prism points at the wrong generator; over Z2
+    # the column still squares to zero, so only the comparison of the stored
+    # columns with the expansion table notices
+    tables = prismatic._face_tables
+    planted = []
+
+    def wrong(plan, n, S):
+        out = tables(plan, n, S)
+        if n == 3 and not planted:
+            planted.append(out[0][5])
+            out[0][5] ^= 1
+        return out
+
+    monkeypatch.setattr(prismatic, "_face_tables", wrong)
+    assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
+    assert planted
+    assert capsys.readouterr().out.splitlines() == [
+        "boundary-squared: ok through degree 3 (qualgebra mode)",
+        "symbolic expansions: FAIL on 1 generators",
+        "geometric faces: ok (degrees 1..3)", "FAILURES found"]
+
+
 def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
     # negated top-degree columns still square to zero; only the comparison of
     # the stored columns with the expansion table can notice them
@@ -545,6 +568,20 @@ def test_export_matrices(files, capsys, tmp_path):
     capsys.readouterr()
     lines = out.read_text().strip().splitlines()
     assert lines and all(len(line.split()) == 4 for line in lines)
+
+
+@pytest.mark.parametrize("command", ("export-prism", "export-matrices"))
+@pytest.mark.parametrize("cause", ("missing-folder", "directory"))
+def test_export_refuses_a_path_it_cannot_write(files, capsys, tmp_path, command, cause):
+    out = tmp_path / "missing" / "out.txt" if cause == "missing-folder" else tmp_path
+    args = (["--partition", "2,1", "--elements", "0,1,1"] if command == "export-prism"
+            else ["--max-degree", "2"])
+    assert main([command, files["z2"], *args, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    reason = "No such file or directory" if cause == "missing-folder" else "Is a directory"
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert reason in captured.err and "Traceback" not in captured.err
 
 
 def test_export_matrices_survives_closed_pipe(files):

@@ -12,12 +12,15 @@ Refusals go through one path per kind: only `algebra.py` catches
 `AxiomError` (in `AxiomReport.require`) or calls `first_failure`, so no
 module names a failing axiom by hand.  `moves.py` calls no carrier
 operation: a move states only its rewrite, and its coloring bijection is
-derived from the new diagram's rules.
+derived from the new diagram's rules.  prismhom imports only its own
+modules and the standard library, and `pyproject.toml` declares no
+dependency, so the package installs and imports with nothing downloaded.
 """
 
 import ast
 import os
 import re
+import sys
 
 import pytest
 
@@ -64,19 +67,21 @@ def test_the_check_sees_an_unused_import():
     assert _unused_imports(tree) == [(1, "product")]
 
 
-def _package_imports(tree):
-    """(line, module) for every import in the tree that reaches prismhom."""
+def _imports(tree):
+    """(line, module) for every import in the tree; "<relative>" for a relative one."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
+            found += [(node.lineno, alias.name) for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""] if node.level == 0 else ["<relative>"]
-        else:
-            continue
-        found += [(node.lineno, name) for name in names
-                  if name == "<relative>" or name.split(".")[0] == "prismhom"]
+            found.append((node.lineno, node.module if node.level == 0 else "<relative>"))
     return found
+
+
+def _package_imports(tree):
+    """(line, module) for every import in the tree that reaches prismhom."""
+    return [(line, name) for line, name in _imports(tree)
+            if name == "<relative>" or name.split(".")[0] == "prismhom"]
 
 
 def test_oracles_import_nothing_from_prismhom():
@@ -91,6 +96,32 @@ def test_the_check_sees_a_package_import():
                      "from prismhom import knots\nfrom . import chains\n")
     assert _package_imports(tree) == [(2, "prismhom.knots"), (3, "prismhom"),
                                       (4, "<relative>")]
+
+
+def _outside_imports(tree):
+    """(line, module) for every import of a module outside the package and the standard library."""
+    return [(line, name) for line, name in _imports(tree)
+            if name != "<relative>" and name.split(".")[0] not in sys.stdlib_module_names]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_the_package_imports_only_the_standard_library(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _outside_imports(tree) == [], f"{module} imports outside the standard library"
+
+
+def test_the_check_sees_an_outside_import():
+    tree = ast.parse("import os.path\nimport numpy as np\nfrom scipy import sparse\n"
+                     "from . import chains\nfrom .algebra import reading\n"
+                     "from __future__ import annotations\nimport json, sympy\n")
+    assert _outside_imports(tree) == [(2, "numpy"), (3, "scipy"), (7, "sympy")]
+
+
+def test_the_project_declares_no_dependencies():
+    with open(os.path.join(REPO, "pyproject.toml"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert re.findall(r"^dependencies\s*=.*$", text, re.MULTILINE) == ["dependencies = []"]
 
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")

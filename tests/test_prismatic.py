@@ -12,7 +12,7 @@ from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
                                 compositions, degenerate_span, face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
-                     rack_differential)
+                     prism_face, prismatic_differential, rack_differential)
 
 
 def test_compositions_order_and_count():
@@ -96,24 +96,6 @@ def test_seven_term_expansion_of_square_pair(z3):
     assert got == expected
 
 
-def _docstring_face(g, j, i, S):
-    """Face (j, i), 0-based block j, by the rule of the module docstring on block lists."""
-    blocks = [list(b) for b in g.blocks()]
-    block = blocks[j]
-    if i == 0:
-        h = block.pop(0)
-        for q in range(j):
-            blocks[q] = [S.act(x, h) for x in blocks[q]]
-    elif i < len(g.blocks()[j]):
-        block[i - 1:i + 1] = [S.mul(block[i - 1], block[i])]
-    else:
-        block.pop()
-    sign = (-1) ** (sum(g.partition[:j]) + i)
-    blocks = [b for b in blocks if b]
-    return sign, BracketedTuple(tuple(len(b) for b in blocks),
-                                tuple(x for b in blocks for x in b))
-
-
 def test_high_degree_boundary_matches_docstring_rule(s3, proj4):
     # degrees 5 and 6 lie beyond the expansion table of degrees 2..4
     rng = random.Random(11)
@@ -122,8 +104,11 @@ def test_high_degree_boundary_matches_docstring_rule(s3, proj4):
             n = rng.choice((5, 6))
             partition = rng.choice(compositions(n))
             g = BracketedTuple(partition, tuple(rng.randrange(S.size) for _ in range(n)))
-            expected = [_docstring_face(g, j, i, S)
-                        for j, k in enumerate(partition) for i in range(k + 1)]
+            expected = []
+            for j, k in enumerate(partition):
+                for i in range(k + 1):
+                    sign, p, e = prism_face(partition, g.elements, j, i, S)
+                    expected.append((sign, BracketedTuple(p, e)))
             assert list(faces(g, S)) == expected
             assert [face(g, j + 1, i, S) for j, k in enumerate(partition)
                     for i in range(k + 1)] == expected
@@ -483,6 +468,26 @@ def test_generators_iterate_as_they_index(name, request):
         assert not any(isinstance(g, ExtraCell) for g in plain.generators(3))
         kept = [g for g in normalized.generators(2) if not isinstance(g, ExtraCell)]
         assert 0 < len(kept) < plain.generator_count(2)
+
+
+@pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
+def test_stored_columns_follow_the_docstring_rule(name, request):
+    # the matrix homology reads, column by column, against the face rule
+    # applied one face at a time; normalized mode drops the collapsed faces
+    S = request.getfixturevalue(name)
+    modes = _all_modes(S, 4) if S.is_qualgebra else [
+        build_complex(S, 4, "plain"), build_bar_complex(S, 4), build_rack_complex(S, 4)]
+    for K in modes:
+        for n in range(1, 5):
+            stored = K.cc.boundaries[n]
+            for i, g in enumerate(K.generators(n)):
+                if isinstance(g, ExtraCell):
+                    continue
+                expected = {K.index_of(BracketedTuple(*f)): c
+                            for f, c in prismatic_differential(g.partition, g.elements, S).items()
+                            if K.mode != "normalized"
+                            or not is_degenerate(*f, "adjacent-equal-singletons", None)}
+                assert stored[i].terms == expected, (K.mode, n, g)
 
 
 def test_index_of_and_chain_refuse_foreign_generators(z3):
