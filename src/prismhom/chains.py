@@ -449,20 +449,6 @@ class ChainComplex:
             return Chain(-1)
         return self.boundaries[n][index]
 
-    def _boundary_terms(self, n, terms):
-        """∂_n of a {generator: coefficient} dict, accumulated into one dict."""
-        out = {}
-        stored = self.boundaries.get(n)
-        if stored:
-            for g, c in terms.items():
-                for h, v in stored[g].terms.items():
-                    nv = out.get(h, 0) + c * v
-                    if nv:
-                        out[h] = nv
-                    else:
-                        del out[h]
-        return out
-
     def boundary(self, chain: Chain) -> Chain:
         """Integer-linear extension of the generator boundaries."""
         if chain.degree < 1:
@@ -471,9 +457,8 @@ class ChainComplex:
         for g in chain.terms:
             if not 0 <= g < count:
                 raise StructureError(f"unknown generator ({chain.degree},{g})")
-        out = Chain(chain.degree - 1)
-        out.terms = self._boundary_terms(chain.degree, chain.terms)
-        return out
+        return Chain(chain.degree - 1, [(h, c * v) for g, c in chain.items()
+                                        for h, v in self.boundaries[chain.degree][g].items()])
 
     def d_squared_violations(self, degrees=None):
         """Generators whose boundary is not itself a cycle, as (degree, index) pairs."""
@@ -483,8 +468,13 @@ class ChainComplex:
         for n in degrees:
             if n < 2:
                 continue  # lands in degree <= 0; nothing to compose with
+            below = [tuple(ch.terms.items()) for ch in self.boundaries.get(n - 1, ())]
             for idx, ch in enumerate(self.boundaries.get(n, ())):
-                if self._boundary_terms(n - 1, ch.terms):
+                out = {}
+                for g, c in ch.terms.items():
+                    for h, v in below[g]:
+                        out[h] = out.get(h, 0) + c * v
+                if any(out.values()):
                     bad.append((n, idx))
         return bad
 

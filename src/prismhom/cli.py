@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: axioms, homology, invariant, verify, export-prism.
+Subcommands: axioms, homology, invariant, verify, export-prism,
+export-matrices.
 Exit codes: 0 success, 1 mathematical failure (axioms, verification),
 2 input or format error, 141 when the reader of stdout closes it early.
 Output is deterministic for fixed inputs and flags; JSON is emitted with
@@ -18,11 +19,11 @@ import sys
 from . import prisms
 from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, CLASS_AXIOMS, Shalgebra, check_axioms,
                       classify_report, load_structure, load_structure_tables)
-from .chains import Chain, export_boundary_triplets
+from .chains import export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (ExtraCell, _full_index, bracketed, build_bar_complex, build_complex,
-                        build_rack_complex, partition_ranks)
+from .prismatic import (ExtraCell, bracketed, build_bar_complex, build_complex,
+                        build_rack_complex, compositions, partition_ranks)
 
 EXIT_OK = 0
 EXIT_MATH = 1
@@ -112,14 +113,16 @@ def verify_structure(S: Shalgebra, N):
     """The verification battery behind `verify`; returns (ok, line list).
 
     Building the complex checks ∂∘∂ = 0 (a violation raises
-    VerificationError).  Every prism of degree 2..min(N, 4) then has its
-    stored boundary column compared with the expansion table, both as
-    {generator index: coefficient}.  Degree by degree from 1 to min(N, 4),
-    every prism is labeled once by `good_labeling`, as a tuple; its
-    geometric faces must carry the label tuples stored for degree n-1 under
-    their generator indices and match its algebraic faces.  Only the
-    previous degree's tuples are kept.  Relation cells the build leaves out are named on
-    stderr, as `homology` names them.
+    VerificationError).  For each partition of degree 2..min(N, 4), the
+    expansion table is then evaluated once on element columns
+    (`_expansion_columns`), and the stored boundary columns of the
+    partition's prisms are compared with it, both as {generator index:
+    coefficient}; every prism that differs counts.  Degree by degree from 1
+    to min(N, 4), every prism is labeled once by `good_labeling`, as a
+    tuple; its geometric faces must carry the label tuples stored for degree
+    n-1 under their generator indices and match its algebraic faces.  Only
+    the previous degree's tuples are kept.  Relation cells the build leaves
+    out are named on stderr, as `homology` names them.
     """
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
     _warn_unresolved(K)
@@ -127,12 +130,17 @@ def verify_structure(S: Shalgebra, N):
     sym_bad = face_bad = 0
     below = {0: ()}  # the empty tuple, the one generator of degree 0
     for n in range(1, top + 1):
+        if n > 1:
+            stored = K.cc.boundaries[n]
+            count = S.size ** n  # prisms per partition, which come before the relation cells
+            for r, partition in enumerate(compositions(n)):
+                expected = _expansion_columns(S, partition)
+                sym_bad += sum(column != chain.terms for column, chain
+                               in zip(expected, stored[r * count:(r + 1) * count]))
         labeled = {}
         for i, g in enumerate(K.generators(n)):
             if isinstance(g, ExtraCell):
                 break  # the relation cells follow the prisms
-            if n > 1 and _expansion_column(g, S) != K.cc.boundary_of(n, i):
-                sym_bad += 1
             prism = prisms.good_labeling(g, S)
             try:
                 if not prisms.faces_match_algebra(prism, S, below):
@@ -193,27 +201,50 @@ def cmd_export_matrices(args):
     return EXIT_OK
 
 
-def _expansion_column(g, S: Shalgebra) -> Chain:
-    """The expansion of g as a chain on generator indices, like terms combined."""
-    ranks = partition_ranks(g.degree - 1)
+def _expansion_columns(S: Shalgebra, partition):
+    """The expansion of each prism on `partition` as {generator index: coefficient}, in index order.
+
+    The expansion table is evaluated once, on element columns: position k
+    of the tuple becomes the list of e_k over all q^n tuples in index
+    order, and · and ◁ act entry by entry.  Each term then becomes a column
+    of face indices (its partition rank, then its elements read in base q),
+    and each prism's signs are summed, a term that sums to 0 dropped.
+    """
+    n = sum(partition)
     q = S.size
-    column = Chain(g.degree - 1)
-    for sign, partition, elements in _expansion_terms(g, S):
-        index = _full_index(ranks[partition], elements, q)
-        column.terms[index] = column.terms.get(index, 0) + sign
-    column.terms = {index: c for index, c in column.terms.items() if c}
-    return column
+    dot, tri = S.dot.rows, S.tri.rows
+    count = q ** n
+    elements = [[x for x in range(q) for _ in range(q ** (n - 1 - k))] * q ** k
+                for k in range(n)]
+
+    def mul(xs, ys):
+        return [dot[x][y] for x, y in zip(xs, ys)]
+
+    def act(xs, ys):
+        return [tri[x][y] for x, y in zip(xs, ys)]
+
+    ranks = partition_ranks(n - 1)
+    columns = [{} for _ in range(count)]
+    for sign, face, entries in _expansion_terms(partition, elements, mul, act):
+        index = [ranks[face]] * count
+        for entry in entries:
+            index = [i * q + x for i, x in zip(index, entry)]
+        for column, j in zip(columns, index):
+            c = column.get(j, 0) + sign
+            if c:
+                column[j] = c
+            else:
+                del column[j]
+    return columns
 
 
 # The expansion table mirrors the explicit low-degree boundary formulas and
 # backs the symbolic check of `verify`: one entry per partition of degrees
 # 2..4.  Each entry lists (sign, partition, element expression) with
-# expressions over the tuple entries; cancelling pairs are kept and collapse
-# when the terms are combined.
-def _expansion_terms(g, S: Shalgebra):
-    key = g.partition
-    e = g.elements
-    mul, act = S.mul, S.act
+# expressions over the tuple entries e, through the operations mul (·) and
+# act (◁); cancelling pairs are kept and collapse when the terms are
+# combined.  `_expansion_columns` evaluates it on columns of elements.
+def _expansion_terms(key, e, mul, act):
     if key == (2,):
         a, b = e
         rows = [(1, (1,), (b,)), (-1, (1,), (mul(a, b),)), (1, (1,), (a,))]

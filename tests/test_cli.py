@@ -316,6 +316,62 @@ def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
     assert out[2:] == ["geometric faces: ok (degrees 1..3)", "FAILURES found"]
 
 
+@pytest.mark.parametrize("negations", [1, 2], ids=["two-partitions", "two-in-one-partition"])
+def test_verify_counts_each_wrong_column(files, capsys, monkeypatch, s3, negations):
+    # degree-4 columns in two different partitions go wrong and still square
+    # to zero: columns of the first are negated, and one term of a column of
+    # another moves to a generator with the same boundary; the symbolic check
+    # counts exactly those prisms, not the partitions that hold them
+    clean = prismatic.build_complex(s3, 4, mode="qualgebra").cc
+    count = s3.size ** 4  # prisms per partition
+    negated = [i for i in range(count) if clean.boundaries[4][i]][:negations]
+    by_boundary = {}
+    for h, chain in enumerate(clean.boundaries[3]):
+        by_boundary.setdefault(frozenset(chain.items()), []).append(h)
+    moved, source, target = next(
+        (i, h, t) for i in range(count, 8 * count) for h in clean.boundaries[4][i].terms
+        for t in by_boundary[frozenset(clean.boundaries[3][h].items())]
+        if t not in clean.boundaries[4][i].terms)
+    build = prismatic.PrismaticComplex._prism_columns
+
+    def planted(self, n, gone):
+        columns = build(self, n, gone)
+        if n == 4:
+            for i in negated:
+                columns[i] = -columns[i]
+            terms = dict(columns[moved].terms)
+            terms[target] = terms.pop(source)
+            columns[moved] = Chain(3, terms)
+        return columns
+
+    monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", planted)
+    built = []
+    build_complex = cli.build_complex
+
+    def kept(*args, **kwargs):
+        built.append(build_complex(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_complex", kept)
+    assert main(["verify", files["s3"], "--max-degree", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "boundary-squared: ok through degree 4 (qualgebra mode)",
+        f"symbolic expansions: FAIL on {negations + 1} generators",
+        "geometric faces: ok (degrees 1..4)", "FAILURES found"]
+    # the same count, prism by prism, from the scalar table through tuple lookup
+    K, = built
+    wrong = []
+    for n in (2, 3, 4):
+        for i, g in enumerate(K.generators(n)):
+            if isinstance(g, prismatic.ExtraCell):
+                break
+            rows = cli._expansion_terms(g.partition, g.elements, s3.mul, s3.act)
+            if K.chain(n - 1, [(bracketed(p, e), sign) for sign, p, e in rows]) != \
+                    K.cc.boundaries[n][i]:
+                wrong.append((n, i))
+    assert wrong == [(4, i) for i in negated] + [(4, moved)]
+
+
 def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
     # the first algebraic face of every generator changes sign, so no
     # prism's signed geometric faces match any more; the complex itself is
@@ -417,7 +473,7 @@ class _Recorded(dict):
     (lambda: algebra.mul_mod_shalgebra(4), 4), (_dihedral4, 3)],
     ids=["z3", "s3", "mul-mod-4", "d4"])
 def test_verify_numbering_agrees_with_the_complex(make, top):
-    # verify's index-space expansion columns and face indices name the same
+    # verify's per-partition expansion columns and face indices name the same
     # generators as the complex's own tuple lookup
     S = make()
     K = prismatic.build_complex(S, top)
@@ -425,10 +481,13 @@ def test_verify_numbering_agrees_with_the_complex(make, top):
         lower = K.generators(n - 1)
         below = _Recorded((k, prisms.edge_labels(prisms.good_labeling(h, S)))
                           for k, h in enumerate(lower))
-        for g in K.generators(n):
-            rows = cli._expansion_terms(g, S)
+        columns = [column for partition in prismatic.compositions(n)
+                   for column in cli._expansion_columns(S, partition)]
+        assert len(columns) == len(K.generators(n))
+        for g, column in zip(K.generators(n), columns):
+            rows = cli._expansion_terms(g.partition, g.elements, S.mul, S.act)
             by_tuple = K.chain(n - 1, [(bracketed(p, e), sign) for sign, p, e in rows])
-            assert cli._expansion_column(g, S).terms == by_tuple.terms
+            assert column == by_tuple.terms
             below.asked = []
             assert prisms.faces_match_algebra(prisms.good_labeling(g, S), S, below)
             # face (j, i) of the prism is face (j, i) of the tuple

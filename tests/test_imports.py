@@ -15,6 +15,8 @@ operation: a move states only its rewrite, and its coloring bijection is
 derived from the new diagram's rules.  prismhom imports only its own
 modules and the standard library, and `pyproject.toml` declares no
 dependency, so the package installs and imports with nothing downloaded.
+The symbolic check of `verify` reads none of `prismatic`'s face code, so it
+stays an independent check of the stored boundary.
 """
 
 import ast
@@ -289,3 +291,42 @@ def test_the_check_sees_a_carrier_operation():
     tree = ast.parse("S.act(a, b)\nS.size\nrows = S.tri.rows\nf = S.mul\n"
                      "product(x)\nS.report.act_inv\n")
     assert _carrier_operations(tree) == [(1, "act"), (3, "tri"), (4, "mul"), (6, "act_inv")]
+
+
+FACE_CODE = {"_face_tables", "_faces", "faces", "boundary_generator", "_ranked_plan"}
+SYMBOLIC_CHECK = ("verify_structure", "_expansion_columns", "_expansion_terms")
+
+
+def _face_code_named(tree, functions):
+    """Face-code names that the given top-level functions reference or the module imports."""
+    named = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            named.update(alias.name.split(".")[-1] for alias in node.names)
+        elif isinstance(node, ast.FunctionDef) and node.name in functions:
+            for sub in ast.walk(node):
+                if isinstance(sub, ast.Name):
+                    named.add(sub.id)
+                elif isinstance(sub, ast.Attribute):
+                    named.add(sub.attr)
+                elif isinstance(sub, ast.alias):
+                    named.add(sub.name.split(".")[-1])
+    return sorted(named & FACE_CODE)
+
+
+def test_the_symbolic_check_reads_no_face_code():
+    with open(os.path.join(SOURCE, "cli.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="cli.py")
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert set(SYMBOLIC_CHECK) <= defined
+    assert _face_code_named(tree, SYMBOLIC_CHECK) == [], (
+        "verify's symbolic check must evaluate its own table, not prismatic's faces")
+
+
+def test_the_check_sees_face_code():
+    tree = ast.parse("from .prismatic import _face_tables as tables\n"
+                     "def verify_structure(S, g):\n    return prismatic.faces(g, S)\n"
+                     "def _expansion_terms(key):\n    from .prismatic import boundary_generator\n"
+                     "def other():\n    return _ranked_plan, _faces\n")
+    assert _face_code_named(tree, SYMBOLIC_CHECK) == ["_face_tables", "boundary_generator",
+                                                      "faces"]
