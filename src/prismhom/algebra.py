@@ -225,10 +225,16 @@ class Shalgebra:
         self.unit = _unit(self.dot.rows)
         self._dot_rows = self.dot.rows
         self._tri_rows = self.tri.rows
+        self._carrier = frozenset(range(self.size))
         self._tri_inv_rows = None
         self._group_info = None
 
     # -- operations ------------------------------------------------------
+
+    def check_elements(self, elements):
+        """Refuse a tuple holding anything but carrier elements 0..size-1 (StructureError)."""
+        if not self._carrier.issuperset(elements):
+            raise StructureError(f"elements {elements} lie outside the carrier 0..{self.size - 1}")
 
     def mul(self, a, b):
         return self._dot_rows[a][b]

@@ -148,11 +148,12 @@ def verify_structure(S: Shalgebra, N):
             except VerificationError:
                 face_bad += 1
             if n < top:
-                labeled[i] = prisms.edge_labels(prism)
+                labeled[i] = prism.labels
         below = labeled
+    symbolic = ("none (degree 1 has no expansion)" if top < 2
+                else f"FAIL on {sym_bad} generators" if sym_bad else f"ok (degrees 2..{top})")
     lines = [f"boundary-squared: ok through degree {N} ({K.mode} mode)",
-             "symbolic expansions: " + (f"ok (degrees 2..{top})" if not sym_bad
-                                        else f"FAIL on {sym_bad} generators"),
+             "symbolic expansions: " + symbolic,
              "geometric faces: " + (f"ok (degrees 1..{top})" if not face_bad
                                     else f"FAIL on {face_bad} generators")]
     return not sym_bad and not face_bad, lines
@@ -179,8 +180,6 @@ def _write_out(path, write):
 def cmd_export_prism(args):
     S = load_structure(args.structure)
     g = bracketed(args.partition.split(","), args.elements.split(","))
-    if not all(0 <= x < S.size for x in g.elements):
-        raise StructureError(f"elements {g.elements} lie outside the carrier 0..{S.size - 1}")
     prism = prisms.good_labeling(g, S)
     data = prisms.prism_to_dict(prism, S)
     text = json.dumps(data, sort_keys=True, indent=2)

@@ -48,8 +48,6 @@ from .errors import NotACycleError, StructureError
 from .prismatic import (BracketedTuple, PrismaticComplex, boundary_generator, bracketed,
                         cached_complex)
 
-MOVES = ("H", "YI", "IY", "III", "II", "I", "T")
-
 
 class Crossing(NamedTuple):
     over: str

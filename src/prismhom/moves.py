@@ -336,6 +336,7 @@ _MOVE_TABLE = {
     "IY": _move_iy,
     "T": _move_t,
 }
+MOVES = tuple(_MOVE_TABLE)
 
 
 def apply_move(D: KTGDiagram, move, site, S: Shalgebra):

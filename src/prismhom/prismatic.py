@@ -151,9 +151,10 @@ def _faces(e, plan, S: Shalgebra):
 
 def faces(g: BracketedTuple, S: Shalgebra):
     """All signed faces of a generator, (sign, BracketedTuple), in (j, i) order."""
+    S.check_elements(g.elements)
     new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-    for sign, partition, f in _faces(g.elements, _boundary_plan(g.partition), S):
-        yield sign, new(BracketedTuple, (partition, f))
+    return ((sign, new(BracketedTuple, (partition, f)))
+            for sign, partition, f in _faces(g.elements, _boundary_plan(g.partition), S))
 
 
 def face(g: BracketedTuple, j, i, S: Shalgebra):
@@ -168,6 +169,7 @@ def face(g: BracketedTuple, j, i, S: Shalgebra):
     kj = partition[j - 1]
     if not 0 <= i <= kj:
         raise StructureError(f"face index {i} out of range for block of size {kj}")
+    S.check_elements(g.elements)
     # each earlier block q contributes its k_q + 1 faces to the plan
     at = sum(partition[:j - 1]) + j - 1 + i
     sign, partition, f = next(_faces(g.elements, _boundary_plan(partition)[at:at + 1], S))

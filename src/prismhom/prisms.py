@@ -18,15 +18,19 @@ face that is again of this form, for the tuple produced by the algebraic
 face map — that equality is what `geometric_faces` checks and what the
 verification suite leans on.
 
-A partition's labels come from one straight-line program: its edges share
-their block products and acting prefixes, each is computed once, and the
-labels are read out as a tuple in plan order.  Faces are read by position:
-each face plan picks the face's labels and generating edges out of that
-tuple, so `verify` labels every prism once and compares its faces with the
-labels stored one degree lower, under their generator indices (the
-numbering of `PrismaticComplex`: partition rank, then the elements read in
-base |G|).  Signed faces are compared with the algebraic face map as
-(sign, partition rank, elements).
+A prism is its label tuple: the edge labels in `_edge_plan` order, which
+is the one state a `LabeledPrism` holds; its `edges` dict, vertex pair ->
+label, is derived from that tuple on each access.  A partition's labels
+come from one straight-line program: its edges share their block products
+and acting prefixes, each is computed once, and the labels are read out
+in plan order.  Faces are read by position: each face plan picks the
+face's labels and generating edges out of the tuple, so `verify` labels
+every prism once and compares its faces with the labels stored one degree
+lower, under their generator indices (the numbering of
+`PrismaticComplex`: partition rank, then the elements read in base |G|).
+One face walk serves `geometric_faces` and `faces_match_algebra`; signed
+faces are compared with the algebraic face map as (sign, partition rank,
+elements).
 """
 
 from __future__ import annotations
@@ -37,26 +41,28 @@ from operator import itemgetter
 
 from .algebra import Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
-from .prismatic import BracketedTuple, _faces, _full_index, _ranked_plan, partition_ranks
+from .prismatic import (BracketedTuple, _compositions, _faces, _full_index, _ranked_plan,
+                        partition_ranks)
 
 
 class LabeledPrism:
-    """A product of simplices with carrier-labeled directed edges."""
+    """A product of simplices with carrier-labeled directed edges, held as its label tuple."""
 
-    __slots__ = ("partition", "label", "_edges", "_labels")
+    __slots__ = ("partition", "label", "labels")
 
-    def __init__(self, partition, label, edges=(), labels=None):
+    def __init__(self, partition, label, labels):
         self.partition = tuple(partition)
         self.label = label                     # BracketedTuple or None
-        self._edges = None if labels is not None else dict(edges)  # (vfrom, vto) -> element
-        self._labels = labels  # in `_edge_plan` order; dropped once `edges`, editable, is built
+        self.labels = tuple(labels)            # in `_edge_plan` order
+        count = len(_edge_keys(self.partition))
+        if len(self.labels) != count:
+            raise StructureError(
+                f"a prism on {self.partition} has {count} edges, not {len(self.labels)} labels")
 
     @property
     def edges(self):
-        if self._edges is None:
-            self._edges = dict(zip(_edge_keys(self.partition), self._labels))
-            self._labels = None
-        return self._edges
+        """A new dict (vfrom, vto) -> label; changing it leaves the prism as it is."""
+        return dict(zip(_edge_keys(self.partition), self.labels))
 
     @property
     def vertices(self):
@@ -70,10 +76,10 @@ class LabeledPrism:
 
     def __eq__(self, other):
         return (isinstance(other, LabeledPrism) and self.partition == other.partition
-                and self.edges == other.edges)
+                and self.labels == other.labels)
 
     def __hash__(self):
-        return hash((self.partition, frozenset(self.edges.items())))
+        return hash((self.partition, self.labels))
 
     def __repr__(self):
         lbl = self.label.pretty() if self.label is not None else "?"
@@ -139,17 +145,17 @@ def good_labels(partition, elements, S: Shalgebra) -> tuple:
 
 def good_labeling(g: BracketedTuple, S: Shalgebra) -> LabeledPrism:
     """The edge labeling of the prism of `g` determined by the labeling rule."""
-    return LabeledPrism(g.partition, g, labels=good_labels(g.partition, g.elements, S))
+    S.check_elements(g.elements)
+    return LabeledPrism(g.partition, g, good_labels(g.partition, g.elements, S))
 
 
 def act_on_prism(prism: LabeledPrism, b, S: Shalgebra) -> LabeledPrism:
     """Act with b on every edge label; matches the prism of the acted tuple."""
-    tri = S.tri.rows
-    edges = {e: tri[lbl][b] for e, lbl in prism.edges.items()}
+    S.check_elements((b,))
     label = prism.label
     if label is not None:
         label = BracketedTuple(label.partition, diagonal_action(label.elements, b, S))
-    return LabeledPrism(prism.partition, label, edges)
+    return LabeledPrism(prism.partition, label, diagonal_action(prism.labels, b, S))
 
 
 def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
@@ -166,6 +172,7 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
     m = len(h)
     if m < 1:
         raise StructureError("appended block must be non-empty")
+    S.check_elements(g.elements + h)
     edges = {}
     for i in range(m + 1):
         copy = good_labeling(
@@ -177,8 +184,9 @@ def inductive_labeling(g: BracketedTuple, h, S: Shalgebra) -> LabeledPrism:
         lbl = S.product(h[i:j])
         for v in product(*[range(k + 1) for k in g.partition]):
             edges[(v + (i,), v + (j,))] = lbl
-    label = BracketedTuple(g.partition + (m,), g.elements + h)
-    return LabeledPrism(g.partition + (m,), label, edges)
+    partition = g.partition + (m,)
+    return LabeledPrism(partition, BracketedTuple(partition, g.elements + h),
+                        [edges[key] for key in _edge_keys(partition)])
 
 
 def _getter(indices):
@@ -196,22 +204,11 @@ def _edge_keys(partition):
     return tuple(key for key, *_ in _edge_plan(partition))
 
 
-def edge_labels(prism: LabeledPrism) -> tuple:
-    """The prism's edge labels as a tuple, in `_edge_plan` order."""
-    if prism._labels is not None:
-        return prism._labels
-    edges = prism.edges
-    try:
-        return tuple(edges[key] for key in _edge_keys(prism.partition))
-    except KeyError as exc:
-        raise VerificationError(f"{prism!r} misses edge {exc.args[0]}")
-
-
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
     Returns the face's partition, its `partition_ranks` rank and two getters
-    over the prism's `edge_labels`: `gather` picks the edges the face keeps,
+    over the prism's labels: `gather` picks the edges the face keeps,
     in its own plan order, and `generating` its generating edges (t-1 -> t
     at the base point, factor by factor).  A factor of size one collapses to
     a point and disappears; the other slice is kept.
@@ -245,9 +242,28 @@ def _face_plans(partition):
     return tuple(plans)
 
 
-def _not_good(prism, j, i):
-    return VerificationError(
-        f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
+def _signed_faces(prism: LabeledPrism, S: Shalgebra, below):
+    """The one face walk: each face of the prism as (sign, partition rank, elements).
+
+    Each face's elements are read off its generating edges, and its induced
+    labels must be good: equal to the label tuple stored under its
+    generator index in `below` (or, missing there, its `good_labels`; so
+    `{}` checks every face from scratch).  A face that is not good raises
+    VerificationError.
+    """
+    labels = prism.labels
+    q = S.size
+    out = []
+    for j, i, sign, face, rank, gather, generating in _face_plans(prism.partition):
+        elements = generating(labels)
+        expected = below.get(_full_index(rank, elements, q))
+        if expected is None:
+            expected = good_labels(face, elements, S)
+        if expected != gather(labels):
+            raise VerificationError(
+                f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
+        out.append((sign, rank, elements))
+    return out
 
 
 def geometric_faces(prism: LabeledPrism, S: Shalgebra):
@@ -257,14 +273,9 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     recovered tuple generates); a mismatch raises, since it would mean the
     geometric and algebraic face maps disagree.
     """
-    labels = edge_labels(prism)
-    out = []
-    for j, i, sign, partition, _, gather, generating in _face_plans(prism.partition):
-        candidate = good_labeling(BracketedTuple(partition, generating(labels)), S)
-        if edge_labels(candidate) != gather(labels):
-            raise _not_good(prism, j, i)
-        out.append((sign, candidate))
-    return out
+    shapes = _compositions(sum(prism.partition) - 1)  # face partitions in rank order
+    return [(sign, good_labeling(BracketedTuple(shapes[rank], elements), S))
+            for sign, rank, elements in _signed_faces(prism, S, {})]
 
 
 @lru_cache(maxsize=None)
@@ -277,37 +288,16 @@ def faces_match_algebra(prism: LabeledPrism, S: Shalgebra, below) -> bool:
     """Signed multiset equality of geometric and algebraic faces for one prism.
 
     `prism.label` names the generator (one on another partition has other
-    faces), and `_faces_agree` compares the faces of its `edge_labels`.
+    faces), and `below` maps the generator indices of one degree lower to
+    their label tuples, as `_signed_faces` reads them.
     """
     g = prism.label
     if g is None:
         raise StructureError(f"{prism!r} names no generator to compare faces with")
     if g.partition != prism.partition:
         return False
-    return _faces_agree(g.partition, g.elements, edge_labels(prism), S, below)
-
-
-def _faces_agree(partition, elements, labels, S: Shalgebra, below) -> bool:
-    """The face check of `faces_match_algebra` on a prism's edge labels.
-
-    `below` maps the generator indices of one degree lower to their labels.
-    Each face's elements are read off its generating edges, and its induced
-    labels must equal the entry of its index (or, missing there, its
-    `good_labels`; so `{}` checks every face from scratch); a face that is
-    not good raises VerificationError.  The signed faces, as (sign,
-    partition rank, elements), must then be those of the algebraic face map.
-    """
-    q = S.size
-    geometric = []
-    for j, i, sign, face, rank, gather, generating in _face_plans(partition):
-        face_elements = generating(labels)
-        expected = below.get(_full_index(rank, face_elements, q))
-        if expected is None:
-            expected = good_labels(face, face_elements, S)
-        if expected != gather(labels):
-            raise _not_good(LabeledPrism(partition, BracketedTuple(partition, elements)), j, i)
-        geometric.append((sign, rank, face_elements))
-    algebraic = list(_faces(elements, _algebraic_plan(partition), S))
+    geometric = _signed_faces(prism, S, below)
+    algebraic = list(_faces(g.elements, _algebraic_plan(g.partition), S))
     # both sides list the faces in (j, i) order, so a good prism needs no sort
     return geometric == algebraic or sorted(geometric) == sorted(algebraic)
 
@@ -330,6 +320,7 @@ def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):
     tri = S.tri.rows
     identity = tuple(range(S.size))
 
+    edges = prism.edges
     maps = set()
 
     def walk(vertex, current):
@@ -339,7 +330,7 @@ def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):
         for q in range(len(dims)):
             for nxt in range(vertex[q] + 1, v[q] + 1):
                 nv = vertex[:q] + (nxt,) + vertex[q + 1:]
-                lbl = prism.edges[(vertex, nv)]
+                lbl = edges[(vertex, nv)]
                 walk(nv, tuple(tri[x][lbl] for x in current))
 
     walk(u, identity)

@@ -239,6 +239,19 @@ def test_verify_command(files, capsys):
     assert "geometric faces: ok" in out
 
 
+@pytest.mark.parametrize("top, symbolic", [
+    (1, "none (degree 1 has no expansion)"), (2, "ok (degrees 2..2)")])
+def test_verify_says_when_no_degree_is_expanded(files, capsys, top, symbolic):
+    # the expansions start at degree 2, so --max-degree 1 expands none
+    lines = [f"boundary-squared: ok through degree {top} (qualgebra mode)",
+             f"symbolic expansions: {symbolic}", f"geometric faces: ok (degrees 1..{top})"]
+    assert main(["verify", files["z3"], "--max-degree", str(top)]) == 0
+    assert capsys.readouterr().out == "\n".join(lines + ["all checks passed"]) + "\n"
+    assert main(["verify", files["z3"], "--max-degree", str(top), "--format", "json"]) == 0
+    assert capsys.readouterr().out == json.dumps({"checks": lines, "ok": True},
+                                                 indent=2) + "\n"
+
+
 def test_verify_warnings_go_to_stderr(files, capsys):
     # the twelve Z3 twist cells `homology` names are named by `verify` too,
     # in the same format and on stderr only
@@ -393,18 +406,19 @@ def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
 def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
     calls = Counter()
-    for name in ("good_labels", "_faces_agree"):
-        def counted(partition, *args, _name=name, _original=getattr(prisms, name)):
-            calls[_name, sum(partition)] += 1
-            return _original(partition, *args)
+    # each counted function takes a partition, a generator or a prism first
+    for name, degree in (("good_labels", sum), ("good_labeling", lambda g: g.degree),
+                         ("_signed_faces", lambda p: p.label.degree),
+                         ("faces_match_algebra", lambda p: p.label.degree)):
+        def counted(first, *args, _name=name, _degree=degree, _original=getattr(prisms, name)):
+            calls[_name, _degree(first)] += 1
+            return _original(first, *args)
 
         monkeypatch.setattr(prisms, name, counted)
-    for name in ("good_labeling", "faces_match_algebra"):
-        def counted(g, *args, _name=name, _original=getattr(prisms, name)):
-            calls[_name, getattr(g, "label", g).degree] += 1
-            return _original(g, *args)
-
-        monkeypatch.setattr(prisms, name, counted)
+    # and no prism is read as a vertex-keyed dict
+    edges = prisms.LabeledPrism.edges.fget
+    monkeypatch.setattr(prisms.LabeledPrism, "edges",
+                        property(lambda p: calls.update(["edges"]) or edges(p)))
     # the checks run on generator indices: once the complex is built, no
     # generator is looked up by its tuple and no face is built as a tuple
     for owner, name in ((prismatic.PrismaticComplex, "chain"),
@@ -428,13 +442,13 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     capsys.readouterr()
     # the relation cells' boundaries are still assembled from tuples
     assert all(during_build[name] for name in ("chain", "_locate", "faces"))
-    assert [calls[name] for name in ("chain", "_locate", "faces")] == [0, 0, 0]
+    assert [calls[name] for name in ("chain", "_locate", "faces", "edges")] == [0, 0, 0, 0]
     prisms_of = {1: 6, 2: 72, 3: 864, 4: 10368}
     for n, count in prisms_of.items():
         # the labeling program runs once per prism: each face finds its
         # labels stored one degree lower, so no face is labeled again
         assert calls["good_labels", n] == count
-        assert calls["_faces_agree", n] == count
+        assert calls["_signed_faces", n] == count
         # verify reaches both through the public functions the benchmark
         # traces, once per prism
         assert calls["good_labeling", n] == count
@@ -479,7 +493,7 @@ def test_verify_numbering_agrees_with_the_complex(make, top):
     K = prismatic.build_complex(S, top)
     for n in range(2, top + 1):
         lower = K.generators(n - 1)
-        below = _Recorded((k, prisms.edge_labels(prisms.good_labeling(h, S)))
+        below = _Recorded((k, prisms.good_labeling(h, S).labels)
                           for k, h in enumerate(lower))
         columns = [column for partition in prismatic.compositions(n)
                    for column in cli._expansion_columns(S, partition)]
@@ -530,11 +544,44 @@ def test_export_prism(files, capsys, tmp_path):
     assert main(["export-prism", files["z2"], "--partition", "2",
                  "--elements", "0,1,1"]) == 2
     # elements outside the carrier, a zero part and a non-integer: all input errors
-    for partition, elements in (("2", "-1,0"), ("1", "7"), ("0,1", "0"), ("1", "x")):
+    for partition, elements, message in (
+            ("2", "-1,0", "elements (-1, 0) lie outside the carrier 0..5"),
+            ("1", "7", "elements (7,) lie outside the carrier 0..5"),
+            ("0,1", "0", "partition parts must be positive"),
+            ("1", "x", "partition and elements must be integers: "
+                       "invalid literal for int() with base 10: 'x'")):
         capsys.readouterr()
         assert main(["export-prism", files["s3"], "--partition", partition,
                      f"--elements={elements}"]) == 2
-        assert capsys.readouterr().err.startswith("error: ")
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def _edge(vfrom, vto, label):
+    return {"from": list(vfrom), "label": label, "to": list(vto)}
+
+
+# `export-prism` of S3 (2,1) with elements 0,1,2, as recorded before the
+# prism became its label tuple: edges sorted by vertex pair, faces in (j, i) order
+S3_PRISM_012 = {
+    "edges": [_edge((0, 0), (0, 1), "102"), _edge((0, 0), (1, 0), "012"),
+              _edge((0, 0), (2, 0), "021"), _edge((0, 1), (1, 1), "012"),
+              _edge((0, 1), (2, 1), "210"), _edge((1, 0), (1, 1), "102"),
+              _edge((1, 0), (2, 0), "021"), _edge((1, 1), (2, 1), "210"),
+              _edge((2, 0), (2, 1), "102")],
+    "faces": [{"label": "021|102", "partition": [1, 1], "sign": 1},
+              {"label": "021|102", "partition": [1, 1], "sign": -1},
+              {"label": "012|102", "partition": [1, 1], "sign": 1},
+              {"label": "(012,210)", "partition": [2], "sign": 1},
+              {"label": "(012,021)", "partition": [2], "sign": -1}],
+    "label": "(012,021)|102",
+    "partition": [2, 1],
+    "vertices": [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]],
+}
+
+
+def test_export_prism_output_is_pinned(files, capsys):
+    assert main(["export-prism", files["s3"], "--partition", "2,1", "--elements", "0,1,2"]) == 0
+    assert capsys.readouterr().out == json.dumps(S3_PRISM_012, sort_keys=True, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("diagram", [

@@ -16,10 +16,15 @@ derived from the new diagram's rules.  prismhom imports only its own
 modules and the standard library, and `pyproject.toml` declares no
 dependency, so the package installs and imports with nothing downloaded.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
-stays an independent check of the stored boundary.
+stays an independent check of the stored boundary.  The benchmark's tracer
+(`perfbench/tracing.py`) names the functions it wraps by string; every
+(module, attribute) pair of its tables resolves to a callable of prismhom
+and every span it requires is one of them, so a rename fails here rather
+than in a benchmark run.
 """
 
 import ast
+import importlib
 import os
 import re
 import sys
@@ -330,3 +335,61 @@ def test_the_check_sees_face_code():
                      "def other():\n    return _ranked_plan, _faces\n")
     assert _face_code_named(tree, SYMBOLIC_CHECK) == ["_face_tables", "boundary_generator",
                                                       "faces"]
+
+
+TRACING = os.path.join(REPO, "perfbench", "tracing.py")
+SPAN_TABLES = ("FUNCTIONS", "METHODS", "REQUIRED")
+
+
+def _span_tables(tree):
+    """The literal dicts a tracing module binds to FUNCTIONS, METHODS and REQUIRED."""
+    return {node.targets[0].id: node.value for node in tree.body
+            if isinstance(node, ast.Assign) and isinstance(node.targets[0], ast.Name)
+            and node.targets[0].id in SPAN_TABLES}
+
+
+def _owner(node):
+    """The prismhom module, or attribute of one, that an owner expression names."""
+    if isinstance(node, ast.Name):
+        return importlib.import_module(f"prismhom.{node.id}")
+    return getattr(_owner(node.value), node.attr)
+
+
+def _unresolved_spans(tree):
+    """Span names whose (owner, attribute) names no callable of prismhom, and required
+    span names no table defines.  A method must be defined on its class itself, since
+    the tracer reads it from the class `__dict__`."""
+    tables = _span_tables(tree)
+    assert sorted(tables) == sorted(SPAN_TABLES)
+    bad, defined = set(), set()
+    for table in ("FUNCTIONS", "METHODS"):
+        for key, value in zip(tables[table].keys, tables[table].values):
+            defined.add(key.value)
+            owner, attr = value.elts
+            try:
+                owner = _owner(owner)
+                found = (getattr(owner, attr.value) if table == "FUNCTIONS"
+                         else vars(owner)[attr.value])
+            except (ImportError, AttributeError, KeyError):
+                found = None
+            if not callable(found):
+                bad.add(key.value)
+    for names in tables["REQUIRED"].values:
+        bad.update(name.value for name in names.elts if name.value not in defined)
+    return sorted(bad)
+
+
+def test_the_benchmark_traces_functions_that_exist():
+    with open(TRACING, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename="tracing.py")
+    assert _unresolved_spans(tree) == [], "the benchmark names functions prismhom lacks"
+
+
+def test_the_check_sees_a_missing_span_name():
+    tree = ast.parse(
+        'FUNCTIONS = {"a": (cli, "main"), "b": (prisms, "no_such_function"), "c": (nowhere, "f"),\n'
+        '             "d": (algebra, "AXIOM_NAMES")}\n'
+        'METHODS = {"e": (algebra.Shalgebra, "__init__"), "f": (algebra.Shalgebra, "size"),\n'
+        '           "g": (chains.ChainComplex, "__repr__")}\n'
+        'REQUIRED = {"w": ("a", "e"), "x": ("b", "h")}\n')
+    assert _unresolved_spans(tree) == ["b", "c", "d", "f", "g", "h"]

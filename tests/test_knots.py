@@ -1,6 +1,6 @@
 import pytest
 
-from prismhom import algebra, knots
+from prismhom import algebra, knots, moves
 from prismhom.errors import AxiomError, NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
                             apply_move, coloring_key, enumerate_colorings, foam_invariant,
@@ -166,7 +166,7 @@ def test_invariant_one_element_structure(one_elt):
 
 def test_move_fixture_pairs_apply_and_biject(z2, s3):
     pairs = move_fixture_pairs()
-    assert {p["move"] for p in pairs} == set(knots.MOVES)
+    assert {p["move"] for p in pairs} == set(moves.MOVES)
     for entry in pairs:
         before, after = entry["before"], entry["after"]
         for S in (z2, s3):

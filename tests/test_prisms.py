@@ -10,9 +10,8 @@ from prismhom.algebra import (Shalgebra, conj_cyclic, conj_symmetric, diagonal_a
                               mul_mod_shalgebra)
 from prismhom.errors import StructureError, VerificationError
 from prismhom.prismatic import BracketedTuple, bracketed, compositions, faces
-from prismhom.prisms import (LabeledPrism, act_on_prism, edge_labels, geometric_faces,
-                             good_labeling, inductive_labeling, path_endomorphism,
-                             prism_to_dict)
+from prismhom.prisms import (LabeledPrism, act_on_prism, geometric_faces, good_labeling,
+                             inductive_labeling, path_endomorphism, prism_to_dict)
 
 from oracles import conjugation_tables, permutation_group, prism_edge_labels
 
@@ -154,20 +153,49 @@ def test_faces_match_algebra_small(z2, z3):
 
 def test_edge_labels_and_unlabeled_prisms(s3):
     p = good_labeling(bracketed((1, 1), (1, 2)), s3)
-    assert edge_labels(p) == tuple(p.edges[key] for key, *_ in prisms._edge_plan((1, 1)))
+    assert p.labels == tuple(p.edges[key] for key, *_ in prisms._edge_plan((1, 1)))
     with pytest.raises(StructureError, match="names no generator"):
-        prisms.faces_match_algebra(LabeledPrism(p.partition, None, p.edges), s3, {})
-    del p.edges[((0, 0), (1, 0))]
-    with pytest.raises(VerificationError, match=r"misses edge \(\(0, 0\), \(1, 0\)\)"):
-        edge_labels(p)
+        prisms.faces_match_algebra(LabeledPrism(p.partition, None, p.labels), s3, {})
+    with pytest.raises(StructureError, match=r"on \(1, 1\) has 4 edges, not 3 labels"):
+        LabeledPrism(p.partition, p.label, p.labels[:-1])
+
+
+def test_a_prism_needs_one_label_per_edge(s3):
+    labels = good_labeling(bracketed((2, 1), (1, 2, 3)), s3).labels
+    for wrong in (labels[:-1], labels + labels[:2]):
+        with pytest.raises(StructureError,
+                           match=rf"^a prism on \(2, 1\) has 9 edges, not {len(wrong)} labels$"):
+            LabeledPrism((2, 1), None, wrong)
+
+
+def test_changing_the_edges_dict_leaves_the_prism_as_it_is(s3):
+    g = bracketed((2, 1), (1, 2, 3))
+    p = good_labeling(g, s3)
+    edges = p.edges
+    edges[((0, 0), (1, 0))] = 5
+    del edges[((0, 0), (0, 1))]
+    assert p.edge((0, 0), (0, 1)) == 3  # the second factor is not acted on
+    assert p == good_labeling(g, s3) and p.edges == good_labeling(g, s3).edges
+
+
+def test_equal_label_tuples_give_equal_prisms(s3):
+    p = good_labeling(bracketed((1, 1), (1, 2)), s3)
+    same = LabeledPrism((1, 1), None, list(p.labels))
+    assert same == p and hash(same) == hash(p)
+    assert len({p, same, LabeledPrism((1, 1), p.label, p.labels)}) == 1
+    other = LabeledPrism((1, 1), p.label, p.labels[::-1])
+    assert other != p and other.labels != p.labels
+    # the same tuple on another partition with as many edges is another prism
+    labels = good_labeling(bracketed((2, 1), (1, 2, 3)), s3).labels
+    assert LabeledPrism((1, 2), None, labels) != LabeledPrism((2, 1), None, labels)
 
 
 def _tampered(prism, S, at=0, shift=1):
     """The prism with the label of edge number `at` moved on by `shift` elements."""
-    edges = dict(prism.edges)
-    key = list(edges)[at % len(edges)]
-    edges[key] = (edges[key] + shift) % S.size
-    return LabeledPrism(prism.partition, prism.label, edges)
+    labels = list(prism.labels)
+    at %= len(labels)
+    labels[at] = (labels[at] + shift) % S.size
+    return LabeledPrism(prism.partition, prism.label, labels)
 
 
 def _generators(S, n):
@@ -180,8 +208,8 @@ def _generators(S, n):
 _S3 = conj_symmetric(3)
 _INDEX = {0: {BracketedTuple((), ()): 0},
           **{n: {g: i for i, g in enumerate(_generators(_S3, n))} for n in range(1, 4)}}
-# edge_labels of every prism of degree 0..3, keyed by its generator index
-_TABLES = {n: {i: edge_labels(good_labeling(g, _S3)) for g, i in index.items()}
+# the label tuple of every prism of degree 0..3, keyed by its generator index
+_TABLES = {n: {i: good_labeling(g, _S3).labels for g, i in index.items()}
            for n, index in _INDEX.items()}
 
 
@@ -219,7 +247,7 @@ def test_stored_face_table_agrees_with_relabeling(shape, tamper):
     prism = good_labeling(g, _S3)
     if tamper:
         prism = _tampered(prism, _S3, *tamper)
-    below = {_INDEX[g.degree - 1][face]: edge_labels(good_labeling(face, _S3))
+    below = {_INDEX[g.degree - 1][face]: good_labeling(face, _S3).labels
              for _, face in faces(g, _S3)}
     assert _verdict(prism, below) == _verdict(prism, {})
     assert _verdict(prism, _TABLES[g.degree - 1]) == _verdict(prism, {})
@@ -238,7 +266,7 @@ def _agrees_with_the_rule(partition, elements, S):
     in_plan_order = tuple(rule[key] for key, *_ in prisms._edge_plan(partition))
     assert prisms.good_labels(partition, elements, S) == in_plan_order
     prism = good_labeling(BracketedTuple(partition, elements), S)
-    assert edge_labels(prism) == in_plan_order
+    assert prism.labels == in_plan_order
     assert prism.edges == rule
 
 
@@ -268,7 +296,7 @@ def test_a_label_on_another_partition_matches_no_faces(s3):
     p = good_labeling(bracketed((1, 1), (1, 2)), s3)
     assert prisms.faces_match_algebra(p, s3, {})
     assert not prisms.faces_match_algebra(LabeledPrism(p.partition, bracketed((2,), (1, 2)),
-                                                       p.edges), s3, {})
+                                                       p.labels), s3, {})
 
 
 def test_path_endomorphism_identity_and_composition(s3):

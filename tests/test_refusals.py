@@ -129,3 +129,44 @@ def test_every_axiom_requirement_carries_the_report_witness(site, tmp_path):
     name = message.split("axiom ")[1].split()[0]
     assert info.value.witness == algebra.check_axioms(dot, tri).witness(name)
     assert info.value.witness is not None
+
+
+S3 = algebra.conj_symmetric(3)
+
+
+def _outside(elements):
+    return f"elements {elements} lie outside the carrier 0..5"
+
+
+# site: (call on S3, message); every element reaches the prism and face
+# functions through `Shalgebra.check_elements`
+OUTSIDE_THE_CARRIER = {
+    "good-labeling": (lambda: prisms.good_labeling(prismatic.bracketed((2,), (1, -1)), S3),
+                      _outside((1, -1))),
+    "inductive-base": (lambda: prisms.inductive_labeling(prismatic.bracketed((1,), (6,)),
+                                                         (0,), S3), _outside((6, 0))),
+    "inductive-block-negative": (lambda: prisms.inductive_labeling(
+                                     prismatic.bracketed((1,), (0,)), (-1,), S3),
+                                 _outside((0, -1))),
+    "inductive-block-large": (lambda: prisms.inductive_labeling(
+                                  prismatic.bracketed((1,), (0,)), (7,), S3),
+                              _outside((0, 7))),
+    "act-on-prism": (lambda: prisms.act_on_prism(
+                         prisms.good_labeling(prismatic.bracketed((1,), (0,)), S3), -2, S3),
+                     _outside((-2,))),
+    "face": (lambda: prismatic.face(prismatic.bracketed((2,), (1, -1)), 1, 0, S3),
+             _outside((1, -1))),
+    "faces": (lambda: prismatic.faces(prismatic.bracketed((1, 1), (9, 0)), S3),
+              _outside((9, 0))),
+    "boundary-generator": (lambda: prismatic.boundary_generator(
+                               prismatic.bracketed((2,), (1, -1)), S3), _outside((1, -1))),
+}
+
+
+@pytest.mark.parametrize("site", sorted(OUTSIDE_THE_CARRIER))
+def test_every_element_is_checked_against_the_carrier(site):
+    call, message = OUTSIDE_THE_CARRIER[site]
+    with pytest.raises(StructureError) as info:
+        call()
+    assert str(info.value) == message
+
