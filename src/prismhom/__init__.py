@@ -16,10 +16,11 @@ from .chains import (Chain, ChainComplex, HomologyGroup,
                      export_boundary_triplets, smith_normal_form)
 from .errors import (AxiomError, NotACycleError, StructureError,
                      VerificationError)
-from .knots import (InvariantResult, KTGDiagram, apply_move,
-                    enumerate_colorings, foam_invariant, invariant,
-                    load_diagram, load_fixture_diagram, move_fixture_pairs,
+from .knots import (InvariantResult, KTGDiagram, enumerate_colorings,
+                    foam_invariant, invariant, load_diagram,
+                    load_fixture_diagram, move_fixture_pairs,
                     represented_cycle, save_diagram)
+from .moves import apply_move
 from .prismatic import (BracketedTuple, ExtraCell, PrismaticComplex,
                         boundary_generator, bracketed, build_bar_complex,
                         build_complex, build_rack_complex, compositions,

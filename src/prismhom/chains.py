@@ -366,7 +366,7 @@ def _snf(A, m, n, need_u=False, need_v=False):
 
 
 def _reduce(columns):
-    """Invariant factors, pivot log, residue and pivot columns of a sparse matrix.
+    """Invariant factors and pivot columns of a sparse matrix.
 
     The columns are consumed.  The factors are a 1 per unit pivot followed
     by the Smith factors of the residue.
@@ -374,7 +374,7 @@ def _reduce(columns):
     log, residue, pivots = _eliminate(columns)
     A = _dense(residue)
     diag, _, _ = _snf(A, len(A), len(residue))
-    return (1,) * len(log) + tuple(diag), log, residue, pivots
+    return (1,) * len(log) + tuple(diag), pivots
 
 
 def smith_normal_form(matrix):
@@ -460,14 +460,10 @@ class ChainComplex:
         return Chain(chain.degree - 1, [(h, c * v) for g, c in chain.items()
                                         for h, v in self.boundaries[chain.degree][g].items()])
 
-    def d_squared_violations(self, degrees=None):
+    def d_squared_violations(self):
         """Generators whose boundary is not itself a cycle, as (degree, index) pairs."""
-        if degrees is None:
-            degrees = range(2, self.top + 1)
         bad = []
-        for n in degrees:
-            if n < 2:
-                continue  # lands in degree <= 0; nothing to compose with
+        for n in range(2, self.top + 1):
             below = [tuple(ch.terms.items()) for ch in self.boundaries.get(n - 1, ())]
             for idx, ch in enumerate(self.boundaries.get(n, ())):
                 out = {}
@@ -500,9 +496,17 @@ class ChainComplex:
             drop = self._coreduced(n - 1)[1] if n - 1 in self.boundaries else ()
             columns = [{i: v for i, v in ch.terms.items() if i not in drop}
                        for ch in self.boundaries.get(n, ())]
-            factors, _, _, pivots = _reduce(columns)
+            factors, pivots = _reduce(columns)
             self._cache[key] = factors, set(pivots)
         return self._cache[key]
+
+    def _require_constructed(self, n, allow_truncation):
+        """Refuse a degree whose ∂_{n+1} a truncated complex does not hold in full."""
+        if n > self.top and self.truncated:
+            raise StructureError(f"degree {n} was never constructed (top is {self.top})")
+        if n == self.top and self.truncated and not allow_truncation:
+            raise StructureError(
+                f"homology at the top constructed degree {n} needs allow_truncation=True")
 
     def homology(self, n, allow_truncation=False) -> HomologyGroup:
         """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion.
@@ -511,11 +515,7 @@ class ChainComplex:
         invariant factors of ∂_{n+1} above 1.  Both are read off the
         coreduced boundaries, which keep those ranks and factors.
         """
-        if n > self.top and self.truncated:
-            raise StructureError(f"degree {n} was never constructed (top is {self.top})")
-        if n == self.top and self.truncated and not allow_truncation:
-            raise StructureError(
-                f"homology at the top constructed degree {n} needs allow_truncation=True")
+        self._require_constructed(n, allow_truncation)
         key = ("group", n)
         if key not in self._cache:
             lower = self._coreduced(n)[0]
@@ -527,8 +527,9 @@ class ChainComplex:
     def _class_data(self, n):
         """What class_coordinates needs in degree n, built on first use.
 
-        This reduces the full ∂_{n+1}, not the coreduced one that homology
-        caches: a cycle has coordinates on the rows that coreduction drops.
+        This eliminates on the full ∂_{n+1}, not the coreduced one that
+        homology caches: a cycle has coordinates on the rows that coreduction
+        drops.  The residue needs no Smith reduction of its own.
         A cycle reduced against the pivot log of ∂_{n+1} lives on the
         generators that are not pivot rows, and there it bounds exactly when
         it lies in the span of the residue of ∂_{n+1}.  So H_n is the kernel
@@ -540,7 +541,7 @@ class ChainComplex:
         key = ("classes", n)
         if key in self._cache:
             return self._cache[key]
-        _, log, residue, _ = _reduce([dict(ch.terms) for ch in self.boundaries.get(n + 1, ())])
+        log, residue, _ = _eliminate([dict(ch.terms) for ch in self.boundaries.get(n + 1, ())])
         pivots = {r for r, _ in log}
         free = [g for g in range(self.count(n)) if g not in pivots]
         where = {g: k for k, g in enumerate(free)}
@@ -569,7 +570,7 @@ class ChainComplex:
         cycles get equal coordinates exactly when their difference bounds.
         """
         n = z.degree
-        self.homology(n, allow_truncation)
+        self._require_constructed(n, allow_truncation)
         cols = self.count(n)
         for g in z.terms:
             if not 0 <= g < cols:

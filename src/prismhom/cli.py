@@ -100,7 +100,7 @@ def cmd_invariant(args):
     S = load_structure(args.structure)
     S.report.require(AXIOM_NAMES, "invariants need a qualgebra")
     D = load_diagram(args.diagram)
-    result = invariant(D, S, include_d3=args.include_d3)
+    result = invariant(D, S)
     payload = result.to_dict()
     text_lines = [f"colorings: {result.coloring_count}",
                   f"degree-2 homology: {result.group}",
@@ -352,7 +352,6 @@ def build_parser():
     p = sub.add_parser("invariant", help="coloring classes of a diagram over a qualgebra")
     p.add_argument("structure")
     p.add_argument("diagram")
-    p.add_argument("--include-d3", action=argparse.BooleanOptionalAction, default=True)
     common(p)
 
     p = sub.add_parser("verify", help="internal consistency battery for a structure")

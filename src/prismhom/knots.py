@@ -32,7 +32,7 @@ default) or output pair (unzip, -1).  With these signs the boundary
 telescopes along every strand, so the chain is a cycle; that is asserted
 on every call rather than assumed.  The class of the cycle in the
 degree-2 homology of the qualgebra-extended complex is invariant under
-the diagram moves implemented in `apply_move`.
+the diagram moves implemented in `moves.apply_move`.
 """
 
 from __future__ import annotations
@@ -45,8 +45,7 @@ from typing import NamedTuple
 from . import chains
 from .algebra import AXIOM_NAMES, Shalgebra, integer, reading
 from .errors import NotACycleError, StructureError
-from .prismatic import (BracketedTuple, PrismaticComplex, boundary_generator, bracketed,
-                        cached_complex)
+from .prismatic import BracketedTuple, boundary_generator, bracketed, cached_complex
 
 
 class Crossing(NamedTuple):
@@ -298,13 +297,6 @@ class InvariantResult:
     coloring_count: int
     group: chains.HomologyGroup
     classes: tuple          # multiset: sorted tuple of coordinate tuples
-    by_coloring: tuple      # (coloring key, coordinates) per coloring, in order
-
-    def __eq__(self, other):
-        return (isinstance(other, InvariantResult)
-                and self.coloring_count == other.coloring_count
-                and self.group == other.group
-                and self.classes == other.classes)
 
     def to_dict(self):
         return {
@@ -315,25 +307,18 @@ class InvariantResult:
         }
 
 
-def invariant(D: KTGDiagram, S: Shalgebra, K: PrismaticComplex = None,
-              include_d3=True) -> InvariantResult:
+def invariant(D: KTGDiagram, S: Shalgebra) -> InvariantResult:
     """Class multiset of all colorings in degree-2 qualgebra homology.
 
     The extended complex must reach degree 3 so that the degree-2 classes
-    see the relation cells; by default it is built (and cached) here.
+    see the relation cells; it is built (and cached) here.  Its D3 cells
+    change no degree-2 class: axiom I makes ∂D3(a) = (a|a) = ∂B3(a, a).
     """
-    if K is None:
-        K = cached_complex(S, 3, "qualgebra", include_d3)
-    if K.mode not in ("qualgebra", "normalized"):
-        raise StructureError("invariant needs a qualgebra-extended complex")
+    K = cached_complex(S, 3, "qualgebra", True)
     colorings = enumerate_colorings(D, S)
-    by_coloring = []
-    for colors in colorings:
-        z = represented_cycle(D, colors, S)
-        coords = K.class_of(z, 2)
-        by_coloring.append((coloring_key(D, colors), coords))
-    classes = tuple(sorted(coords for _, coords in by_coloring))
-    return InvariantResult(len(colorings), K.homology(2), classes, tuple(by_coloring))
+    classes = tuple(sorted(K.class_of(represented_cycle(D, colors, S), 2)
+                           for colors in colorings))
+    return InvariantResult(len(colorings), K.homology(2), classes)
 
 
 def foam_chain(presentation):
@@ -356,16 +341,12 @@ def foam_chain(presentation):
     return chains.Chain(3, pairs).terms
 
 
-def foam_invariant(presentation, S: Shalgebra, K: PrismaticComplex = None):
+def foam_invariant(presentation, S: Shalgebra):
     """Degree-3 class of a foam chain presentation in the normalized extended complex."""
-    if K is None:
-        K = cached_complex(S, 4, "normalized")
-    if K.mode != "normalized":
-        raise StructureError("foam classes live in the normalized extended complex")
+    K = cached_complex(S, 4, "normalized")
     terms = foam_chain(presentation)
-    z = K.chain(3, terms)
     try:
-        return K.class_of(z)
+        return K.class_of(terms, 3)
     except NotACycleError as exc:
         raise NotACycleError(
             f"foam presentation is not a cycle; boundary residue {exc.residue}",
@@ -406,7 +387,3 @@ def move_fixture_pairs():
             "after": load_fixture_diagram(f"moves/{entry['after']}"),
         })
     return out
-
-
-# re-export the move machinery; the late import avoids a module cycle
-from .moves import apply_move  # noqa: E402

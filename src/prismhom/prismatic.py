@@ -21,7 +21,6 @@ satisfying H, YI, IY, III this squares to zero (verified on every build).
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
 from functools import lru_cache
 from itertools import accumulate, product
@@ -163,6 +162,8 @@ def face(g: BracketedTuple, j, i, S: Shalgebra):
     Returns (sign, BracketedTuple); the result of the two deletions on a
     size-one block is the generator with that block removed.
     """
+    with reading("block and vertex indices must be integers"):
+        j, i = integer(j), integer(i)
     partition = g.partition
     if not 1 <= j <= len(partition):
         raise StructureError(f"block index {j} out of range")
@@ -424,10 +425,10 @@ class _Generators(Sequence):
 
     def __iter__(self):
         K, n = self._K, self._n
-        kept = set(K._kept[n]) if n in K._kept else None
+        slots = K._slots.get(n)
         prisms = (BracketedTuple(partition, e) for partition in K._shapes.get(n, ())
                   for e in product(range(K.S.size), repeat=n))
-        yield from (g for full, g in enumerate(prisms) if kept is None or full in kept)
+        yield from (g for full, g in enumerate(prisms) if slots is None or slots[full] is not None)
         yield from K._cells.get(n, ())
 
 
@@ -471,6 +472,7 @@ class PrismaticComplex:
         self._shapes = {}
         self._ranks = {}
         self._kept = {}  # with a collapsed span: per degree, the sorted full indices kept
+        self._slots = {}  # and per degree, each full index's position in _kept, or None
         self._cells = {}
         self._cell_index = {}
         counts = {0: 0}
@@ -493,24 +495,21 @@ class PrismaticComplex:
         """Boundary chains of the degree-n prisms outside `gone`, in index order.
 
         gone is None or holds the collapsed full indices; then the others go
-        onto `_kept[n]`, and a collapsed prism's column must be empty.  Each
-        partition's faces come from `_face_tables`, one table per face of
-        the plan; the columns sum the signs of the faces in (j, i) order.
-        When degree n - 1 has collapsed prisms, the tables are first mapped
-        to compact indices, with None for a collapsed face, and those terms
-        are dropped.
+        onto `_kept[n]`, `_slots[n]` maps every full index to its position
+        there (None if collapsed), and a collapsed prism's column must be
+        empty.  Each partition's faces come from `_face_tables`, one table
+        per face of the plan; the columns sum the signs of the faces in
+        (j, i) order.  When degree n - 1 has collapsed prisms, the tables are
+        first mapped through its slots, and the terms on collapsed faces
+        (None) are dropped.
         """
         S = self.S
         q = S.size
         ranks = self._ranks.get(n - 1)
-        kept = self._kept.get(n - 1)
-        compact = None
-        if kept is not None:
-            compact = [None] * (len(self._shapes[n - 1]) * q ** (n - 1))
-            for k, full in enumerate(kept):
-                compact[full] = k
+        compact = self._slots.get(n - 1)
         if gone is not None:
-            self._kept[n] = []
+            kept = self._kept[n] = []
+            slots = self._slots[n] = []
         out = []
         for r, partition in enumerate(self._shapes[n]):
             plan = _ranked_plan(partition, ranks) if n > 1 else ()
@@ -534,8 +533,10 @@ class PrismaticComplex:
                             e = tuple(i // q ** k % q for k in reversed(range(n)))
                             raise VerificationError("degenerate span is not closed under the "
                                                     f"boundary at {BracketedTuple(partition, e)}")
+                        slots.append(None)
                         continue
-                    self._kept[n].append(i)
+                    slots.append(len(kept))
+                    kept.append(i)
                 chain = chains.Chain(n - 1)
                 chain.terms = col
                 out.append(chain)
@@ -543,11 +544,8 @@ class PrismaticComplex:
 
     def _compact(self, n, full):
         """Index of the prism with this full index; None if it is collapsed."""
-        kept = self._kept.get(n)
-        if kept is None:
-            return full
-        k = bisect_left(kept, full)
-        return k if k < len(kept) and kept[k] == full else None
+        slots = self._slots.get(n)
+        return full if slots is None else slots[full]
 
     def _full(self, g, n):
         """Full index of a degree-n prism on this complex's partitions."""
@@ -601,15 +599,11 @@ class PrismaticComplex:
     def homology(self, n, allow_truncation=False):
         return self.cc.homology(n, allow_truncation)
 
-    def class_of(self, terms_or_chain, degree=None, allow_truncation=False):
-        if isinstance(terms_or_chain, chains.Chain):
-            z = terms_or_chain
-        else:
-            z = self.chain(degree, terms_or_chain)
-        return self.cc.class_coordinates(z, allow_truncation)
+    def class_of(self, terms, degree):
+        return self.cc.class_coordinates(self.chain(degree, terms))
 
-    def d_squared_violations(self, degrees=None):
-        return self.cc.d_squared_violations(degrees)
+    def d_squared_violations(self):
+        return self.cc.d_squared_violations()
 
     def __repr__(self):
         return (f"<PrismaticComplex mode={self.mode} size={self.S.size} N={self.N} "

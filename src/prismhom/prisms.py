@@ -310,7 +310,8 @@ def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):
     give one and the same map, which must moreover respect both operations.
     Returns the map as a tuple of images.
     """
-    u, v = tuple(u), tuple(v)
+    with reading("vertex coordinates must be integers"):
+        u, v = tuple(integer(c) for c in u), tuple(integer(c) for c in v)
     dims = [k + 1 for k in prism.partition]
     for vertex in (u, v):
         if len(vertex) != len(dims) or any(not 0 <= c < d for c, d in zip(vertex, dims)):

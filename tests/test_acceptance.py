@@ -17,8 +17,9 @@ import pytest
 from prismhom import algebra, prisms
 from prismhom.chains import HomologyGroup
 from prismhom.cli import main
-from prismhom.knots import (apply_move, coloring_key, enumerate_colorings, invariant,
-                            load_fixture_diagram, move_fixture_pairs)
+from prismhom.knots import (coloring_key, enumerate_colorings, invariant, load_fixture_diagram,
+                            move_fixture_pairs)
+from prismhom.moves import apply_move
 from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator,
                                 bracketed, build_bar_complex, build_complex, build_rack_complex,
                                 compositions, face)

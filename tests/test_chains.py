@@ -475,11 +475,11 @@ def test_class_coordinates_do_not_depend_on_evaluation_order(carrier, mode, requ
     for v in sympy.Matrix(fresh.cc.matrix(2)).nullspace():
         den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
         cycles.append(Chain(2, {i: int(x * den) for i, x in enumerate(v) if x}))
-    first = [fresh.class_of(z, 2) for z in cycles]
+    first = [fresh.cc.class_coordinates(z) for z in cycles]
     warm = prismatic.build_complex(S, 3, mode=mode)
     for n in (1, 2, 3):
         warm.homology(n, allow_truncation=True)
-    assert [warm.class_of(z, 2) for z in cycles] == first
+    assert [warm.cc.class_coordinates(z) for z in cycles] == first
     assert any(map(any, first)) == (not fresh.homology(2).trivial)
 
 

@@ -227,6 +227,25 @@ def test_invariant_command(files, capsys):
     assert len(data["classes"]) == 12
 
 
+def test_include_d3_changes_only_h3_and_the_d3_columns(files, capsys):
+    # ∂D3(a) = (a|a) = ∂B3(a, a) in a qualgebra, so each D3 cell adds one
+    # free generator to H_3 and nothing below it; `invariant` has no such flag
+    argv = ["--theory", "qualgebra", "--max-degree"]
+    outputs = []
+    for flag in ([], ["--no-include-d3"]):
+        assert main(["homology", files["z3"], *argv, "4", *flag]) == 0
+        assert main(["export-matrices", files["z3"], *argv, "3", *flag]) == 0
+        outputs.append(capsys.readouterr().out.splitlines())
+    with_d3, without_d3 = outputs  # three groups, then the triplets of ∂_1..∂_3
+    assert with_d3[:3] == ["H_1 = Z/3", "H_2 = 0", "H_3 = Z^11 + Z/3 + Z/3"]
+    assert without_d3[:3] == ["H_1 = Z/3", "H_2 = 0", "H_3 = Z^8 + Z/3 + Z/3"]
+    assert with_d3[3:-3] == without_d3[3:]  # the three D3 columns come last
+    with pytest.raises(SystemExit) as info:
+        main(["invariant", files["z3"], files["trefoil"], "--no-include-d3"])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --no-include-d3" in capsys.readouterr().err
+
+
 def test_invariant_requires_qualgebra(files, capsys):
     assert main(["invariant", files["spindleless"], files["trefoil"]]) == 1
 

@@ -15,6 +15,8 @@ operation: a move states only its rewrite, and its coloring bijection is
 derived from the new diagram's rules.  prismhom imports only its own
 modules and the standard library, and `pyproject.toml` declares no
 dependency, so the package installs and imports with nothing downloaded.
+The modules of the package, `__init__` aside, import each other without a
+cycle, late imports included.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
 stays an independent check of the stored boundary.  The benchmark's tracer
 (`perfbench/tracing.py`) names the functions it wraps by string; every
@@ -36,11 +38,6 @@ import prismhom
 SOURCE = os.path.dirname(os.path.abspath(prismhom.__file__))
 MODULES = sorted(f for f in os.listdir(SOURCE) if f.endswith(".py"))
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-# Imports kept only so that other modules can import them from here.
-RE_EXPORTS = {
-    "knots.py": {"apply_move"},
-}
 
 
 def _unused_imports(tree):
@@ -64,8 +61,7 @@ def test_the_modules_are_found():
 def test_no_unused_imports(module):
     with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
         tree = ast.parse(fh.read(), filename=module)
-    unused = [(line, name) for line, name in _unused_imports(tree)
-              if name not in RE_EXPORTS.get(module, ())]
+    unused = _unused_imports(tree)
     assert unused == [], f"{module} imports names it never uses: {unused}"
 
 
@@ -103,6 +99,61 @@ def test_the_check_sees_a_package_import():
                      "from prismhom import knots\nfrom . import chains\n")
     assert _package_imports(tree) == [(2, "prismhom.knots"), (3, "prismhom"),
                                       (4, "<relative>")]
+
+
+def _sibling_imports(tree):
+    """The package modules a module imports, by relative import, anywhere in it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found.update([node.module] if node.module else [a.name for a in node.names])
+    return found
+
+
+def _import_cycle(graph):
+    """A list of modules that import each other in a ring, or None if the graph is acyclic."""
+    done, path = set(), []
+
+    def visit(module):
+        if module in path:
+            return path[path.index(module):]
+        if module in done:
+            return None
+        path.append(module)
+        for other in sorted(graph.get(module, ())):
+            cycle = visit(other)
+            if cycle:
+                return cycle
+        path.pop()
+        done.add(module)
+        return None
+
+    for module in sorted(graph):
+        cycle = visit(module)
+        if cycle:
+            return cycle
+    return None
+
+
+def test_the_package_has_no_import_cycle():
+    graph = {}
+    for module in MODULES:
+        if module != "__init__.py":
+            with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+                graph[module[:-3]] = _sibling_imports(ast.parse(fh.read(), filename=module))
+    assert "knots" in graph["moves"]
+    assert _import_cycle(graph) is None
+
+
+def test_the_check_sees_an_import_cycle():
+    tree = ast.parse("from . import chains, errors\nfrom .algebra import integer\n"
+                     "def late():\n    from .moves import apply_move\n"
+                     "import os\nfrom prismhom import cli\n")
+    assert _sibling_imports(tree) == {"chains", "errors", "algebra", "moves"}
+    graph = {"knots": {"moves", "chains"}, "moves": {"algebra", "knots"}, "chains": set()}
+    assert _import_cycle(graph) == ["knots", "moves"]
+    del graph["moves"]
+    assert _import_cycle(graph) is None
 
 
 def _outside_imports(tree):

@@ -1,11 +1,13 @@
+from collections import Counter
+
 import pytest
 
-from prismhom import algebra, knots, moves
+from prismhom import algebra, chains, knots, moves, prismatic
 from prismhom.errors import AxiomError, NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
-                            apply_move, coloring_key, enumerate_colorings, foam_invariant,
-                            invariant, load_fixture_diagram, move_fixture_pairs,
-                            represented_cycle)
+                            coloring_key, enumerate_colorings, foam_invariant, invariant,
+                            load_fixture_diagram, move_fixture_pairs, represented_cycle)
+from prismhom.moves import apply_move
 from prismhom.prismatic import bracketed
 
 from oracles import brute_force_colorings
@@ -398,6 +400,36 @@ def test_foam_move_shift_preserves_classes(z3):
                                   (1, (1, 2), (a, c, z3.act(b, c))),
                                   (-1, (1, 2), (a, b, c))]
                 assert foam_invariant(shifted, z3) == base_class
+
+
+def test_class_coordinates_build_no_homology(z3, monkeypatch):
+    # a class needs the elimination of the full boundary above it and two
+    # dense Smith reductions, and none of the coreduced boundaries behind
+    # homology; only `invariant`, which reports H_2, builds those
+    counts = Counter()
+
+    def counted(name, f):
+        def spy(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(chains.ChainComplex, "_coreduced",
+                        counted("coreduced", chains.ChainComplex._coreduced))
+    monkeypatch.setattr(chains, "_snf", counted("snf", chains._snf))
+    monkeypatch.setattr(knots, "cached_complex", lambda S, N, mode, include_d3=True:
+                        prismatic.build_complex(S, N, mode, include_d3))
+    single = [(1, (2, 1), (0, 1, 0))]
+    assert foam_invariant(single, z3) == (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    assert counts == {"snf": 2}
+    K = prismatic.build_complex(z3, 3, mode="qualgebra")
+    square = {bracketed((1, 1), (1, 2)): 1}
+    triangles = {bracketed((2,), (1, 2)): 1, bracketed((2,), (2, 1)): -1}
+    assert K.class_of(square, 2) == K.class_of(triangles, 2)
+    assert counts == {"snf": 4}
+    result = invariant(load_fixture_diagram("trefoil"), z3)
+    assert counts["coreduced"] > 0
+    assert result.group == K.homology(2)
 
 
 def test_invariant_result_equality(s3):

@@ -281,6 +281,19 @@ def test_extension_cells_are_cycles(z3):
                 assert not K.cc.boundary(ch), gen
 
 
+@pytest.mark.parametrize("name", ("one_elt", "z2", "z3", "s3", "proj4", "d4"))
+def test_d3_has_the_boundary_of_b3_on_a_repeat(name, request):
+    # axiom I (a<a = a) gives ∂B3(a, a) = (a|a) = ∂D3(a): the D3 cells add
+    # free rank to H_3 and change nothing in degree 2
+    S = request.getfixturevalue(name)
+    K = build_complex(S, 3, mode="qualgebra")
+    stored = K.cc.boundaries[3]
+    for a in range(S.size):
+        d3 = stored[K.index_of(ExtraCell("D3", (a,)))]
+        assert d3 == stored[K.index_of(ExtraCell("B3", (a, a)))]
+        assert d3.terms == {K.index_of(bracketed((1, 1), (a, a))): 1}
+
+
 def test_b3_relation_in_degree_two_homology(z3):
     # the class of a|b equals the class of (a,b) - (b, a<b)
     K = build_complex(z3, 3, mode="qualgebra")

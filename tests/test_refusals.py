@@ -14,6 +14,10 @@ import pytest
 from prismhom import algebra, chains, cli, knots, moves, prismatic, prisms
 from prismhom.errors import AxiomError, StructureError
 
+S3 = algebra.conj_symmetric(3)
+_G = prismatic.bracketed((2,), (1, 2))
+_PRISM = prisms.good_labeling(_G, S3)
+
 XOR = [[0, 1], [1, 0]]
 ZERO = [[0, 0], [0, 0]]
 SWAP = [[1, 0], [0, 1]]          # a<b = 1 - a
@@ -55,6 +59,15 @@ READERS = {
     "move-site-index": (lambda: moves.apply_move(knots.load_fixture_diagram("theta"), "T",
                                                  {"vertex": 0.5}, algebra.conj_cyclic(3)),
                         "move site vertex must be an integer: 0.5 is not an integer"),
+    "face-block": (lambda: prismatic.face(_G, 0.5, 1, S3),
+                   "block and vertex indices must be integers: 0.5 is not an integer"),
+    "face-vertex": (lambda: prismatic.face(_G, 1, 0.5, S3),
+                    "block and vertex indices must be integers: 0.5 is not an integer"),
+    "path-vertex": (lambda: prisms.path_endomorphism(_PRISM, (0.5,), (2,), S3),
+                    "vertex coordinates must be integers: 0.5 is not an integer"),
+    "path-vertex-word": (lambda: prisms.path_endomorphism(_PRISM, (0,), ("x",), S3),
+                         "vertex coordinates must be integers: "
+                         "invalid literal for int() with base 10: 'x'"),
 }
 
 
@@ -72,6 +85,10 @@ def test_a_read_that_succeeds_passes_through():
     with pytest.raises(StructureError, match=r"^what: invalid literal"):
         with algebra.reading("what"):
             algebra.integer("x")
+    # face and path indices are read as `bracketed` reads elements
+    assert prismatic.face(_G, 1.0, "1", S3) == prismatic.face(_G, 1, 1, S3)
+    assert (prisms.path_endomorphism(_PRISM, ("0",), (2.0,), S3)
+            == prisms.path_endomorphism(_PRISM, (0,), (2,), S3))
 
 
 def _unchecked(dot, tri):
@@ -129,9 +146,6 @@ def test_every_axiom_requirement_carries_the_report_witness(site, tmp_path):
     name = message.split("axiom ")[1].split()[0]
     assert info.value.witness == algebra.check_axioms(dot, tri).witness(name)
     assert info.value.witness is not None
-
-
-S3 = algebra.conj_symmetric(3)
 
 
 def _outside(elements):
