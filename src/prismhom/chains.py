@@ -31,8 +31,8 @@ and class coordinates never see a matrix that is not a complex.
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
+from heapq import heappop, heappush
 
 from .algebra import integer, reading
 from .errors import NotACycleError, StructureError, VerificationError
@@ -149,7 +149,14 @@ def _eliminate(columns):
     `columns` lists the matrix as {row: coefficient} dicts and is consumed.
     Pivots go in Markowitz order: the shortest column that holds a ±1 entry,
     and in it the ±1 entry whose row meets the fewest columns; ties go to
-    the lower column index, then the lower row index.  Pivot (r, c)
+    the lower column index, then the lower row index.  Columns wait in
+    buckets by length, each a heap of column indices: an updated column is
+    filed again at its new length, and an entry whose column has since
+    changed length, or became a pivot, is skipped when popped.  The loop
+    drains the shortest bucket, lowest index first, until it empties or an
+    update files a column at a shorter length, and only then looks for the
+    shortest bucket again.  A column popped without a ±1 entry is dropped
+    from the queue until an update files it again.  Pivot (r, c)
     subtracts multiples of column c from every other column meeting row r,
     so row r is left only in column c; row operations would then clear the
     rest of column c without touching any other column.  The invariant
@@ -170,57 +177,59 @@ def _eliminate(columns):
     and residue of the full ∂_{n+1}.
     """
     rows = {}
-    buckets = {}  # length -> column indices, negated and ascending: pop() gives the lowest
+    buckets = {}  # length -> heap of column indices, stale and repeated ones included
     for j, col in enumerate(columns):
         for i in col:
             rows.setdefault(i, set()).add(j)
         if col:
-            buckets.setdefault(len(col), []).append(-j)
-    for bucket in buckets.values():
-        bucket.reverse()
+            buckets.setdefault(len(col), []).append(j)  # ascending, so already a heap
     log = []
     pivots = []
     while buckets:
         length = min(buckets)
         bucket = buckets[length]
-        c = -bucket.pop()
+        shorter = False
+        while bucket and not shorter:
+            c = heappop(bucket)
+            col = columns[c]
+            if col is None or len(col) != length:
+                continue  # already a pivot, or a stale entry of a changed column
+            best = None
+            for i, v in col.items():
+                if v == 1 or v == -1:
+                    key = (len(rows[i]), i)
+                    if best is None or key < best:
+                        best = key
+            if best is None:
+                continue  # no unit yet; a later update files the column again
+            r = best[1]
+            unit = col[r]
+            columns[c] = None
+            hit = rows.pop(r)
+            hit.discard(c)
+            rest = [(i, v) for i, v in col.items() if i != r]
+            for i, _ in rest:
+                rows[i].discard(c)
+            for j in hit:
+                other = columns[j]
+                q = other.pop(r) * unit
+                for i, v in rest:
+                    nv = other.get(i, 0) - q * v
+                    if nv:
+                        if i not in other:
+                            rows[i].add(j)
+                        other[i] = nv
+                    else:
+                        del other[i]
+                        rows[i].discard(j)
+                if other:
+                    k = len(other)
+                    heappush(buckets.setdefault(k, []), j)
+                    shorter = shorter or k < length
+            log.append((r, col))
+            pivots.append(c)
         if not bucket:
             del buckets[length]
-        col = columns[c]
-        if col is None or len(col) != length:
-            continue  # already a pivot, or a stale entry of a changed column
-        best = None
-        for i, v in col.items():
-            if v == 1 or v == -1:
-                key = (len(rows[i]), i)
-                if best is None or key < best:
-                    best = key
-        if best is None:
-            continue  # no unit yet; a later update pushes the column again
-        r = best[1]
-        unit = col[r]
-        columns[c] = None
-        hit = rows.pop(r)
-        hit.discard(c)
-        rest = [(i, v) for i, v in col.items() if i != r]
-        for i, _ in rest:
-            rows[i].discard(c)
-        for j in hit:
-            other = columns[j]
-            q = other.pop(r) * unit
-            for i, v in rest:
-                nv = other.get(i, 0) - q * v
-                if nv:
-                    if i not in other:
-                        rows[i].add(j)
-                    other[i] = nv
-                else:
-                    del other[i]
-                    rows[i].discard(j)
-            if other:
-                insort(buckets.setdefault(len(other), []), -j)
-        log.append((r, col))
-        pivots.append(c)
     residue = [col for col in columns if col]
     return log, residue, pivots
 
@@ -404,7 +413,8 @@ class ChainComplex:
     for every degree-n generator, its boundary as a Chain of degree n-1.
     Degrees not listed are zero.  With truncated=True the top stored degree
     is a window into a larger complex, so homology there is refused unless
-    the caller explicitly allows ∂=0 truncation.
+    the caller explicitly allows ∂=0 truncation, and class coordinates
+    there are refused.
     """
 
     def __init__(self, counts, boundaries, truncated=False):
@@ -500,13 +510,16 @@ class ChainComplex:
             self._cache[key] = factors, set(pivots)
         return self._cache[key]
 
-    def _require_constructed(self, n, allow_truncation):
-        """Refuse a degree whose ∂_{n+1} a truncated complex does not hold in full."""
+    def _require_constructed(self, n, top_refusal):
+        """Refuse a degree whose ∂_{n+1} a truncated complex does not hold in full.
+
+        At the top constructed degree the refusal reads `top_refusal`; None
+        allows that degree.
+        """
         if n > self.top and self.truncated:
             raise StructureError(f"degree {n} was never constructed (top is {self.top})")
-        if n == self.top and self.truncated and not allow_truncation:
-            raise StructureError(
-                f"homology at the top constructed degree {n} needs allow_truncation=True")
+        if n == self.top and self.truncated and top_refusal:
+            raise StructureError(top_refusal)
 
     def homology(self, n, allow_truncation=False) -> HomologyGroup:
         """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion.
@@ -515,7 +528,9 @@ class ChainComplex:
         invariant factors of ∂_{n+1} above 1.  Both are read off the
         coreduced boundaries, which keep those ranks and factors.
         """
-        self._require_constructed(n, allow_truncation)
+        self._require_constructed(n, None if allow_truncation else
+                                  f"homology at the top constructed degree {n} "
+                                  "needs allow_truncation=True")
         key = ("group", n)
         if key not in self._cache:
             lower = self._coreduced(n)[0]
@@ -562,7 +577,7 @@ class ChainComplex:
         self._cache[key] = data
         return data
 
-    def class_coordinates(self, z: Chain, allow_truncation=False):
+    def class_coordinates(self, z: Chain):
         """Canonical coordinates of the homology class of a cycle.
 
         Torsion coordinates come first (residues mod d_i for each invariant
@@ -570,7 +585,8 @@ class ChainComplex:
         cycles get equal coordinates exactly when their difference bounds.
         """
         n = z.degree
-        self._require_constructed(n, allow_truncation)
+        self._require_constructed(n, f"class coordinates at the top constructed degree {n} "
+                                     f"need ∂_{n + 1}, which a truncated complex does not hold")
         cols = self.count(n)
         for g in z.terms:
             if not 0 <= g < cols:

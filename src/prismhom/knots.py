@@ -270,10 +270,6 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
     return found
 
 
-def coloring_key(D: KTGDiagram, colors):
-    return tuple(colors[a] for a in D.arcs)
-
-
 # -- represented cycles and invariants -------------------------------------------
 
 

@@ -1,4 +1,4 @@
-"""Independent oracles: classical differentials, degeneracies, colorings and prism labels.
+"""Independent oracles: classical differentials, degeneracies, colorings, labels, pivots.
 
 The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
@@ -12,10 +12,11 @@ computed edge by edge from the labeling rule of the `prisms` docstring,
 where the library shares subproducts between edges.  The prism faces
 follow the face rule of the `prismatic` docstring on lists of blocks, one
 face at a time, where the library reads every face of a partition off
-index tables.  The conjugation
-tables of permutation groups are built here from their products.  Nothing
-here imports `prismhom`: structures and diagrams are read through their
-attributes and operation tables only.
+index tables.  The unit-pivot elimination scans every column at every
+step, where the library keeps its columns in a queue by length.  The
+conjugation tables of permutation groups are built here from their
+products.  Nothing here imports `prismhom`: structures and diagrams are
+read through their attributes and operation tables only.
 """
 
 from itertools import product
@@ -161,6 +162,11 @@ def brute_force_colorings(D, S) -> list:
     return out
 
 
+def coloring_key(D, colors):
+    """A coloring as the tuple of its arc colors, in the diagram's arc order."""
+    return tuple(colors[a] for a in D.arcs)
+
+
 def prism_edge_labels(partition, elements, S) -> dict:
     """Every directed edge label of a prism, (vfrom, vto) -> element, one edge at a time.
 
@@ -209,3 +215,49 @@ def conjugation_tables(elements, mul):
     tri = [[dot[dot[inverse[b]][a]][b] for b in range(len(elements))]
            for a in range(len(elements))]
     return dot, tri
+
+
+def markowitz_elimination(columns):
+    """Unit-pivot column elimination in Markowitz order, by full scans.
+
+    At each step the pivot column is the shortest nonzero column holding a
+    ±1 entry, ties to the lower index; in it the pivot row is the ±1 row
+    that meets the fewest nonzero columns, ties to the lower row.  A column
+    without a unit is parked until an update touches it, since only an
+    update can give it one.  Each other column meeting the pivot row loses
+    the multiple of the pivot column that clears that row.  Returns (log,
+    residue, pivots): (pivot row, pivot column as chosen) in pivot order,
+    the nonzero columns left over in index order, and the pivot column
+    indices in pivot order.
+    """
+    def has_unit(col):
+        return 1 in col.values() or -1 in col.values()
+
+    columns = [dict(col) for col in columns]
+    live = {j for j, col in enumerate(columns) if col}
+    ready = {j for j in live if has_unit(columns[j])}
+    log, pivots = [], []
+    while ready:
+        c = min((len(columns[j]), j) for j in ready)[1]
+        col = columns[c]
+        r = min((i for i, v in col.items() if v in (1, -1)),
+                key=lambda i: (sum(i in columns[j] for j in live), i))
+        live.discard(c)
+        ready.discard(c)
+        for j in [j for j in live if r in columns[j]]:
+            other = columns[j]
+            q = other.pop(r) * col[r]
+            for i, v in col.items():
+                if i != r:
+                    other[i] = other.get(i, 0) - q * v
+                    if not other[i]:
+                        del other[i]
+            if not other:
+                live.discard(j)
+            if has_unit(other):
+                ready.add(j)
+            else:
+                ready.discard(j)
+        log.append((r, col))
+        pivots.append(c)
+    return log, [columns[j] for j in sorted(live)], pivots

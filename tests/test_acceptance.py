@@ -17,14 +17,13 @@ import pytest
 from prismhom import algebra, prisms
 from prismhom.chains import HomologyGroup
 from prismhom.cli import main
-from prismhom.knots import (coloring_key, enumerate_colorings, invariant, load_fixture_diagram,
-                            move_fixture_pairs)
+from prismhom.knots import enumerate_colorings, invariant, load_fixture_diagram, move_fixture_pairs
 from prismhom.moves import apply_move
 from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator,
                                 bracketed, build_bar_complex, build_complex, build_rack_complex,
                                 compositions, face)
 
-from oracles import bar_differential, brute_force_colorings, rack_differential
+from oracles import bar_differential, brute_force_colorings, coloring_key, rack_differential
 
 
 def _report(num, name, failures):

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prismhom import chains, prismatic
+from prismhom import algebra, chains, prismatic
 from prismhom.chains import Chain, ChainComplex, HomologyGroup, smith_normal_form
 from prismhom.errors import NotACycleError, StructureError
 from prismhom.knots import enumerate_colorings, load_fixture_diagram, represented_cycle
 from prismhom.prismatic import BracketedTuple
+
+from oracles import markowitz_elimination
 
 
 def test_chain_arithmetic():
@@ -140,6 +142,15 @@ def test_truncation_rules(z2):
         K.homology(3)
 
 
+def test_class_coordinates_refuse_the_top_of_a_truncated_complex(z2):
+    K = prismatic.build_complex(z2, 2).cc
+    with pytest.raises(StructureError, match="top constructed degree 2 need ∂_3") as refusal:
+        K.class_coordinates(Chain(2))
+    assert "allow_truncation" not in str(refusal.value)
+    with pytest.raises(StructureError, match="never constructed"):
+        K.class_coordinates(Chain(3))
+
+
 def test_boundary_linearity(z2):
     K = prismatic.build_complex(z2, 3)
     g0 = K.cc.boundary_of(2, 0)
@@ -189,7 +200,7 @@ def test_class_coordinates_torsion_generator(z2):
     # H_1 of the two-element conjugation structure is Z/2, generated by [1]
     K = prismatic.build_complex(z2, 2)
     z = Chain(1, {K.index_of(prismatic.bracketed((1,), (1,))): 1})
-    coords = K.cc.class_coordinates(z, allow_truncation=False)
+    coords = K.cc.class_coordinates(z)
     assert coords and coords[0] == 1
     assert K.cc.class_coordinates(2 * z) == (0,)
 
@@ -338,6 +349,32 @@ def test_sparse_snf_matches_sympy(shape):
     assert list(factors) == diag
     transposed = [[rows[i][j] for i in range(m)] for j in range(n)]
     assert smith_normal_form(transposed) == (factors, rank)
+
+
+# entries in -3..3: units to pivot on, and 2s and 3s that leave columns
+# without one until an update gives them a unit
+_COLUMNS = st.integers(1, 12).flatmap(lambda m: st.lists(
+    st.dictionaries(st.integers(0, m - 1), st.sampled_from([1, -1, 1, -1, 2, -2, 3, -3]),
+                    max_size=m), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_COLUMNS)
+def test_elimination_follows_the_oracle_pivot_order(columns):
+    # fill-in, columns without a unit and re-filed columns all occur here
+    assert chains._eliminate([dict(col) for col in columns]) == markowitz_elimination(columns)
+
+
+@pytest.mark.parametrize("make", [pytest.param(lambda: algebra.conj_cyclic(4), id="z4"),
+                                  pytest.param(lambda: algebra.conj_symmetric(3), id="s3")])
+def test_top_boundary_elimination_follows_the_oracle_pivot_order(make):
+    # the coreduced ∂_4 of the plain complex at N=4, as homology(3) reduces it
+    K = prismatic.build_complex(make(), 4).cc
+    drop = K._coreduced(3)[1]
+    columns = [{i: v for i, v in ch.terms.items() if i not in drop} for ch in K.boundaries[4]]
+    log, residue, pivots = markowitz_elimination(columns)
+    assert pivots and residue
+    assert chains._eliminate(columns) == (log, residue, pivots)
 
 
 # -- coreduction through the degrees ---------------------------------------------

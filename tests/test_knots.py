@@ -5,12 +5,12 @@ import pytest
 from prismhom import algebra, chains, knots, moves, prismatic
 from prismhom.errors import AxiomError, NotACycleError, StructureError
 from prismhom.knots import (Crossing, InvariantResult, KTGDiagram, TrivalentVertex,
-                            coloring_key, enumerate_colorings, foam_invariant, invariant,
+                            enumerate_colorings, foam_invariant, invariant,
                             load_fixture_diagram, move_fixture_pairs, represented_cycle)
 from prismhom.moves import apply_move
 from prismhom.prismatic import bracketed
 
-from oracles import brute_force_colorings
+from oracles import brute_force_colorings, coloring_key
 
 
 def theta():

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from itertools import combinations_with_replacement, permutations, product
 
 import pytest
@@ -601,6 +602,21 @@ def test_small_group_homology_closed_form(group, order, expected):
     assert S.size == order and S.is_group
     K = build_bar_complex(S, 4)
     assert [str(K.homology(k)) for k in (1, 2, 3)] == expected
+
+
+def test_plain_d4_homology_holds_its_group_homology(d4):
+    # 32,768 top-degree generators, so the sparse elimination's queue holds
+    # thousands of columns per length.  The one-block generators span the
+    # group slice, and each plain group holds that slice's homology, the
+    # closed forms of H_n(D4) above, as a summand: Z/2², Z/2 and Z/2² + Z/4.
+    # Every factor is a power of 2, so a summand's factors are a sub-multiset.
+    K = build_complex(d4, 4)
+    assert K.cc.count(4) == 32768
+    groups = [K.homology(k) for k in (1, 2, 3)]
+    assert groups == [HomologyGroup(0, (2,) * 2), HomologyGroup(0, (2,) * 5),
+                      HomologyGroup(0, (2,) * 18 + (4,))]
+    for group, summand in zip(groups, [(2, 2), (2,), (2, 2, 4)]):
+        assert not Counter(summand) - Counter(group.torsion)
 
 
 def _orbit_count(S):
