@@ -49,6 +49,8 @@ AXIOM_EQUATIONS = {
     "T": "a.b == b.(a<b)",
 }
 
+_INT = frozenset((int,))  # the one type a carrier element has
+
 
 def integer(value):
     """int(value), refusing a number with a fractional part instead of truncating it."""
@@ -232,8 +234,12 @@ class Shalgebra:
     # -- operations ------------------------------------------------------
 
     def check_elements(self, elements):
-        """Refuse a tuple holding anything but carrier elements 0..size-1 (StructureError)."""
-        if not self._carrier.issuperset(elements):
+        """Refuse a tuple holding anything but carrier elements 0..size-1 (StructureError).
+
+        An element must be an `int` itself: a float or a bool equal to one
+        (1.0, True) is refused too.
+        """
+        if not (self._carrier.issuperset(elements) and _INT.issuperset(map(type, elements))):
             raise StructureError(f"elements {elements} lie outside the carrier 0..{self.size - 1}")
 
     def mul(self, a, b):

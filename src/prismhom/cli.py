@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 
 from . import prisms
 from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, CLASS_AXIOMS, Shalgebra, check_axioms,
@@ -22,7 +23,7 @@ from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, CLASS_AXIOMS, Shalgebra, che
 from .chains import export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (ExtraCell, bracketed, build_bar_complex, build_complex,
+from .prismatic import (bracketed, build_bar_complex, build_complex,
                         build_rack_complex, compositions, partition_ranks)
 
 EXIT_OK = 0
@@ -119,8 +120,11 @@ def verify_structure(S: Shalgebra, N):
     partition's prisms are compared with it, both as {generator index:
     coefficient}; every prism that differs counts.  Degree by degree from 1
     to min(N, 4), every prism is labeled once by `good_labeling`, as a
-    tuple; its geometric faces must carry the label tuples stored for degree
-    n-1 under their generator indices and match its algebraic faces.  Only
+    tuple, and each partition's q^n prisms go to one `faces_match_algebra`
+    call, which reads their faces on label columns: their geometric faces
+    must carry the label tuples stored for degree n-1 under their generator
+    indices and match their algebraic faces; every prism that fails counts.
+    The prisms are dropped before the next partition is labeled, and only
     the previous degree's tuples are kept.  Relation cells the build leaves
     out are named on stderr, as `homology` names them.
     """
@@ -130,25 +134,20 @@ def verify_structure(S: Shalgebra, N):
     sym_bad = face_bad = 0
     below = {0: ()}  # the empty tuple, the one generator of degree 0
     for n in range(1, top + 1):
-        if n > 1:
-            stored = K.cc.boundaries[n]
-            count = S.size ** n  # prisms per partition, which come before the relation cells
-            for r, partition in enumerate(compositions(n)):
+        count = S.size ** n  # prisms per partition, which come before the relation cells
+        stored = K.cc.boundaries[n]
+        generators = iter(K.generators(n))
+        labeled = {}
+        for r, partition in enumerate(compositions(n)):
+            if n > 1:
                 expected = _expansion_columns(S, partition)
                 sym_bad += sum(column != chain.terms for column, chain
                                in zip(expected, stored[r * count:(r + 1) * count]))
-        labeled = {}
-        for i, g in enumerate(K.generators(n)):
-            if isinstance(g, ExtraCell):
-                break  # the relation cells follow the prisms
-            prism = prisms.good_labeling(g, S)
-            try:
-                if not prisms.faces_match_algebra(prism, S, below):
-                    face_bad += 1
-            except VerificationError:
-                face_bad += 1
+            batch = [prisms.good_labeling(g, S) for g in islice(generators, count)]
+            face_bad += prisms.faces_match_algebra(batch, S, below).count(False)
             if n < top:
-                labeled[i] = prism.labels
+                labeled.update(zip(range(r * count, (r + 1) * count),
+                                   [prism.labels for prism in batch]))
         below = labeled
     symbolic = ("none (degree 1 has no expansion)" if top < 2
                 else f"FAIL on {sym_bad} generators" if sym_bad else f"ok (degrees 2..{top})")

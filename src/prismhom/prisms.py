@@ -28,20 +28,27 @@ face's labels and generating edges out of the tuple, so `verify` labels
 every prism once and compares its faces with the labels stored one degree
 lower, under their generator indices (the numbering of
 `PrismaticComplex`: partition rank, then the elements read in base |G|).
-One face walk serves `geometric_faces` and `faces_match_algebra`; signed
-faces are compared with the algebraic face map as (sign, partition rank,
-elements).
+One face walk, `_face_walk`, serves `geometric_faces` (on a run of one
+prism) and `faces_match_algebra` (on a run of prisms on one partition,
+such as the q^n prisms `verify` labels for each partition).  It reads each
+face across the whole run: a column of face indices, computed from the
+generating labels a column at a time, and the induced labels, compared
+with the stored ones as they are gathered.  `faces_match_algebra`
+compares each index column with the algebraic face map, read off
+`prismatic._face_tables` a face at a time, and walks again only the
+prisms where the two disagree: their signed faces are compared as
+multisets of (sign, face index).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations, product
-from operator import itemgetter
+from operator import eq, itemgetter
 
 from .algebra import Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
-from .prismatic import (BracketedTuple, _compositions, _faces, _full_index, _ranked_plan,
+from .prismatic import (BracketedTuple, _compositions, _face_tables, _ranked_plan,
                         partition_ranks)
 
 
@@ -207,11 +214,12 @@ def _edge_keys(partition):
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
-    Returns the face's partition, its `partition_ranks` rank and two getters
-    over the prism's labels: `gather` picks the edges the face keeps,
-    in its own plan order, and `generating` its generating edges (t-1 -> t
-    at the base point, factor by factor).  A factor of size one collapses to
-    a point and disappears; the other slice is kept.
+    Returns the face's partition, its `partition_ranks` rank, a getter
+    `gather` that picks the edges the face keeps out of the prism's labels,
+    in the face's own plan order, and the positions of its generating edges
+    (t-1 -> t at the base point, factor by factor) among those labels.  A
+    factor of size one collapses to a point and disappears; the other slice
+    is kept.
     """
     kj = partition[j]
     new_partition = partition[:j] + ((kj - 1,) if kj > 1 else ()) + partition[j + 1:]
@@ -227,7 +235,7 @@ def _face_plan(partition, j, i):
     generating = tuple(position[zero[:q] + (t - 1,) + zero[q + 1:], zero[:q] + (t,) + zero[q + 1:]]
                        for q, k in enumerate(new_partition) for t in range(1, k + 1))
     rank = partition_ranks(sum(new_partition))[new_partition]
-    return new_partition, rank, _getter(gather), _getter(generating)
+    return new_partition, rank, _getter(gather), generating
 
 
 @lru_cache(maxsize=None)
@@ -242,28 +250,35 @@ def _face_plans(partition):
     return tuple(plans)
 
 
-def _signed_faces(prism: LabeledPrism, S: Shalgebra, below):
-    """The one face walk: each face of the prism as (sign, partition rank, elements).
+def _face_walk(partition, labels, S: Shalgebra, below):
+    """The one face walk, over the label tuples of a run of prisms on one partition.
 
-    Each face's elements are read off its generating edges, and its induced
-    labels must be good: equal to the label tuple stored under its
-    generator index in `below` (or, missing there, its `good_labels`; so
-    `{}` checks every face from scratch).  A face that is not good raises
-    VerificationError.
+    Yields (j, i, sign, index, bad) per face, in (j, i) order.  `index`
+    lists each prism's face as a generator index one degree lower: the
+    face's partition rank, then the labels of its generating edges (the
+    face's elements) read in base q, computed a label column at a time.
+    `bad` lists the positions of the prisms whose face is not good: its
+    induced labels differ from the label tuple stored under its index in
+    `below`, or, missing there, from its `good_labels` (so `{}` checks every
+    face from scratch).  The induced labels are compared as they are
+    gathered, so one face's tuple is alive at a time.
     """
-    labels = prism.labels
     q = S.size
-    out = []
-    for j, i, sign, face, rank, gather, generating in _face_plans(prism.partition):
-        elements = generating(labels)
-        expected = below.get(_full_index(rank, elements, q))
-        if expected is None:
-            expected = good_labels(face, elements, S)
-        if expected != gather(labels):
-            raise VerificationError(
-                f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
-        out.append((sign, rank, elements))
-    return out
+    columns = {}  # edge position -> that label of every prism
+    for j, i, sign, face, rank, gather, generating in _face_plans(partition):
+        index = [rank] * len(labels)
+        for t in generating:
+            if t not in columns:
+                columns[t] = list(map(itemgetter(t), labels))
+            index = [k * q + x for k, x in zip(index, columns[t])]
+        bad = []
+        if not all(map(eq, map(gather, labels), map(below.get, index))):
+            for at, (have, want) in enumerate(zip(map(gather, labels), map(below.get, index))):
+                if want is None:
+                    want = good_labels(face, tuple(labels[at][t] for t in generating), S)
+                if have != want:
+                    bad.append(at)
+        yield j, i, sign, index, bad
 
 
 def geometric_faces(prism: LabeledPrism, S: Shalgebra):
@@ -273,9 +288,17 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     recovered tuple generates); a mismatch raises, since it would mean the
     geometric and algebraic face maps disagree.
     """
-    shapes = _compositions(sum(prism.partition) - 1)  # face partitions in rank order
-    return [(sign, good_labeling(BracketedTuple(shapes[rank], elements), S))
-            for sign, rank, elements in _signed_faces(prism, S, {})]
+    q, n = S.size, sum(prism.partition) - 1
+    shapes = _compositions(n)  # face partitions in rank order
+    out = []
+    for j, i, sign, (index,), bad in _face_walk(prism.partition, [prism.labels], S, {}):
+        if bad:
+            raise VerificationError(
+                f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
+        rank, rest = divmod(index, q ** n)
+        elements = tuple(rest // q ** k % q for k in reversed(range(n)))
+        out.append((sign, good_labeling(BracketedTuple(shapes[rank], elements), S)))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -284,22 +307,60 @@ def _algebraic_plan(partition):
     return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
 
 
-def faces_match_algebra(prism: LabeledPrism, S: Shalgebra, below) -> bool:
-    """Signed multiset equality of geometric and algebraic faces for one prism.
+def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
+    """Signed multiset equality of geometric and algebraic faces, one verdict per prism.
 
-    `prism.label` names the generator (one on another partition has other
-    faces), and `below` maps the generator indices of one degree lower to
-    their label tuples, as `_signed_faces` reads them.
+    `prisms` is a run of labeled prisms on one partition.  Each prism's
+    label names its generator (one on another partition has other faces,
+    and gets False), and `below` maps the generator indices of one degree
+    lower to their label tuples, as `_face_walk` reads them.  A prism with
+    a face that is not good gets False.  The algebraic faces are read off
+    `_face_tables` at each label's elements, one face at a time; a prism
+    whose faces agree with them index for index in (j, i) order, signs
+    included, matches.  Only the others are walked again, on their own, and
+    compared as signed multisets.
     """
-    g = prism.label
-    if g is None:
-        raise StructureError(f"{prism!r} names no generator to compare faces with")
-    if g.partition != prism.partition:
-        return False
-    geometric = _signed_faces(prism, S, below)
-    algebraic = list(_faces(g.elements, _algebraic_plan(g.partition), S))
-    # both sides list the faces in (j, i) order, so a good prism needs no sort
-    return geometric == algebraic or sorted(geometric) == sorted(algebraic)
+    prisms = list(prisms)
+    if not prisms:
+        return []
+    partition = prisms[0].partition
+    for prism in prisms:
+        if prism.label is None:
+            raise StructureError(f"{prism!r} names no generator to compare faces with")
+        if prism.partition != partition:
+            raise StructureError(
+                f"prisms on {partition} and {prism.partition} are compared one partition at a time")
+    q, n = S.size, sum(partition)
+    verdicts = [prism.label.partition == partition for prism in prisms]
+    # each label's elements read in base q: its position in the face tables
+    position = [0] * len(prisms)
+    for column in zip(*(prism.label.elements if ok else (0,) * n
+                         for prism, ok in zip(prisms, verdicts))):
+        position = [k * q + x for k, x in zip(position, column)]
+    in_order = position == list(range(q ** n))
+    plan = _algebraic_plan(partition)
+    labels = [prism.labels for prism in prisms]
+    differ = set()
+    for (_, _, sign, index, bad), entry in zip(_face_walk(partition, labels, S, below), plan):
+        for at in bad:
+            verdicts[at] = False
+        (table,) = _face_tables((entry,), n, S)  # one face's table alive at a time
+        if not in_order:
+            table = [table[k] for k in position]
+        if sign != entry[0]:
+            differ.update(range(len(prisms)))
+        elif index != table:
+            differ.update(at for at, (x, y) in enumerate(zip(index, table)) if x != y)
+    differ = sorted(at for at in differ if verdicts[at])
+    if differ:
+        tables = _face_tables(plan, n, S)
+        walk = _face_walk(partition, [labels[at] for at in differ], S, below)
+        geometric = [(sign, index) for _, _, sign, index, _ in walk]
+        for k, at in enumerate(differ):
+            verdicts[at] = (sorted((sign, index[k]) for sign, index in geometric)
+                            == sorted((entry[0], table[position[at]])
+                                      for entry, table in zip(plan, tables)))
+    return verdicts
 
 
 def path_endomorphism(prism: LabeledPrism, u, v, S: Shalgebra):

@@ -1,4 +1,4 @@
-"""Independent oracles: classical differentials, degeneracies, colorings, labels, pivots.
+"""Independent oracles: classical differentials, degeneracies, colorings, labels, pivots, ranks.
 
 The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
@@ -14,6 +14,8 @@ follow the face rule of the `prismatic` docstring on lists of blocks, one
 face at a time, where the library reads every face of a partition off
 index tables.  The unit-pivot elimination scans every column at every
 step, where the library keeps its columns in a queue by length.  The
+GF(p) rank reduces columns mod p, where the library computes integer
+invariant factors, so the universal coefficient theorem ties the two.  The
 conjugation tables of permutation groups are built here from their
 products.  Nothing here imports `prismhom`: structures and diagrams are
 read through their attributes and operation tables only.
@@ -114,6 +116,34 @@ def prismatic_differential(partition, elements, S) -> dict:
             else:
                 del out[f]
     return out
+
+
+def rank_mod_p(columns, p) -> int:
+    """Rank over GF(p), p prime, of a matrix given as sparse columns {row: entry}.
+
+    Column reduction on leading rows: each column in turn is reduced by the
+    stored pivot column whose leading (largest) row it shares, until its
+    leading row has no pivot yet, which it then becomes, scaled to lead with
+    1, or until it vanishes.  The rank is the number of pivots.
+    """
+    pivots = {}
+    for column in columns:
+        column = {r: v % p for r, v in column.items() if v % p}
+        while column:
+            lead = max(column)
+            pivot = pivots.get(lead)
+            if pivot is None:
+                inverse = pow(column[lead], -1, p)
+                pivots[lead] = {r: v * inverse % p for r, v in column.items()}
+                break
+            c = column[lead]
+            for r, v in pivot.items():
+                x = (column.get(r, 0) - c * v) % p
+                if x:
+                    column[r] = x
+                else:
+                    del column[r]
+    return len(pivots)
 
 
 def is_degenerate(partition, elements, flavor, unit) -> bool:

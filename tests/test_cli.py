@@ -407,14 +407,14 @@ def test_verify_counts_each_wrong_column(files, capsys, monkeypatch, s3, negatio
 def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
     # the first algebraic face of every generator changes sign, so no
     # prism's signed geometric faces match any more; the complex itself is
-    # built from prismatic's own face arithmetic and stays correct
-    algebraic = prisms._faces
+    # built from prismatic's own plans and stays correct
+    algebraic = prisms._algebraic_plan
 
-    def flipped(e, plan, S):
-        (sign, last, face), *rest = algebraic(e, plan, S)
-        return [(-sign, last, face), *rest]
+    def flipped(partition):
+        (sign, *face), *rest = algebraic(partition)
+        return ((-sign, *face), *rest)
 
-    monkeypatch.setattr(prisms, "_faces", flipped)
+    monkeypatch.setattr(prisms, "_algebraic_plan", flipped)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["boundary-squared: ok through degree 3 (qualgebra mode)",
@@ -425,10 +425,11 @@ def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
 def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
     calls = Counter()
-    # each counted function takes a partition, a generator or a prism first
+    # each counted function takes a partition, a generator or a run of
+    # prisms on one partition first
     for name, degree in (("good_labels", sum), ("good_labeling", lambda g: g.degree),
-                         ("_signed_faces", lambda p: p.label.degree),
-                         ("faces_match_algebra", lambda p: p.label.degree)):
+                         ("_face_walk", sum),
+                         ("faces_match_algebra", lambda batch: batch[0].label.degree)):
         def counted(first, *args, _name=name, _degree=degree, _original=getattr(prisms, name)):
             calls[_name, _degree(first)] += 1
             return _original(first, *args)
@@ -467,12 +468,14 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
         # the labeling program runs once per prism: each face finds its
         # labels stored one degree lower, so no face is labeled again
         assert calls["good_labels", n] == count
-        assert calls["_signed_faces", n] == count
-        # verify reaches both through the public functions the benchmark
+        # verify reaches it through the public function the benchmark
         # traces, once per prism
         assert calls["good_labeling", n] == count
-        assert calls["faces_match_algebra", n] == count
-    assert sum(calls.values()) == 4 * 11310
+        # and hands each partition's prisms to one face check, which walks
+        # their faces once
+        assert calls["faces_match_algebra", n] == 2 ** (n - 1)
+        assert calls["_face_walk", n] == 2 ** (n - 1)
+    assert sum(calls.values()) == 2 * 11310 + 2 * 15
 
 
 def _dihedral4():
@@ -516,15 +519,22 @@ def test_verify_numbering_agrees_with_the_complex(make, top):
                           for k, h in enumerate(lower))
         columns = [column for partition in prismatic.compositions(n)
                    for column in cli._expansion_columns(S, partition)]
-        assert len(columns) == len(K.generators(n))
-        for g, column in zip(K.generators(n), columns):
+        generators = list(K.generators(n))
+        assert len(columns) == len(generators)
+        for g, column in zip(generators, columns):
             rows = cli._expansion_terms(g.partition, g.elements, S.mul, S.act)
             by_tuple = K.chain(n - 1, [(bracketed(p, e), sign) for sign, p, e in rows])
             assert column == by_tuple.terms
+        count = S.size ** n
+        for start in range(0, len(generators), count):
+            batch = [prisms.good_labeling(g, S) for g in generators[start:start + count]]
             below.asked = []
-            assert prisms.faces_match_algebra(prisms.good_labeling(g, S), S, below)
-            # face (j, i) of the prism is face (j, i) of the tuple
-            assert [lower[k] for k in below.asked] == [face for _, face in faces(g, S)]
+            assert prisms.faces_match_algebra(batch, S, below) == [True] * count
+            # the walk asks face by face, each for the whole partition: face
+            # (j, i) of each prism is face (j, i) of its tuple
+            for k, prism in enumerate(batch):
+                assert [lower[h] for h in below.asked[k::count]] == [
+                    face for _, face in faces(prism.label, S)]
 
 
 @pytest.mark.parametrize("argv", [

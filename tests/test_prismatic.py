@@ -13,7 +13,7 @@ from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
                                 compositions, degenerate_span, face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
-                     prism_face, prismatic_differential, rack_differential)
+                     prism_face, prismatic_differential, rack_differential, rank_mod_p)
 
 
 def test_compositions_order_and_count():
@@ -604,6 +604,24 @@ def test_small_group_homology_closed_form(group, order, expected):
     assert [str(K.homology(k)) for k in (1, 2, 3)] == expected
 
 
+@pytest.mark.parametrize("group, multiplier", [
+    pytest.param(lambda: permutation_group([(1, 2, 0)]), "0", id="z3"),
+    pytest.param(lambda: permutation_group([(1, 0, 2), (1, 2, 0)]), "0", id="s3"),
+    pytest.param(_quaternion_group, "0", id="q8"),
+    pytest.param(lambda: permutation_group([(1, 2, 3, 0)]), "0", id="z4"),
+    pytest.param(lambda: permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]), "Z/2", id="d4"),
+    pytest.param(lambda: _even_permutations(4), "Z/2", id="a4"),
+    pytest.param(lambda: permutation_group([(1, 0, 2, 3), (0, 1, 3, 2)]), "Z/2", id="z2^2"),
+    pytest.param(lambda: permutation_group([(1, 0, 2, 3), (1, 2, 3, 0)]), "Z/2", id="s4")])
+def test_qualgebra_h2_is_the_schur_multiplier(group, multiplier):
+    # qualgebra H_2 of a group under conjugation is its Schur multiplier
+    # H_2(G; Z) (Karpilovsky, The Schur Multiplier, 1987): 0 for cyclic
+    # groups, S3 and Q8, and Z/2 for D4, A4, Z2² and S4
+    S = algebra.Shalgebra(*conjugation_tables(*group()))
+    assert S.is_group
+    assert str(build_complex(S, 3, mode="qualgebra").homology(2)) == multiplier
+
+
 def test_plain_d4_homology_holds_its_group_homology(d4):
     # 32,768 top-degree generators, so the sparse elimination's queue holds
     # thousands of columns per length.  The one-block generators span the
@@ -617,6 +635,46 @@ def test_plain_d4_homology_holds_its_group_homology(d4):
                       HomologyGroup(0, (2,) * 18 + (4,))]
     for group, summand in zip(groups, [(2, 2), (2,), (2, 2, 4)]):
         assert not Counter(summand) - Counter(group.torsion)
+
+
+def test_mod_p_homology_follows_universal_coefficients(s3):
+    # dim H_n(C ⊗ F_p) = β_n + t_p(H_n) + t_p(H_{n-1}), where t_p counts the
+    # invariant factors divisible by p.  The left side comes from GF(p) ranks
+    # of the oracle's own differential, the right from the library's groups
+    # of S3 plain at N=4 (H_0 = Z, so t_p(H_0) = 0).
+    K = build_complex(s3, 4)
+    groups = [HomologyGroup(1)] + [K.homology(n) for n in (1, 2, 3)]
+
+    def tuples(n):
+        # every ordered partition of n, with every filling by carrier elements
+        shapes = [p for k in range(1, n + 1) for p in product(range(1, n + 1), repeat=k)
+                  if sum(p) == n] if n else [()]
+        return [(p, e) for p in shapes for e in product(range(s3.size), repeat=n)]
+
+    differentials = {}
+    for n in range(1, 5):
+        rows = {g: i for i, g in enumerate(tuples(n - 1))}
+        differentials[n] = [{rows[f]: c for f, c in prismatic_differential(p, e, s3).items()}
+                            for p, e in tuples(n)]
+        assert len(differentials[n]) == K.cc.count(n)
+    for p in (2, 3):
+        rank = {n: rank_mod_p(columns, p) for n, columns in differentials.items()}
+
+        def t_p(group):
+            return sum(1 for d in group.torsion if d % p == 0)
+
+        assert [len(differentials[n]) - rank[n] - rank[n + 1] for n in (1, 2, 3)] == [
+            groups[n].free_rank + t_p(groups[n]) + t_p(groups[n - 1]) for n in (1, 2, 3)]
+
+
+def test_rank_mod_p_on_small_matrices():
+    # (1, 1) and (1, -1) have determinant -2, so they are dependent mod 2
+    # only; the empty column and 6·e_1 add nothing mod 2 and 3
+    columns = [{0: 1, 1: 1}, {0: 1, 1: -1}, {}, {1: 6}]
+    assert [rank_mod_p(columns, p) for p in (2, 3, 5)] == [1, 2, 2]
+    # three columns in three rows with determinant 2
+    columns = [{0: 1, 1: 1}, {1: 1, 2: 1}, {0: 1, 2: 1}]
+    assert [rank_mod_p(columns, p) for p in (2, 3)] == [2, 3]
 
 
 def _orbit_count(S):

@@ -146,16 +146,20 @@ def test_faces_match_algebra_small(z2, z3):
     for S, maxn in ((z2, 4), (z3, 3)):
         for n in range(1, maxn + 1):
             for partition in compositions(n):
-                for elements in product(range(S.size), repeat=n):
-                    prism = good_labeling(BracketedTuple(partition, elements), S)
-                    assert prisms.faces_match_algebra(prism, S, {})
+                batch = [good_labeling(BracketedTuple(partition, elements), S)
+                         for elements in product(range(S.size), repeat=n)]
+                assert prisms.faces_match_algebra(batch, S, {}) == [True] * len(batch)
+                # a batch in another order, or of one, gets the same verdicts
+                assert prisms.faces_match_algebra(batch[::-1], S, {}) == [True] * len(batch)
+                assert prisms.faces_match_algebra(batch[-1:], S, {}) == [True]
+    assert prisms.faces_match_algebra([], z2, {}) == []
 
 
 def test_edge_labels_and_unlabeled_prisms(s3):
     p = good_labeling(bracketed((1, 1), (1, 2)), s3)
     assert p.labels == tuple(p.edges[key] for key, *_ in prisms._edge_plan((1, 1)))
     with pytest.raises(StructureError, match="names no generator"):
-        prisms.faces_match_algebra(LabeledPrism(p.partition, None, p.labels), s3, {})
+        prisms.faces_match_algebra([p, LabeledPrism(p.partition, None, p.labels)], s3, {})
     with pytest.raises(StructureError, match=r"on \(1, 1\) has 4 edges, not 3 labels"):
         LabeledPrism(p.partition, p.label, p.labels[:-1])
 
@@ -217,23 +221,51 @@ def test_tampered_prisms_fail_the_face_checks():
     # a degree-2 prism has one-edge faces, which are always good: one wrong
     # label shows as signed faces that differ from the algebraic ones
     p = _tampered(good_labeling(bracketed((2,), (1, 2)), _S3), _S3)
-    assert not prisms.faces_match_algebra(p, _S3, _TABLES[1])
-    assert not prisms.faces_match_algebra(p, _S3, {})
-    # on degree 3 the induced labeling of a face is no longer good
+    assert prisms.faces_match_algebra([p], _S3, _TABLES[1]) == [False]
+    assert prisms.faces_match_algebra([p], _S3, {}) == [False]
+    # on degree 3 the induced labeling of a face is no longer good: the
+    # verdict is False, and geometric_faces names the face
     for partition in ((3,), (1, 2), (1, 1, 1)):
         p = _tampered(good_labeling(bracketed(partition, (1, 2, 3)), _S3), _S3)
         for below in (_TABLES[2], {}):
-            with pytest.raises(VerificationError, match="is not good"):
-                prisms.faces_match_algebra(p, _S3, below)
+            assert prisms.faces_match_algebra([p], _S3, below) == [False]
         with pytest.raises(VerificationError, match=r"face \(j=\d, i=\d\) of .* is not good"):
             geometric_faces(p, _S3)
 
 
-def _verdict(prism, below):
-    try:
-        return prisms.faces_match_algebra(prism, _S3, below)
-    except VerificationError as exc:
-        return str(exc)
+@pytest.mark.parametrize("partition", compositions(3))
+@pytest.mark.parametrize("at, shift", [(0, 1), (5, 3), (215, 5)])
+def test_one_tampered_prism_in_a_partition_fails_alone(partition, at, shift):
+    # all 216 prisms of a degree-3 partition in one call, one edge label of
+    # one of them moved on: exactly that prism's verdict is False
+    batch = [good_labeling(g, _S3) for g in _generators(_S3, 3) if g.partition == partition]
+    assert len(batch) == 216
+    for edge in range(len(batch[at].labels)):
+        tampered = batch[:at] + [_tampered(batch[at], _S3, edge, shift)] + batch[at + 1:]
+        for below in (_TABLES[2], {}):
+            verdicts = prisms.faces_match_algebra(tampered, _S3, below)
+            assert verdicts == [k != at for k in range(216)], (edge, below is _TABLES[2])
+
+
+@pytest.mark.parametrize("partition", [*compositions(2), *compositions(3)])
+def test_a_prism_named_as_its_neighbour_matches_no_faces(partition):
+    # good labels under the name of the next tuple on the partition: every
+    # face is good, but no prism's faces are the algebraic faces of its name
+    batch = [good_labeling(g, _S3) for g in _generators(_S3, sum(partition))
+             if g.partition == partition]
+    renamed = [LabeledPrism(partition, batch[(k + 1) % len(batch)].label, prism.labels)
+               for k, prism in enumerate(batch)]
+    for below in (_TABLES[sum(partition) - 1], {}):
+        assert prisms.faces_match_algebra(batch, _S3, below) == [True] * len(batch)
+        assert prisms.faces_match_algebra(renamed, _S3, below) == [False] * len(batch)
+
+
+def test_a_call_takes_prisms_on_one_partition():
+    batch = [good_labeling(bracketed((2,), (1, 2)), _S3),
+             good_labeling(bracketed((1, 1), (1, 2)), _S3)]
+    with pytest.raises(StructureError, match=r"^prisms on \(2,\) and \(1, 1\) are compared "
+                                              "one partition at a time$"):
+        prisms.faces_match_algebra(batch, _S3, {})
 
 
 @settings(max_examples=100, deadline=None)
@@ -242,17 +274,24 @@ def _verdict(prism, below):
            st.lists(st.integers(0, 5), min_size=n, max_size=n))),
        st.none() | st.tuples(st.integers(0, 99), st.integers(1, 5)))
 def test_stored_face_table_agrees_with_relabeling(shape, tamper):
+    # the prism, between two good neighbours on its partition, goes through
+    # the batch call with stored face tables and with none
     partition, elements = shape
     g = BracketedTuple(partition, tuple(elements))
     prism = good_labeling(g, _S3)
     if tamper:
         prism = _tampered(prism, _S3, *tamper)
+    neighbours = [good_labeling(BracketedTuple(partition, tuple((x + k) % 6 for x in elements)),
+                                _S3) for k in (1, 2)]
+    batch = [neighbours[0], prism, neighbours[1]]
     below = {_INDEX[g.degree - 1][face]: good_labeling(face, _S3).labels
              for _, face in faces(g, _S3)}
-    assert _verdict(prism, below) == _verdict(prism, {})
-    assert _verdict(prism, _TABLES[g.degree - 1]) == _verdict(prism, {})
+    from_scratch = prisms.faces_match_algebra(batch, _S3, {})
+    assert prisms.faces_match_algebra(batch, _S3, below) == from_scratch
+    assert prisms.faces_match_algebra(batch, _S3, _TABLES[g.degree - 1]) == from_scratch
+    assert from_scratch[0] is from_scratch[2] is True
     if not tamper:
-        assert _verdict(prism, below) is True
+        assert from_scratch[1] is True
 
 
 _CARRIERS = {"z3": conj_cyclic(3), "s3": _S3, "mul-mod-4": mul_mod_shalgebra(4),
@@ -294,9 +333,8 @@ def test_labels_agree_with_the_rule(name, shape):
 
 def test_a_label_on_another_partition_matches_no_faces(s3):
     p = good_labeling(bracketed((1, 1), (1, 2)), s3)
-    assert prisms.faces_match_algebra(p, s3, {})
-    assert not prisms.faces_match_algebra(LabeledPrism(p.partition, bracketed((2,), (1, 2)),
-                                                       p.labels), s3, {})
+    other = LabeledPrism(p.partition, bracketed((2,), (1, 2)), p.labels)
+    assert prisms.faces_match_algebra([p, other, p], s3, {}) == [True, False, True]
 
 
 def test_path_endomorphism_identity_and_composition(s3):

@@ -157,6 +157,13 @@ def _outside(elements):
 OUTSIDE_THE_CARRIER = {
     "good-labeling": (lambda: prisms.good_labeling(prismatic.bracketed((2,), (1, -1)), S3),
                       _outside((1, -1))),
+    # equal to carrier elements, but not ints: only a tuple built without
+    # `bracketed`, which reads integers, carries them
+    "good-labeling-float": (lambda: prisms.good_labeling(
+                                prismatic.BracketedTuple((1,), (1.0,)), S3), _outside((1.0,))),
+    "good-labeling-bool": (lambda: prisms.good_labeling(
+                               prismatic.BracketedTuple((1, 1), (2, True)), S3),
+                           _outside((2, True))),
     "inductive-base": (lambda: prisms.inductive_labeling(prismatic.bracketed((1,), (6,)),
                                                          (0,), S3), _outside((6, 0))),
     "inductive-block-negative": (lambda: prisms.inductive_labeling(
