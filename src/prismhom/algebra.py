@@ -213,8 +213,6 @@ class Shalgebra:
     def __init__(self, dot, tri, names=None, _validate=True):
         self.dot = _as_table(dot)
         self.tri = _as_table(tri)
-        if self.dot.size != self.tri.size:
-            raise StructureError(f"table sizes differ: {self.dot.size} vs {self.tri.size}")
         self.size = self.dot.size
         self.report = check_axioms(self.dot, self.tri)
         if _validate:

@@ -333,10 +333,8 @@ def _snf(A, m, n, need_u=False, need_v=False):
                     if q:
                         row_add(i, t, -q)
                     if A[i][t]:
-                        # remainder smaller than pivot: promote it
+                        # a remainder in (0, p), as p > 0: promote it
                         row_swap(t, i)
-                        if A[t][t] < 0:
-                            row_negate(t)
                         dirty = True
                         break
             if dirty:
@@ -349,8 +347,6 @@ def _snf(A, m, n, need_u=False, need_v=False):
                         col_add(j, t, -q)
                     if A[t][j]:
                         col_swap(t, j)
-                        if A[t][t] < 0:
-                            row_negate(t)
                         dirty = True
                         break
             if dirty:

@@ -248,8 +248,6 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
         return added, True
 
     def search(colors):
-        if not consistent(colors):
-            return
         todo = [a for a in arcs if a not in colors]
         if not todo:
             found.append(dict(colors))

@@ -99,10 +99,8 @@ def _unthread(D, removed, exit_label):
     arcs = tuple(a for a in D.arcs if a not in dropped)
     if n == entry:
         return KTGDiagram(arcs, crossings, D.vertices)
-    if _over_uses(D, n) or D.emitters.get(n) != ("crossing", removed[-1], "under_out"):
+    if _over_uses(D, n):
         raise StructureError(f"{exit_label} {n!r} has other incidences")
-    if n not in D.consumers:
-        raise StructureError(f"{exit_label} {n!r} has no consumer")
     vertices = list(D.vertices)
     kind, i, slot = D.consumers[n]
     if kind == "crossing":

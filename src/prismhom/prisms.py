@@ -34,10 +34,9 @@ such as the q^n prisms `verify` labels for each partition).  It reads each
 face across the whole run: a column of face indices, computed from the
 generating labels a column at a time, and the induced labels, compared
 with the stored ones as they are gathered.  `faces_match_algebra`
-compares each index column with the algebraic face map, read off
-`prismatic._face_tables` a face at a time, and walks again only the
-prisms where the two disagree: their signed faces are compared as
-multisets of (sign, face index).
+decides every prism in that one walk: face (j, i) must be good and carry
+the sign and index of the algebraic face (j, i), read off
+`prismatic._face_tables` a face at a time.
 """
 
 from __future__ import annotations
@@ -256,7 +255,8 @@ def _face_walk(partition, labels, S: Shalgebra, below):
     Yields (j, i, sign, index, bad) per face, in (j, i) order.  `index`
     lists each prism's face as a generator index one degree lower: the
     face's partition rank, then the labels of its generating edges (the
-    face's elements) read in base q, computed a label column at a time.
+    face's elements) read in base q, computed a label column at a time;
+    each column is checked against the carrier when it is first read.
     `bad` lists the positions of the prisms whose face is not good: its
     induced labels differ from the label tuple stored under its index in
     `below`, or, missing there, from its `good_labels` (so `{}` checks every
@@ -270,6 +270,7 @@ def _face_walk(partition, labels, S: Shalgebra, below):
         for t in generating:
             if t not in columns:
                 columns[t] = list(map(itemgetter(t), labels))
+                S.check_elements(columns[t])
             index = [k * q + x for k, x in zip(index, columns[t])]
         bad = []
         if not all(map(eq, map(gather, labels), map(below.get, index))):
@@ -308,17 +309,15 @@ def _algebraic_plan(partition):
 
 
 def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
-    """Signed multiset equality of geometric and algebraic faces, one verdict per prism.
+    """Geometric against algebraic faces, face by face in (j, i) order, one verdict per prism.
 
     `prisms` is a run of labeled prisms on one partition.  Each prism's
     label names its generator (one on another partition has other faces,
     and gets False), and `below` maps the generator indices of one degree
-    lower to their label tuples, as `_face_walk` reads them.  A prism with
-    a face that is not good gets False.  The algebraic faces are read off
-    `_face_tables` at each label's elements, one face at a time; a prism
-    whose faces agree with them index for index in (j, i) order, signs
-    included, matches.  Only the others are walked again, on their own, and
-    compared as signed multisets.
+    lower to their label tuples, as `_face_walk` reads them.  A prism
+    matches when, in that one walk, every face is good and each face (j, i)
+    has the sign and the generator index of the algebraic face (j, i) of
+    its label, read off `_face_tables` one face at a time.
     """
     prisms = list(prisms)
     if not prisms:
@@ -336,30 +335,20 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     position = [0] * len(prisms)
     for column in zip(*(prism.label.elements if ok else (0,) * n
                          for prism, ok in zip(prisms, verdicts))):
+        S.check_elements(column)
         position = [k * q + x for k, x in zip(position, column)]
     in_order = position == list(range(q ** n))
-    plan = _algebraic_plan(partition)
-    labels = [prism.labels for prism in prisms]
-    differ = set()
-    for (_, _, sign, index, bad), entry in zip(_face_walk(partition, labels, S, below), plan):
+    walk = _face_walk(partition, [prism.labels for prism in prisms], S, below)
+    for (_, _, sign, index, bad), entry in zip(walk, _algebraic_plan(partition)):
         for at in bad:
             verdicts[at] = False
         (table,) = _face_tables((entry,), n, S)  # one face's table alive at a time
         if not in_order:
             table = [table[k] for k in position]
         if sign != entry[0]:
-            differ.update(range(len(prisms)))
+            verdicts = [False] * len(prisms)
         elif index != table:
-            differ.update(at for at, (x, y) in enumerate(zip(index, table)) if x != y)
-    differ = sorted(at for at in differ if verdicts[at])
-    if differ:
-        tables = _face_tables(plan, n, S)
-        walk = _face_walk(partition, [labels[at] for at in differ], S, below)
-        geometric = [(sign, index) for _, _, sign, index, _ in walk]
-        for k, at in enumerate(differ):
-            verdicts[at] = (sorted((sign, index[k]) for sign, index in geometric)
-                            == sorted((entry[0], table[position[at]])
-                                      for entry, table in zip(plan, tables)))
+            verdicts = [ok and x == y for ok, x, y in zip(verdicts, index, table)]
     return verdicts
 
 

@@ -422,6 +422,23 @@ def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
                    "geometric faces: FAIL on 42 generators", "FAILURES found"]
 
 
+def test_verify_reads_each_face_in_its_place(files, capsys, monkeypatch):
+    # every degree-2 prism is labeled as its reversed tuple; all its faces
+    # are still good, and 12 of the 18 over Z3 have other faces than their
+    # name, although for some of them only the order of the faces differs
+    good_labels = prisms.good_labels
+
+    def reversed_at_degree_2(partition, elements, S):
+        return good_labels(partition, elements[::-1] if sum(partition) == 2 else elements, S)
+
+    monkeypatch.setattr(prisms, "good_labels", reversed_at_degree_2)
+    assert main(["verify", files["z3"], "--max-degree", "2"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "boundary-squared: ok through degree 2 (qualgebra mode)",
+        "symbolic expansions: ok (degrees 2..2)",
+        "geometric faces: FAIL on 12 generators", "FAILURES found"]
+
+
 def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
     calls = Counter()

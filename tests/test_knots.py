@@ -30,6 +30,10 @@ def test_diagram_validation_errors():
         KTGDiagram(["a", "b", "c"], vertices=[(("a", "b", "c"), "merge", 1)])
     with pytest.raises(StructureError, match="duplicate"):
         KTGDiagram(["a", "a"])
+    with pytest.raises(StructureError, match=r"^unknown arc 'q' at crossing 0$"):
+        KTGDiagram(["a"], crossings=[("q", "a", "a", 1)])
+    with pytest.raises(StructureError, match=r"^vertex 0 must have three arcs$"):
+        KTGDiagram(["a", "b"], vertices=[(("a", "b"), "zip", 1)])
 
 
 def test_diagram_json_roundtrip(tmp_path):
@@ -265,6 +269,76 @@ def test_move_refusals_name_the_mismatch(s3, name, move, site, message):
         apply_move(load_fixture_diagram(name), move, site, s3)
 
 
+def _loop_under(name, arc):
+    """The packaged diagram `name` with a closed loop q that passes under `arc`."""
+    D = load_fixture_diagram(name)
+    return KTGDiagram(D.arcs + ("q",), D.crossings + (Crossing(arc, "q", "q", 1),), D.vertices)
+
+
+# case: (diagram, move, site, the whole message) for each pattern check of
+# the shrinks, the slide and H; an arc with "other incidences" is one that
+# a loop passes under
+PATTERN_REFUSALS = {
+    "I-exit-passes-over": (lambda: KTGDiagram(["a", "b"], [("a", "a", "b", 1),
+                                                           ("b", "b", "a", 1)]),
+                           "I", {"direction": "shrink", "crossing": 0},
+                           "kink exit arc 'b' has other incidences"),
+    "II-middle": (lambda: _loop_under("moves/II_after", "sr0"),
+                  "II", {"direction": "shrink", "crossing1": 0, "crossing2": 1},
+                  "middle arc 'sr0' has other incidences"),
+    "III-negative": (lambda: _loop_under("moves/II_after", "s"),
+                     "III", {"crossing1": 0, "crossing2": 1, "crossing3": 2},
+                     "the implemented slide needs three positive crossings"),
+    "III-middle": (lambda: _loop_under("moves/III_before", "A1"),
+                   "III", {"crossing1": 0, "crossing2": 1, "crossing3": 2},
+                   "middle arc 'A1' has other incidences"),
+    "III-pattern": (lambda: _loop_under("moves/IY_after", "x"),
+                    "III", {"crossing1": 0, "crossing2": 1, "crossing3": 2},
+                    "crossings do not form a slide pattern"),
+    "H-zip-zip-shared": (lambda: _loop_under("moves/H_before", "m"),
+                         "H", {"vertex1": 0, "vertex2": 1}, "shared arc 'm' has other incidences"),
+    "H-rotation-shared": (lambda: _loop_under("theta", "u"), "H", {"vertex1": 0, "vertex2": 1},
+                          "shared arc 'u' has other incidences"),
+    "YI-grow-output": (lambda: load_fixture_diagram("moves/T_after"),
+                       "YI", {"vertex": 0, "crossing": 0},
+                       "the crossing must consume the vertex output"),
+    "YI-grow-output-arc": (lambda: _loop_under("moves/YI_before", "z"),
+                           "YI", {"vertex": 0, "crossing": 0}, "arc 'z' has other incidences"),
+    "YI-shrink-sign": (lambda: load_fixture_diagram("moves/II_after"),
+                       "YI", {"direction": "shrink", "vertex": 0, "crossing1": 0, "crossing2": 1},
+                       "pattern mismatch for the reverse slide"),
+    "YI-shrink-input-arc": (lambda: _loop_under("moves/YI_after", "y0"),
+                            "YI", {"direction": "shrink", "vertex": 0, "crossing1": 0,
+                                   "crossing2": 1}, "arc 'y0' has other incidences"),
+    "IY-grow-unzip": (lambda: load_fixture_diagram("moves/II_after"),
+                      "IY", {"vertex": 1, "crossing": 0},
+                      "pattern needs a zip vertex and a positive crossing"),
+    "IY-shrink-sign": (lambda: load_fixture_diagram("moves/II_after"),
+                       "IY", {"direction": "shrink", "vertex": 0, "crossing1": 0, "crossing2": 1},
+                       "pattern mismatch for the reverse slide"),
+    "IY-shrink-middle": (lambda: _loop_under("moves/IY_after", "si0"),
+                         "IY", {"direction": "shrink", "vertex": 0, "crossing1": 0,
+                                "crossing2": 1}, "arc 'si0' has other incidences"),
+    "T-shrink-sign": (lambda: load_fixture_diagram("moves/II_after"),
+                      "T", {"direction": "shrink", "vertex": 0, "crossing": 1},
+                      "pattern mismatch for the reverse slide"),
+    "T-shrink-exit": (lambda: load_fixture_diagram("moves/YI_after"),
+                      "T", {"direction": "shrink", "vertex": 0, "crossing": 0},
+                      "crossing exit must feed the vertex second input"),
+    "T-shrink-exit-arc": (lambda: _loop_under("moves/T_after", "st0"),
+                          "T", {"direction": "shrink", "vertex": 0, "crossing": 0},
+                          "arc 'st0' has other incidences"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PATTERN_REFUSALS))
+def test_every_move_pattern_check_names_its_mismatch(s3, case):
+    diagram, move, site, message = PATTERN_REFUSALS[case]
+    with pytest.raises(StructureError) as info:
+        apply_move(diagram(), move, site, s3)
+    assert str(info.value) == message
+
+
 def test_move_slots_follow_vertex_positions(s3):
     # the zip (q, r, r) of the flat handcuff consumes r at slot 1 and emits
     # it at slot 2; an H move on that one vertex is refused
@@ -314,6 +388,15 @@ def test_move_ii_shrink_on_a_strand_that_closes_on_itself(s3):
     assert new == KTGDiagram(["a", "b", "c"], [("a", "c", "c", 1)])
     _assert_oracle_bijection(D, new, fwd, s3)
     assert invariant(D, s3) == invariant(new, s3)
+
+
+def test_a_shrink_rewires_a_later_crossing_at_its_new_index(s3):
+    # the kink at crossing 0 exits on b, which crossing 2 consumes: after
+    # the kink goes, that crossing is number 1 and reads the entry arc a
+    D = KTGDiagram(["a", "b", "c"], [("a", "a", "b", 1), ("c", "c", "c", 1), ("c", "b", "a", 1)])
+    new, fwd = apply_move(D, "I", {"direction": "shrink", "crossing": 0}, s3)
+    assert new == KTGDiagram(["a", "c"], [("c", "c", "c", 1), ("c", "a", "a", 1)])
+    _assert_oracle_bijection(D, new, fwd, s3)
 
 
 def test_move_bijection_refuses_an_ambiguous_extension():

@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -13,7 +13,7 @@ from prismhom.prismatic import BracketedTuple, bracketed, compositions, faces
 from prismhom.prisms import (LabeledPrism, act_on_prism, geometric_faces, good_labeling,
                              inductive_labeling, path_endomorphism, prism_to_dict)
 
-from oracles import conjugation_tables, permutation_group, prism_edge_labels
+from oracles import conjugation_tables, permutation_group, prism_edge_labels, prism_face
 
 
 def test_simplex_edge_labels(s3):
@@ -258,6 +258,49 @@ def test_a_prism_named_as_its_neighbour_matches_no_faces(partition):
     for below in (_TABLES[sum(partition) - 1], {}):
         assert prisms.faces_match_algebra(batch, _S3, below) == [True] * len(batch)
         assert prisms.faces_match_algebra(renamed, _S3, below) == [False] * len(batch)
+
+
+def _stored(S, n):
+    """The label tuple of every degree-n prism over S, keyed by its generator index."""
+    if not n:
+        return {0: ()}
+    return {i: good_labeling(g, S).labels for i, g in enumerate(_generators(S, n))}
+
+
+@pytest.mark.parametrize("name, count", [("z2", 4), ("z3", 12), ("s3", 36)])
+def test_a_prism_whose_faces_are_its_names_out_of_order_matches_no_faces(name, count, request):
+    # the prism of h under the name g, where the oracle's signed faces of g
+    # are those of h in another order: no face (j, i) of the labels is the
+    # algebraic face (j, i) of the name
+    S = request.getfixturevalue(name)
+    for n in (2, 3):
+        below = _stored(S, n - 1)
+        for partition in compositions(n):
+            signed = {e: sorted(prism_face(partition, e, j, i, S)
+                                for j, k in enumerate(partition) for i in range(k + 1))
+                      for e in product(range(S.size), repeat=n)}
+            for g, h in permutations(signed, 2):
+                if signed[g] == signed[h]:
+                    count -= 1
+                    prism = LabeledPrism(partition, BracketedTuple(partition, g),
+                                         good_labeling(BracketedTuple(partition, h), S).labels)
+                    for stored in (below, {}):
+                        assert prisms.faces_match_algebra([prism], S, stored) == [False], prism
+    assert count == 0
+
+
+def test_a_run_with_a_misnamed_prism_is_walked_once(z2, monkeypatch):
+    walked = []
+    walk = prisms._face_walk
+    monkeypatch.setattr(prisms, "_face_walk", lambda *args: walked.append(args[0]) or walk(*args))
+    batch = [good_labeling(bracketed((2,), e), z2) for e in product(range(2), repeat=2)]
+    # the prism of (1, 0) named (0, 1): its faces are those of (0, 1) out of order
+    batch[1] = LabeledPrism((2,), batch[1].label, batch[2].labels)
+    for below in (_stored(z2, 1), {}):
+        walked.clear()
+        verdicts = prisms.faces_match_algebra(batch, z2, below)
+        assert walked == [(2,)]
+        assert verdicts == [True, False, True, True]
 
 
 def test_a_call_takes_prisms_on_one_partition():

@@ -152,6 +152,12 @@ def _outside(elements):
     return f"elements {elements} lie outside the carrier 0..5"
 
 
+# a (1, 2) prism whose first edge, a generating edge of two faces, reads 7
+_EDGE_LABEL_7 = prisms.LabeledPrism(
+    (1, 2), prismatic.bracketed((1, 2), (1, 2, 3)),
+    (7,) + prisms.good_labeling(prismatic.bracketed((1, 2), (1, 2, 3)), S3).labels[1:])
+
+
 # site: (call on S3, message); every element reaches the prism and face
 # functions through `Shalgebra.check_elements`
 OUTSIDE_THE_CARRIER = {
@@ -181,6 +187,15 @@ OUTSIDE_THE_CARRIER = {
               _outside((9, 0))),
     "boundary-generator": (lambda: prismatic.boundary_generator(
                                prismatic.bracketed((2,), (1, -1)), S3), _outside((1, -1))),
+    # hand-built prisms: the face walk checks each column of label elements
+    # and of generating-edge labels, here a run of one
+    "faces-match-name": (lambda: prisms.faces_match_algebra(
+                             [prisms.LabeledPrism((2,), prismatic.BracketedTuple((2,), (7, 0)),
+                                                  _PRISM.labels)], S3, {}), _outside((7,))),
+    "faces-match-edge-label": (lambda: prisms.faces_match_algebra([_EDGE_LABEL_7], S3, {}),
+                               _outside([7])),
+    "geometric-faces-edge-label": (lambda: prisms.geometric_faces(_EDGE_LABEL_7, S3),
+                                   _outside([7])),
 }
 
 
