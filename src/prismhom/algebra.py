@@ -475,15 +475,19 @@ def parse_structure_tables(data):
     return dot, tri, names
 
 
-def load_structure_tables(path):
+def read_json(path):
+    """The JSON value in a file; StructureError if it cannot be read or parsed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise StructureError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise StructureError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
-    return parse_structure_tables(data)
+
+
+def load_structure_tables(path):
+    return parse_structure_tables(read_json(path))
 
 
 def load_structure(path) -> Shalgebra:

@@ -121,9 +121,10 @@ def verify_structure(S: Shalgebra, N):
     coefficient}; every prism that differs counts.  Degree by degree from 1
     to min(N, 4), every prism is labeled once by `good_labeling`, as a
     tuple, and each partition's q^n prisms go to one `faces_match_algebra`
-    call, which reads their faces on label columns: their geometric faces
-    must carry the label tuples stored for degree n-1 under their generator
-    indices and match their algebraic faces; every prism that fails counts.
+    call, which reads them on label columns: their generating labels must
+    read their names, and their geometric faces must carry the label tuples
+    stored for degree n-1 under the indices of their algebraic faces; every
+    prism that fails counts.
     The prisms are dropped before the next partition is labeled, and only
     the previous degree's tuples are kept.  Relation cells the build leaves
     out are named on stderr, as `homology` names them.

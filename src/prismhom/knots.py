@@ -43,7 +43,7 @@ from importlib import resources
 from typing import NamedTuple
 
 from . import chains
-from .algebra import AXIOM_NAMES, Shalgebra, integer, reading
+from .algebra import AXIOM_NAMES, Shalgebra, integer, read_json, reading
 from .errors import NotACycleError, StructureError
 from .prismatic import BracketedTuple, boundary_generator, bracketed, cached_complex
 
@@ -174,14 +174,7 @@ class KTGDiagram:
 
 
 def load_diagram(path) -> KTGDiagram:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise StructureError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise StructureError(f"invalid JSON in {path}: line {exc.lineno}: {exc.msg}")
-    return KTGDiagram.from_dict(data)
+    return KTGDiagram.from_dict(read_json(path))
 
 
 def save_diagram(D: KTGDiagram, path):
@@ -208,7 +201,8 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
 
     Backtracking over arcs in their listed order with propagation: a rule
     with left and right colored sets out, and a crossing rule with out and
-    right colored sets left by the inverse action.  Divisions inside the
+    right colored sets left by the inverse action; a rule whose three arcs
+    are colored but disagree ends the branch.  Divisions inside the
     multiplication are left to the search.  The output order is
     deterministic.
     """
@@ -217,13 +211,6 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
              for _, shape, out, left, right in D.rules]
     arcs = list(D.arcs)
     found = []
-
-    def consistent(colors):
-        for f, _, out, left, right in rules:
-            a, b, c = colors.get(left), colors.get(right), colors.get(out)
-            if a is not None and b is not None and c is not None and f(a, b) != c:
-                return False
-        return True
 
     def propagate(colors):
         added = []
@@ -243,8 +230,8 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
                     colors[left] = S.act_inv(c, b)
                     added.append(left)
                     changed = True
-            if not consistent(colors):
-                return added, False
+                elif a is not None and c is not None and f(a, b) != c:
+                    return added, False
         return added, True
 
     def search(colors):

@@ -23,20 +23,13 @@ is the one state a `LabeledPrism` holds; its `edges` dict, vertex pair ->
 label, is derived from that tuple on each access.  A partition's labels
 come from one straight-line program: its edges share their block products
 and acting prefixes, each is computed once, and the labels are read out
-in plan order.  Faces are read by position: each face plan picks the
-face's labels and generating edges out of the tuple, so `verify` labels
-every prism once and compares its faces with the labels stored one degree
-lower, under their generator indices (the numbering of
-`PrismaticComplex`: partition rank, then the elements read in base |G|).
-One face walk, `_face_walk`, serves `geometric_faces` (on a run of one
-prism) and `faces_match_algebra` (on a run of prisms on one partition,
-such as the q^n prisms `verify` labels for each partition).  It reads each
-face across the whole run: a column of face indices, computed from the
-generating labels a column at a time, and the induced labels, compared
-with the stored ones as they are gathered.  `faces_match_algebra`
-decides every prism in that one walk: face (j, i) must be good and carry
-the sign and index of the algebraic face (j, i), read off
-`prismatic._face_tables` a face at a time.
+in plan order; each face plan picks the face's labels out of the tuple.
+`faces_match_algebra` checks that each prism's generating labels (t-1 ->
+t at the base point) read its name, then compares each face, label for
+label, with the tuple stored one degree lower under the algebraic face's
+index from `prismatic._face_tables`.  Stored tuples pass the same check,
+so distinct generators have distinct tuples, and equal labels make the
+geometric face the algebraic one.
 """
 
 from __future__ import annotations
@@ -47,8 +40,7 @@ from operator import eq, itemgetter
 
 from .algebra import Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
-from .prismatic import (BracketedTuple, _compositions, _face_tables, _ranked_plan,
-                        partition_ranks)
+from .prismatic import BracketedTuple, _face_tables, _ranked_plan, partition_ranks
 
 
 class LabeledPrism:
@@ -210,15 +202,22 @@ def _edge_keys(partition):
     return tuple(key for key, *_ in _edge_plan(partition))
 
 
+@lru_cache(maxsize=None)
+def _generating(partition):
+    """Positions of the generating edges, t-1 -> t at the base point, factor by factor."""
+    at = {key: k for k, key in enumerate(_edge_keys(partition))}
+    zero = (0,) * len(partition)
+    return tuple(at[zero[:q] + (t - 1,) + zero[q + 1:], zero[:q] + (t,) + zero[q + 1:]]
+                 for q, k in enumerate(partition) for t in range(1, k + 1))
+
+
 def _face_plan(partition, j, i):
     """Deleting vertex i of factor j (0-based factor index) from the prism.
 
-    Returns the face's partition, its `partition_ranks` rank, a getter
-    `gather` that picks the edges the face keeps out of the prism's labels,
-    in the face's own plan order, and the positions of its generating edges
-    (t-1 -> t at the base point, factor by factor) among those labels.  A
-    factor of size one collapses to a point and disappears; the other slice
-    is kept.
+    Returns the face's partition and a getter `gather` that picks the edges
+    the face keeps out of the prism's labels, in the face's own plan order.
+    A factor of size one collapses to a point and disappears; the other
+    slice is kept.
     """
     kj = partition[j]
     new_partition = partition[:j] + ((kj - 1,) if kj > 1 else ()) + partition[j + 1:]
@@ -229,12 +228,8 @@ def _face_plan(partition, j, i):
     position = {(rename(vfrom), rename(vto)): at
                 for at, ((vfrom, vto), *_) in enumerate(_edge_plan(partition))
                 if vfrom[j] != i and vto[j] != i}
-    gather = tuple(position[key] for key, *_ in _edge_plan(new_partition))
-    zero = (0,) * len(new_partition)
-    generating = tuple(position[zero[:q] + (t - 1,) + zero[q + 1:], zero[:q] + (t,) + zero[q + 1:]]
-                       for q, k in enumerate(new_partition) for t in range(1, k + 1))
-    rank = partition_ranks(sum(new_partition))[new_partition]
-    return new_partition, rank, _getter(gather), generating
+    gather = tuple(position[key] for key in _edge_keys(new_partition))
+    return new_partition, _getter(gather)
 
 
 @lru_cache(maxsize=None)
@@ -249,56 +244,21 @@ def _face_plans(partition):
     return tuple(plans)
 
 
-def _face_walk(partition, labels, S: Shalgebra, below):
-    """The one face walk, over the label tuples of a run of prisms on one partition.
-
-    Yields (j, i, sign, index, bad) per face, in (j, i) order.  `index`
-    lists each prism's face as a generator index one degree lower: the
-    face's partition rank, then the labels of its generating edges (the
-    face's elements) read in base q, computed a label column at a time;
-    each column is checked against the carrier when it is first read.
-    `bad` lists the positions of the prisms whose face is not good: its
-    induced labels differ from the label tuple stored under its index in
-    `below`, or, missing there, from its `good_labels` (so `{}` checks every
-    face from scratch).  The induced labels are compared as they are
-    gathered, so one face's tuple is alive at a time.
-    """
-    q = S.size
-    columns = {}  # edge position -> that label of every prism
-    for j, i, sign, face, rank, gather, generating in _face_plans(partition):
-        index = [rank] * len(labels)
-        for t in generating:
-            if t not in columns:
-                columns[t] = list(map(itemgetter(t), labels))
-                S.check_elements(columns[t])
-            index = [k * q + x for k, x in zip(index, columns[t])]
-        bad = []
-        if not all(map(eq, map(gather, labels), map(below.get, index))):
-            for at, (have, want) in enumerate(zip(map(gather, labels), map(below.get, index))):
-                if want is None:
-                    want = good_labels(face, tuple(labels[at][t] for t in generating), S)
-                if have != want:
-                    bad.append(at)
-        yield j, i, sign, index, bad
-
-
 def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     """All codimension-one faces with induced labels, signs and renamed vertices.
 
-    Every induced labeling must itself be good (equal to the labeling its
-    recovered tuple generates); a mismatch raises, since it would mean the
-    geometric and algebraic face maps disagree.
+    Each face is the `good_labeling` of its generating labels, read as its
+    elements.  Its induced labels must be that labeling (the face is good);
+    else the geometric and algebraic face maps disagree, and this raises.
     """
-    q, n = S.size, sum(prism.partition) - 1
-    shapes = _compositions(n)  # face partitions in rank order
     out = []
-    for j, i, sign, (index,), bad in _face_walk(prism.partition, [prism.labels], S, {}):
-        if bad:
+    for j, i, sign, face, gather in _face_plans(prism.partition):
+        induced = gather(prism.labels)
+        good = good_labeling(BracketedTuple(face, tuple(induced[t] for t in _generating(face))), S)
+        if induced != good.labels:
             raise VerificationError(
                 f"induced labeling of face (j={j + 1}, i={i}) of {prism!r} is not good")
-        rank, rest = divmod(index, q ** n)
-        elements = tuple(rest // q ** k % q for k in reversed(range(n)))
-        out.append((sign, good_labeling(BracketedTuple(shapes[rank], elements), S)))
+        out.append((sign, good))
     return out
 
 
@@ -308,16 +268,29 @@ def _algebraic_plan(partition):
     return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
 
 
+def _check_column(column, prisms, S: Shalgebra, what):
+    """Refuse a column of elements, one per prism, naming the first prism that holds a bad one."""
+    try:
+        S.check_elements(column)
+    except StructureError:
+        for prism, x in zip(prisms, column):
+            try:
+                S.check_elements((x,))
+            except StructureError:
+                raise StructureError(f"{prism!r} has {what} {x!r}, "
+                                     f"outside the carrier 0..{S.size - 1}") from None
+
+
 def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     """Geometric against algebraic faces, face by face in (j, i) order, one verdict per prism.
 
-    `prisms` is a run of labeled prisms on one partition.  Each prism's
-    label names its generator (one on another partition has other faces,
-    and gets False), and `below` maps the generator indices of one degree
-    lower to their label tuples, as `_face_walk` reads them.  A prism
-    matches when, in that one walk, every face is good and each face (j, i)
-    has the sign and the generator index of the algebraic face (j, i) of
-    its label, read off `_face_tables` one face at a time.
+    `prisms` is a run of prisms on one partition, each named by its label
+    (one on another partition gets False); `below` maps the generator
+    indices of one degree lower to their label tuples.  A prism matches when
+    its generating labels read its name, and each face (j, i) has the sign
+    and partition of algebraic face (j, i) and carries the tuple stored under
+    its index, read off `_face_tables` a face at a time (`good_labels` of the
+    index's tuple where `below` has none, so `{}` checks from scratch).
     """
     prisms = list(prisms)
     if not prisms:
@@ -330,25 +303,32 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
             raise StructureError(
                 f"prisms on {partition} and {prism.partition} are compared one partition at a time")
     q, n = S.size, sum(partition)
+    labels = [prism.labels for prism in prisms]
     verdicts = [prism.label.partition == partition for prism in prisms]
-    # each label's elements read in base q: its position in the face tables
+    # the names, read in base q, give each prism's place in the face tables
     position = [0] * len(prisms)
-    for column in zip(*(prism.label.elements if ok else (0,) * n
-                         for prism, ok in zip(prisms, verdicts))):
-        S.check_elements(column)
+    names = zip(*(p.label.elements if ok else (0,) * n for p, ok in zip(prisms, verdicts)))
+    for column, t in zip(names, _generating(partition)):
+        edge = list(map(itemgetter(t), labels))
+        _check_column(column, prisms, S, "name element")
+        _check_column(edge, prisms, S, "generating label")
+        verdicts = [ok and x == y for ok, x, y in zip(verdicts, column, edge)]
         position = [k * q + x for k, x in zip(position, column)]
     in_order = position == list(range(q ** n))
-    walk = _face_walk(partition, [prism.labels for prism in prisms], S, below)
-    for (_, _, sign, index, bad), entry in zip(walk, _algebraic_plan(partition)):
-        for at in bad:
-            verdicts[at] = False
+    for (*_, sign, face, gather), entry in zip(_face_plans(partition), _algebraic_plan(partition)):
+        if (sign, partition_ranks(n - 1)[face]) != (entry[0], entry[3]):
+            return [False] * len(prisms)
         (table,) = _face_tables((entry,), n, S)  # one face's table alive at a time
         if not in_order:
             table = [table[k] for k in position]
-        if sign != entry[0]:
-            verdicts = [False] * len(prisms)
-        elif index != table:
-            verdicts = [ok and x == y for ok, x, y in zip(verdicts, index, table)]
+        if not all(map(eq, map(gather, labels), map(below.get, table))):
+            for at, (have, k) in enumerate(zip(map(gather, labels), table)):
+                want = below.get(k)
+                if want is None:  # the elements of index k are its digits in base q
+                    digits = (k // q ** d % q for d in range(n - 2, -1, -1))
+                    want = good_labels(face, tuple(digits), S)
+                if have != want:
+                    verdicts[at] = False
     return verdicts
 
 

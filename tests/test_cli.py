@@ -246,6 +246,19 @@ def test_include_d3_changes_only_h3_and_the_d3_columns(files, capsys):
     assert "unrecognized arguments: --no-include-d3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, wording", [
+    ("missing", "error: cannot read {}: [Errno 2] No such file or directory: '{}'\n"),
+    ("broken", "error: invalid JSON in {}: line 1: Expecting property name enclosed in double "
+               "quotes\n")])
+def test_invariant_refuses_an_unreadable_diagram(files, capsys, name, wording):
+    # a diagram file is read as a structure file is, with the same words
+    path = str(files["root"] / f"{name}.json")
+    assert main(["invariant", files["s3"], path]) == 2
+    assert capsys.readouterr() == ("", wording.format(path, path))
+    assert main(["axioms", path]) == 2
+    assert capsys.readouterr() == ("", wording.format(path, path))
+
+
 def test_invariant_requires_qualgebra(files, capsys):
     assert main(["invariant", files["spindleless"], files["trefoil"]]) == 1
 
@@ -439,13 +452,29 @@ def test_verify_reads_each_face_in_its_place(files, capsys, monkeypatch):
         "geometric faces: FAIL on 12 generators", "FAILURES found"]
 
 
+def test_verify_reads_the_degree_one_labels(files, capsys, monkeypatch):
+    # every edge label moves on by one element: both faces of an edge are
+    # the point, so only the check that an edge's label reads its name fails
+    good_labels = prisms.good_labels
+
+    def shifted_at_degree_1(partition, elements, S):
+        labels = good_labels(partition, elements, S)
+        return tuple((x + 1) % S.size for x in labels) if sum(partition) == 1 else labels
+
+    monkeypatch.setattr(prisms, "good_labels", shifted_at_degree_1)
+    assert main(["verify", files["z3"], "--max-degree", "1"]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "boundary-squared: ok through degree 1 (qualgebra mode)",
+        "symbolic expansions: none (degree 1 has no expansion)",
+        "geometric faces: FAIL on 3 generators", "FAILURES found"]
+
+
 def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
     # S3 has 6 + 72 + 864 + 10,368 prisms of degrees 1..4
     calls = Counter()
     # each counted function takes a partition, a generator or a run of
     # prisms on one partition first
     for name, degree in (("good_labels", sum), ("good_labeling", lambda g: g.degree),
-                         ("_face_walk", sum),
                          ("faces_match_algebra", lambda batch: batch[0].label.degree)):
         def counted(first, *args, _name=name, _degree=degree, _original=getattr(prisms, name)):
             calls[_name, _degree(first)] += 1
@@ -488,11 +517,9 @@ def test_verify_labels_each_prism_once(files, capsys, monkeypatch):
         # verify reaches it through the public function the benchmark
         # traces, once per prism
         assert calls["good_labeling", n] == count
-        # and hands each partition's prisms to one face check, which walks
-        # their faces once
+        # and hands each partition's prisms to one face check
         assert calls["faces_match_algebra", n] == 2 ** (n - 1)
-        assert calls["_face_walk", n] == 2 ** (n - 1)
-    assert sum(calls.values()) == 2 * 11310 + 2 * 15
+    assert sum(calls.values()) == 2 * 11310 + 15
 
 
 def _dihedral4():

@@ -290,17 +290,50 @@ def test_a_prism_whose_faces_are_its_names_out_of_order_matches_no_faces(name, c
 
 
 def test_a_run_with_a_misnamed_prism_is_walked_once(z2, monkeypatch):
+    # one face table per face, each for the whole run
     walked = []
-    walk = prisms._face_walk
-    monkeypatch.setattr(prisms, "_face_walk", lambda *args: walked.append(args[0]) or walk(*args))
+    tables = prisms._face_tables
+    monkeypatch.setattr(prisms, "_face_tables",
+                        lambda plan, *args: walked.append(plan) or tables(plan, *args))
     batch = [good_labeling(bracketed((2,), e), z2) for e in product(range(2), repeat=2)]
     # the prism of (1, 0) named (0, 1): its faces are those of (0, 1) out of order
     batch[1] = LabeledPrism((2,), batch[1].label, batch[2].labels)
     for below in (_stored(z2, 1), {}):
         walked.clear()
         verdicts = prisms.faces_match_algebra(batch, z2, below)
-        assert walked == [(2,)]
+        assert walked == [(entry,) for entry in prisms._algebraic_plan((2,))]
         assert verdicts == [True, False, True, True]
+
+
+def test_a_degree_one_label_must_read_its_name():
+    # both faces of an edge are the point, so only the name check reads it
+    prism = LabeledPrism((1,), bracketed((1,), (0,)), (5,))
+    for below in ({}, {0: ()}):
+        assert prisms.faces_match_algebra([prism], _S3, below) == [False]
+
+
+def test_a_label_outside_the_carrier_off_the_generating_edges_matches_no_faces():
+    # the label 7 is read as no element: its faces differ from the stored ones
+    g = bracketed((1, 2), (1, 2, 3))
+    labels = list(good_labeling(g, _S3).labels)
+    at = prisms._edge_keys((1, 2)).index(((1, 0), (1, 1)))
+    assert at not in prisms._generating((1, 2))
+    labels[at] = 7
+    for below in (_TABLES[2], {}):
+        assert prisms.faces_match_algebra([LabeledPrism((1, 2), g, labels)], _S3, below) == [False]
+
+
+def test_a_refused_label_names_its_prism():
+    # one generating label 7 among the 1,296 (2, 2) prisms over S3
+    batch = [good_labeling(g, _S3) for g in _generators(_S3, 4) if g.partition == (2, 2)]
+    labels = list(batch[500].labels)
+    labels[prisms._generating((2, 2))[2]] = 7
+    batch[500] = LabeledPrism((2, 2), batch[500].label, labels)
+    with pytest.raises(StructureError) as info:
+        prisms.faces_match_algebra(batch, _S3, {})
+    message = str(info.value)
+    assert message == f"{batch[500]!r} has generating label 7, outside the carrier 0..5"
+    assert len(message) < 200
 
 
 def test_a_call_takes_prisms_on_one_partition():

@@ -91,6 +91,76 @@ def test_a_read_that_succeeds_passes_through():
             == prisms.path_endomorphism(_PRISM, (0,), (2,), S3))
 
 
+Z2 = algebra.conj_cyclic(2)
+
+
+def _z2_complex():
+    return prismatic.build_complex(Z2, 2)
+
+
+# site: (call, error type, message); the argument checks of the chain,
+# complex, carrier and diagram constructors and of their lookups
+ARGUMENTS = {
+    "complex-boundary-count": (lambda: chains.ChainComplex({0: 1, 1: 1}, {1: []}),
+                               StructureError, "degree 1: 0 boundaries for 1 generators"),
+    "complex-boundary-degree": (lambda: chains.ChainComplex({0: 1, 1: 1}, {1: [chains.Chain(1)]}),
+                                StructureError, "boundary of generator (1,0) has wrong degree"),
+    "complex-boundary-term": (lambda: chains.ChainComplex(
+                                  {0: 1, 1: 1}, {1: [chains.Chain(0, {3: 1})]}),
+                              StructureError, "boundary of (1,0) hits unknown generator (0,3)"),
+    "complex-boundaries-missing": (lambda: chains.ChainComplex({0: 1, 1: 1}, {}),
+                                   StructureError, "missing boundaries for degree 1"),
+    "smith-rows": (lambda: chains.smith_normal_form([[1, 2], [3]]),
+                   StructureError, "matrix rows have unequal lengths"),
+    "boundary-degree": (lambda: chains.ChainComplex({0: 1}, {}).boundary(chains.Chain(0, {0: 1})),
+                        StructureError, "boundary needs degree >= 1"),
+    "class-coordinates-generator": (lambda: chains.ChainComplex(
+                                        {0: 1, 1: 1}, {1: [chains.Chain(0)]}).class_coordinates(
+                                        chains.Chain(1, {5: 1})),
+                                    StructureError, "unknown generator (1,5)"),
+    "chain-degree-range": (lambda: _z2_complex().chain(3, {}),
+                           StructureError, "degree 3 outside built range 1..2"),
+    "chain-generator-degree": (lambda: _z2_complex().chain(
+                                   1, [(prismatic.bracketed((2,), (0, 1)), 1)]),
+                               StructureError, "generator BracketedTuple(partition=(2,), "
+                                               "elements=(0, 1)) is not of degree 1"),
+    "generators-negative": (lambda: _z2_complex().generators(1)[-3],
+                            IndexError, "no generator -1 in degree 1"),
+    "generators-past-the-end": (lambda: _z2_complex().generators(1)[2],
+                                IndexError, "no generator 2 in degree 1"),
+    "compositions-negative": (lambda: prismatic.compositions(-1),
+                              StructureError, "degree must be non-negative"),
+    "twist-cell-kind": (lambda: prismatic.resolve_twist_cell("B4_3", 0, 1, Z2),
+                        StructureError, "not a twist cell kind: B4_3"),
+    "shalgebra-names": (lambda: algebra.Shalgebra(Z2.dot, Z2.tri, names=["a"]),
+                        StructureError, "expected 2 names, got 1"),
+    "structure-names": (lambda: algebra.parse_structure_tables(
+                            {"dot": [[0]], "tri": [[0]], "names": ["a", "b"]}),
+                        StructureError, "expected 1 names, got 2"),
+    "structure-size": (lambda: algebra.parse_structure_tables(
+                           {"size": 2, "dot": [[0]], "tri": [[0]]}),
+                       StructureError, "declared size 2 != table size 1"),
+    "empty-product": (lambda: algebra.projection_shalgebra(ZERO).product(()),
+                      StructureError, "empty product needs a unit element"),
+    "diagram-vertex-slot": (lambda: knots.KTGDiagram.from_dict(
+                                {"arcs": ["a", "b"],
+                                 "vertices": [{"role": "zip", "arcs": ["a", "a", "b"]}]}),
+                            StructureError, "malformed diagram: arc 'a' used twice: "
+                                            "vertex 0 (input) and vertex 0 (input)"),
+    "fixture-name": (lambda: knots.load_fixture_diagram("nope"),
+                     StructureError, "no packaged diagram named 'nope'"),
+    "prism-edge": (lambda: _PRISM.edge((0,), (0,)), StructureError, "no edge (0,) -> (0,)"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(ARGUMENTS))
+def test_every_argument_check_names_its_fault(site):
+    call, error, message = ARGUMENTS[site]
+    with pytest.raises(error) as info:
+        call()
+    assert str(info.value) == message
+
+
 def _unchecked(dot, tri):
     return algebra.Shalgebra(dot, tri, _validate=False)
 
@@ -187,15 +257,19 @@ OUTSIDE_THE_CARRIER = {
               _outside((9, 0))),
     "boundary-generator": (lambda: prismatic.boundary_generator(
                                prismatic.bracketed((2,), (1, -1)), S3), _outside((1, -1))),
-    # hand-built prisms: the face walk checks each column of label elements
-    # and of generating-edge labels, here a run of one
+    # hand-built prisms: the face check reads each column of name elements
+    # and of generating labels, here a run of one, and names the prism;
+    # geometric faces are labeled from their generating labels
     "faces-match-name": (lambda: prisms.faces_match_algebra(
                              [prisms.LabeledPrism((2,), prismatic.BracketedTuple((2,), (7, 0)),
-                                                  _PRISM.labels)], S3, {}), _outside((7,))),
+                                                  _PRISM.labels)], S3, {}),
+                         "<LabeledPrism (7,0) on (2,)> has name element 7, "
+                         "outside the carrier 0..5"),
     "faces-match-edge-label": (lambda: prisms.faces_match_algebra([_EDGE_LABEL_7], S3, {}),
-                               _outside([7])),
+                               "<LabeledPrism 1|(2,3) on (1, 2)> has generating label 7, "
+                               "outside the carrier 0..5"),
     "geometric-faces-edge-label": (lambda: prisms.geometric_faces(_EDGE_LABEL_7, S3),
-                                   _outside([7])),
+                                   _outside((7, 1))),
 }
 
 
