@@ -6,9 +6,10 @@ growth is harmless, only slow.  One reduction engine serves homology,
 class coordinates and `smith_normal_form`.  It first eliminates ±1 pivots
 on the sparse columns (`_eliminate`), shortest column first, each pivot
 contributing an invariant factor 1; dense Smith reduction (`_snf`) then
-runs only on the small residue that is left.  Transform matrices are
-built only for class coordinates, only on that reduced problem, and only
-when a degree is first asked for.
+runs only on the small residue that is left.  Only class coordinates need
+transforms: `_snf` returns the inverse column transform, and as its row
+operations run over whole rows, the row transform is read off an identity
+block appended to the matrix.
 
 Homology coreduces the boundaries up through the degrees (reduction pairs,
 Kaczynski–Mrozek–Ślusarek 1998; coreductions, Mrozek–Batko 2009).  The
@@ -20,9 +21,10 @@ supported on A is 0.  So ∂_{n+1} without the rows A has the rank and the
 invariant factors above 1 of the full ∂_{n+1}, which is all that H_n and
 H_{n+1} read from it.  Its own unit pivots then delete rows of ∂_{n+2},
 and so on to the top degree: far fewer rows reach the expensive top
-boundary.  Class coordinates (`ChainComplex._class_data`) read the pivot
-log and residue of the full ∂_{n+1} instead, since a cycle has
-coordinates on the deleted rows.
+boundary.  Class coordinates read the pivot log and residue of the full
+∂_{n+1} instead, since a cycle has coordinates on the deleted rows; from
+them `ChainComplex._class_data` builds one table per degree, on first use,
+and a cycle's coordinates are sums of its generators' rows of that table.
 
 ∂∘∂ = 0 is checked once, when a `ChainComplex` is constructed (hand-built
 ones included): a violation raises `VerificationError` there, so homology
@@ -248,28 +250,23 @@ def _identity(n):
     return [[int(i == j) for j in range(n)] for i in range(n)]
 
 
-def _snf(A, m, n, need_u=False, need_v=False):
+def _snf(A, m, n, need_v=False):
     """Dense Smith reduction of the small matrices the engine leaves over.
 
-    Returns (diag, U, Vinv) with U·A·V diagonal for some unimodular V;
-    diag lists the nonzero diagonal entries d1 | d2 | ..., positive.  U
-    (m×m) and Vinv (n×n) are dense lists, None unless asked for.  A is
-    consumed.
+    A lists m rows whose first n entries are the matrix.  Row operations run
+    over whole rows, so with I_m appended to the rows, that block ends as a
+    unimodular U with U·A = Δ·Vinv, Δ diagonal.  Returns (diag, Vinv): diag
+    lists the nonzero diagonal entries d1 | d2 | ..., positive; Vinv (n×n)
+    is None unless asked for.  A is consumed.
     """
-    U = _identity(m) if need_u else None
     Vinv = _identity(n) if need_v else None
 
     def row_add(i, j, q):
         # row_i += q * row_j
-        Ai, Aj = A[i], A[j]
-        for k in range(n):
-            if Aj[k]:
-                Ai[k] += q * Aj[k]
-        if U is not None:
-            Ui, Uj = U[i], U[j]
-            for k in range(m):
-                if Uj[k]:
-                    Ui[k] += q * Uj[k]
+        Ai = A[i]
+        for k, v in enumerate(A[j]):
+            if v:
+                Ai[k] += q * v
 
     def col_add(j, i, q):
         # col_j += q * col_i
@@ -282,25 +279,11 @@ def _snf(A, m, n, need_u=False, need_v=False):
                 if Vj[k]:
                     Vi[k] -= q * Vj[k]
 
-    def row_swap(i, j):
-        if i == j:
-            return
-        A[i], A[j] = A[j], A[i]
-        if U is not None:
-            U[i], U[j] = U[j], U[i]
-
     def col_swap(i, j):
-        if i == j:
-            return
         for row in A:
             row[i], row[j] = row[j], row[i]
         if Vinv is not None:
             Vinv[i], Vinv[j] = Vinv[j], Vinv[i]
-
-    def row_negate(i):
-        A[i] = [-v for v in A[i]]
-        if U is not None:
-            U[i] = [-v for v in U[i]]
 
     diag = []
     t = 0
@@ -319,10 +302,10 @@ def _snf(A, m, n, need_u=False, need_v=False):
                 break
         if piv is None:
             break
-        row_swap(t, piv[1])
+        A[t], A[piv[1]] = A[piv[1]], A[t]
         col_swap(t, piv[2])
         if A[t][t] < 0:
-            row_negate(t)
+            A[t] = [-v for v in A[t]]
         while True:
             p = A[t][t]
             dirty = False
@@ -334,7 +317,7 @@ def _snf(A, m, n, need_u=False, need_v=False):
                         row_add(i, t, -q)
                     if A[i][t]:
                         # a remainder in (0, p), as p > 0: promote it
-                        row_swap(t, i)
+                        A[t], A[i] = A[i], A[t]
                         dirty = True
                         break
             if dirty:
@@ -367,7 +350,7 @@ def _snf(A, m, n, need_u=False, need_v=False):
             row_add(t, offender, 1)
         diag.append(A[t][t])
         t += 1
-    return diag, U, Vinv
+    return diag, Vinv
 
 
 def _reduce(columns):
@@ -378,7 +361,7 @@ def _reduce(columns):
     """
     log, residue, pivots = _eliminate(columns)
     A = _dense(residue)
-    diag, _, _ = _snf(A, len(A), len(residue))
+    diag, _ = _snf(A, len(A), len(residue))
     return (1,) * len(log) + tuple(diag), pivots
 
 
@@ -507,15 +490,18 @@ class ChainComplex:
         return self._cache[key]
 
     def _require_constructed(self, n, top_refusal):
-        """Refuse a degree whose ∂_{n+1} a truncated complex does not hold in full.
+        """The degree n read as an integer; refused if a truncated complex lacks ∂_{n+1}.
 
-        At the top constructed degree the refusal reads `top_refusal`; None
-        allows that degree.
+        At the top constructed degree the refusal reads `top_refusal`,
+        formatted with n and n + 1; None allows that degree.
         """
+        with reading("degree must be an integer"):
+            n = integer(n)
         if n > self.top and self.truncated:
             raise StructureError(f"degree {n} was never constructed (top is {self.top})")
         if n == self.top and self.truncated and top_refusal:
-            raise StructureError(top_refusal)
+            raise StructureError(top_refusal.format(n, n + 1))
+        return n
 
     def homology(self, n, allow_truncation=False) -> HomologyGroup:
         """H_n = Ker ∂_n / Im ∂_{n+1}, reported as free rank plus torsion.
@@ -524,9 +510,9 @@ class ChainComplex:
         invariant factors of ∂_{n+1} above 1.  Both are read off the
         coreduced boundaries, which keep those ranks and factors.
         """
-        self._require_constructed(n, None if allow_truncation else
-                                  f"homology at the top constructed degree {n} "
-                                  "needs allow_truncation=True")
+        n = self._require_constructed(n, None if allow_truncation else
+                                      "homology at the top constructed degree {0} "
+                                      "needs allow_truncation=True")
         key = ("group", n)
         if key not in self._cache:
             lower = self._coreduced(n)[0]
@@ -536,18 +522,19 @@ class ChainComplex:
         return self._cache[key]
 
     def _class_data(self, n):
-        """What class_coordinates needs in degree n, built on first use.
+        """(moduli, table) of degree n, built on first use.
 
-        This eliminates on the full ∂_{n+1}, not the coreduced one that
-        homology caches: a cycle has coordinates on the rows that coreduction
-        drops.  The residue needs no Smith reduction of its own.
-        A cycle reduced against the pivot log of ∂_{n+1} lives on the
-        generators that are not pivot rows, and there it bounds exactly when
-        it lies in the span of the residue of ∂_{n+1}.  So H_n is the kernel
-        of ∂_n restricted to those generators, modulo that span: its kernel
-        coordinates come from the column transform of one Smith reduction,
-        and the class coordinates from the row transform of a second one, on
-        the residue columns written in kernel coordinates.
+        table[g] is generator g's coordinate vector; coordinate k is taken
+        mod moduli[k], 0 for a free one.  Reduced against the pivot log of
+        the full ∂_{n+1} (not homology's coreduced one), a cycle lives on the
+        free generators, those that are not pivot rows, and bounds exactly
+        when it lies in the span of the residue.  One Smith reduction's Vinv
+        gives the free generators' coordinates in the kernel of ∂_n; a
+        second, on the residue in those coordinates with I appended, leaves
+        U′ in that block, and a free generator's vector is U′ times its
+        kernel coordinates.  The log reduces pivot row r to -unit times the
+        rest of its column, zero on the earlier pivot rows, so the log walked
+        backwards gives row r its vector from free generators and later ones.
         """
         key = ("classes", n)
         if key in self._cache:
@@ -555,23 +542,28 @@ class ChainComplex:
         log, residue, _ = _eliminate([dict(ch.terms) for ch in self.boundaries.get(n + 1, ())])
         pivots = {r for r, _ in log}
         free = [g for g in range(self.count(n)) if g not in pivots]
-        where = {g: k for k, g in enumerate(free)}
-        stored = self.boundaries.get(n)
-        D = _dense([stored[g].terms for g in free] if stored else [])
-        diag, _, Vinv = _snf(D, len(D), len(free), need_v=True)
-        r = len(diag)
-        kdim = len(free) - r
-        vinv_cols = [[Vinv[i][j] for i in range(len(free))] for j in range(len(free))]
-        Aprime = [[0] * len(residue) for _ in range(kdim)]
-        for jcol, col in enumerate(residue):
+        D = _dense([self.boundaries[n][g].terms for g in free] if n in self.boundaries else [])
+        diag, Vinv = _snf(D, len(D), len(free), need_v=True)
+        kernel = {g: {i: row[k] for i, row in enumerate(Vinv[len(diag):]) if row[k]}
+                  for k, g in enumerate(free)}
+        width, kdim = len(residue), len(free) - len(diag)
+        Aprime = [[0] * width + row for row in _identity(kdim)]
+        for j, col in enumerate(residue):
             for g, c in col.items():
-                for i, v in enumerate(vinv_cols[where[g]][r:]):
-                    if v:
-                        Aprime[i][jcol] += c * v
-        dprime, Uprime, _ = _snf(Aprime, kdim, len(residue), need_u=True)
-        data = (log, where, vinv_cols, r, Uprime, dprime)
-        self._cache[key] = data
-        return data
+                for i, v in kernel[g].items():
+                    Aprime[i][j] += c * v
+        dprime, _ = _snf(Aprime, kdim, width)
+        ones = dprime.count(1)  # a prefix, as each factor divides the next
+        moduli = tuple(dprime[ones:]) + (0,) * (kdim - len(dprime))
+        Ucols = [[row[width + a] for row in Aprime[ones:]] for a in range(kdim)]
+        table = [None] * self.count(n)
+        for g, col in kernel.items():
+            table[g] = _combination(col.items(), Ucols, moduli)
+        for r, col in reversed(log):
+            table[r] = _combination(((h, -col[r] * c) for h, c in col.items() if h != r),
+                                    table, moduli)
+        self._cache[key] = moduli, table
+        return moduli, table
 
     def class_coordinates(self, z: Chain):
         """Canonical coordinates of the homology class of a cycle.
@@ -579,43 +571,28 @@ class ChainComplex:
         Torsion coordinates come first (residues mod d_i for each invariant
         factor d_i > 1), then the free coordinates as plain integers.  Two
         cycles get equal coordinates exactly when their difference bounds.
+        They are the sums of the cycle's rows of the `_class_data` table.
         """
-        n = z.degree
-        self._require_constructed(n, f"class coordinates at the top constructed degree {n} "
-                                     f"need ∂_{n + 1}, which a truncated complex does not hold")
+        n = self._require_constructed(z.degree, "class coordinates at the top constructed degree "
+                                      "{0} need ∂_{1}, which a truncated complex does not hold")
         cols = self.count(n)
         for g in z.terms:
             if not 0 <= g < cols:
                 raise StructureError(f"unknown generator ({n},{g})")
-        log, where, vinv_cols, r, Uprime, dprime = self._class_data(n)
-        v = dict(z.terms)
-        for row, col in log:
-            c = v.get(row)
-            if c:
-                q = c * col[row]
-                for i, x in col.items():
-                    nv = v.get(i, 0) - q * x
-                    if nv:
-                        v[i] = nv
-                    else:
-                        del v[i]
-        w = [0] * len(where)
-        for g, c in v.items():
-            for i, x in enumerate(vinv_cols[where[g]]):
-                if x:
-                    w[i] += c * x
-        if any(w[:r]):
-            raise NotACycleError(f"chain in degree {n} is not a cycle",
-                                 residue=self.boundary(z))
-        kvec = w[r:]
-        coords = []
-        for i, row in enumerate(Uprime):
-            u = sum(a * b for a, b in zip(row, kvec) if b)
-            if i >= len(dprime):
-                coords.append(u)
-            elif dprime[i] > 1:
-                coords.append(u % dprime[i])
-        return tuple(coords)
+        residue = n > 0 and self.boundary(z)
+        if residue:
+            raise NotACycleError(f"chain in degree {n} is not a cycle", residue=residue)
+        moduli, table = self._class_data(n)
+        return tuple(_combination(z.items(), table, moduli))
+
+
+def _combination(terms, vectors, moduli):
+    """Σ c · vectors[g] over the terms (g, c), entry k taken mod moduli[k] (0: kept whole)."""
+    sums = [0] * len(moduli)
+    for g, c in terms:
+        for k, x in enumerate(vectors[g]):
+            sums[k] += c * x
+    return [x % m if m else x for x, m in zip(sums, moduli)]
 
 
 def export_boundary_triplets(complex_: ChainComplex, stream):

@@ -75,6 +75,8 @@ def cmd_axioms(args):
 
 
 def _build_theory(S, theory, N, include_d3):
+    if not include_d3 and theory != "qualgebra":
+        raise StructureError("--no-include-d3 applies to --theory qualgebra only")
     if theory == "rack":
         return build_rack_complex(S, N)
     if theory == "group":

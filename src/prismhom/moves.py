@@ -14,7 +14,7 @@ bijection onto the new diagram's colorings against a brute-force oracle.
 Site dictionaries name the local pieces by index ("vertex", "crossing",
 "crossing1", ...; an integer into the diagram's list of vertices or
 crossings) or by arc id, plus "direction" where a move grows or shrinks
-the diagram:
+the diagram ("grow", the default, or "shrink"; any other value is refused):
 
     I    grow: {"arc", "sign"}            kink where a strand crosses itself
          shrink: {"crossing"}
@@ -109,8 +109,8 @@ def _unthread(D, removed, exit_label):
     return KTGDiagram(arcs, crossings, vertices)
 
 
-def _move_i(D, site):
-    if site.get("direction", "grow") == "grow":
+def _move_i(D, site, grow):
+    if grow:
         arc = site["arc"]
         sign = _site_integer(site, "sign", 1)
         crossings = list(D.crossings)
@@ -133,8 +133,8 @@ def _move_i(D, site):
     return _unthread(D, (k,), "kink exit arc")
 
 
-def _move_ii(D, site):
-    if site.get("direction", "grow") == "grow":
+def _move_ii(D, site, grow):
+    if grow:
         a, b = site["under"], site["over"]
         sign = _site_integer(site, "sign", 1)
         for arc in (a, b):
@@ -160,7 +160,7 @@ def _move_ii(D, site):
     return _unthread(D, (k1, k2), "exit arc")
 
 
-def _move_iii(D, site):
+def _move_iii(D, site, grow):
     k1, k2, k3 = _indices(D, site, "crossing1", "crossing2", "crossing3")
     X1, X2, X3 = D.crossings[k1], D.crossings[k2], D.crossings[k3]
     if not (X1.sign == X2.sign == X3.sign == 1):
@@ -184,7 +184,7 @@ def _move_iii(D, site):
     return KTGDiagram(tuple(mp if a == m else a for a in D.arcs), crossings, D.vertices)
 
 
-def _move_h(D, site):
+def _move_h(D, site, grow):
     i1, i2 = _indices(D, site, "vertex1", "vertex2")
     v1, v2 = D.vertices[i1], D.vertices[i2]
     if i1 == i2:
@@ -221,10 +221,10 @@ def _move_h(D, site):
     return KTGDiagram(tuple(m if a == u else a for a in D.arcs), D.crossings, vertices)
 
 
-def _move_yi(D, site):
+def _move_yi(D, site, grow):
     crossings = list(D.crossings)
     vertices = list(D.vertices)
-    if site.get("direction", "grow") == "grow":
+    if grow:
         iv, ix = _indices(D, site, "vertex", "crossing")
         v, X = D.vertices[iv], D.crossings[ix]
         if v.role != ZIP or X.sign != 1:
@@ -262,9 +262,9 @@ def _move_yi(D, site):
     return KTGDiagram(arcs, keep, vertices)
 
 
-def _move_iy(D, site):
+def _move_iy(D, site, grow):
     crossings = list(D.crossings)
-    if site.get("direction", "grow") == "grow":
+    if grow:
         iv, ix = _indices(D, site, "vertex", "crossing")
         v, X = D.vertices[iv], D.crossings[ix]
         if v.role != ZIP or X.sign != 1:
@@ -295,10 +295,10 @@ def _move_iy(D, site):
     return KTGDiagram(arcs, keep, D.vertices)
 
 
-def _move_t(D, site):
+def _move_t(D, site, grow):
     crossings = list(D.crossings)
     vertices = list(D.vertices)
-    if site.get("direction", "grow") == "grow":
+    if grow:
         (iv,) = _indices(D, site, "vertex")
         v = D.vertices[iv]
         if v.role != ZIP:
@@ -347,8 +347,12 @@ def apply_move(D: KTGDiagram, move, site, S: Shalgebra):
     """
     if move not in _MOVE_TABLE:
         raise StructureError(f"unknown move {move!r}; choose from {sorted(_MOVE_TABLE)}")
+    site = dict(site)
+    direction = site.get("direction", "grow")
+    if direction not in ("grow", "shrink"):
+        raise StructureError(f"move {move} direction must be 'grow' or 'shrink', not {direction!r}")
     try:
-        new = _MOVE_TABLE[move](D, dict(site))
+        new = _MOVE_TABLE[move](D, site, direction == "grow")
     except KeyError as exc:
         raise StructureError(f"move {move} site does not match the diagram: {exc}")
     old = set(D.arcs)

@@ -566,7 +566,7 @@ class PrismaticComplex:
     # -- generator bookkeeping --------------------------------------------
 
     def generators(self, n):
-        return _Generators(self, n)
+        return _Generators(self, _degree(n))
 
     def generator_count(self, n):
         return self.cc.count(n)

@@ -633,3 +633,88 @@ def test_torsion_class_order_in_group_homology(s3):
         assert cc.class_coordinates(order * z) == (0,)
         w = Chain(4, {rng.randrange(cc.count(4)): rng.choice((-1, 1, 2)) for _ in range(5)})
         assert cc.class_coordinates(z + cc.boundary(w)) == cc.class_coordinates(z)
+
+
+# -- class coordinates: a pinned corpus --------------------------------------------
+
+
+def _seeded_cycles(cc, n, seed, count):
+    """Cycles of degree n: combinations of eight of sympy's kernel vectors of
+    ∂_n, each scaled to integers, plus the boundary of a random chain."""
+    sympy = pytest.importorskip("sympy")
+    basis = sympy.Matrix(cc.matrix(n)).nullspace()
+    rng = random.Random(seed)
+    cycles = []
+    for _ in range(count):
+        z = Chain(n)
+        for v in rng.sample(basis, 8):
+            den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
+            v = Chain(n, {i: int(x * den) for i, x in enumerate(v) if x})
+            z = z + rng.choice((-2, -1, 1, 3)) * v
+        w = Chain(n + 1, {rng.randrange(cc.count(n + 1)): rng.choice((-1, 1, 2))
+                          for _ in range(3)})
+        cycles.append(z + cc.boundary(w))
+    return cycles
+
+
+# case: (carrier, mode, N, degree, the coordinates of 16 seeded cycles).  The
+# coordinates were recorded from an implementation that reduced each cycle
+# against the pivot log and multiplied it by both Smith transforms; they pin
+# the coordinate basis and order, which callers store and compare.
+CORPUS = {
+    "s3-plain": ("s3", "plain", 4, 3, [
+        (1, 0, 0), (1, 1, 1), (0, 0, 0), (1, 1, 0), (1, 0, 3), (0, 0, 0), (0, 0, 0), (0, 0, 0),
+        (1, 0, 4), (0, 0, 2), (1, 0, 0), (1, 0, 0), (1, 0, 4), (1, 1, 4), (0, 1, 5), (0, 0, 4)]),
+    "d4-qualgebra": ("d4", "qualgebra", 3, 2, [
+        (1,), (1,), (0,), (0,), (0,), (0,), (1,), (0,), (0,), (0,), (0,), (0,), (1,), (0,), (0,),
+        (1,)]),
+    "z3-normalized": ("z3", "normalized", 4, 3, [
+        (0, 1, -14, -17, 9, 0, 0, 0, -2, 0, -2, 0, 0), (2, 1, 0, -2, -1, 0, 0, 0, 0, 0, -2, 0, 0),
+        (2, 1, 6, 7, -1, 0, 0, 0, 0, 0, 0, 0, 0), (1, 0, 6, 8, -2, -6, 3, 0, 0, 0, 0, 0, 0),
+        (1, 0, 11, 7, -7, 0, 0, 0, 0, 0, 0, 0, 3), (0, 0, 7, 7, 0, 3, 0, 0, 0, 0, 0, 0, 0),
+        (1, 0, 0, 0, -1, 0, -6, 0, 0, 0, 0, 0, 0), (0, 0, -7, -7, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (1, 2, -6, -4, 7, 9, 0, 0, 0, 0, 0, 0, 0), (2, 2, -10, -12, 5, 0, 0, 0, 0, 0, 0, -2, 0),
+        (1, 0, 11, 19, -2, 0, 0, 0, 0, 0, 0, 0, 0), (0, 0, -5, -5, 0, 0, 0, 0, 0, 0, 0, 0, 0),
+        (0, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0), (1, 1, -14, -18, 7, 0, 0, 0, 0, 0, 0, 0, 0),
+        (2, 0, 7, 8, -1, 0, 0, 0, 0, 1, 0, 0, 0), (2, 1, 7, 8, -7, -3, 0, 0, 0, 0, 0, 0, 0)]),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(CORPUS))
+def corpus(request):
+    carrier, mode, N, n, coordinates = CORPUS[request.param]
+    cc = prismatic.build_complex(request.getfixturevalue(carrier), N, mode=mode).cc
+    return cc, n, _seeded_cycles(cc, n, 24, len(coordinates)), coordinates
+
+
+def test_class_coordinates_of_a_seeded_corpus(corpus):
+    cc, n, cycles, coordinates = corpus
+    assert [cc.class_coordinates(z) for z in cycles] == coordinates
+    assert any(map(any, coordinates))
+
+
+def test_class_coordinates_are_linear(corpus):
+    # the coordinates of z1 + z2 are the sums of theirs, each taken mod its
+    # factor: torsion ones mod the invariant factors of H_n, free ones whole
+    cc, n, cycles, coordinates = corpus
+    group = cc.homology(n)
+    moduli = group.torsion + (0,) * group.free_rank
+    for (z1, c1), (z2, c2) in zip(zip(cycles, coordinates), zip(cycles[1:], coordinates[1:])):
+        expected = tuple((a + b) % m if m else a + b for a, b, m in zip(c1, c2, moduli))
+        assert cc.class_coordinates(z1 + z2) == expected
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 5), st.integers(0, 6), st.data())
+def test_snf_row_operations_carry_an_appended_identity(m, n, data):
+    # rows with I_m appended end with a unimodular U in that block, and
+    # U·A = Δ·Vinv for the returned factors Δ and column transform Vinv
+    rows = [[data.draw(_ENTRIES) for _ in range(n)] for _ in range(m)]
+    A = [row + [int(i == k) for k in range(m)] for i, row in enumerate(rows)]
+    diag, Vinv = chains._snf(A, m, n, need_v=True)
+    U = [row[n:] for row in A]
+    delta = [[diag[i] if i == j and i < len(diag) else 0 for j in range(n)] for i in range(m)]
+    assert ([[sum(U[i][k] * rows[k][j] for k in range(m)) for j in range(n)] for i in range(m)]
+            == [[sum(delta[i][k] * Vinv[k][j] for k in range(n)) for j in range(n)]
+                for i in range(m)])
+    assert abs(_det(U)) == 1

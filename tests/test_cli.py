@@ -246,6 +246,17 @@ def test_include_d3_changes_only_h3_and_the_d3_columns(files, capsys):
     assert "unrecognized arguments: --no-include-d3" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["homology", "export-matrices"])
+@pytest.mark.parametrize("theory", ["prismatic", "normalized", "rack", "group"])
+def test_no_include_d3_is_refused_outside_qualgebra(files, capsys, command, theory):
+    # only the qualgebra complex holds D3 cells; the normalized one never does
+    argv = [command, files["z3"], "--theory", theory, "--max-degree", "3", "--no-include-d3"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: --no-include-d3 applies to --theory qualgebra only\n"
+
+
 @pytest.mark.parametrize("name, wording", [
     ("missing", "error: cannot read {}: [Errno 2] No such file or directory: '{}'\n"),
     ("broken", "error: invalid JSON in {}: line 1: Expecting property name enclosed in double "

@@ -276,9 +276,18 @@ def _loop_under(name, arc):
 
 
 # case: (diagram, move, site, the whole message) for each pattern check of
-# the shrinks, the slide and H; an arc with "other incidences" is one that
-# a loop passes under
+# the shrinks, the slide and H, and for a direction that is neither grow nor
+# shrink; an arc with "other incidences" is one that a loop passes under
 PATTERN_REFUSALS = {
+    "I-direction": (lambda: load_fixture_diagram("moves/I_after"),
+                    "I", {"direction": "GROW", "crossing": 0},
+                    "move I direction must be 'grow' or 'shrink', not 'GROW'"),
+    "I-direction-grow-site": (lambda: load_fixture_diagram("trefoil"),
+                              "I", {"direction": "sideways", "arc": "x"},
+                              "move I direction must be 'grow' or 'shrink', not 'sideways'"),
+    "YI-direction": (lambda: load_fixture_diagram("moves/YI_after"),
+                     "YI", {"direction": "Shrink", "vertex": 0, "crossing1": 0, "crossing2": 1},
+                     "move YI direction must be 'grow' or 'shrink', not 'Shrink'"),
     "I-exit-passes-over": (lambda: KTGDiagram(["a", "b"], [("a", "a", "b", 1),
                                                            ("b", "b", "a", 1)]),
                            "I", {"direction": "shrink", "crossing": 0},

@@ -701,3 +701,25 @@ def test_rack_free_ranks_are_orbit_powers(make, orbits):
     assert _orbit_count(carrier) == orbits
     K = build_rack_complex(carrier, 4)
     assert [K.homology(k).free_rank for k in (1, 2, 3)] == [orbits ** k for k in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("carrier, N, orbits", [("z3", 4, 3), ("s3", 4, 3), ("z2", 4, 2),
+                                                ("d4", 3, 5)])
+def test_the_quandle_slice_has_the_litherland_nelson_ranks(carrier, N, orbits, request):
+    # the rack slice with the spindle degeneracies collapsed is the quandle
+    # complex; over a quandle with |O| orbits its free ranks are
+    # |O|·(|O|−1)^(n−1) and the rack ones |O|^n (Litherland–Nelson, The Betti
+    # numbers of some finite racks, 2003), and as H^R = H^Q ⊕ H^D each
+    # quandle torsion multiset lies inside the rack one
+    S = request.getfixturevalue(carrier)
+    quandle = PrismaticComplex(S, N, "quandle", lambda n: ((1,) * n,),
+                               collapsed=degenerate_span(S, N, "spindle"))
+    rack = build_rack_complex(S, N)
+    for n in range(1, N):
+        q, r = quandle.homology(n), rack.homology(n)
+        assert q.free_rank == orbits * (orbits - 1) ** (n - 1)
+        assert r.free_rank == orbits ** n
+        assert not Counter(q.torsion) - Counter(r.torsion)
+    if carrier == "s3":
+        assert quandle.homology(3).torsion == (3, 3, 3, 3, 9)
+        assert rack.homology(3).torsion == (3, 3, 3, 3, 3, 9)

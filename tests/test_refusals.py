@@ -118,6 +118,16 @@ ARGUMENTS = {
                                         {0: 1, 1: 1}, {1: [chains.Chain(0)]}).class_coordinates(
                                         chains.Chain(1, {5: 1})),
                                     StructureError, "unknown generator (1,5)"),
+    "homology-degree-fraction": (lambda: _z2_complex().homology(1.5), StructureError,
+                                 "degree must be an integer: 1.5 is not an integer"),
+    "homology-degree-text": (lambda: _z2_complex().homology("x"), StructureError,
+                             "degree must be an integer: "
+                             "invalid literal for int() with base 10: 'x'"),
+    "class-coordinates-degree": (lambda: _z2_complex().cc.class_coordinates(chains.Chain(1.5)),
+                                 StructureError,
+                                 "degree must be an integer: 1.5 is not an integer"),
+    "generators-degree": (lambda: _z2_complex().generators(1.5), StructureError,
+                          "degree must be an integer: 1.5 is not an integer"),
     "chain-degree-range": (lambda: _z2_complex().chain(3, {}),
                            StructureError, "degree 3 outside built range 1..2"),
     "chain-generator-degree": (lambda: _z2_complex().chain(
