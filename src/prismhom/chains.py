@@ -152,13 +152,15 @@ def _eliminate(columns):
     Pivots go in Markowitz order: the shortest column that holds a ±1 entry,
     and in it the ±1 entry whose row meets the fewest columns; ties go to
     the lower column index, then the lower row index.  Columns wait in
-    buckets by length, each a heap of column indices: an updated column is
-    filed again at its new length, and an entry whose column has since
-    changed length, or became a pivot, is skipped when popped.  The loop
-    drains the shortest bucket, lowest index first, until it empties or an
-    update files a column at a shorter length, and only then looks for the
-    shortest bucket again.  A column popped without a ±1 entry is dropped
-    from the queue until an update files it again.  Pivot (r, c)
+    buckets by length, each a heap of column indices: a column whose length
+    an update changes is filed again at its new length, and an entry whose
+    column has since changed length, or became a pivot, is skipped when
+    popped.  The loop drains the shortest bucket, lowest index first, until
+    it empties or an update files a column at a shorter length, and only
+    then looks for the shortest bucket again.  A column popped without a
+    ±1 entry is dropped from the queue until an update files it again, at
+    whatever length; any other column keeps its entry when an update leaves
+    its length as it was.  Pivot (r, c)
     subtracts multiples of column c from every other column meeting row r,
     so row r is left only in column c; row operations would then clear the
     rest of column c without touching any other column.  The invariant
@@ -187,6 +189,7 @@ def _eliminate(columns):
             buckets.setdefault(len(col), []).append(j)  # ascending, so already a heap
     log = []
     pivots = []
+    idle = set()  # columns popped without a unit, out of the queue until updated
     while buckets:
         length = min(buckets)
         bucket = buckets[length]
@@ -203,7 +206,8 @@ def _eliminate(columns):
                     if best is None or key < best:
                         best = key
             if best is None:
-                continue  # no unit yet; a later update files the column again
+                idle.add(c)  # no unit yet; a later update files the column again
+                continue
             r = best[1]
             unit = col[r]
             columns[c] = None
@@ -214,6 +218,7 @@ def _eliminate(columns):
                 rows[i].discard(c)
             for j in hit:
                 other = columns[j]
+                was = len(other)
                 q = other.pop(r) * unit
                 for i, v in rest:
                     nv = other.get(i, 0) - q * v
@@ -224,8 +229,9 @@ def _eliminate(columns):
                     else:
                         del other[i]
                         rows[i].discard(j)
-                if other:
-                    k = len(other)
+                k = len(other)
+                if k and (k != was or j in idle):
+                    idle.discard(j)
                     heappush(buckets.setdefault(k, []), j)
                     shorter = shorter or k < length
             log.append((r, col))
@@ -404,7 +410,9 @@ class ChainComplex:
             raise StructureError(f"generator counts must be non-negative: {self.counts}")
         self.boundaries = {}
         self.truncated = truncated
-        self.top = max((d for d, c in self.counts.items() if c), default=0)
+        # the top stored degree: the last with generators or with boundaries
+        # listed, as a quotient may leave a built degree without generators
+        self.top = max({d for d, c in self.counts.items() if c} | set(boundaries), default=0)
         for n, chains in boundaries.items():
             if len(chains) != self.count(n):
                 raise StructureError(
@@ -429,6 +437,10 @@ class ChainComplex:
         self._cache = {}
 
     def count(self, n):
+        """The number of degree-n generators, n read as an integer."""
+        if type(n) is not int:  # an int is read without the cost of `reading`
+            with reading("degree must be an integer"):
+                n = integer(n)
         return self.counts.get(n, 0)
 
     def boundary_of(self, n, index):

@@ -74,21 +74,33 @@ def cmd_axioms(args):
     return EXIT_OK if satisfied else EXIT_MATH
 
 
-def _build_theory(S, theory, N, include_d3):
+def _build_theory(S, theory, N, include_d3, unit_quotient=False):
+    """The complex of a theory; unit_quotient applies to prismatic and group only.
+
+    There it builds the quotient by the prisms holding the unit, when the
+    unit allows it (`prismatic._quotient_unit`), which changes no group
+    below the top degree.
+    """
     if not include_d3 and theory != "qualgebra":
         raise StructureError("--no-include-d3 applies to --theory qualgebra only")
     if theory == "rack":
         return build_rack_complex(S, N)
     if theory == "group":
-        return build_bar_complex(S, N)
-    mode = {"prismatic": "plain", "qualgebra": "qualgebra",
-            "normalized": "normalized"}[theory]
-    return build_complex(S, N, mode=mode, include_d3=include_d3)
+        return build_bar_complex(S, N, unit_quotient=unit_quotient)
+    if theory == "prismatic":
+        return build_complex(S, N, unit_quotient=unit_quotient)
+    return build_complex(S, N, mode=theory, include_d3=include_d3)
 
 
 def cmd_homology(args):
+    """Homology below the top degree, read off the unit quotient where there is one.
+
+    With --allow-truncation the top degree is reported too, and it needs
+    the full complex: there the quotient's group differs.
+    """
     S = load_structure(args.structure)
-    K = _build_theory(S, args.theory, args.max_degree, args.include_d3)
+    K = _build_theory(S, args.theory, args.max_degree, args.include_d3,
+                      unit_quotient=not args.allow_truncation)
     _warn_unresolved(K)
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
     groups = [(n, K.homology(n, allow_truncation=args.allow_truncation)) for n in degrees]

@@ -17,6 +17,38 @@ A block of size one disappears when its entry is deleted.  The face
 carries the sign (-1)^(k1+...+k_{j-1}+i); the boundary of a generator is
 the signed sum over all (j, i), with like terms combined.  For a carrier
 satisfying H, YI, IY, III this squares to zero (verified on every build).
+
+The unit quotient.  Let e be a two-sided unit (e·x = x·e = x) with
+e◁x = e and x◁e = x for every x.  The prisms holding e somewhere span a
+subcomplex, and it is acyclic, so the quotient by it has the homology of
+the full complex in every degree below the top one.  `build_complex`
+(plain mode) and `build_bar_complex` build it when asked (unit_quotient).
+
+Closed under the boundary: take a prism holding e as entry c of block j,
+of size k.  A face that keeps this entry keeps e, since the i = 0 face of
+a later block maps it to e◁h = e.  The two faces i = c - 1 and i = c both
+delete it: a product with a neighbour gives that neighbour (x·e = x,
+e·y = y); i = 0 deletes it and acts with it on the blocks before, which
+x◁e = x leaves as they were; i = k deletes it; for k = 1 the block goes.
+So the two give the same tuple, with signs of opposite parity, and cancel.
+Every other face still holds e.  Only the four identities are used.
+
+Acyclic, by the normalization theorem, block by block: filter the span
+by the degree of the blocks after the last block holding e.  Their faces
+lower it (one that puts e into a later block lowers it further), and the
+faces of the other blocks leave those blocks as they are, the pairs that
+lose e having cancelled.  On the graded piece the tail is inert, so it
+is enough that the prisms ending in a block that holds e are acyclic.
+Filter those by the degree m of the blocks before that last block; their
+faces lower it, and on the graded piece only the faces of the last block
+are left.  With its k entries y and the m entries x before it, they are
+d_0(x; y) = (x◁y1; y2...yk), the products and the last deletion: the bar
+construction k ↦ Z[G^m] ⊗ Z[G^k] with coefficients in Z[G^m] under ◁, a
+simplicial abelian group by H and IY, whose degeneracies insert e (using
+e·x = x·e = x and x◁e = x).  The tuples y holding e span its degenerate
+subcomplex, which is acyclic (Mac Lane, *Homology*, 1963, VIII.6; it is
+zero in degree 0, so leaving out k = 0 changes nothing).  Every graded
+piece being acyclic, so is the span.
 """
 
 from __future__ import annotations
@@ -33,6 +65,8 @@ from .errors import StructureError, VerificationError
 
 def _degree(n):
     """A degree read as an integer; StructureError for a fraction or a non-number."""
+    if type(n) is int:  # the common case, read without the cost of `reading`
+        return n
     with reading("degree must be an integer"):
         return integer(n)
 
@@ -361,39 +395,57 @@ def _ranked_plan(partition, ranks):
     return tuple((sign, kind, p, ranks[f]) for sign, kind, p, f in _boundary_plan(partition))
 
 
-def _face_tables(plan, n, S):
-    """The faces of every degree-n element tuple as full indices, one list per ranked-plan entry.
+def _digit_values(q, n, unit=None):
+    """values[k] for k in 0..n: the k-digit tuples over 0..q-1 without `unit`, read in base q.
 
-    Item t of an entry's list is the full index (`_full_index`) of that face
-    of the tuple whose elements, read in base q = |G|, give t.  A face at
-    position p keeps the k digits after p (after p + 1 for a product) as
-    they are, so the list runs through q^k consecutive indices for each
-    value of the digits up to there.  A deletion drops digit p; a product
-    replaces digits p and p + 1 by their ·-product; an action drops digit
-    h = e_p and maps the value of the digits before p through ◁ h, read off
-    a table of all p-digit values built one digit at a time.
+    Each sequence is in lexicographic order, so values[1] lists the digits;
+    without a unit, values[k] is range(q^k).
+    """
+    if unit is None:
+        return [range(q ** k) for k in range(n + 1)]
+    digits = [x for x in range(q) if x != unit]
+    values = [[0]]
+    for _ in range(n):
+        values.append([v * q + x for v in values[-1] for x in digits])
+    return values
+
+
+def _face_tables(plan, n, S, unit=None):
+    """The faces of the degree-n element tuples as full indices, one list per ranked-plan entry.
+
+    The tuples are those that do not hold `unit` (all of them for None), in
+    lexicographic order.  Item t of an entry's list is the full index
+    (`_full_index`) of that face of the t-th tuple.  A face at position p
+    keeps the k digits after p (after p + 1 for a product) as they are, so
+    the list adds each value of those k digits to each value of the digits
+    up to there (`_digit_values` lists both).  A deletion drops digit p; a
+    product replaces digits p and p + 1 by their ·-product; an action drops
+    digit h = e_p and maps the value of the digits before p through ◁ h,
+    read off a table of all p-digit values built one digit at a time.
     """
     q = S.size
-    dot, tri = S.dot.rows, S.tri.rows
-    acted = [[0] * q]  # acted[p][v*q + h]: the p-digit value v, each digit acted on by h
+    values = _digit_values(q, max(n - 1, 1), unit)  # faces have n - 1 digits; values[1] are the digits
+    digits = values[1]
+    dot = [[row[y] for y in digits] for row in S.dot.rows]
+    tri = [[row[h] for h in digits] for row in S.tri.rows]
+    acted = [[[0] * len(digits)]]  # acted[p][v][h]: the v-th p-digit tuple, each digit ◁ digit h
     out = []
     for sign, kind, p, rank in plan:
         if kind == 1:
-            starts = [v * q + d for v in range(q ** p) for row in dot for d in row]
-            run = q ** (n - 2 - p)
+            starts = [v * q + d for v in values[p] for x in digits for d in dot[x]]
+            k = n - 2 - p
         else:
             if kind == 0:
                 while len(acted) <= p:
-                    prev = acted[-1]
-                    acted.append([w * q + t for v in range(0, len(prev), q) for x in range(q)
-                                  for w, t in zip(prev[v:v + q], tri[x])])
-                starts = acted[p]
+                    acted.append([[w * q + t for w, t in zip(row, tri[x])]
+                                  for row in acted[-1] for x in digits])
+                starts = [w for row in acted[p] for w in row]
             else:
-                starts = [v for v in range(q ** p) for _ in range(q)]
-            run = q ** (n - 1 - p)
-        off = rank * q ** (n - 1)
+                starts = [v for v in values[p] for _ in digits]
+            k = n - 1 - p
+        off, run = rank * q ** (n - 1), q ** k
         starts = [off + v * run for v in starts]
-        out.append(starts if run == 1 else [x for s in starts for x in range(s, s + run)])
+        out.append(starts if not k else [s + t for s in starts for t in values[k]])
     return out
 
 
@@ -447,13 +499,17 @@ class PrismaticComplex:
     one of the complex's partitions (normalized mode passes the
     adjacent-equal-singletons `degenerate_span`).  Its closure is checked
     as the boundary columns are built: a collapsed prism with a boundary
-    term outside the span raises VerificationError.
+    term outside the span raises VerificationError.  `unit`, when given,
+    sets every prism holding it to zero (the unit quotient of the module
+    docstring): those prisms are never enumerated, and the boundary terms
+    on them are dropped.  Closure is not checked there; the
+    boundary-squared check runs on the quotient as on every complex.
 
     Numbering, in every mode: the degree-n prism with partition P and
     elements (e1, ..., en) has full index r·|G|^n + (e1...en read in base
     |G|, e1 most significant), where r is the rank of P among the mode's
     partitions (`compositions(n)`, or the one partition of a slice).  The
-    collapsed prisms are skipped and the rest keep their order.  The
+    prisms set to zero are skipped and the rest keep their order.  The
     relation cells come after the prisms, in build order:
     B3 and D3 in degree 3, then B4_1, B4_2 (those that resolve), B4_3 and
     B4_4 in degree 4, each kind in lexicographic label order.
@@ -462,16 +518,17 @@ class PrismaticComplex:
     allow_truncation.
     """
 
-    def __init__(self, S, N, mode, shapes, cells=None, collapsed=None, warnings=()):
+    def __init__(self, S, N, mode, shapes, cells=None, collapsed=None, warnings=(), unit=None):
         # shapes(n) lists the partitions of degree n; cells maps a degree to
         # (ExtraCell, boundary terms) pairs in build order.
         self.S = S
         self.N = N = _max_degree(N)
         self.mode = mode
+        self.unit = unit
         self.warnings = tuple(warnings)
         self._shapes = {}
         self._ranks = {}
-        self._kept = {}  # with a collapsed span: per degree, the sorted full indices kept
+        self._kept = {}  # with prisms left out: per degree, the sorted full indices kept
         self._slots = {}  # and per degree, each full index's position in _kept, or None
         self._cells = {}
         self._cell_index = {}
@@ -492,31 +549,35 @@ class PrismaticComplex:
         self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
 
     def _prism_columns(self, n, gone):
-        """Boundary chains of the degree-n prisms outside `gone`, in index order.
+        """Boundary chains of the degree-n prisms kept, in index order.
 
-        gone is None or holds the collapsed full indices; then the others go
-        onto `_kept[n]`, `_slots[n]` maps every full index to its position
-        there (None if collapsed), and a collapsed prism's column must be
-        empty.  Each partition's faces come from `_face_tables`, one table
-        per face of the plan; the columns sum the signs of the faces in
-        (j, i) order.  When degree n - 1 has collapsed prisms, the tables are
-        first mapped through its slots, and the terms on collapsed faces
-        (None) are dropped.
+        A prism is left out when it holds `unit` or when its full index is in
+        `gone` (None or a set).  With the unit, the prisms holding it are
+        never enumerated: only the tuples over the other digits are.  When
+        any prism is left out, the kept ones go onto `_kept[n]`, `_slots[n]`
+        maps every full index to its position there (None if left out), and
+        a prism in `gone` must have an empty column.  Each partition's faces
+        come from `_face_tables`, one table per face of the plan; the columns
+        sum the signs of the faces in (j, i) order.  When degree n - 1 has
+        prisms left out, the tables are first mapped through its slots, and
+        the terms on those faces (None) are dropped.
         """
         S = self.S
         q = S.size
+        values = _digit_values(q, n, self.unit)
         ranks = self._ranks.get(n - 1)
         compact = self._slots.get(n - 1)
-        if gone is not None:
+        numbered = gone is not None or self.unit is not None
+        if numbered:
             kept = self._kept[n] = []
-            slots = self._slots[n] = []
+            slots = self._slots[n] = [None] * (len(self._shapes[n]) * q ** n)
         out = []
         for r, partition in enumerate(self._shapes[n]):
             plan = _ranked_plan(partition, ranks) if n > 1 else ()
-            tables = _face_tables(plan, n, S)
+            tables = _face_tables(plan, n, S, self.unit)
             if compact is not None:
                 tables = [[compact[j] for j in table] for table in tables]
-            cols = [{} for _ in range(q ** n)]
+            cols = [{} for _ in values[n]]
             for (sign, *_), table in zip(plan, tables):
                 for col, j in zip(cols, table):
                     c = col.get(j, 0) + sign
@@ -524,18 +585,19 @@ class PrismaticComplex:
                         col[j] = c
                     else:
                         del col[j]
-            for i, col in enumerate(cols, r * q ** n):
+            off = r * q ** n
+            for v, col in zip(values[n], cols):
+                i = off + v
                 if compact is not None:
                     col.pop(None, None)
-                if gone is not None:
-                    if i in gone:
-                        if col:
-                            e = tuple(i // q ** k % q for k in reversed(range(n)))
-                            raise VerificationError("degenerate span is not closed under the "
-                                                    f"boundary at {BracketedTuple(partition, e)}")
-                        slots.append(None)
-                        continue
-                    slots.append(len(kept))
+                if gone is not None and i in gone:
+                    if col:
+                        e = tuple(i // q ** k % q for k in reversed(range(n)))
+                        raise VerificationError("degenerate span is not closed under the "
+                                                f"boundary at {BracketedTuple(partition, e)}")
+                    continue
+                if numbered:
+                    slots[i] = len(kept)
                     kept.append(i)
                 chain = chains.Chain(n - 1)
                 chain.terms = col
@@ -552,7 +614,7 @@ class PrismaticComplex:
         if isinstance(g, BracketedTuple) and g.degree == n:
             rank = self._ranks.get(n, {}).get(g.partition)
             q = self.S.size
-            if rank is not None and all(0 <= x < q for x in g.elements):
+            if rank is not None and all(type(x) is int and 0 <= x < q for x in g.elements):
                 return _full_index(rank, g.elements, q)
         raise StructureError(f"generator {g!r} is not part of this complex")
 
@@ -580,9 +642,10 @@ class PrismaticComplex:
     def chain(self, degree, terms) -> chains.Chain:
         """Index-space chain from {generator: coefficient} terms.
 
-        In normalized mode, terms on collapsed (degenerate) generators are
-        dropped, matching the quotient map.
+        Terms on prisms the complex leaves out (collapsed, or holding the
+        unit of a unit quotient) are dropped, matching the quotient map.
         """
+        degree = _degree(degree)
         if not 1 <= degree <= self.N:
             raise StructureError(f"degree {degree} outside built range 1..{self.N}")
         pairs = []
@@ -610,7 +673,21 @@ class PrismaticComplex:
                 f"counts={[self.generator_count(n) for n in range(1, self.N + 1)]}>")
 
 
-def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticComplex:
+def _quotient_unit(S: Shalgebra):
+    """The unit e whose prisms the unit quotient leaves out, or None.
+
+    That needs e·x = x·e = x (`Shalgebra.unit`), e◁x = e and x◁e = x for
+    every x; the module docstring shows that the prisms holding e then span
+    an acyclic subcomplex.
+    """
+    e, tri = S.unit, S.tri.rows
+    if e is not None and all(tri[e][x] == e and tri[x][e] == x for x in range(S.size)):
+        return e
+    return None
+
+
+def build_complex(S: Shalgebra, N, mode="plain", include_d3=True,
+                  unit_quotient=False) -> PrismaticComplex:
     """Construct the prismatic complex of S through degree N.
 
     Refuses structures that fail the required axioms (the four shalgebra
@@ -618,9 +695,16 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
     tuple rides along in the error.  The built complex always passes the
     boundary-squared check, which doubles as a runtime regression of the
     axiom arithmetic.
+
+    With unit_quotient (plain mode only), the complex is the quotient by
+    every prism holding the unit when `_quotient_unit` finds one, and the
+    full complex otherwise.  Its homology below N is the same; degree N,
+    read with allow_truncation, is not.
     """
     if mode not in MODES:
         raise StructureError(f"unknown mode {mode!r}; pick one of {MODES}")
+    if unit_quotient and mode != "plain":
+        raise StructureError("the unit quotient applies to mode 'plain' only")
     N = _max_degree(N)
     S.report.require(SHALGEBRA_AXIOMS, "not a shalgebra")
     if mode in ("qualgebra", "normalized"):
@@ -660,13 +744,19 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True) -> PrismaticCo
             for a, b, c in product(rng, repeat=3):
                 cells[4].append((ExtraCell("B4_4", (a, b, c)), _b4_4_boundary(a, b, c, S)))
 
-    return PrismaticComplex(S, N, mode, compositions, cells, collapsed, warnings)
+    unit = _quotient_unit(S) if unit_quotient else None
+    return PrismaticComplex(S, N, mode, compositions, cells, collapsed, warnings, unit)
 
 
-def build_bar_complex(S: Shalgebra, N) -> PrismaticComplex:
-    """The simplicial complex of the multiplication: the one-block slice (n,)."""
+def build_bar_complex(S: Shalgebra, N, unit_quotient=False) -> PrismaticComplex:
+    """The simplicial complex of the multiplication: the one-block slice (n,).
+
+    unit_quotient works as in `build_complex`: the normalized bar complex
+    when `_quotient_unit` finds a unit.
+    """
     S.report.require(("H",), "the multiplication is not associative")
-    return PrismaticComplex(S, N, "group", lambda n: ((n,),))
+    unit = _quotient_unit(S) if unit_quotient else None
+    return PrismaticComplex(S, N, "group", lambda n: ((n,),), unit=unit)
 
 
 def build_rack_complex(S: Shalgebra, N) -> PrismaticComplex:

@@ -17,7 +17,8 @@ step, where the library keeps its columns in a queue by length.  The
 GF(p) rank reduces columns mod p, where the library computes integer
 invariant factors, so the universal coefficient theorem ties the two.  The
 conjugation tables of permutation groups are built here from their
-products.  Nothing here imports `prismhom`: structures and diagrams are
+products, and the small unital shalgebras by trying every table.  Nothing
+here imports `prismhom`: structures and diagrams are
 read through their attributes and operation tables only.
 """
 
@@ -245,6 +246,35 @@ def conjugation_tables(elements, mul):
     tri = [[dot[dot[inverse[b]][a]][b] for b in range(len(elements))]
            for a in range(len(elements))]
     return dot, tri
+
+
+def unital_shalgebras(n):
+    """Every (dot, tri) on 0..n-1 satisfying H, YI, IY and III with the unit identities.
+
+    0 is a two-sided unit of dot, 0◁x = 0 and x◁0 = x; every other cell of
+    both tables is tried with every value, each dot table being kept only
+    when it is associative.  Labelled tables, not classes up to relabeling.
+    """
+    r = range(n)
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def filled(values, edge):
+        table = [[edge(a, b) for b in r] for a in r]
+        for (a, b), v in zip(cells, values):
+            table[a][b] = v
+        return table
+
+    out = []
+    for dot_values in product(r, repeat=len(cells)):
+        D = filled(dot_values, lambda a, b: b if a == 0 else a)
+        if any(D[D[a][b]][c] != D[a][D[b][c]] for a, b, c in product(r, repeat=3)):
+            continue
+        for tri_values in product(r, repeat=len(cells)):
+            T = filled(tri_values, lambda a, b: 0 if a == 0 else a)
+            if all(T[D[a][b]][c] == D[T[a][c]][T[b][c]] and T[T[a][b]][c] == T[a][D[b][c]]
+                   and T[T[a][b]][c] == T[T[a][c]][T[b][c]] for a, b, c in product(r, repeat=3)):
+                out.append((D, T))
+    return out
 
 
 def markowitz_elimination(columns):

@@ -365,16 +365,39 @@ def test_elimination_follows_the_oracle_pivot_order(columns):
     assert chains._eliminate([dict(col) for col in columns]) == markowitz_elimination(columns)
 
 
-@pytest.mark.parametrize("make", [pytest.param(lambda: algebra.conj_cyclic(4), id="z4"),
-                                  pytest.param(lambda: algebra.conj_symmetric(3), id="s3")])
-def test_top_boundary_elimination_follows_the_oracle_pivot_order(make):
-    # the coreduced ∂_4 of the plain complex at N=4, as homology(3) reduces it
-    K = prismatic.build_complex(make(), 4).cc
+@pytest.mark.parametrize("make, quotient", [
+    pytest.param(lambda: algebra.conj_cyclic(4), False, id="z4"),
+    pytest.param(lambda: algebra.conj_symmetric(3), False, id="s3"),
+    pytest.param(lambda: algebra.conj_cyclic(4), True, id="z4-unit-quotient"),
+    pytest.param(lambda: algebra.conj_symmetric(3), True, id="s3-unit-quotient")])
+def test_top_boundary_elimination_follows_the_oracle_pivot_order(make, quotient):
+    # the coreduced ∂_4 of the plain complex at N=4, as homology(3) reduces
+    # it, and of the unit quotient that `homology` reads
+    K = prismatic.build_complex(make(), 4, unit_quotient=quotient).cc
     drop = K._coreduced(3)[1]
     columns = [{i: v for i, v in ch.terms.items() if i not in drop} for ch in K.boundaries[4]]
     log, residue, pivots = markowitz_elimination(columns)
     assert pivots and residue
     assert chains._eliminate(columns) == (log, residue, pivots)
+
+
+def test_an_update_that_keeps_a_length_files_no_second_entry(monkeypatch):
+    # pivot (0, 0) turns column 1 into {1: -3, 2: 5}: same length, still
+    # queued, so it is not pushed again
+    pushes = []
+    monkeypatch.setattr(chains, "heappush", lambda heap, j: pushes.append(j) or heap.append(j))
+    columns = [{0: 1, 1: 3}, {0: 1, 2: 5}]
+    assert chains._eliminate([dict(col) for col in columns]) == markowitz_elimination(columns)
+    assert pushes == []
+
+
+def test_a_column_popped_without_a_unit_is_filed_again_at_its_length():
+    # column 0 has no unit when it is popped; pivot (0, 1) turns it into
+    # {2: 1, 3: 2, 4: -4}, of the same length, whose unit must still be seen
+    columns = [{0: 2, 2: 3, 3: 2}, {0: 1, 2: 1, 4: 2}]
+    log, residue, pivots = chains._eliminate([dict(col) for col in columns])
+    assert (log, residue, pivots) == markowitz_elimination(columns)
+    assert pivots == [1, 0] and not residue
 
 
 # -- coreduction through the degrees ---------------------------------------------

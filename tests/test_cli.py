@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -29,12 +30,15 @@ def files(tmp_path_factory):
     algebra.save_structure(algebra.conj_symmetric(3), root / "s3.json")
     algebra.save_structure(algebra.conj_cyclic(2), root / "z2.json")
     algebra.save_structure(algebra.conj_cyclic(3), root / "z3.json")
+    algebra.save_structure(algebra.conj_cyclic(4), root / "z4.json")
+    algebra.save_structure(algebra.mul_mod_shalgebra(4), root / "mm4.json")
     (root / "spindleless.json").write_text(json.dumps(
         {"size": 2, "dot": [[0, 1], [1, 0]], "tri": [[0, 0], [0, 0]]}))
     (root / "broken.json").write_text("{nope")
     save_diagram(load_fixture_diagram("trefoil"), root / "trefoil.json")
     paths.update({name: str(root / f"{name}.json")
-                  for name in ("s3", "z2", "z3", "spindleless", "broken", "trefoil")})
+                  for name in ("s3", "z2", "z3", "z4", "mm4", "spindleless", "broken",
+                               "trefoil")})
     paths["root"] = root
     return paths
 
@@ -110,6 +114,102 @@ def test_homology_truncation_flag(files, capsys):
                  "--allow-truncation", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     assert [g["degree"] for g in data["groups"]] == [1, 2]
+
+
+# `homology --format json` at --max-degree 4, recorded from the full complexes
+# before homology read the unit quotient: (free rank, torsion) of H_1..H_3
+PINNED_GROUPS = {
+    ("z2", "prismatic"): ((0, (2,)), (0, (2,)), (0, (2, 2, 2))),
+    ("z2", "group"): ((0, (2,)), (0, ()), (0, (2,))),
+    ("z3", "prismatic"): ((0, (3,)), (0, (3,)), (0, (3, 3, 3))),
+    ("z3", "group"): ((0, (3,)), (0, ()), (0, (3,))),
+    ("z4", "prismatic"): ((0, (4,)), (0, (4,)), (0, (4, 4, 4))),
+    ("z4", "group"): ((0, (4,)), (0, ()), (0, (4,))),
+    ("s3", "prismatic"): ((0, (2,)), (0, (2,)), (0, (2, 2, 6))),
+    ("s3", "group"): ((0, (2,)), (0, ()), (0, (6,))),
+    ("mm4", "prismatic"): ((0, ()), (0, ()), (0, ())),
+    ("mm4", "group"): ((0, ()), (0, ()), (0, ())),
+}
+
+
+@pytest.mark.parametrize("carrier, theory", sorted(PINNED_GROUPS))
+def test_homology_json_is_pinned(files, capsys, carrier, theory):
+    assert main(["homology", files[carrier], "--theory", theory, "--max-degree", "4",
+                 "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out) == {
+        "theory": theory, "max_degree": 4,
+        "groups": [{"degree": n, "free_rank": free, "torsion": list(torsion)}
+                   for n, (free, torsion) in enumerate(PINNED_GROUPS[carrier, theory], 1)]}
+
+
+def _built(monkeypatch):
+    """The complexes the command line builds, recorded as they are returned."""
+    built = []
+    for name in ("build_complex", "build_bar_complex", "build_rack_complex"):
+        def record(*args, _build=getattr(cli, name), **kwargs):
+            built.append(_build(*args, **kwargs))
+            return built[-1]
+        monkeypatch.setattr(cli, name, record)
+    return built
+
+
+@pytest.mark.parametrize("theory", cli.THEORIES)
+def test_only_homology_below_the_top_reads_the_unit_quotient(files, capsys, monkeypatch, theory):
+    # the unit quotient is for homology without --allow-truncation, on the
+    # prismatic and group theories; every other command keeps the full complex
+    built = _built(monkeypatch)
+    runs = [["homology", "--theory", theory, "--max-degree", "3"],
+            ["homology", "--theory", theory, "--max-degree", "3", "--allow-truncation"],
+            ["export-matrices", "--theory", theory, "--max-degree", "3"],
+            ["verify", "--max-degree", "3"]]
+    for argv in runs:
+        assert main([argv[0], files["z3"], *argv[1:]]) == 0
+    capsys.readouterr()
+    assert [K.unit for K in built] == [0 if theory in ("prismatic", "group") else None,
+                                       None, None, None]
+    full = built[1].generator_count(3)
+    assert built[0].generator_count(3) == (full * 8 // 27 if built[0].unit == 0 else full)
+
+
+def test_truncated_homology_reads_the_full_complex(files, capsys):
+    # the top degree with ∂ = 0 above it is the kernel of ∂_4, which the
+    # quotient would shrink to Z^555
+    assert main(["homology", files["z4"], "--max-degree", "4", "--allow-truncation",
+                 "--format", "json"]) == 0
+    groups = json.loads(capsys.readouterr().out)["groups"]
+    assert groups[-1] == {"degree": 4, "free_rank": 1820, "torsion": []}
+    assert prismatic.build_complex(algebra.conj_cyclic(4), 4, unit_quotient=True).homology(
+        4, allow_truncation=True).free_rank == 555
+
+
+def test_homology_keeps_the_full_complex_when_the_unit_does_not_act_trivially(files, capsys):
+    # Z2 under addition with x◁y = 0: x◁e = x fails at x = 1, and the
+    # prisms holding e do not span a subcomplex
+    for theory, text in (("prismatic", "H_1 = 0\nH_2 = 0\n"), ("group", "H_1 = Z/2\nH_2 = 0\n")):
+        assert main(["homology", files["spindleless"], "--theory", theory,
+                     "--max-degree", "3"]) == 0
+        assert capsys.readouterr().out == text
+
+
+# sha256 of `export-matrices --max-degree 3` stdout, recorded from the full
+# complexes before homology read the unit quotient
+PINNED_EXPORTS = {
+    ("z3", "prismatic"): "160dc126bd3a3fb6b7497aa880616060a57945168b02c5d250f1a0420a4700c8",
+    ("z3", "group"): "852e4c05eacf3ed3865ae1f3a9420635fecf18753f8e5422df24d08ee0674388",
+    ("s3", "prismatic"): "d98856bf884018552718f31bb013690dfbe7d8d863fe2bbc3e7a3c5703dcca43",
+    ("s3", "group"): "73b3873cb67c32a1cd6ad62875bdefa197e75187943ab910967512067de874c9",
+    ("mm4", "prismatic"): "0484436a2cd53a96c9d20474050977d1096a6e675d6b1ad02121c8376302d849",
+    ("mm4", "group"): "bd32e2b76766c825c6e8e4c88810a243cb64271f867f2120b63a22dbf99bba81",
+}
+
+
+@pytest.mark.parametrize("carrier, theory", sorted(PINNED_EXPORTS))
+def test_export_matrices_output_is_pinned(files, capsys, carrier, theory):
+    assert main(["export-matrices", files[carrier], "--theory", theory,
+                 "--max-degree", "3"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == PINNED_EXPORTS[carrier, theory]
+    assert captured.err == ""
 
 
 def test_homology_rack_theory_matches_direct_build(files, capsys, z2):
@@ -339,8 +439,8 @@ def test_verify_catches_a_wrong_face_table_entry(files, capsys, monkeypatch):
     tables = prismatic._face_tables
     planted = []
 
-    def wrong(plan, n, S):
-        out = tables(plan, n, S)
+    def wrong(plan, n, S, *unit):
+        out = tables(plan, n, S, *unit)
         if n == 3 and not planted:
             planted.append(out[0][5])
             out[0][5] ^= 1

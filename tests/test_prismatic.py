@@ -13,7 +13,8 @@ from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
                                 compositions, degenerate_span, face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
-                     prism_face, prismatic_differential, rack_differential, rank_mod_p)
+                     prism_face, prismatic_differential, rack_differential, rank_mod_p,
+                     unital_shalgebras)
 
 
 def test_compositions_order_and_count():
@@ -454,10 +455,14 @@ def _all_modes(S, N):
         build_bar_complex(S, N), build_rack_complex(S, N)]
 
 
+def _unit_quotients(S, N):
+    return [build_complex(S, N, unit_quotient=True), build_bar_complex(S, N, unit_quotient=True)]
+
+
 @pytest.mark.parametrize("name", ("z3", "s3"))
 def test_index_of_inverts_generators(name, request):
     S = request.getfixturevalue(name)
-    for K in _all_modes(S, 4):
+    for K in _all_modes(S, 4) + _unit_quotients(S, 4):
         for n in range(1, 5):
             gens = K.generators(n)
             assert len(gens) == K.generator_count(n)
@@ -472,7 +477,7 @@ def test_generators_iterate_as_they_index(name, request):
     S = request.getfixturevalue(name)
     modes = _all_modes(S, 4) if S.is_qualgebra else [
         build_complex(S, 4, "plain"), build_bar_complex(S, 4), build_rack_complex(S, 4)]
-    for K in modes:
+    for K in modes + _unit_quotients(S, 4):
         for n in range(0, 6):
             gens = K.generators(n)
             assert list(gens) == [gens[i] for i in range(len(gens))], (K.mode, n)
@@ -487,21 +492,78 @@ def test_generators_iterate_as_they_index(name, request):
 @pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
 def test_stored_columns_follow_the_docstring_rule(name, request):
     # the matrix homology reads, column by column, against the face rule
-    # applied one face at a time; normalized mode drops the collapsed faces
+    # applied one face at a time; normalized mode drops the collapsed faces,
+    # and a unit quotient every face that holds the unit
     S = request.getfixturevalue(name)
     modes = _all_modes(S, 4) if S.is_qualgebra else [
         build_complex(S, 4, "plain"), build_bar_complex(S, 4), build_rack_complex(S, 4)]
-    for K in modes:
+    quotients = _unit_quotients(S, 4)
+    assert [K.unit for K in quotients] == [S.unit, S.unit] and S.unit is not None
+    for K in modes + quotients:
         for n in range(1, 5):
             stored = K.cc.boundaries[n]
             for i, g in enumerate(K.generators(n)):
                 if isinstance(g, ExtraCell):
                     continue
+                assert K.unit not in g.elements
                 expected = {K.index_of(BracketedTuple(*f)): c
                             for f, c in prismatic_differential(g.partition, g.elements, S).items()
-                            if K.mode != "normalized"
-                            or not is_degenerate(*f, "adjacent-equal-singletons", None)}
+                            if (K.mode != "normalized"
+                                or not is_degenerate(*f, "adjacent-equal-singletons", None))
+                            and K.unit not in f[1]}
                 assert stored[i].terms == expected, (K.mode, n, g)
+    # the quotient holds every prism without the unit
+    for K, full in zip(quotients, (build_complex(S, 4), build_bar_complex(S, 4))):
+        for n in range(1, 5):
+            assert K.generator_count(n) == full.generator_count(n) // S.size ** n * (
+                S.size - 1) ** n
+
+
+@pytest.mark.parametrize("order, N", ((2, 5), (3, 4)))
+def test_unit_quotients_keep_the_homology_below_the_top(order, N):
+    # every labelled shalgebra of the order with 0 a unit that acts and is
+    # acted on trivially: the prisms holding 0 span an acyclic subcomplex
+    carriers = unital_shalgebras(order)
+    assert len(carriers) == {2: 3, 3: 48}[order]
+    for dot, tri in carriers:
+        S = algebra.Shalgebra(dot, tri)
+        for build in (build_complex, build_bar_complex):
+            full, quotient = build(S, N), build(S, N, unit_quotient=True)
+            assert quotient.unit == 0 and full.unit is None
+            assert quotient.generator_count(N) < full.generator_count(N)
+            assert ([quotient.homology(n) for n in range(1, N)]
+                    == [full.homology(n) for n in range(1, N)]), (dot, tri, build.__name__)
+
+
+def test_the_unit_quotient_of_one_element_is_empty(one_elt):
+    # every prism holds the unit; the empty degrees still count as built
+    for build in (build_complex, build_bar_complex):
+        K = build(one_elt, 3, unit_quotient=True)
+        assert [K.generator_count(n) for n in (1, 2, 3)] == [0, 0, 0]
+        assert [K.homology(n) for n in (1, 2)] == [HomologyGroup(0)] * 2
+        assert K.homology(3, allow_truncation=True) == HomologyGroup(0)
+
+
+def test_unit_quotient_needs_the_unit_identities(z3):
+    # Z2 under addition with x◁y = 0: e◁x = e holds, x◁e = x fails at 1
+    S = algebra.Shalgebra([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    assert S.unit == 0
+    for build in (build_complex, build_bar_complex):
+        K = build(S, 3, unit_quotient=True)
+        assert K.unit is None
+        assert K.cc.counts == build(S, 3).cc.counts
+    assert [build_complex(S, 3, unit_quotient=True).homology(n) for n in (1, 2)] == [
+        HomologyGroup(0), HomologyGroup(0)]
+    # the prisms holding 0 do not span a subcomplex there: ∂(1|0) = (1) - (1◁0),
+    # and 1◁0 = 0, so the quotient built anyway is no complex
+    with pytest.raises(VerificationError, match="boundary squared is nonzero"):
+        PrismaticComplex(S, 3, "plain", compositions, unit=0)
+    # a carrier without a unit gets the full complex
+    no_unit = algebra.projection_shalgebra([[0, 0], [0, 0]])
+    assert no_unit.unit is None and build_complex(no_unit, 2, unit_quotient=True).unit is None
+    with pytest.raises(StructureError, match="the unit quotient applies to mode 'plain' only"):
+        build_complex(z3, 2, "qualgebra", unit_quotient=True)
+
 
 
 def test_index_of_and_chain_refuse_foreign_generators(z3):

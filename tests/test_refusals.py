@@ -128,6 +128,27 @@ ARGUMENTS = {
                                  "degree must be an integer: 1.5 is not an integer"),
     "generators-degree": (lambda: _z2_complex().generators(1.5), StructureError,
                           "degree must be an integer: 1.5 is not an integer"),
+    "chain-degree-fraction": (lambda: _z2_complex().chain(1.5, {}), StructureError,
+                              "degree must be an integer: 1.5 is not an integer"),
+    "chain-degree-text": (lambda: _z2_complex().chain("x", {}), StructureError,
+                          "degree must be an integer: "
+                          "invalid literal for int() with base 10: 'x'"),
+    "generator-count-degree": (lambda: _z2_complex().generator_count(1.5), StructureError,
+                               "degree must be an integer: 1.5 is not an integer"),
+    "complex-count-degree": (lambda: chains.ChainComplex({0: 1}, {}).count("x"), StructureError,
+                             "degree must be an integer: "
+                             "invalid literal for int() with base 10: 'x'"),
+    "index-of-fraction-element": (lambda: _z2_complex().index_of(
+                                      prismatic.BracketedTuple((2,), (0, 1.0))),
+                                  StructureError, "generator BracketedTuple(partition=(2,), "
+                                                  "elements=(0, 1.0)) is not part of this complex"),
+    "class-of-fraction-element": (lambda: _z2_complex().class_of(
+                                      {prismatic.BracketedTuple((1,), (1.0,)): 1}, 1),
+                                  StructureError, "generator BracketedTuple(partition=(1,), "
+                                                  "elements=(1.0,)) is not part of this complex"),
+    "unit-quotient-mode": (lambda: prismatic.build_complex(Z2, 2, "normalized",
+                                                           unit_quotient=True),
+                           StructureError, "the unit quotient applies to mode 'plain' only"),
     "chain-degree-range": (lambda: _z2_complex().chain(3, {}),
                            StructureError, "degree 3 outside built range 1..2"),
     "chain-generator-degree": (lambda: _z2_complex().chain(
