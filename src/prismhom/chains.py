@@ -1,12 +1,19 @@
 """Finitely generated free integer chain complexes and exact homology.
 
-Boundary data is stored sparsely (one coefficient dict per generator) and
-all arithmetic is exact: Python integers grow as needed, so coefficient
-growth is harmless, only slow.  One reduction engine serves homology,
-class coordinates and `smith_normal_form`.  It first eliminates ±1 pivots
-on the sparse columns (`_eliminate`), shortest column first, each pivot
-contributing an invariant factor 1; dense Smith reduction (`_snf`) then
-runs only on the small residue that is left.  Only class coordinates need
+Each boundary map ∂_n is one flat store (`Boundary`): the columns one after
+another, column j's rows at rows[offsets[j]:offsets[j + 1]] and its
+coefficients at the same positions of coefs.  Offsets and rows are stdlib
+`array`s; the coefficients are a list of Python ints, so arithmetic stays
+exact for integers of any size: coefficient growth is harmless, only slow.
+A stored nonzero costs a 4-byte row and an 8-byte list slot (small ints
+are shared objects), against a `Chain` and a dict per column.  `Chain`s
+appear only at the API edge: reading `boundaries[n][j]` builds a fresh one.
+
+One reduction engine serves homology, class coordinates and
+`smith_normal_form`.  It first eliminates ±1 pivots on sparse columns
+(`_eliminate`), shortest column first, each pivot contributing an
+invariant factor 1; dense Smith reduction (`_snf`) then runs only on the
+small residue that is left.  Only class coordinates need
 transforms: `_snf` returns the inverse column transform, and as its row
 operations run over whole rows, the row transform is read off an identity
 block appended to the matrix.
@@ -33,8 +40,13 @@ and class coordinates never see a matrix that is not a complex.
 
 from __future__ import annotations
 
+from array import array
+from collections import defaultdict
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from itertools import accumulate, chain, islice, repeat
+from operator import ne, sub
 
 from .algebra import integer, reading
 from .errors import NotACycleError, StructureError, VerificationError
@@ -109,6 +121,101 @@ class Chain:
         return f"Chain(deg={self.degree}, {body or '0'})"
 
 
+def _as_chain(degree, terms):
+    """A Chain holding the dict `terms`, whose coefficients are all nonzero."""
+    ch = Chain(degree)
+    ch.terms = terms
+    return ch
+
+
+class Boundary(Sequence):
+    """The boundary map ∂_n of one degree, stored flat (see the module docstring).
+
+    Item j is the boundary of generator j, a fresh Chain of degree n - 1 on
+    every access, so changing it leaves the store as it is.  Columns are
+    appended a block at a time (`extend`) and read as {row: coefficient}
+    dicts (`columns`), rows in the order they were stored.  `lower` is the
+    number of degree-(n-1) generators, the rows a column may hold.
+    """
+
+    __slots__ = ("degree", "lower", "offsets", "rows", "coefs")
+
+    def __init__(self, degree, lower):
+        self.degree = degree
+        self.lower = lower
+        self.offsets = array("q", (0,))
+        self.rows = array("i" if lower < 2 ** 31 else "q")
+        self.coefs = []
+
+    def extend(self, columns):
+        """Append a list of {row: nonzero coefficient} dicts as the next columns.
+
+        A row outside 0..lower-1 is refused, naming the first column that
+        holds one; the bounds of all rows are checked at once first.
+        """
+        rows = list(chain.from_iterable(columns))
+        if rows and (min(rows) < 0 or max(rows) >= self.lower):
+            j, g = next((j, g) for j, col in enumerate(columns, len(self))
+                        for g in col if not 0 <= g < self.lower)
+            raise StructureError(
+                f"boundary of ({self.degree},{j}) hits unknown generator ({self.degree - 1},{g})")
+        self.rows.fromlist(rows)
+        self.coefs += chain.from_iterable(map(dict.values, columns))
+        ends = list(accumulate(map(len, columns), initial=self.offsets[-1]))
+        del ends[0]
+        self.offsets.fromlist(ends)
+
+    def __len__(self):
+        return len(self.offsets) - 1
+
+    def __getitem__(self, j):
+        return _as_chain(self.degree - 1, dict(self.column(range(len(self))[j])))
+
+    def __iter__(self):
+        return map(_as_chain, repeat(self.degree - 1), self.columns())
+
+    def lengths(self, start=0, stop=None):
+        """The lengths of columns start..stop - 1 (to the last column for None)."""
+        offsets = self.offsets[start:None if stop is None else stop + 1]
+        return map(sub, islice(offsets, 1, None), offsets)
+
+    def column(self, j):
+        """The (row, coefficient) pairs of column j."""
+        a, b = self.offsets[j], self.offsets[j + 1]
+        return zip(self.rows[a:b], self.coefs[a:b])
+
+    def columns(self, start=0, stop=None, drop=()):
+        """Columns start..stop - 1 as {row: coefficient} dicts, without the rows in `drop`.
+
+        One iterator walks the stored pairs, and each column takes its length
+        from it, so no column is sliced out on its own.
+        """
+        rows, coefs = self.rows, self.coefs
+        if start or stop is not None:
+            a, b = self.offsets[start], self.offsets[len(self) if stop is None else stop]
+            rows, coefs = rows[a:b], coefs[a:b]
+        pairs = zip(rows, coefs)
+        if not drop:
+            return map(dict, map(islice, repeat(pairs), self.lengths(start, stop)))
+        return ({i: v for i, v in islice(pairs, k) if i not in drop}
+                for k in self.lengths(start, stop))
+
+    def mismatches(self, start, columns):
+        """How many of the {row: coefficient} dicts `columns` differ from the stored
+        columns from `start` on.
+
+        The whole block is compared flat first; only when it differs are the
+        columns compared one by one, as dicts.
+        """
+        stop = start + len(columns)
+        a, b = self.offsets[start], self.offsets[stop]
+        if (list(self.lengths(start, stop)) == list(map(len, columns))
+                and self.coefs[a:b] == list(chain.from_iterable(map(dict.values, columns)))
+                and self.rows[a:b].tolist() == list(chain.from_iterable(columns))):
+            return 0
+        return sum(map(ne, columns, self.columns(start, stop)))
+
+
 @dataclass(frozen=True)
 class HomologyGroup:
     """Isomorphism type of a f.g. abelian group: Z^free_rank + sum of Z/d_i."""
@@ -160,7 +267,10 @@ def _eliminate(columns):
     then looks for the shortest bucket again.  A column popped without a
     ±1 entry is dropped from the queue until an update files it again, at
     whatever length; any other column keeps its entry when an update leaves
-    its length as it was.  Pivot (r, c)
+    its length as it was.  A column is live while it is nonzero, not a
+    pivot and not idle; each live column has an entry that is not stale,
+    so once no column is live every entry left would only be skipped, and
+    the loop stops there.  Pivot (r, c)
     subtracts multiples of column c from every other column meeting row r,
     so row r is left only in column c; row operations would then clear the
     rest of column c without touching any other column.  The invariant
@@ -180,25 +290,27 @@ def _eliminate(columns):
     docstring); class coordinates (`ChainComplex._class_data`) read the log
     and residue of the full ∂_{n+1}.
     """
-    rows = {}
+    rows = defaultdict(set)  # row -> the columns meeting it
     buckets = {}  # length -> heap of column indices, stale and repeated ones included
     for j, col in enumerate(columns):
         for i in col:
-            rows.setdefault(i, set()).add(j)
+            rows[i].add(j)
         if col:
             buckets.setdefault(len(col), []).append(j)  # ascending, so already a heap
     log = []
     pivots = []
     idle = set()  # columns popped without a unit, out of the queue until updated
-    while buckets:
+    live = sum(map(len, buckets.values()))
+    while live:
         length = min(buckets)
         bucket = buckets[length]
         shorter = False
-        while bucket and not shorter:
+        while bucket and not shorter and live:
             c = heappop(bucket)
             col = columns[c]
-            if col is None or len(col) != length:
-                continue  # already a pivot, or a stale entry of a changed column
+            if col is None or len(col) != length or c in idle:
+                continue  # a pivot, a stale entry of a changed column, or a repeat
+            live -= 1  # it becomes a pivot or idle
             best = None
             for i, v in col.items():
                 if v == 1 or v == -1:
@@ -231,9 +343,13 @@ def _eliminate(columns):
                         rows[i].discard(j)
                 k = len(other)
                 if k and (k != was or j in idle):
-                    idle.discard(j)
+                    if j in idle:
+                        idle.discard(j)
+                        live += 1
                     heappush(buckets.setdefault(k, []), j)
                     shorter = shorter or k < length
+                elif not k and j not in idle:
+                    live -= 1
             log.append((r, col))
             pivots.append(c)
         if not bucket:
@@ -394,18 +510,21 @@ def smith_normal_form(matrix):
 class ChainComplex:
     """Graded free Z-modules with sparse boundary maps.
 
-    counts[n] is the number of generators in degree n; boundaries[n] lists,
-    for every degree-n generator, its boundary as a Chain of degree n-1.
-    Degrees not listed are zero.  With truncated=True the top stored degree
-    is a window into a larger complex, so homology there is refused unless
-    the caller explicitly allows ∂=0 truncation, and class coordinates
-    there are refused.
+    counts[n] is the number of generators in degree n; boundaries[n] gives,
+    for every degree-n generator, its boundary as a Chain of degree n-1:
+    a list of Chains, or a `Boundary` filled by the caller.  Either way it
+    is kept as a `Boundary`, whose items are fresh Chains, so changing one
+    read from `boundaries[n]` leaves the complex as it is.  Degrees not
+    listed are zero.  With truncated=True the top stored degree is a window
+    into a larger complex, so homology there is refused unless the caller
+    explicitly allows ∂=0 truncation, and class coordinates there are
+    refused.
     """
 
     def __init__(self, counts, boundaries, truncated=False):
         with reading("degrees and generator counts must be integers"):
             self.counts = {integer(k): integer(v) for k, v in dict(counts).items()}
-            boundaries = {integer(n): chains for n, chains in boundaries.items()}
+            boundaries = {integer(n): given for n, given in boundaries.items()}
         if any(v < 0 for v in self.counts.values()):
             raise StructureError(f"generator counts must be non-negative: {self.counts}")
         self.boundaries = {}
@@ -413,19 +532,25 @@ class ChainComplex:
         # the top stored degree: the last with generators or with boundaries
         # listed, as a quotient may leave a built degree without generators
         self.top = max({d for d, c in self.counts.items() if c} | set(boundaries), default=0)
-        for n, chains in boundaries.items():
-            if len(chains) != self.count(n):
+        for n, given in boundaries.items():
+            if len(given) != self.count(n):
                 raise StructureError(
-                    f"degree {n}: {len(chains)} boundaries for {self.count(n)} generators")
+                    f"degree {n}: {len(given)} boundaries for {self.count(n)} generators")
             lower = self.count(n - 1)
-            for idx, ch in enumerate(chains):
-                if ch.degree != n - 1:
-                    raise StructureError(f"boundary of generator ({n},{idx}) has wrong degree")
-                for g in ch.terms:
-                    if not 0 <= g < lower:
-                        raise StructureError(
-                            f"boundary of ({n},{idx}) hits unknown generator ({n - 1},{g})")
-            self.boundaries[n] = list(chains)
+            if isinstance(given, Boundary):
+                if (given.degree, given.lower) != (n, lower):
+                    raise StructureError(f"degree {n}: a store of ∂_{given.degree} on "
+                                         f"{given.lower} rows, not {lower}")
+                store = given
+            else:
+                for idx, ch in enumerate(given):
+                    if ch.degree != n - 1:
+                        raise StructureError(f"boundary of generator ({n},{idx}) has wrong degree")
+                with reading("generator indices must be integers"):
+                    columns = [{integer(g): c for g, c in ch.terms.items()} for ch in given]
+                store = Boundary(n, lower)
+                store.extend(columns)
+            self.boundaries[n] = store
         for n in range(1, self.top + 1):
             if self.count(n) and n not in self.boundaries:
                 raise StructureError(f"missing boundaries for degree {n}")
@@ -458,31 +583,32 @@ class ChainComplex:
         for g in chain.terms:
             if not 0 <= g < count:
                 raise StructureError(f"unknown generator ({chain.degree},{g})")
+        store = self.boundaries.get(chain.degree)
         return Chain(chain.degree - 1, [(h, c * v) for g, c in chain.items()
-                                        for h, v in self.boundaries[chain.degree][g].items()])
+                                        for h, v in store.column(g)])
 
     def d_squared_violations(self):
-        """Generators whose boundary is not itself a cycle, as (degree, index) pairs."""
+        """Generators whose boundary is not itself a cycle, as (degree, index) pairs.
+
+        The columns of ∂_{n-1} are read once as tuples of pairs; one iterator
+        then walks the pairs of ∂_n, each column taking its length from it.
+        """
         bad = []
         for n in range(2, self.top + 1):
-            below = [tuple(ch.terms.items()) for ch in self.boundaries.get(n - 1, ())]
-            for idx, ch in enumerate(self.boundaries.get(n, ())):
+            upper, lower = self.boundaries.get(n), self.boundaries.get(n - 1)
+            if not upper or not lower:
+                continue
+            below = list(map(tuple, map(islice, repeat(zip(lower.rows, lower.coefs)),
+                                        lower.lengths())))
+            pairs = zip(upper.rows, upper.coefs)
+            for idx, k in enumerate(upper.lengths()):
                 out = {}
-                for g, c in ch.terms.items():
+                for g, c in islice(pairs, k):
                     for h, v in below[g]:
                         out[h] = out.get(h, 0) + c * v
                 if any(out.values()):
                     bad.append((n, idx))
         return bad
-
-    def matrix(self, n):
-        """Dense matrix of ∂_n, rows = degree n-1 generators, columns = degree n."""
-        rows, cols = self.count(n - 1), self.count(n)
-        M = [[0] * cols for _ in range(rows)]
-        for j, ch in enumerate(self.boundaries.get(n, [])):
-            for g, c in ch.terms.items():
-                M[g][j] = c
-        return M
 
     # -- homology --------------------------------------------------------
 
@@ -495,9 +621,8 @@ class ChainComplex:
         key = ("coreduced", n)
         if key not in self._cache:
             drop = self._coreduced(n - 1)[1] if n - 1 in self.boundaries else ()
-            columns = [{i: v for i, v in ch.terms.items() if i not in drop}
-                       for ch in self.boundaries.get(n, ())]
-            factors, pivots = _reduce(columns)
+            store = self.boundaries.get(n)
+            factors, pivots = _reduce(list(store.columns(drop=drop)) if store else [])
             self._cache[key] = factors, set(pivots)
         return self._cache[key]
 
@@ -551,10 +676,12 @@ class ChainComplex:
         key = ("classes", n)
         if key in self._cache:
             return self._cache[key]
-        log, residue, _ = _eliminate([dict(ch.terms) for ch in self.boundaries.get(n + 1, ())])
+        upper, store = self.boundaries.get(n + 1), self.boundaries.get(n)
+        log, residue, _ = _eliminate(list(upper.columns()) if upper else [])
         pivots = {r for r, _ in log}
         free = [g for g in range(self.count(n)) if g not in pivots]
-        D = _dense([self.boundaries[n][g].terms for g in free] if n in self.boundaries else [])
+        columns = list(store.columns()) if store else []
+        D = _dense([columns[g] for g in free] if store else [])
         diag, Vinv = _snf(D, len(D), len(free), need_v=True)
         kernel = {g: {i: row[k] for i, row in enumerate(Vinv[len(diag):]) if row[k]}
                   for k, g in enumerate(free)}
@@ -608,8 +735,7 @@ def _combination(terms, vectors, moduli):
 
 
 def export_boundary_triplets(complex_: ChainComplex, stream):
-    """Plain-text sparse dump, one `degree row col value` line per entry."""
+    """Plain-text sparse dump, one `degree row col value` line per entry, rows ascending."""
     for n in sorted(complex_.boundaries):
-        for j, ch in enumerate(complex_.boundaries[n]):
-            for g in sorted(ch.terms):
-                stream.write(f"{n} {g} {j} {ch.terms[g]}\n")
+        for j, col in enumerate(complex_.boundaries[n].columns()):
+            stream.writelines(f"{n} {g} {j} {col[g]}\n" for g in sorted(col))

@@ -131,14 +131,14 @@ def verify_structure(S: Shalgebra, N):
     VerificationError).  For each partition of degree 2..min(N, 4), the
     expansion table is then evaluated once on element columns
     (`_expansion_columns`), and the stored boundary columns of the
-    partition's prisms are compared with it, both as {generator index:
-    coefficient}; every prism that differs counts.  Degree by degree from 1
-    to min(N, 4), every prism is labeled once by `good_labeling`, as a
-    tuple, and each partition's q^n prisms go to one `faces_match_algebra`
-    call, which reads them on label columns: their generating labels must
-    read their names, and their geometric faces must carry the label tuples
-    stored for degree n-1 under the indices of their algebraic faces; every
-    prism that fails counts.
+    partition's prisms are compared with it (`Boundary.mismatches`), as
+    {generator index: coefficient}; every prism that differs counts.
+    Degree by degree from 1 to min(N, 4), every prism is labeled once by
+    `good_labeling`, as a tuple, and each partition's q^n prisms go to one
+    `faces_match_algebra` call, which reads them on label columns: their
+    generating labels must read their names, and their geometric faces must
+    carry the label tuples stored for degree n-1 under the indices of their
+    algebraic faces; every prism that fails counts.
     The prisms are dropped before the next partition is labeled, and only
     the previous degree's tuples are kept.  Relation cells the build leaves
     out are named on stderr, as `homology` names them.
@@ -155,9 +155,7 @@ def verify_structure(S: Shalgebra, N):
         labeled = {}
         for r, partition in enumerate(compositions(n)):
             if n > 1:
-                expected = _expansion_columns(S, partition)
-                sym_bad += sum(column != chain.terms for column, chain
-                               in zip(expected, stored[r * count:(r + 1) * count]))
+                sym_bad += stored.mismatches(r * count, _expansion_columns(S, partition))
             batch = [prisms.good_labeling(g, S) for g in islice(generators, count)]
             face_bad += prisms.faces_match_algebra(batch, S, below).count(False)
             if n < top:

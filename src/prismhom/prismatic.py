@@ -55,7 +55,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from functools import lru_cache
-from itertools import accumulate, product
+from itertools import accumulate, product, repeat
 from typing import NamedTuple
 
 from . import chains
@@ -476,11 +476,19 @@ class _Generators(Sequence):
         return BracketedTuple(K._shapes[n][full], tuple(reversed(elements)))
 
     def __iter__(self):
+        # a quotient decodes only its kept full indices; the full complex
+        # walks every tuple of every partition
         K, n = self._K, self._n
-        slots = K._slots.get(n)
-        prisms = (BracketedTuple(partition, e) for partition in K._shapes.get(n, ())
-                  for e in product(range(K.S.size), repeat=n))
-        yield from (g for full, g in enumerate(prisms) if slots is None or slots[full] is not None)
+        q, shapes = K.S.size, K._shapes.get(n, ())
+        new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
+        if n in K._kept:
+            tuples = list(product(range(q), repeat=n))
+            yield from (new(BracketedTuple, (shapes[r], tuples[v]))
+                        for r, v in map(divmod, K._kept[n], repeat(q ** n)))
+        else:
+            for partition in shapes:
+                yield from (new(BracketedTuple, (partition, e))
+                            for e in product(range(q), repeat=n))
         yield from K._cells.get(n, ())
 
 
@@ -538,23 +546,27 @@ class PrismaticComplex:
             self._shapes[n] = tuple(shapes(n))
             self._ranks[n] = _rank_table(self._shapes[n])
             gone = None if collapsed is None else {self._full(g, n) for g in collapsed.get(n, ())}
-            columns = self._prism_columns(n, gone)
+            store = boundaries[n] = chains.Boundary(n, counts[n - 1])
+            for block in self._prism_columns(n, gone):
+                store.extend(block)
             self._cells[n] = []
+            cell_columns = []
             for cell, terms in (cells or {}).get(n, ()):
-                self._cell_index[cell] = len(columns)
+                self._cell_index[cell] = len(store) + len(cell_columns)
                 self._cells[n].append(cell)
-                columns.append(self.chain(n - 1, terms))
-            counts[n] = len(columns)
-            boundaries[n] = columns
+                cell_columns.append(self.chain(n - 1, terms).terms)
+            store.extend(cell_columns)
+            counts[n] = len(store)
         self.cc = chains.ChainComplex(counts, boundaries, truncated=True)
 
     def _prism_columns(self, n, gone):
-        """Boundary chains of the degree-n prisms kept, in index order.
+        """Boundary columns of the degree-n prisms kept, in index order, one list per partition.
 
-        A prism is left out when it holds `unit` or when its full index is in
-        `gone` (None or a set).  With the unit, the prisms holding it are
-        never enumerated: only the tuples over the other digits are.  When
-        any prism is left out, the kept ones go onto `_kept[n]`, `_slots[n]`
+        Each column is a {lower index: coefficient} dict.  A prism is left
+        out when it holds `unit` or when its full index is in `gone` (None
+        or a set).  With the unit, the prisms holding it are never
+        enumerated: only the tuples over the other digits are.  When any
+        prism is left out, the kept ones go onto `_kept[n]`, `_slots[n]`
         maps every full index to its position there (None if left out), and
         a prism in `gone` must have an empty column.  Each partition's faces
         come from `_face_tables`, one table per face of the plan; the columns
@@ -571,7 +583,6 @@ class PrismaticComplex:
         if numbered:
             kept = self._kept[n] = []
             slots = self._slots[n] = [None] * (len(self._shapes[n]) * q ** n)
-        out = []
         for r, partition in enumerate(self._shapes[n]):
             plan = _ranked_plan(partition, ranks) if n > 1 else ()
             tables = _face_tables(plan, n, S, self.unit)
@@ -585,24 +596,25 @@ class PrismaticComplex:
                         col[j] = c
                     else:
                         del col[j]
-            off = r * q ** n
-            for v, col in zip(values[n], cols):
-                i = off + v
-                if compact is not None:
+            if compact is not None:
+                for col in cols:
                     col.pop(None, None)
-                if gone is not None and i in gone:
-                    if col:
-                        e = tuple(i // q ** k % q for k in reversed(range(n)))
-                        raise VerificationError("degenerate span is not closed under the "
-                                                f"boundary at {BracketedTuple(partition, e)}")
-                    continue
-                if numbered:
+            if numbered:
+                off = r * q ** n
+                block = []
+                for v, col in zip(values[n], cols):
+                    i = off + v
+                    if gone is not None and i in gone:
+                        if col:
+                            e = tuple(i // q ** k % q for k in reversed(range(n)))
+                            raise VerificationError("degenerate span is not closed under the "
+                                                    f"boundary at {BracketedTuple(partition, e)}")
+                        continue
                     slots[i] = len(kept)
                     kept.append(i)
-                chain = chains.Chain(n - 1)
-                chain.terms = col
-                out.append(chain)
-        return out
+                    block.append(col)
+                cols = block
+            yield cols
 
     def _compact(self, n, full):
         """Index of the prism with this full index; None if it is collapsed."""

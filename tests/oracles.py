@@ -17,9 +17,11 @@ step, where the library keeps its columns in a queue by length.  The
 GF(p) rank reduces columns mod p, where the library computes integer
 invariant factors, so the universal coefficient theorem ties the two.  The
 conjugation tables of permutation groups are built here from their
-products, and the small unital shalgebras by trying every table.  Nothing
-here imports `prismhom`: structures and diagrams are
-read through their attributes and operation tables only.
+products, and the small unital shalgebras by trying every table.  The dense
+matrix of a boundary map is read one generator at a time through the
+complex's public `boundary_of`, not from its store.  Nothing here imports
+`prismhom`: structures, diagrams and complexes are read through their
+attributes, operation tables and public methods only.
 """
 
 from itertools import product
@@ -321,3 +323,12 @@ def markowitz_elimination(columns):
         log.append((r, col))
         pivots.append(c)
     return log, [columns[j] for j in sorted(live)], pivots
+
+
+def dense_matrix(cc, n):
+    """Dense matrix of ∂_n: rows the degree-(n-1) generators, columns the degree-n ones."""
+    M = [[0] * cc.count(n) for _ in range(cc.count(n - 1))]
+    for j in range(cc.count(n)):
+        for g, c in cc.boundary_of(n, j).items():
+            M[g][j] = c
+    return M

@@ -23,7 +23,8 @@ from prismhom.prismatic import (BracketedTuple, ExtraCell, boundary_generator,
                                 bracketed, build_bar_complex, build_complex, build_rack_complex,
                                 compositions, face)
 
-from oracles import bar_differential, brute_force_colorings, coloring_key, rack_differential
+from oracles import (bar_differential, brute_force_colorings, coloring_key, dense_matrix,
+                     rack_differential)
 
 
 def _report(num, name, failures):
@@ -331,8 +332,8 @@ def _oracle_snf_factors(M):
 
 
 def _oracle_homology(Kcc, degree):
-    lower = Kcc.matrix(degree)
-    upper = Kcc.matrix(degree + 1)
+    lower = dense_matrix(Kcc, degree)
+    upper = dense_matrix(Kcc, degree + 1)
     rank_lower = len(_oracle_snf_factors(lower))
     upper_factors = _oracle_snf_factors(upper)
     free = (Kcc.count(degree) - rank_lower) - len(upper_factors)
@@ -364,7 +365,7 @@ def test_criterion_07_homology_oracle():
             try:
                 import sympy
                 from sympy.matrices.normalforms import smith_normal_form as ssnf
-                M = K.cc.matrix(3)
+                M = dense_matrix(K.cc, 3)
                 if M and M[0]:
                     D = ssnf(sympy.Matrix(M))
                     sy = sorted(abs(int(D[i, i]))
@@ -390,7 +391,7 @@ def test_truncated_top_degree_oracle(theory, count, tmp_path, capsys):
     top = json.loads(capsys.readouterr().out)["groups"][-1]
     build = {"group": build_bar_complex, "rack": build_rack_complex,
              "prismatic": build_complex}[theory]
-    rank = len(_oracle_snf_factors(build(s3, 3).cc.matrix(3)))
+    rank = len(_oracle_snf_factors(dense_matrix(build(s3, 3).cc, 3)))
     assert top == {"degree": 3, "free_rank": count - rank, "torsion": []}
 
 

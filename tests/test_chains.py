@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from prismhom import algebra, chains, prismatic
 from prismhom.chains import Chain, ChainComplex, HomologyGroup, smith_normal_form
-from prismhom.errors import NotACycleError, StructureError
+from prismhom.errors import NotACycleError, StructureError, VerificationError
 from prismhom.knots import enumerate_colorings, load_fixture_diagram, represented_cycle
 from prismhom.prismatic import BracketedTuple
 
-from oracles import markowitz_elimination
+from oracles import dense_matrix, markowitz_elimination
 
 
 def test_chain_arithmetic():
@@ -165,12 +165,17 @@ def test_boundary_linearity(z2):
 def test_d_squared_detects_corruption(z2):
     K = prismatic.build_complex(z2, 3)
     assert K.cc.d_squared_violations() == []
-    # corrupt one degree-3 boundary with a degree-2 generator whose own
-    # boundary is nonzero, so the composition can no longer vanish
+    # a hand-built copy with one degree-3 boundary corrupted by a degree-2
+    # generator whose own boundary is nonzero, so the composition can no
+    # longer vanish: the copy is refused when it is built
     target = next(i for i in range(K.cc.count(2)) if K.cc.boundaries[2][i])
-    K.cc.boundaries[3][5].terms[target] = K.cc.boundaries[3][5].terms.get(target, 0) + 1
-    bad = K.cc.d_squared_violations()
-    assert (3, 5) in bad
+    boundaries = {n: list(K.cc.boundaries[n]) for n in K.cc.boundaries}
+    boundaries[3][5] = boundaries[3][5] + Chain(2, {target: 1})
+    with pytest.raises(VerificationError, match=r"nonzero on generator 5 of degree 3 \(\+0 more\)"):
+        ChainComplex(K.cc.counts, boundaries)
+    # reading a column gives a fresh Chain: changing it leaves the complex as it is
+    K.cc.boundaries[3][5].terms[target] = 7
+    assert K.cc.boundaries[3][5].terms.get(target) != 7 and K.cc.d_squared_violations() == []
 
 
 def test_degree_one_vacuous():
@@ -219,7 +224,7 @@ def test_class_equality_iff_difference_bounds(z2):
 
     K = prismatic.build_complex(z2, 3)
     cc = K.cc
-    M = sympy.Matrix(cc.matrix(3))
+    M = sympy.Matrix(dense_matrix(cc, 3))
     rng = random.Random(5)
     cycles = []
     for _ in range(6):
@@ -285,9 +290,9 @@ def test_rank_nullity(z2, z3):
     for S in (z2, z3):
         K = prismatic.build_complex(S, 3)
         for n in (1, 2):
-            M = K.cc.matrix(n)
+            M = dense_matrix(K.cc, n)
             _, rank_n = smith_normal_form(M)
-            _, rank_n1 = smith_normal_form(K.cc.matrix(n + 1))
+            _, rank_n1 = smith_normal_form(dense_matrix(K.cc, n + 1))
             dim = K.cc.count(n)
             h = K.cc.homology(n)
             assert dim == rank_n + (rank_n1 + h.free_rank)
@@ -305,11 +310,93 @@ def test_export_triplets(z2, tmp_path):
         assert int(deg) in (1, 2)
         assert int(val) != 0
     # the degree-2 lines reproduce the boundary matrix
-    M = K.cc.matrix(2)
+    M = dense_matrix(K.cc, 2)
     for line in lines:
         deg, row, col, val = map(int, line.split())
         if deg == 2:
             assert M[row][col] == val
+
+
+# -- the flat boundary store -----------------------------------------------------
+
+# nonzero coefficients, some past the range of a machine word
+_COEFFICIENTS = st.one_of(st.integers(-3, 3), st.integers(2 ** 63, 2 ** 70),
+                          st.integers(-2 ** 70, -2 ** 63)).filter(bool)
+
+
+@st.composite
+def _stored_complexes(draw):
+    """(counts, columns) of a complex: a column of degree n ≥ 2 holds only
+    generators of degree n - 1 whose own column is empty, so ∂∘∂ = 0.  Some
+    columns are empty, and a degree may have no generators at all."""
+    top = draw(st.integers(1, 4))
+    counts = [draw(st.integers(0, 5)) for _ in range(top + 1)]
+    columns = {}
+    for n in range(1, top + 1):
+        cycles = (list(range(counts[0])) if n == 1 else
+                  [g for g, col in enumerate(columns[n - 1]) if not col])
+        columns[n] = [draw(st.dictionaries(st.sampled_from(cycles), _COEFFICIENTS, max_size=4))
+                      if cycles else {} for _ in range(counts[n])]
+    return dict(enumerate(counts)), columns
+
+
+@settings(max_examples=150, deadline=None)
+@given(_stored_complexes(), st.integers(1, 3))
+def test_the_flat_store_gives_its_columns_back(case, block):
+    import io
+    counts, columns = case
+    from_chains = ChainComplex(counts, {n: [Chain(n - 1, col) for col in cols]
+                                        for n, cols in columns.items()})
+    stores = {}
+    for n, cols in columns.items():
+        stores[n] = chains.Boundary(n, counts[n - 1])
+        for start in range(0, len(cols), block):
+            stores[n].extend([dict(col) for col in cols[start:start + block]])
+    filled = ChainComplex(counts, stores)
+    expected = "".join(f"{n} {g} {j} {col[g]}\n" for n, cols in sorted(columns.items())
+                       for j, col in enumerate(cols) for g in sorted(col))
+    for cc in (from_chains, filled):
+        for n, cols in columns.items():
+            assert [ch.terms for ch in cc.boundaries[n]] == cols
+            assert [cc.boundaries[n][j].terms for j in range(len(cols))] == cols
+            assert [cc.boundary_of(n, j) for j in range(len(cols))] == \
+                [Chain(n - 1, col) for col in cols]
+            weights = {j: 3 * j - 4 for j in range(len(cols))}
+            assert cc.boundary(Chain(n, weights)) == Chain(
+                n - 1, [(g, w * c) for j, w in weights.items() for g, c in cols[j].items()])
+        out = io.StringIO()
+        chains.export_boundary_triplets(cc, out)
+        assert out.getvalue() == expected
+
+
+def test_a_filled_store_refuses_a_row_outside_its_degree():
+    store = chains.Boundary(2, 3)
+    store.extend([{0: 1}, {}])
+    with pytest.raises(StructureError, match=r"boundary of \(2,3\) hits unknown generator \(1,3\)"):
+        store.extend([{2: 1}, {1: 1, 3: -1}])
+    with pytest.raises(StructureError, match=r"a store of ∂_2 on 3 rows, not 4"):
+        ChainComplex({0: 0, 1: 4, 2: 2}, {2: store})
+
+
+def test_a_stored_nonzero_costs_under_20_bytes():
+    # the S3 qualgebra complex through degree 4: 11,796 columns, 44,622
+    # nonzeros; what the store holds is what dropping it frees
+    import gc
+    import tracemalloc
+    S = algebra.conj_symmetric(3)
+    tracemalloc.start()
+    try:
+        cc = prismatic.build_complex(S, 4, mode="qualgebra").cc
+        nnz = sum(len(store.rows) for store in cc.boundaries.values())
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        cc.boundaries = {}
+        gc.collect()
+        held -= tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert nnz == 44622
+    assert held / nnz < 20
 
 
 # -- the sparse engine against independent oracles ------------------------------
@@ -398,6 +485,18 @@ def test_a_column_popped_without_a_unit_is_filed_again_at_its_length():
     log, residue, pivots = chains._eliminate([dict(col) for col in columns])
     assert (log, residue, pivots) == markowitz_elimination(columns)
     assert pivots == [1, 0] and not residue
+
+
+def test_a_column_filed_twice_at_one_length_is_counted_idle_once():
+    # pivots (4, 0) and (2, 1) take column 2 from length 3 to 4 and back,
+    # so it is filed twice at length 3; it has no unit, and counting its
+    # second entry as another idle column would end the loop before column
+    # 3, waiting at length 4, is pivoted on row 0
+    columns = [{1: -3, 2: 1, 4: 1}, {2: -1, 3: -3, 5: 3}, {3: 3, 4: -3, 5: -1},
+               {0: -1, 2: -2, 6: -3}]
+    log, residue, pivots = chains._eliminate([dict(col) for col in columns])
+    assert (log, residue, pivots) == markowitz_elimination(columns)
+    assert pivots == [0, 1, 3] and len(residue) == 1
 
 
 # -- coreduction through the degrees ---------------------------------------------
@@ -532,7 +631,7 @@ def test_class_coordinates_do_not_depend_on_evaluation_order(carrier, mode, requ
     diagrams = [load_fixture_diagram(name) for name in _FIXTURES]
     cycles = [fresh.chain(2, represented_cycle(D, colors, S))
               for D in diagrams for colors in enumerate_colorings(D, S)]
-    for v in sympy.Matrix(fresh.cc.matrix(2)).nullspace():
+    for v in sympy.Matrix(dense_matrix(fresh.cc, 2)).nullspace():
         den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
         cycles.append(Chain(2, {i: int(x * den) for i, x in enumerate(v) if x}))
     first = [fresh.cc.class_coordinates(z) for z in cycles]
@@ -604,7 +703,7 @@ def test_class_coordinates_on_s3_degree_two(s3):
         cc = K.cc
         assert cc.homology(2) == group
         cycles = []
-        for v in sympy.Matrix(cc.matrix(2)).nullspace()[:24]:
+        for v in sympy.Matrix(dense_matrix(cc, 2)).nullspace()[:24]:
             den = sympy.ilcm(*[sympy.fraction(x)[1] for x in v])
             cycles.append(Chain(2, {i: int(x * den) for i, x in enumerate(v) if x}))
         upper = [ch.terms for ch in cc.boundaries[3]]
@@ -665,7 +764,7 @@ def _seeded_cycles(cc, n, seed, count):
     """Cycles of degree n: combinations of eight of sympy's kernel vectors of
     ∂_n, each scaled to integers, plus the boundary of a random chain."""
     sympy = pytest.importorskip("sympy")
-    basis = sympy.Matrix(cc.matrix(n)).nullspace()
+    basis = sympy.Matrix(dense_matrix(cc, n)).nullspace()
     rng = random.Random(seed)
     cycles = []
     for _ in range(count):

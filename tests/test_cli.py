@@ -420,10 +420,11 @@ def test_verify_fault_injection(files, capsys, monkeypatch, z2):
     build = prismatic.PrismaticComplex._prism_columns
 
     def planted(self, n, gone):
-        columns = build(self, n, gone)
+        # the partitions' columns, as the store is filled with them
+        columns = [col for block in build(self, n, gone) for col in block]
         if n == 3:
-            columns[5] = columns[5] + Chain(2, {target: 1})
-        return columns
+            columns[5] = (Chain(2, columns[5]) + Chain(2, {target: 1})).terms
+        yield columns
 
     monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", planted)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
@@ -461,8 +462,8 @@ def test_verify_reads_the_stored_matrix(files, capsys, monkeypatch):
     build = prismatic.PrismaticComplex._prism_columns
 
     def negated(self, n, gone):
-        columns = build(self, n, gone)
-        return [-c for c in columns] if n == self.N else columns
+        for columns in build(self, n, gone):
+            yield [(-Chain(n - 1, c)).terms for c in columns] if n == self.N else columns
 
     monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", negated)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
@@ -491,14 +492,13 @@ def test_verify_counts_each_wrong_column(files, capsys, monkeypatch, s3, negatio
     build = prismatic.PrismaticComplex._prism_columns
 
     def planted(self, n, gone):
-        columns = build(self, n, gone)
+        # the partitions' columns, as the store is filled with them
+        columns = [col for block in build(self, n, gone) for col in block]
         if n == 4:
             for i in negated:
-                columns[i] = -columns[i]
-            terms = dict(columns[moved].terms)
-            terms[target] = terms.pop(source)
-            columns[moved] = Chain(3, terms)
-        return columns
+                columns[i] = (-Chain(3, columns[i])).terms
+            columns[moved][target] = columns[moved].pop(source)
+        yield columns
 
     monkeypatch.setattr(prismatic.PrismaticComplex, "_prism_columns", planted)
     built = []

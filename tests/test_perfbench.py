@@ -5,7 +5,11 @@ span that `tracing.REQUIRED` lists for the workload, which happens when a
 listed function stops being called through a binding the tracer wraps.
 Here the smoke-size job list of each workload runs under `tracing.Tracer`,
 set-up included, as a traced run does, and every answer must still pass the
-workload's own check.  The benchmark's files are read, not changed.
+workload's own check.  The per-layer metrics of that run must then count
+the generators and the stored nonzeros of every complex it built as the
+complexes themselves do: the nonzeros as the lines of their
+`export-matrices` dump, the generators by walking them.  The benchmark's
+files are read, not changed.
 """
 
 import contextlib
@@ -16,7 +20,7 @@ import sys
 
 import pytest
 
-from prismhom import cli
+from prismhom import chains, cli
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -44,3 +48,20 @@ def test_a_traced_smoke_run_records_every_required_span(workload, tmp_path):
     finally:
         tracer.uninstall()
     assert tracer.missing(workload) == []
+    # the timing arguments feed only timing metrics, which are not read here
+    metrics = tracing.layer_metrics(tracer, 0, 1.0, 1.0, [1.0, 1.0])
+    generators = dict.fromkeys(tracing.DEGREES, 0)
+    nnz = dict.fromkeys(tracing.DEGREES, 0)
+    for K in tracer.complexes:
+        dump = io.StringIO()
+        chains.export_boundary_triplets(K.cc, dump)
+        for line in dump.getvalue().splitlines():
+            n = int(line.split()[0])
+            if n in nnz:
+                nnz[n] += 1
+        for n in tracing.DEGREES:
+            generators[n] += sum(1 for _ in K.generators(n))
+    assert tracer.complexes and any(nnz.values())
+    for n in tracing.DEGREES:
+        assert metrics[f"prismatic.generators.d{n}"]["value"] == generators[n]
+        assert metrics[f"prismatic.boundary_nnz.d{n}"]["value"] == nnz[n]

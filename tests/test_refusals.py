@@ -108,6 +108,10 @@ ARGUMENTS = {
     "complex-boundary-term": (lambda: chains.ChainComplex(
                                   {0: 1, 1: 1}, {1: [chains.Chain(0, {3: 1})]}),
                               StructureError, "boundary of (1,0) hits unknown generator (0,3)"),
+    "complex-boundary-index": (lambda: chains.ChainComplex(
+                                   {0: 2, 1: 1}, {1: [chains.Chain(0, {0.5: 1})]}),
+                               StructureError,
+                               "generator indices must be integers: 0.5 is not an integer"),
     "complex-boundaries-missing": (lambda: chains.ChainComplex({0: 1, 1: 1}, {}),
                                    StructureError, "missing boundaries for degree 1"),
     "smith-rows": (lambda: chains.smith_normal_form([[1, 2], [3]]),
