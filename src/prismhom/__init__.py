@@ -8,10 +8,9 @@ diagrams.
 """
 
 from .algebra import (AxiomReport, Classification, OperationTable, Shalgebra,
-                      axiom_dependency_check, check_axioms, classify,
-                      conj_cyclic, conj_symmetric, conjugation_qualgebra,
-                      diagonal_action, load_structure, mul_mod_shalgebra,
-                      one_element, save_structure)
+                      check_axioms, classify, conj_cyclic, conj_symmetric,
+                      conjugation_qualgebra, diagonal_action, load_structure,
+                      mul_mod_shalgebra, one_element, save_structure)
 from .chains import (Chain, ChainComplex, HomologyGroup,
                      export_boundary_triplets, smith_normal_form)
 from .errors import (AxiomError, NotACycleError, StructureError,

@@ -73,6 +73,14 @@ def reading(what):
         raise StructureError(f"{what}: {exc}")
 
 
+def read_degree(n):
+    """A degree read as an integer; StructureError for a fraction or a non-number."""
+    if type(n) is int:  # the common case, read without the cost of `reading`
+        return n
+    with reading("degree must be an integer"):
+        return integer(n)
+
+
 class OperationTable:
     """A total binary operation on {0..size-1}, stored row-major: rows[a][b] = a op b."""
 
@@ -121,9 +129,6 @@ class AxiomStatus:
     ok: bool
     witness: tuple | None
 
-    def __bool__(self):
-        return self.ok
-
 
 @dataclass(frozen=True)
 class AxiomReport:
@@ -161,13 +166,6 @@ class AxiomReport:
             name, witness = failure
             raise AxiomError(f"{what}: axiom {name} fails at {witness}: {AXIOM_EQUATIONS[name]}",
                              witness=witness)
-
-    def __str__(self):
-        parts = []
-        for n in AXIOM_NAMES:
-            st = self.statuses[n]
-            parts.append(f"{n}:{'ok' if st.ok else 'FAIL' + str(st.witness)}")
-        return " ".join(parts)
 
 
 def check_axioms(dot, tri) -> AxiomReport:
@@ -391,17 +389,6 @@ def diagonal_action(elements, h, S: Shalgebra):
     return tuple(rows[g][h] for g in elements)
 
 
-def axiom_dependency_check(obj, tri=None) -> bool:
-    """Whether self-distributivity (III) holds, given that IY and T do.
-
-    Accepts a Shalgebra or a pair of tables.  Raises if IY or T fails, so a
-    True return witnesses the implication IY ∧ T => III on this carrier.
-    """
-    report = obj.report if isinstance(obj, Shalgebra) else check_axioms(obj, tri)
-    report.require(("IY", "T"), "precondition violated")
-    return report.ok("III")
-
-
 # -- standard examples ------------------------------------------------------
 
 def cyclic_group_table(n) -> OperationTable:
@@ -499,10 +486,3 @@ def save_structure(S: Shalgebra, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(S.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def random_tables(size, rng):
-    """A uniformly random pair of tables; handy for searching small examples."""
-    dot = [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
-    tri = [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
-    return OperationTable(dot), OperationTable(tri)

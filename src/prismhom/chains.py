@@ -48,7 +48,7 @@ from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
 from operator import ne, sub
 
-from .algebra import integer, reading
+from .algebra import integer, read_degree, reading
 from .errors import NotACycleError, StructureError, VerificationError
 
 
@@ -76,28 +76,13 @@ class Chain:
         return (isinstance(other, Chain) and self.degree == other.degree
                 and self.terms == other.terms)
 
-    def __hash__(self):
-        return hash((self.degree, frozenset(self.terms.items())))
-
-    def _combine(self, other, sign):
+    def __add__(self, other):
         if self.degree != other.degree:
             raise StructureError(f"degree mismatch: {self.degree} vs {other.degree}")
-        out = dict(self.terms)
-        for g, c in other.terms.items():
-            nc = out.get(g, 0) + sign * c
-            if nc:
-                out[g] = nc
-            else:
-                out.pop(g, None)
-        res = Chain(self.degree)
-        res.terms = out
-        return res
-
-    def __add__(self, other):
-        return self._combine(other, 1)
+        return Chain(self.degree, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self + -other
 
     def __neg__(self):
         return self.scaled(-1)
@@ -119,6 +104,12 @@ class Chain:
     def __repr__(self):
         body = " ".join(f"{c:+d}*[{g}]" for g, c in sorted(self.terms.items()))
         return f"Chain(deg={self.degree}, {body or '0'})"
+
+
+def _integral(ch):
+    """The (generator, coefficient) pairs of a chain, each coefficient read as an integer."""
+    with reading("chain coefficients must be integers"):
+        return [(g, integer(c)) for g, c in ch.terms.items()]
 
 
 def _as_chain(degree, terms):
@@ -548,6 +539,8 @@ class ChainComplex:
                         raise StructureError(f"boundary of generator ({n},{idx}) has wrong degree")
                 with reading("generator indices must be integers"):
                     columns = [{integer(g): c for g, c in ch.terms.items()} for ch in given]
+                with reading("boundary coefficients must be integers"):
+                    columns = [{g: integer(c) for g, c in col.items()} for col in columns]
                 store = Boundary(n, lower)
                 store.extend(columns)
             self.boundaries[n] = store
@@ -563,10 +556,7 @@ class ChainComplex:
 
     def count(self, n):
         """The number of degree-n generators, n read as an integer."""
-        if type(n) is not int:  # an int is read without the cost of `reading`
-            with reading("degree must be an integer"):
-                n = integer(n)
-        return self.counts.get(n, 0)
+        return self.counts.get(read_degree(n), 0)
 
     def boundary_of(self, n, index):
         if not 0 <= index < self.count(n):
@@ -584,7 +574,7 @@ class ChainComplex:
             if not 0 <= g < count:
                 raise StructureError(f"unknown generator ({chain.degree},{g})")
         store = self.boundaries.get(chain.degree)
-        return Chain(chain.degree - 1, [(h, c * v) for g, c in chain.items()
+        return Chain(chain.degree - 1, [(h, c * v) for g, c in _integral(chain)
                                         for h, v in store.column(g)])
 
     def d_squared_violations(self):
@@ -632,8 +622,7 @@ class ChainComplex:
         At the top constructed degree the refusal reads `top_refusal`,
         formatted with n and n + 1; None allows that degree.
         """
-        with reading("degree must be an integer"):
-            n = integer(n)
+        n = read_degree(n)
         if n > self.top and self.truncated:
             raise StructureError(f"degree {n} was never constructed (top is {self.top})")
         if n == self.top and self.truncated and top_refusal:
@@ -650,13 +639,10 @@ class ChainComplex:
         n = self._require_constructed(n, None if allow_truncation else
                                       "homology at the top constructed degree {0} "
                                       "needs allow_truncation=True")
-        key = ("group", n)
-        if key not in self._cache:
-            lower = self._coreduced(n)[0]
-            upper = self._coreduced(n + 1)[0]
-            self._cache[key] = HomologyGroup(self.count(n) - len(lower) - len(upper),
-                                             tuple(d for d in upper if d > 1))
-        return self._cache[key]
+        lower = self._coreduced(n)[0]
+        upper = self._coreduced(n + 1)[0]
+        return HomologyGroup(self.count(n) - len(lower) - len(upper),
+                             tuple(d for d in upper if d > 1))
 
     def _class_data(self, n):
         """(moduli, table) of degree n, built on first use.
@@ -718,11 +704,12 @@ class ChainComplex:
         for g in z.terms:
             if not 0 <= g < cols:
                 raise StructureError(f"unknown generator ({n},{g})")
+        terms = _integral(z)
         residue = n > 0 and self.boundary(z)
         if residue:
             raise NotACycleError(f"chain in degree {n} is not a cycle", residue=residue)
         moduli, table = self._class_data(n)
-        return tuple(_combination(z.items(), table, moduli))
+        return tuple(_combination(terms, table, moduli))
 
 
 def _combination(terms, vectors, moduli):

@@ -154,11 +154,11 @@ class KTGDiagram:
                     for x in data.get("crossings", ())
                 ]
                 vertices = []
-                for v in data.get("vertices", ()):
+                for i, v in enumerate(data.get("vertices", ())):
                     role = v["role"]
                     sign = integer(v.get("sign", 1 if role == "zip" else -1))
-                    vertices.append((tuple(v["arcs"]), role, sign))
-                return cls(data["arcs"], crossings, vertices)
+                    vertices.append((_arc_list(v["arcs"], f"vertex {i} field 'arcs'"), role, sign))
+                return cls(_arc_list(data["arcs"], "field 'arcs'"), crossings, vertices)
         except KeyError as exc:
             raise StructureError(f"diagram misses field {exc}")
 
@@ -171,6 +171,13 @@ class KTGDiagram:
     def __repr__(self):
         return (f"<KTGDiagram arcs={len(self.arcs)} crossings={len(self.crossings)} "
                 f"vertices={len(self.vertices)}>")
+
+
+def _arc_list(arcs, field):
+    """The `arcs` field of a diagram or of one of its vertices, refused unless a list."""
+    if not isinstance(arcs, list):
+        raise StructureError(f"{field} must be a list, got {arcs!r}")
+    return arcs
 
 
 def load_diagram(path) -> KTGDiagram:

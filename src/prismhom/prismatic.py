@@ -59,21 +59,13 @@ from itertools import accumulate, product, repeat
 from typing import NamedTuple
 
 from . import chains
-from .algebra import AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, integer, reading
+from .algebra import AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, integer, read_degree, reading
 from .errors import StructureError, VerificationError
-
-
-def _degree(n):
-    """A degree read as an integer; StructureError for a fraction or a non-number."""
-    if type(n) is int:  # the common case, read without the cost of `reading`
-        return n
-    with reading("degree must be an integer"):
-        return integer(n)
 
 
 def _max_degree(N):
     """The top degree of a complex: an integer of at least 1."""
-    N = _degree(N)
+    N = read_degree(N)
     if N < 1:
         raise StructureError("max degree must be at least 1")
     return N
@@ -81,7 +73,7 @@ def _max_degree(N):
 
 def compositions(n):
     """All ordered partitions of n, lexicographic by parts; empty for n = 0."""
-    n = _degree(n)
+    n = read_degree(n)
     if n < 0:
         raise StructureError("degree must be non-negative")
     return _compositions(n) if n else ()
@@ -369,13 +361,6 @@ def resolve_twist_cell(kind, a, b, S):
 MODES = ("plain", "qualgebra", "normalized")
 
 
-def _full_index(rank, elements, q):
-    """Full index of a prism: its partition rank, then its elements, read in base q."""
-    for x in elements:
-        rank = rank * q + x
-    return rank
-
-
 @lru_cache(maxsize=None)
 def _rank_table(shapes):
     return {p: r for r, p in enumerate(shapes)}
@@ -415,7 +400,7 @@ def _face_tables(plan, n, S, unit=None):
 
     The tuples are those that do not hold `unit` (all of them for None), in
     lexicographic order.  Item t of an entry's list is the full index
-    (`_full_index`) of that face of the t-th tuple.  A face at position p
+    (`_full`) of that face of the t-th tuple.  A face at position p
     keeps the k digits after p (after p + 1 for a product) as they are, so
     the list adds each value of those k digits to each value of the digits
     up to there (`_digit_values` lists both).  A deletion drops digit p; a
@@ -616,18 +601,15 @@ class PrismaticComplex:
                 cols = block
             yield cols
 
-    def _compact(self, n, full):
-        """Index of the prism with this full index; None if it is collapsed."""
-        slots = self._slots.get(n)
-        return full if slots is None else slots[full]
-
     def _full(self, g, n):
-        """Full index of a degree-n prism on this complex's partitions."""
+        """Full index of a degree-n prism: its partition rank, then its elements in base |G|."""
         if isinstance(g, BracketedTuple) and g.degree == n:
-            rank = self._ranks.get(n, {}).get(g.partition)
+            full = self._ranks.get(n, {}).get(g.partition)
             q = self.S.size
-            if rank is not None and all(type(x) is int and 0 <= x < q for x in g.elements):
-                return _full_index(rank, g.elements, q)
+            if full is not None and all(type(x) is int and 0 <= x < q for x in g.elements):
+                for x in g.elements:
+                    full = full * q + x
+                return full
         raise StructureError(f"generator {g!r} is not part of this complex")
 
     def _locate(self, g):
@@ -635,12 +617,14 @@ class PrismaticComplex:
         if isinstance(g, ExtraCell) and g in self._cell_index:
             return self._cell_index[g]
         n = getattr(g, "degree", None)
-        return self._compact(n, self._full(g, n))
+        full = self._full(g, n)
+        slots = self._slots.get(n)
+        return full if slots is None else slots[full]
 
     # -- generator bookkeeping --------------------------------------------
 
     def generators(self, n):
-        return _Generators(self, _degree(n))
+        return _Generators(self, read_degree(n))
 
     def generator_count(self, n):
         return self.cc.count(n)
@@ -657,7 +641,7 @@ class PrismaticComplex:
         Terms on prisms the complex leaves out (collapsed, or holding the
         unit of a unit quotient) are dropped, matching the quotient map.
         """
-        degree = _degree(degree)
+        degree = read_degree(degree)
         if not 1 <= degree <= self.N:
             raise StructureError(f"degree {degree} outside built range 1..{self.N}")
         pairs = []

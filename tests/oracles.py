@@ -17,11 +17,13 @@ step, where the library keeps its columns in a queue by length.  The
 GF(p) rank reduces columns mod p, where the library computes integer
 invariant factors, so the universal coefficient theorem ties the two.  The
 conjugation tables of permutation groups are built here from their
-products, and the small unital shalgebras by trying every table.  The dense
-matrix of a boundary map is read one generator at a time through the
-complex's public `boundary_of`, not from its store.  Nothing here imports
-`prismhom`: structures, diagrams and complexes are read through their
-attributes, operation tables and public methods only.
+products, and the small unital shalgebras by trying every table.  Random
+operation tables are plain lists of rows, and the implication IY ∧ T ⇒ III
+is checked on such lists from the axiom equations of the `algebra`
+docstring.  The dense matrix of a boundary map is read one generator at a
+time through the complex's public `boundary_of`, not from its store.
+Nothing here imports `prismhom`: structures, diagrams and complexes are
+read through their attributes, operation tables and public methods only.
 """
 
 from itertools import product
@@ -277,6 +279,28 @@ def unital_shalgebras(n):
                    and T[T[a][b]][c] == T[T[a][c]][T[b][c]] for a, b, c in product(r, repeat=3)):
                 out.append((D, T))
     return out
+
+
+def random_tables(size, rng):
+    """A uniformly random (dot, tri) pair of size × size tables, as lists of rows."""
+    dot = [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+    tri = [[rng.randrange(size) for _ in range(size)] for _ in range(size)]
+    return dot, tri
+
+
+def axiom_dependency_check(dot, tri) -> bool:
+    """Whether III, (a◁b)◁c = (a◁c)◁(b◁c), holds on tables where IY and T do.
+
+    IY is (a◁b)◁c = a◁(b·c) and T is a·b = b·(a◁b).  Raises ValueError
+    naming IY or T if it fails, so a True return witnesses the implication
+    IY ∧ T ⇒ III on this carrier.
+    """
+    r = range(len(dot))
+    if any(tri[tri[a][b]][c] != tri[a][dot[b][c]] for a, b, c in product(r, repeat=3)):
+        raise ValueError("precondition IY fails")
+    if any(dot[a][b] != dot[b][tri[a][b]] for a, b in product(r, repeat=2)):
+        raise ValueError("precondition T fails")
+    return all(tri[tri[a][b]][c] == tri[tri[a][c]][tri[b][c]] for a, b, c in product(r, repeat=3))
 
 
 def markowitz_elimination(columns):

@@ -7,6 +7,8 @@ import pytest
 from prismhom import algebra
 from prismhom.errors import AxiomError, StructureError
 
+from oracles import axiom_dependency_check, random_tables
+
 
 def test_operation_table_validation():
     with pytest.raises(StructureError):
@@ -77,11 +79,11 @@ def test_witnesses_are_lexicographically_minimal():
     rng = random.Random(3)
     failures = dict.fromkeys(algebra.AXIOM_NAMES, 0)
     for _ in range(300):
-        dot, tri = algebra.random_tables(3, rng)
+        dot, tri = random_tables(3, rng)
         report = algebra.check_axioms(dot, tri)
         for name, (arity, fails) in _COUNTEREXAMPLES.items():
             bad = [w for w in itertools.product(range(3), repeat=arity)
-                   if fails(dot.rows, tri.rows, *w)]
+                   if fails(dot, tri, *w)]
             assert report.ok(name) == (not bad)
             assert report.witness(name) == (min(bad) if bad else None), name
             failures[name] += bool(bad)
@@ -138,7 +140,7 @@ def test_classify_none_when_self_distributivity_fails():
 def test_classify_monotonicity_on_random_tables():
     rng = random.Random(7)
     for _ in range(200):
-        dot, tri = algebra.random_tables(3, rng)
+        dot, tri = random_tables(3, rng)
         cls = algebra.classify(dot, tri)
         if cls.shelf in ("spindle", "rack", "quandle"):
             assert cls.shelf != "none"
@@ -162,10 +164,10 @@ def test_diagonal_action_composes_through_products(s3):
 
 
 def test_axiom_dependency_check(s3, one_elt):
-    assert algebra.axiom_dependency_check(s3) is True
-    assert algebra.axiom_dependency_check(one_elt) is True
-    with pytest.raises(AxiomError):
-        algebra.axiom_dependency_check([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    assert axiom_dependency_check(s3.dot.rows, s3.tri.rows) is True
+    assert axiom_dependency_check(one_elt.dot.rows, one_elt.tri.rows) is True
+    with pytest.raises(ValueError, match="T fails"):
+        axiom_dependency_check([[0, 1], [1, 0]], [[0, 0], [0, 0]])
 
 
 def test_axiom_dependency_exhaustive_size_two():
@@ -179,7 +181,8 @@ def test_axiom_dependency_exhaustive_size_two():
         report = algebra.check_axioms(dot, tri)
         if report.all_ok(("IY", "T")):
             found += 1
-            assert algebra.axiom_dependency_check(dot, tri) is True
+            assert axiom_dependency_check(dot, tri) is True
+            assert report.ok("III")
     assert found > 0
 
 
@@ -209,7 +212,8 @@ def test_axiom_dependency_exhaustive_size_three_actions():
             tri = (bits[0:3], bits[3:6], bits[6:9])
             if holds_iy_t(dot, tri):
                 found += 1
-                assert algebra.axiom_dependency_check(dot, tri) is True
+                assert axiom_dependency_check(dot, tri) is True
+                assert algebra.check_axioms(dot, tri).ok("III")
         assert found > 0
 
 

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 
@@ -55,6 +56,18 @@ def test_chain_complex_refuses_bad_counts(counts, boundaries):
         ChainComplex(counts, boundaries)
     K = ChainComplex({0: 1.0, 1.0: 1}, {1.0: [Chain(0)]})
     assert K.counts == {0: 1, 1: 1} and K.homology(1) == HomologyGroup(1)
+
+
+def test_integral_float_coefficients_are_read_as_ints():
+    # as a generator index is; test_refusals pins the refusal of 2.5
+    K = ChainComplex({0: 1, 1: 1}, {1: [Chain(0, {0: 2.0})]})
+    assert K.homology(0) == HomologyGroup(0, (2,))
+    assert [type(c) for _, c in K.boundaries[1][0].items()] == [int]
+    dump = io.StringIO()
+    chains.export_boundary_triplets(K, dump)
+    assert dump.getvalue() == "1 0 0 2\n"
+    coordinates = ChainComplex({0: 1, 1: 1}, {1: [Chain(0)]}).class_coordinates(Chain(1, {0: 3.0}))
+    assert coordinates == (3,) and type(coordinates[0]) is int
 
 
 def test_smith_normal_form_examples():

@@ -774,8 +774,11 @@ def test_export_prism_output_is_pinned(files, capsys):
                                         "sign": "x"}]},
     {"arcs": ["a", "b"], "crossings": [{"over": "a", "under_in": "b", "under_out": "b",
                                         "sign": 1.5}]},
-    {"arcs": [[1], [2]]}],
-    ids=("arcs-not-a-list", "sign-not-an-integer", "fractional-sign", "list-arc-ids"))
+    {"arcs": [[1], [2]]},
+    {"arcs": "abc"},
+    {"arcs": ["x", "y", "z"], "vertices": [{"role": "zip", "arcs": "xyz"}]}],
+    ids=("arcs-not-a-list", "sign-not-an-integer", "fractional-sign", "list-arc-ids",
+         "arcs-text", "vertex-arcs-text"))
 def test_invariant_rejects_malformed_diagrams(files, capsys, tmp_path, diagram):
     path = tmp_path / "diagram.json"
     path.write_text(json.dumps(diagram))

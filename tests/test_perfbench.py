@@ -32,7 +32,7 @@ finally:
     sys.path.remove(PERFBENCH)
 
 
-@pytest.mark.parametrize("workload", ["verify-s3", "homology-ladder"])
+@pytest.mark.parametrize("workload", ["verify-s3", "homology-ladder", "ktg-invariants"])
 def test_a_traced_smoke_run_records_every_required_span(workload, tmp_path):
     setup, check = workloads.WORKLOADS[workload]
     tracer = tracing.Tracer()

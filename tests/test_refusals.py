@@ -12,7 +12,7 @@ import json
 import pytest
 
 from prismhom import algebra, chains, cli, knots, moves, prismatic, prisms
-from prismhom.errors import AxiomError, StructureError
+from prismhom.errors import AxiomError, StructureError, VerificationError
 
 S3 = algebra.conj_symmetric(3)
 _G = prismatic.bracketed((2,), (1, 2))
@@ -23,6 +23,11 @@ ZERO = [[0, 0], [0, 0]]
 SWAP = [[1, 0], [0, 1]]          # a<b = 1 - a
 LEFT = [[0, 0], [1, 1]]          # a.b = a, and a<b = a as an action
 NOT_ASSOCIATIVE = [[0, 0], [1, 0]]
+
+
+def _zero_complex():
+    """One generator in degrees 0 and 1, and ∂_1 = 0."""
+    return chains.ChainComplex({0: 1, 1: 1}, {1: [chains.Chain(0)]})
 
 
 READERS = {
@@ -40,6 +45,17 @@ READERS = {
                           "matrix entries must be integers: 2.7 is not an integer"),
     "chain-complex": (lambda: chains.ChainComplex({0: 1, 1: 1.7}, {}),
                       "degrees and generator counts must be integers: 1.7 is not an integer"),
+    "complex-boundary-coefficient": (lambda: chains.ChainComplex(
+                                         {0: 1, 1: 1}, {1: [chains.Chain(0, {0: 2.5})]}),
+                                     "boundary coefficients must be integers: "
+                                     "2.5 is not an integer"),
+    "boundary-coefficient": (lambda: _zero_complex().boundary(chains.Chain(1, {0: 1.5})),
+                             "chain coefficients must be integers: 1.5 is not an integer"),
+    "cycle-coefficient": (lambda: _zero_complex().class_coordinates(chains.Chain(1, {0: 1.5})),
+                          "chain coefficients must be integers: 1.5 is not an integer"),
+    "cycle-coefficient-degree-0": (lambda: _zero_complex().class_coordinates(
+                                       chains.Chain(0, {0: 1.5})),
+                                   "chain coefficients must be integers: 1.5 is not an integer"),
     "degree": (lambda: prismatic.compositions(2.5),
                "degree must be an integer: 2.5 is not an integer"),
     "bracketed": (lambda: prismatic.bracketed((1,), (0.5,)),
@@ -92,6 +108,11 @@ def test_a_read_that_succeeds_passes_through():
 
 
 Z2 = algebra.conj_cyclic(2)
+
+# the square 0|0 with its first edge relabeled by a transposition, so its
+# two paths from corner to corner conjugate by different elements
+_SQUARE = prisms.good_labeling(prismatic.bracketed((1, 1), (0, 0)), S3)
+_TWISTED_SQUARE = prisms.LabeledPrism((1, 1), _SQUARE.label, (1,) + _SQUARE.labels[1:])
 
 
 def _z2_complex():
@@ -175,8 +196,31 @@ ARGUMENTS = {
     "structure-size": (lambda: algebra.parse_structure_tables(
                            {"size": 2, "dot": [[0]], "tri": [[0]]}),
                        StructureError, "declared size 2 != table size 1"),
+    "structure-table-sizes": (lambda: algebra.parse_structure_tables(
+                                  {"dot": XOR, "tri": [[0, 1, 2]] * 3}),
+                              StructureError, "table sizes differ: 2 vs 3"),
+    "group-inverse": (lambda: algebra.mul_mod_shalgebra(4).group_inverse(1),
+                      StructureError, "not a group: inverses"),
+    "boundary-of-generator": (lambda: chains.ChainComplex({0: 1}, {}).boundary_of(0, 1),
+                              StructureError, "unknown generator (0,1)"),
+    "path-dependent": (lambda: prisms.path_endomorphism(_TWISTED_SQUARE, (0, 0), (1, 1), S3),
+                       VerificationError, "path endomorphism (0, 0) -> (1, 1) is path "
+                                          "dependent: [(0, 1, 2, 3, 4, 5), (0, 1, 5, 4, 3, 2)]"),
+    "path-not-an-endomorphism": (lambda: prisms.path_endomorphism(
+                                     prisms.LabeledPrism((1,), None, (0,)), (0,), (1,),
+                                     _unchecked(XOR, SWAP)),
+                                 VerificationError,
+                                 "path map (0,) -> (1,) is not an endomorphism at (0,0)"),
     "empty-product": (lambda: algebra.projection_shalgebra(ZERO).product(()),
                       StructureError, "empty product needs a unit element"),
+    "diagram-arcs-text": (lambda: knots.KTGDiagram.from_dict({"arcs": "abc"}),
+                          StructureError,
+                          "malformed diagram: field 'arcs' must be a list, got 'abc'"),
+    "diagram-vertex-arcs-text": (lambda: knots.KTGDiagram.from_dict(
+                                     {"arcs": ["x", "y", "z"],
+                                      "vertices": [{"role": "zip", "arcs": "xyz"}]}),
+                                 StructureError, "malformed diagram: vertex 0 field 'arcs' "
+                                                 "must be a list, got 'xyz'"),
     "diagram-vertex-slot": (lambda: knots.KTGDiagram.from_dict(
                                 {"arcs": ["a", "b"],
                                  "vertices": [{"role": "zip", "arcs": ["a", "a", "b"]}]}),
@@ -216,8 +260,6 @@ REQUIREMENTS = {
     "act-inv": (lambda tmp: algebra.Shalgebra(XOR, ZERO).act_inv(0, 0), (XOR, ZERO),
                 "the action is not invertible: axiom II fails at (0, 0): "
                 "x -> x<b is a bijection for every b"),
-    "dependency-check": (lambda tmp: algebra.axiom_dependency_check(XOR, ZERO), (XOR, ZERO),
-                         "precondition violated: axiom T fails at (1, 0): a.b == b.(a<b)"),
     "spindle-span": (lambda tmp: prismatic.degenerate_span(algebra.Shalgebra(XOR, ZERO), 2,
                                                            "spindle"),
                      (XOR, ZERO), "spindle degeneracies need idempotence: "
