@@ -20,8 +20,8 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass
 from itertools import permutations, product
+from typing import NamedTuple
 
 from .errors import AxiomError, StructureError
 
@@ -53,9 +53,16 @@ _INT = frozenset((int,))  # the one type a carrier element has
 
 
 def integer(value):
-    """int(value), refusing a number with a fractional part instead of truncating it."""
+    """int(value), refusing a number with a fractional part instead of truncating it.
+
+    A string is parsed by int(), which refuses "1.5" itself.  Any other
+    non-int must equal its int: 2.0, Fraction(4, 2) and Decimal("3") read
+    as ints, while 1.5, Fraction(3, 2) and Decimal("0.5") are refused.
+    """
+    if type(value) is int:  # the common case, on every table and index read
+        return value
     out = int(value)
-    if isinstance(value, float) and out != value:
+    if out != value and not isinstance(value, (str, bytes, bytearray)):
         raise ValueError(f"{value!r} is not an integer")
     return out
 
@@ -124,14 +131,12 @@ def _first_failure(n, arity, fails):
     return next((w for w in product(range(n), repeat=arity) if fails(*w)), None)
 
 
-@dataclass(frozen=True)
-class AxiomStatus:
+class AxiomStatus(NamedTuple):
     ok: bool
     witness: tuple | None
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Pass/fail per axiom, with a lexicographically minimal counterexample on failure."""
 
     statuses: dict
@@ -360,8 +365,7 @@ def conjugation_qualgebra(group_dot, names=None) -> Shalgebra:
     return Shalgebra(group_dot, tri, names=names)
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     shelf: str       # none / shelf / spindle / rack / quandle, for the action alone
     pair: str        # none / shalgebra / qualgebra, for the pair of operations
     group: bool      # whether the multiplication alone is a group

@@ -43,10 +43,10 @@ from __future__ import annotations
 from array import array
 from collections import defaultdict
 from collections.abc import Sequence
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import accumulate, chain, islice, repeat
 from operator import ne, sub
+from typing import NamedTuple
 
 from .algebra import integer, read_degree, reading
 from .errors import NotACycleError, StructureError, VerificationError
@@ -104,12 +104,6 @@ class Chain:
     def __repr__(self):
         body = " ".join(f"{c:+d}*[{g}]" for g, c in sorted(self.terms.items()))
         return f"Chain(deg={self.degree}, {body or '0'})"
-
-
-def _integral(ch):
-    """The (generator, coefficient) pairs of a chain, each coefficient read as an integer."""
-    with reading("chain coefficients must be integers"):
-        return [(g, integer(c)) for g, c in ch.terms.items()]
 
 
 def _as_chain(degree, terms):
@@ -207,24 +201,37 @@ class Boundary(Sequence):
         return sum(map(ne, columns, self.columns(start, stop)))
 
 
-@dataclass(frozen=True)
-class HomologyGroup:
-    """Isomorphism type of a f.g. abelian group: Z^free_rank + sum of Z/d_i."""
-
+class _HomologyFields(NamedTuple):
     free_rank: int
     torsion: tuple = ()
 
-    def __post_init__(self):
+
+class HomologyGroup(_HomologyFields):
+    """Isomorphism type of a f.g. abelian group: Z^free_rank + sum of Z/d_i.
+
+    Both fields are read as integers, and the invariant factors must each
+    be at least 2 and divide the next; `_make` and `_replace` check the
+    same, as they build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, free_rank, torsion=()):
         with reading("free rank and torsion must be integers"):
-            object.__setattr__(self, "free_rank", integer(self.free_rank))
-            object.__setattr__(self, "torsion", tuple(integer(d) for d in self.torsion))
-        if self.free_rank < 0:
+            free_rank = integer(free_rank)
+            torsion = tuple(map(integer, torsion))
+        if free_rank < 0:
             raise StructureError("free rank must be non-negative")
-        for prev, d in zip((1,) + self.torsion, self.torsion):
+        for prev, d in zip((1,) + torsion, torsion):
             if d < 2:
                 raise StructureError(f"torsion coefficient {d} < 2")
             if d % prev:
                 raise StructureError(f"torsion coefficients must divide in order: {prev}, {d}")
+        return super().__new__(cls, free_rank, torsion)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def trivial(self):
@@ -565,17 +572,30 @@ class ChainComplex:
             return Chain(-1)
         return self.boundaries[n][index]
 
+    def _integral(self, n, chain):
+        """The (generator, coefficient) pairs of a degree-n chain, both read as integers.
+
+        A generator index outside the degree is refused.
+        """
+        with reading("generator indices must be integers"):
+            gens = list(map(integer, chain.terms))
+        count = self.count(n)
+        for g in gens:
+            if not 0 <= g < count:
+                raise StructureError(f"unknown generator ({n},{g})")
+        with reading("chain coefficients must be integers"):
+            return list(zip(gens, map(integer, chain.terms.values())))
+
+    def _boundary(self, n, terms):
+        """The boundary of the integer (generator, coefficient) pairs `terms` of degree n."""
+        store = self.boundaries.get(n)
+        return Chain(n - 1, [(h, c * v) for g, c in terms for h, v in store.column(g)])
+
     def boundary(self, chain: Chain) -> Chain:
         """Integer-linear extension of the generator boundaries."""
         if chain.degree < 1:
             raise StructureError("boundary needs degree >= 1")
-        count = self.count(chain.degree)
-        for g in chain.terms:
-            if not 0 <= g < count:
-                raise StructureError(f"unknown generator ({chain.degree},{g})")
-        store = self.boundaries.get(chain.degree)
-        return Chain(chain.degree - 1, [(h, c * v) for g, c in _integral(chain)
-                                        for h, v in store.column(g)])
+        return self._boundary(chain.degree, self._integral(chain.degree, chain))
 
     def d_squared_violations(self):
         """Generators whose boundary is not itself a cycle, as (degree, index) pairs.
@@ -700,12 +720,8 @@ class ChainComplex:
         """
         n = self._require_constructed(z.degree, "class coordinates at the top constructed degree "
                                       "{0} need ∂_{1}, which a truncated complex does not hold")
-        cols = self.count(n)
-        for g in z.terms:
-            if not 0 <= g < cols:
-                raise StructureError(f"unknown generator ({n},{g})")
-        terms = _integral(z)
-        residue = n > 0 and self.boundary(z)
+        terms = self._integral(n, z)
+        residue = n > 0 and self._boundary(n, terms)
         if residue:
             raise NotACycleError(f"chain in degree {n} is not a cycle", residue=residue)
         moduli, table = self._class_data(n)

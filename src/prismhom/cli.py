@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 from itertools import islice
 
 from . import prisms
@@ -336,7 +337,12 @@ def _expansion_terms(key, e, mul, act):
     return rows
 
 
+@cache
 def build_parser():
+    """The argument parser, built once per process and shared by every `main` call.
+
+    Parsing leaves it as it was, and no default it holds is mutable.
+    """
     parser = argparse.ArgumentParser(
         prog="prismhom",
         description="Exact homology of shalgebras/qualgebras and KTG invariants")

@@ -38,8 +38,6 @@ the diagram moves implemented in `moves.apply_move`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from importlib import resources
 from typing import NamedTuple
 
 from . import chains
@@ -278,8 +276,7 @@ def represented_cycle(D: KTGDiagram, colors, S: Shalgebra) -> dict:
     return terms
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(NamedTuple):
     """Homology classes of one diagram over one qualgebra."""
 
     coloring_count: int
@@ -345,6 +342,8 @@ def foam_invariant(presentation, S: Shalgebra):
 
 
 def _fixture_root():
+    # imported here, so that only loading a packaged diagram pays for it
+    from importlib import resources
     return resources.files("prismhom").joinpath("fixtures")
 
 

@@ -1,6 +1,8 @@
 import io
 import math
 import random
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -68,6 +70,34 @@ def test_integral_float_coefficients_are_read_as_ints():
     assert dump.getvalue() == "1 0 0 2\n"
     coordinates = ChainComplex({0: 1, 1: 1}, {1: [Chain(0)]}).class_coordinates(Chain(1, {0: 3.0}))
     assert coordinates == (3,) and type(coordinates[0]) is int
+
+
+def test_integral_fractions_and_decimals_read_as_ints():
+    # any non-int number must equal its int; test_refusals pins each refusal's message
+    for value in (Fraction(4, 2), Decimal("2"), Decimal("2.0"), 2.0):
+        assert algebra.integer(value) == 2 and type(algebra.integer(value)) is int
+    for value in (Fraction(3, 2), Decimal("1.5"), Decimal("-0.5"), 1.5):
+        with pytest.raises(ValueError, match="is not an integer"):
+            algebra.integer(value)
+    assert algebra.read_degree(Fraction(6, 3)) == 2
+    assert HomologyGroup(Decimal("1"), (Fraction(4, 2),)) == HomologyGroup(1, (2,))
+    K = ChainComplex({0: 1, 1: 1}, {1: [Chain(0, {Fraction(0): Decimal("2")})]})
+    assert K.homology(0) == HomologyGroup(0, (2,))
+
+
+def _edge_pair():
+    """Two vertices joined by two edges: ∂e0 = v1 - v0 and ∂e1 = v0 - v1."""
+    return ChainComplex({0: 2, 1: 2}, {1: [Chain(0, {0: -1, 1: 1}), Chain(0, {0: 1, 1: -1})]})
+
+
+def test_a_chain_is_read_by_its_generator_indices():
+    # test_refusals pins the refusal of an index of 0.5 or "x"
+    K = _edge_pair()
+    assert K.boundary(Chain(1, {1.0: 1})) == Chain(0, {0: 1, 1: -1})
+    cycle = K.class_coordinates(Chain(1, {0: 1, 1.0: 1}))
+    assert cycle == K.class_coordinates(Chain(1, {0: 1, 1: 1})) != (0,)
+    with pytest.raises(StructureError, match=r"^unknown generator \(1,2\)$"):
+        K.boundary(Chain(1, {2.0: 1}))
 
 
 def test_smith_normal_form_examples():

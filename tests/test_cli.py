@@ -894,3 +894,39 @@ def test_export_matrices_survives_closed_pipe(files):
     assert proc.wait(timeout=120) == cli.EXIT_PIPE
     assert len(first.split()) == 4
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+_ONE_PROCESS = """
+import contextlib, io, json, sys
+from prismhom import cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    runs.append([code, out.getvalue(), err.getvalue()])
+assert cli.build_parser.cache_info().misses == 1
+print(json.dumps(runs))
+"""
+
+
+def test_one_process_parses_each_command_as_a_fresh_one_does(files):
+    # the parser is built once per process; a refused argv leaves it as it was
+    argvs = [["homology", files["z2"], "--max-degree", "3", "--format", "json"],
+             ["homology", files["z2"], "--max-degree", "three"],
+             ["verify", files["z3"], "--max-degree", "2"],
+             ["axioms", files["spindleless"], "--require", "quandle"]]
+    src = os.path.dirname(os.path.dirname(os.path.abspath(prismhom.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _ONE_PROCESS, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    together = json.loads(done.stdout)
+    apart = [subprocess.run([sys.executable, "-m", "prismhom.cli", *argv],
+                            capture_output=True, text=True, env=env) for argv in argvs]
+    assert together == [[p.returncode, p.stdout, p.stderr] for p in apart]
+    assert [code for code, _, _ in together] == [0, 2, 0, 1]
+    assert "invalid int value: 'three'" in together[1][2]

@@ -15,6 +15,11 @@ operation: a move states only its rewrite, and its coloring bijection is
 derived from the new diagram's rules.  prismhom imports only its own
 modules and the standard library, and `pyproject.toml` declares no
 dependency, so the package installs and imports with nothing downloaded.
+Importing the package stays cheap: a fresh `python -S` process that runs
+`import prismhom` has not loaded `dataclasses`, `inspect`, `ast` or
+`importlib.resources`, which cost milliseconds at every start of the
+command line tool; only loading a packaged diagram reads
+`importlib.resources`.
 The modules of the package, `__init__` aside, import each other without a
 cycle, late imports included.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
@@ -29,6 +34,7 @@ import ast
 import importlib
 import os
 import re
+import subprocess
 import sys
 
 import pytest
@@ -174,6 +180,29 @@ def test_the_check_sees_an_outside_import():
                      "from . import chains\nfrom .algebra import reading\n"
                      "from __future__ import annotations\nimport json, sympy\n")
     assert _outside_imports(tree) == [(2, "numpy"), (3, "scipy"), (7, "sympy")]
+
+
+SLOW_TO_IMPORT = ("dataclasses", "inspect", "ast", "importlib.resources")
+
+
+def _slow_imports_after(statement):
+    """The modules of SLOW_TO_IMPORT loaded once `statement` has run in a fresh
+    `python -S` process (no site packages preloaded) with the package on its path."""
+    probe = (f"import sys; sys.path.insert(0, {os.path.dirname(SOURCE)!r}); {statement}; "
+             f"print(*[m for m in {SLOW_TO_IMPORT!r} if m in sys.modules])")
+    done = subprocess.run([sys.executable, "-S", "-c", probe],
+                          capture_output=True, text=True, check=True)
+    return done.stdout.split()
+
+
+def test_importing_the_package_loads_no_slow_module():
+    assert _slow_imports_after("import prismhom") == []
+
+
+def test_the_check_sees_a_slow_import():
+    assert _slow_imports_after("import prismhom; prismhom.load_fixture_diagram('theta')") == [
+        "importlib.resources"]
+    assert "dataclasses" in _slow_imports_after("import prismhom, dataclasses")
 
 
 def test_the_project_declares_no_dependencies():

@@ -8,6 +8,8 @@ reaches one site and pins its whole message.
 """
 
 import json
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
@@ -30,6 +32,12 @@ def _zero_complex():
     return chains.ChainComplex({0: 1, 1: 1}, {1: [chains.Chain(0)]})
 
 
+def _edge_pair():
+    """Two vertices joined by two edges: ∂e0 = v1 - v0 and ∂e1 = v0 - v1."""
+    return chains.ChainComplex({0: 2, 1: 2}, {1: [chains.Chain(0, {0: -1, 1: 1}),
+                                                   chains.Chain(0, {0: 1, 1: -1})]})
+
+
 READERS = {
     "operation-table": (lambda: algebra.OperationTable([[0.5]]),
                         "operation table must be a square array of integers: "
@@ -41,6 +49,12 @@ READERS = {
                     "a chain scales by integers only: 2.5 is not an integer"),
     "homology-group": (lambda: chains.HomologyGroup(1.5),
                        "free rank and torsion must be integers: 1.5 is not an integer"),
+    "homology-group-fraction": (lambda: chains.HomologyGroup(0, (Fraction(5, 2),)),
+                                "free rank and torsion must be integers: "
+                                "Fraction(5, 2) is not an integer"),
+    "homology-group-replace": (lambda: chains.HomologyGroup(1)._replace(free_rank=Decimal("0.5")),
+                               "free rank and torsion must be integers: "
+                               "Decimal('0.5') is not an integer"),
     "smith-normal-form": (lambda: chains.smith_normal_form([[2.7]]),
                           "matrix entries must be integers: 2.7 is not an integer"),
     "chain-complex": (lambda: chains.ChainComplex({0: 1, 1: 1.7}, {}),
@@ -49,8 +63,27 @@ READERS = {
                                          {0: 1, 1: 1}, {1: [chains.Chain(0, {0: 2.5})]}),
                                      "boundary coefficients must be integers: "
                                      "2.5 is not an integer"),
+    "complex-boundary-decimal": (lambda: chains.ChainComplex(
+                                     {0: 1, 1: 1}, {1: [chains.Chain(0, {0: Decimal("2.5")})]}),
+                                 "boundary coefficients must be integers: "
+                                 "Decimal('2.5') is not an integer"),
+    "complex-boundary-index-fraction": (lambda: chains.ChainComplex(
+                                            {0: 2, 1: 1},
+                                            {1: [chains.Chain(0, {Fraction(3, 2): 1})]}),
+                                        "generator indices must be integers: "
+                                        "Fraction(3, 2) is not an integer"),
     "boundary-coefficient": (lambda: _zero_complex().boundary(chains.Chain(1, {0: 1.5})),
                              "chain coefficients must be integers: 1.5 is not an integer"),
+    "boundary-index": (lambda: _edge_pair().boundary(chains.Chain(1, {0.5: 1})),
+                       "generator indices must be integers: 0.5 is not an integer"),
+    "boundary-index-text": (lambda: _edge_pair().boundary(chains.Chain(1, {"x": 1})),
+                            "generator indices must be integers: "
+                            "invalid literal for int() with base 10: 'x'"),
+    "cycle-index": (lambda: _edge_pair().class_coordinates(chains.Chain(1, {0.5: 1})),
+                    "generator indices must be integers: 0.5 is not an integer"),
+    "cycle-index-text": (lambda: _edge_pair().class_coordinates(chains.Chain(1, {"x": 1})),
+                         "generator indices must be integers: "
+                         "invalid literal for int() with base 10: 'x'"),
     "cycle-coefficient": (lambda: _zero_complex().class_coordinates(chains.Chain(1, {0: 1.5})),
                           "chain coefficients must be integers: 1.5 is not an integer"),
     "cycle-coefficient-degree-0": (lambda: _zero_complex().class_coordinates(
@@ -58,6 +91,10 @@ READERS = {
                                    "chain coefficients must be integers: 1.5 is not an integer"),
     "degree": (lambda: prismatic.compositions(2.5),
                "degree must be an integer: 2.5 is not an integer"),
+    "degree-fraction": (lambda: algebra.read_degree(Fraction(3, 2)),
+                        "degree must be an integer: Fraction(3, 2) is not an integer"),
+    "degree-decimal": (lambda: prismatic.compositions(Decimal("2.5")),
+                       "degree must be an integer: Decimal('2.5') is not an integer"),
     "bracketed": (lambda: prismatic.bracketed((1,), (0.5,)),
                   "partition and elements must be integers: 0.5 is not an integer"),
     "appended-block": (lambda: prisms.inductive_labeling(
