@@ -221,6 +221,8 @@ class Shalgebra:
         if _validate:
             self.report.require(SHALGEBRA_AXIOMS, "not a shalgebra")
         if names is not None:
+            if not isinstance(names, (list, tuple)):
+                raise StructureError(f"names must be a list, got {names!r}")
             names = tuple(str(s) for s in names)
             if len(names) != self.size:
                 raise StructureError(f"expected {self.size} names, got {len(names)}")

@@ -53,7 +53,11 @@ from .errors import NotACycleError, StructureError, VerificationError
 
 
 class Chain:
-    """A sparse integer combination of the generators of one degree."""
+    """A sparse integer combination of the generators of one degree.
+
+    Each coefficient is read through `algebra.integer`: 2.0 reads as 2, and
+    2.5 or "x" is refused.
+    """
 
     __slots__ = ("degree", "terms")
 
@@ -62,6 +66,9 @@ class Chain:
         self.terms = {}
         if terms:
             for g, c in (terms.items() if isinstance(terms, dict) else terms):
+                if type(c) is not int:
+                    with reading("chain coefficients must be integers"):
+                        c = integer(c)
                 if c:
                     nc = self.terms.get(g, 0) + c
                     if nc:

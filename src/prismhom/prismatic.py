@@ -90,11 +90,30 @@ def _compositions(n):
     return tuple(out)
 
 
-class BracketedTuple(NamedTuple):
-    """An ordered partition together with the elements filling its blocks."""
-
+class _BracketedFields(NamedTuple):
     partition: tuple
     elements: tuple
+
+
+class BracketedTuple(_BracketedFields):
+    """An ordered partition together with the elements filling its blocks.
+
+    The parts must be positive and sum to the number of elements; `_make`
+    and `_replace` check the same, as they build through the constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, partition, elements):
+        if partition and min(partition) < 1:
+            raise StructureError("partition parts must be positive")
+        if sum(partition) != len(elements):
+            raise StructureError(f"partition {partition} does not fit {len(elements)} elements")
+        return tuple.__new__(cls, (partition, elements))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def degree(self):
@@ -122,14 +141,10 @@ class BracketedTuple(NamedTuple):
 
 
 def bracketed(partition, elements) -> BracketedTuple:
+    """A `BracketedTuple` with its partition and elements read as integers."""
     with reading("partition and elements must be integers"):
         partition = tuple(integer(k) for k in partition)
         elements = tuple(integer(g) for g in elements)
-    if any(k < 1 for k in partition):
-        raise StructureError("partition parts must be positive")
-    if sum(partition) != len(elements):
-        raise StructureError(
-            f"partition {partition} does not fit {len(elements)} elements")
     return BracketedTuple(partition, elements)
 
 
@@ -216,47 +231,34 @@ def boundary_generator(g: BracketedTuple, S: Shalgebra) -> dict:
 # -- degeneracies ---------------------------------------------------------------
 
 
-DEGENERACY_FLAVORS = ("monoid", "spindle", "adjacent-equal-singletons")
+def degenerate_span(S: Shalgebra, N):
+    """The prisms that normalized mode collapses, per degree 1..N.
 
-
-def degenerate_span(S: Shalgebra, N, flavor):
-    """Spanning generators of the degenerate subcomplex, per degree.
-
-    monoid: one-block tuples containing the unit (unit insertion images);
-    spindle: all-ones tuples with an adjacent repeat (diagonal images,
-    needs idempotence); adjacent-equal-singletons: any generator with two
-    neighbouring size-one blocks holding equal elements.  Each degree lists
-    its generators by partition in `compositions` order, then by elements
-    in lexicographic order.
+    A prism is degenerate when two neighbouring blocks are singletons
+    holding equal entries.  Each degree lists its prisms by partition in
+    `compositions` order, then by elements in lexicographic order.
     """
     N = _max_degree(N)
-    if flavor not in DEGENERACY_FLAVORS:
-        raise StructureError(f"unknown degeneracy flavor {flavor!r}")
-    if flavor == "monoid" and S.unit is None:
-        raise StructureError("monoid degeneracies need a unit element")
-    if flavor == "spindle":
-        S.report.require(("I",), "spindle degeneracies need idempotence")
+    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
 
     def grow(prefix, n, at):
-        # the tuples extending prefix, in lexicographic order, that hold at a
-        # position in `at` the unit (monoid) or a repeat of the entry before
+        # the tuples extending prefix, in lexicographic order, that repeat
+        # the entry before at a position in `at`
         p = len(prefix)
-        hit = (S.unit if flavor == "monoid" else prefix[-1]) if p in at else None
+        hit = prefix[-1] if p in at else None
         for x in range(S.size):
             if x == hit:
                 yield from (prefix + (x,) + t for t in product(range(S.size), repeat=n - p - 1))
             elif p < max(at, default=-1):
                 yield from grow(prefix + (x,), n, at)
 
-    def positions(partition, n):
-        if flavor == "monoid":
-            return range(n) if len(partition) == 1 else ()
+    def positions(partition):
         # the first entry of a singleton block that follows a singleton block
         return {p for p, k1, k2 in zip(accumulate(partition), partition, partition[1:])
-                if k1 == k2 == 1 and (flavor != "spindle" or len(partition) == n)}
+                if k1 == k2 == 1}
 
-    return {n: tuple(BracketedTuple(p, e) for p in compositions(n)
-                     for e in grow((), n, positions(p, n)))
+    return {n: tuple(new(BracketedTuple, (p, e)) for p in compositions(n)
+                     for e in grow((), n, positions(p)))
             for n in range(1, N + 1)}
 
 
@@ -489,14 +491,14 @@ class PrismaticComplex:
     resp. the all-singleton generators (1,...,1).
 
     `collapsed`, when given, maps a degree to prisms set to zero, each on
-    one of the complex's partitions (normalized mode passes the
-    adjacent-equal-singletons `degenerate_span`).  Its closure is checked
-    as the boundary columns are built: a collapsed prism with a boundary
-    term outside the span raises VerificationError.  `unit`, when given,
-    sets every prism holding it to zero (the unit quotient of the module
-    docstring): those prisms are never enumerated, and the boundary terms
-    on them are dropped.  Closure is not checked there; the
-    boundary-squared check runs on the quotient as on every complex.
+    one of the complex's partitions (normalized mode passes
+    `degenerate_span`).  Its closure is checked as the boundary columns are
+    built: a collapsed prism with a boundary term outside the span raises
+    VerificationError.  `unit`, when given, sets every prism holding it to
+    zero (the unit quotient of the module docstring): those prisms are
+    never enumerated, and the boundary terms on them are dropped.  Closure
+    is not checked there; the boundary-squared check runs on the quotient
+    as on every complex.
 
     Numbering, in every mode: the degree-n prism with partition P and
     elements (e1, ..., en) has full index r·|G|^n + (e1...en read in base
@@ -708,7 +710,7 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True,
 
     collapsed = None
     if mode == "normalized":
-        collapsed = degenerate_span(S, N, "adjacent-equal-singletons")
+        collapsed = degenerate_span(S, N)
 
     cells = {3: [], 4: []}
     warnings = []

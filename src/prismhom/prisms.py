@@ -91,8 +91,11 @@ def _edge_plan(partition):
     Edges run per factor q over pairs p < p', the other coordinates fixed.
     The label multiplies elements[start:stop] (entries p+1..p' of block q)
     and acts on the product with the elements at the acting positions (the
-    first v_u entries of every later block u, v the edge's tail).
+    first v_u entries of every later block u, v the edge's tail).  A block
+    size below 1 is refused.
     """
+    if any(k < 1 for k in partition):
+        raise StructureError("partition parts must be positive")
     starts = [sum(partition[:q]) for q in range(len(partition))]
     ranges = [range(k + 1) for k in partition]
     plan = []

@@ -151,23 +151,13 @@ def rank_mod_p(columns, p) -> int:
     return len(pivots)
 
 
-def is_degenerate(partition, elements, flavor, unit) -> bool:
-    """Whether a bracketed tuple lies in the degenerate span of a flavor.
+def is_degenerate(partition, elements) -> bool:
+    """Whether a bracketed tuple lies in the degenerate span.
 
-    monoid: one block, holding the unit somewhere; spindle: every block a
-    singleton, with two equal neighbouring elements; adjacent-equal-
-    singletons: two neighbouring blocks, both singletons, holding equal
-    elements.
+    That is: two neighbouring blocks, both singletons, hold equal elements.
     """
     blocks = _blocks(partition, elements)
-    if flavor == "monoid":
-        return len(blocks) == 1 and unit in blocks[0]
-    if flavor == "spindle":
-        return (all(len(b) == 1 for b in blocks)
-                and any(x == y for x, y in zip(elements, elements[1:])))
-    if flavor == "adjacent-equal-singletons":
-        return any(len(b) == len(c) == 1 and b == c for b, c in zip(blocks, blocks[1:]))
-    raise ValueError(f"unknown flavor {flavor!r}")
+    return any(len(b) == len(c) == 1 and b == c for b, c in zip(blocks, blocks[1:]))
 
 
 def brute_force_colorings(D, S) -> list:

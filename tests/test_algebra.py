@@ -102,6 +102,13 @@ def test_conjugation_s3_transposition_example(s3):
     assert s3.act(2, 1) == 5
 
 
+def test_names_are_a_list_or_a_tuple(z2):
+    # test_refusals pins the refusal of a string, a dict and a number
+    for names in (["a", "b"], ("a", "b")):
+        assert algebra.Shalgebra(z2.dot, z2.tri, names=names).names == ("a", "b")
+    assert algebra.Shalgebra(z2.dot, z2.tri, names=[0, 1]).names == ("0", "1")
+
+
 def test_conjugation_refuses_non_groups():
     # (1.1).1 = 0.1 = 1 but 1.(1.1) = 1.0 = 0
     with pytest.raises(StructureError, match="associativity"):

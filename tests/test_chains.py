@@ -72,6 +72,13 @@ def test_integral_float_coefficients_are_read_as_ints():
     assert coordinates == (3,) and type(coordinates[0]) is int
 
 
+def test_a_chain_reads_its_coefficients_as_integers():
+    # test_refusals pins the refusal of 2.5, NaN and "x"
+    ch = Chain(1, [(0, 2.0), (1, Fraction(6, 3)), (2, Decimal("-1")), (3, 0.0), (0, 1)])
+    assert ch.terms == {0: 3, 1: 2, 2: -1}
+    assert all(type(c) is int for c in ch.terms.values())
+
+
 def test_integral_fractions_and_decimals_read_as_ints():
     # any non-int number must equal its int; test_refusals pins each refusal's message
     for value in (Fraction(4, 2), Decimal("2"), Decimal("2.0"), 2.0):

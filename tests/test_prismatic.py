@@ -7,9 +7,8 @@ import pytest
 from prismhom import algebra
 from prismhom.chains import Chain, HomologyGroup
 from prismhom.errors import AxiomError, StructureError, VerificationError
-from prismhom.prismatic import (DEGENERACY_FLAVORS, BracketedTuple, ExtraCell,
-                                PrismaticComplex, boundary_generator, bracketed,
-                                build_bar_complex, build_complex, build_rack_complex,
+from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, boundary_generator,
+                                bracketed, build_bar_complex, build_complex, build_rack_complex,
                                 compositions, degenerate_span, face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
@@ -40,6 +39,24 @@ def test_bracketed_validation():
     g = bracketed((2, 1), (0, 1, 2))
     assert g.blocks() == [(0, 1), (2,)]
     assert g.pretty() == "(0,1)|2"
+
+
+@pytest.mark.parametrize("partition, elements, message", [
+    ((2,), (0,), "partition (2,) does not fit 1 elements"),
+    ((0, 2), (0, 1), "partition parts must be positive")], ids=("too-few", "empty-block"))
+def test_bracketed_tuples_refuse_a_partition_that_does_not_fit(partition, elements, message):
+    # the constructor, `_make` and `_replace` check the shape, so no face,
+    # boundary or labeling is ever asked for such a tuple
+    g = bracketed((1,), (0,))
+    for build in (lambda: BracketedTuple(partition, elements),
+                  lambda: BracketedTuple._make((partition, elements)),
+                  lambda: g._replace(partition=partition, elements=elements)):
+        with pytest.raises(StructureError) as info:
+            build()
+        assert str(info.value) == message
+    with pytest.raises(StructureError, match="does not fit"):
+        g._replace(partition=(2,))
+    assert g._replace(elements=(2,)) == BracketedTuple._make(((1,), (2,))) == bracketed((1,), (2,))
 
 
 def test_face_examples(s3):
@@ -171,59 +188,40 @@ def test_tuple_complexes(z2):
     assert group.homology(2) == HomologyGroup(0)
 
 
-def test_degenerate_span_examples(s3, z3):
-    mon = degenerate_span(s3, 2, "monoid")
-    assert set(mon[2]) == {bracketed((2,), (a, 0)) for a in range(6)} | \
-        {bracketed((2,), (0, a)) for a in range(6)}
-    spin = degenerate_span(z3, 2, "spindle")
-    assert set(spin[2]) == {bracketed((1, 1), (a, a)) for a in range(3)}
-    adj = degenerate_span(z3, 3, "adjacent-equal-singletons")
+def test_degenerate_span_examples(z3):
+    span = degenerate_span(z3, 3)
+    assert span[1] == ()
+    assert set(span[2]) == {bracketed((1, 1), (a, a)) for a in range(3)}
+    # in degree 3 only (1, 1, 1) has neighbouring singleton blocks
     expect = {bracketed((1, 1, 1), (a, a, b)) for a in range(3) for b in range(3)}
     expect |= {bracketed((1, 1, 1), (a, b, b)) for a in range(3) for b in range(3)}
-    expect |= {bracketed((1, 1), (a, a)) for a in range(3)}  # degree <= 3 includes n=2
-    assert set(adj[3]) | set(adj[2]) == expect
-
-
-def test_degenerate_span_preconditions():
-    no_unit = algebra.projection_shalgebra([[0, 0], [1, 1]])  # left projection dot
-    with pytest.raises(StructureError):
-        degenerate_span(no_unit, 2, "monoid")
-    not_idem = algebra.Shalgebra([[0, 1], [1, 0]], [[0, 0], [0, 0]], _validate=False)
-    assert not_idem.report.shalgebra_ok
-    with pytest.raises(AxiomError):
-        degenerate_span(not_idem, 2, "spindle")
-    with pytest.raises(StructureError):
-        degenerate_span(no_unit, 2, "nonsense")
+    assert set(span[3]) == expect
 
 
 @pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
 def test_degenerate_span_matches_oracle(name, request):
     # proj4 has a unit but is not a group
     S = request.getfixturevalue(name)
-    for flavor in DEGENERACY_FLAVORS:
-        span = degenerate_span(S, 4, flavor)
-        assert list(span) == [1, 2, 3, 4]
-        for n in range(1, 5):
-            expected = [BracketedTuple(p, e) for p in compositions(n)
-                        for e in product(range(S.size), repeat=n)
-                        if is_degenerate(p, e, flavor, S.unit)]
-            assert list(span[n]) == expected, (flavor, n)
+    span = degenerate_span(S, 4)
+    assert list(span) == [1, 2, 3, 4]
+    for n in range(1, 5):
+        expected = [BracketedTuple(p, e) for p in compositions(n)
+                    for e in product(range(S.size), repeat=n) if is_degenerate(p, e)]
+        assert list(span[n]) == expected, n
 
 
 def test_degenerate_spans_closed_under_boundary(z3, s3):
     # building the quotient checks that each collapsed span is closed, and
     # its ChainComplex checks that the boundary squares to zero
     for S in (z3, s3):
-        for flavor in DEGENERACY_FLAVORS:
-            span = degenerate_span(S, 4, flavor)
-            for shapes in (compositions, lambda n: ((1,) * n,)):
-                collapsed = {n: [g for g in span[n] if g.partition in shapes(n)]
-                             for n in span}
-                K = PrismaticComplex(S, 4, "quotient", shapes, collapsed=collapsed)
-                for n in range(1, 5):
-                    kept = set(K.generators(n))
-                    assert len(kept) == len(shapes(n)) * S.size ** n - len(collapsed[n])
-                    assert not kept & set(collapsed[n])
+        span = degenerate_span(S, 4)
+        for shapes in (compositions, lambda n: ((1,) * n,)):
+            collapsed = {n: [g for g in span[n] if g.partition in shapes(n)] for n in span}
+            K = PrismaticComplex(S, 4, "quotient", shapes, collapsed=collapsed)
+            for n in range(1, 5):
+                kept = set(K.generators(n))
+                assert len(kept) == len(shapes(n)) * S.size ** n - len(collapsed[n])
+                assert not kept & set(collapsed[n])
 
 
 def test_collapsed_span_failures(z3):
@@ -238,17 +236,19 @@ def test_collapsed_span_failures(z3):
     assert K.generator_count(2) == 3 * 3 * 2 - 1
     # a collapsed generator outside the complex's partitions, degree or carrier
     for collapsed in ({2: [bracketed((2,), (0, 1))]}, {2: [bracketed((1,), (0,))]},
-                      {2: [BracketedTuple((1, 1), (0,))]}, {2: [ExtraCell("B3", (0, 1))]},
-                      {2: [bracketed((1, 1), (0, 3))]}):
+                      {2: [ExtraCell("B3", (0, 1))]}, {2: [bracketed((1, 1), (0, 3))]}):
         with pytest.raises(StructureError, match="not part of this complex"):
             PrismaticComplex(z3, 2, "rack", lambda n: ((1,) * n,), collapsed=collapsed)
+    # a prism whose partition does not fit its elements is refused where it is built
+    with pytest.raises(StructureError, match=r"partition \(1, 1\) does not fit 1 elements"):
+        BracketedTuple((1, 1), (0,))
 
 
 @pytest.mark.parametrize("N", (2.5, "x", float("inf"), float("nan")))
 def test_degree_must_be_an_integer(z3, N):
     for call in (lambda: build_complex(z3, N), lambda: build_bar_complex(z3, N),
                  lambda: build_rack_complex(z3, N), lambda: compositions(N),
-                 lambda: degenerate_span(z3, N, "spindle")):
+                 lambda: degenerate_span(z3, N)):
         with pytest.raises(StructureError, match="degree must be an integer"):
             call()
 
@@ -257,9 +257,8 @@ def test_degree_must_be_an_integer(z3, N):
 def test_every_builder_refuses_degrees_below_one(z3, N):
     calls = [lambda: build_complex(z3, N), lambda: build_bar_complex(z3, N),
              lambda: build_rack_complex(z3, N),
-             lambda: PrismaticComplex(z3, N, "quotient", compositions)]
-    calls += [lambda flavor=flavor: degenerate_span(z3, N, flavor)
-              for flavor in DEGENERACY_FLAVORS]
+             lambda: PrismaticComplex(z3, N, "quotient", compositions),
+             lambda: degenerate_span(z3, N)]
     for call in calls:
         with pytest.raises(StructureError, match="max degree must be at least 1"):
             call()
@@ -270,7 +269,7 @@ def test_integral_degrees_are_read_as_integers(z3):
     assert K.N == 1 and type(K.N) is int and "N=1 " in repr(K)
     assert build_complex(z3, "3").N == 3 and build_rack_complex(z3, 2.0).N == 2
     assert compositions(3.0) == compositions(3)
-    assert degenerate_span(z3, "2", "spindle") == degenerate_span(z3, 2, "spindle")
+    assert degenerate_span(z3, "2") == degenerate_span(z3, 2)
 
 
 def test_extension_cells_are_cycles(z3):
@@ -433,7 +432,7 @@ def test_twist_cells_skipped_without_group(proj4):
 
 def test_normalized_mode(z3):
     K = build_complex(z3, 4, mode="normalized")
-    span = degenerate_span(z3, 4, "adjacent-equal-singletons")
+    span = degenerate_span(z3, 4)
     # no degenerate generator and no D3 cell survives
     for n in range(1, 5):
         collapsed = set(span[n])
@@ -509,7 +508,7 @@ def test_stored_columns_follow_the_docstring_rule(name, request):
                 expected = {K.index_of(BracketedTuple(*f)): c
                             for f, c in prismatic_differential(g.partition, g.elements, S).items()
                             if (K.mode != "normalized"
-                                or not is_degenerate(*f, "adjacent-equal-singletons", None))
+                                or not is_degenerate(*f))
                             and K.unit not in f[1]}
                 assert stored[i].terms == expected, (K.mode, n, g)
     # the quotient holds every prism without the unit
@@ -768,14 +767,17 @@ def test_rack_free_ranks_are_orbit_powers(make, orbits):
 @pytest.mark.parametrize("carrier, N, orbits", [("z3", 4, 3), ("s3", 4, 3), ("z2", 4, 2),
                                                 ("d4", 3, 5)])
 def test_the_quandle_slice_has_the_litherland_nelson_ranks(carrier, N, orbits, request):
-    # the rack slice with the spindle degeneracies collapsed is the quandle
-    # complex; over a quandle with |O| orbits its free ranks are
+    # the rack slice with its part of the degenerate span collapsed, the
+    # prisms with two equal neighbours, is the quandle complex; over a
+    # quandle with |O| orbits its free ranks are
     # |O|·(|O|−1)^(n−1) and the rack ones |O|^n (Litherland–Nelson, The Betti
     # numbers of some finite racks, 2003), and as H^R = H^Q ⊕ H^D each
     # quandle torsion multiset lies inside the rack one
     S = request.getfixturevalue(carrier)
+    span = degenerate_span(S, N)
     quandle = PrismaticComplex(S, N, "quandle", lambda n: ((1,) * n,),
-                               collapsed=degenerate_span(S, N, "spindle"))
+                               collapsed={n: [g for g in span[n] if g.partition == (1,) * n]
+                                          for n in span})
     rack = build_rack_complex(S, N)
     for n in range(1, N):
         q, r = quandle.homology(n), rack.homology(n)

@@ -172,6 +172,13 @@ def test_a_prism_needs_one_label_per_edge(s3):
             LabeledPrism((2, 1), None, wrong)
 
 
+@pytest.mark.parametrize("partition", [(0,), (2, 0), (-1, 1)])
+def test_a_prism_needs_positive_block_sizes(partition):
+    # a size-zero block has no edges, so the label count alone would not refuse it
+    with pytest.raises(StructureError, match="^partition parts must be positive$"):
+        LabeledPrism(partition, None, ())
+
+
 def test_changing_the_edges_dict_leaves_the_prism_as_it_is(s3):
     g = bracketed((2, 1), (1, 2, 3))
     p = good_labeling(g, s3)

@@ -59,12 +59,23 @@ READERS = {
                           "matrix entries must be integers: 2.7 is not an integer"),
     "chain-complex": (lambda: chains.ChainComplex({0: 1, 1: 1.7}, {}),
                       "degrees and generator counts must be integers: 1.7 is not an integer"),
+    "chain-coefficient": (lambda: chains.Chain(0, {0: 2.5}),
+                          "chain coefficients must be integers: 2.5 is not an integer"),
+    "chain-coefficient-nan": (lambda: chains.Chain(0, [(0, float("nan"))]),
+                              "chain coefficients must be integers: "
+                              "cannot convert float NaN to integer"),
+    "chain-coefficient-text": (lambda: chains.Chain(0, {0: "x"}),
+                               "chain coefficients must be integers: "
+                               "invalid literal for int() with base 10: 'x'"),
+    # `Chain.scaled` does not read its factor, so a boundary can still reach
+    # the complex holding a fraction
     "complex-boundary-coefficient": (lambda: chains.ChainComplex(
-                                         {0: 1, 1: 1}, {1: [chains.Chain(0, {0: 2.5})]}),
+                                         {0: 1, 1: 1}, {1: [chains.Chain(0, {0: 1}).scaled(2.5)]}),
                                      "boundary coefficients must be integers: "
                                      "2.5 is not an integer"),
     "complex-boundary-decimal": (lambda: chains.ChainComplex(
-                                     {0: 1, 1: 1}, {1: [chains.Chain(0, {0: Decimal("2.5")})]}),
+                                     {0: 1, 1: 1},
+                                     {1: [chains.Chain(0, {0: 1}).scaled(Decimal("2.5"))]}),
                                  "boundary coefficients must be integers: "
                                  "Decimal('2.5') is not an integer"),
     "complex-boundary-index-fraction": (lambda: chains.ChainComplex(
@@ -227,6 +238,12 @@ ARGUMENTS = {
                         StructureError, "not a twist cell kind: B4_3"),
     "shalgebra-names": (lambda: algebra.Shalgebra(Z2.dot, Z2.tri, names=["a"]),
                         StructureError, "expected 2 names, got 1"),
+    "shalgebra-names-text": (lambda: algebra.Shalgebra(Z2.dot, Z2.tri, names="ab"),
+                             StructureError, "names must be a list, got 'ab'"),
+    "shalgebra-names-dict": (lambda: algebra.Shalgebra(Z2.dot, Z2.tri, names={"a": 0, "b": 1}),
+                             StructureError, "names must be a list, got {'a': 0, 'b': 1}"),
+    "shalgebra-names-number": (lambda: algebra.Shalgebra(Z2.dot, Z2.tri, names=5),
+                               StructureError, "names must be a list, got 5"),
     "structure-names": (lambda: algebra.parse_structure_tables(
                             {"dot": [[0]], "tri": [[0]], "names": ["a", "b"]}),
                         StructureError, "expected 1 names, got 2"),
@@ -297,10 +314,6 @@ REQUIREMENTS = {
     "act-inv": (lambda tmp: algebra.Shalgebra(XOR, ZERO).act_inv(0, 0), (XOR, ZERO),
                 "the action is not invertible: axiom II fails at (0, 0): "
                 "x -> x<b is a bijection for every b"),
-    "spindle-span": (lambda tmp: prismatic.degenerate_span(algebra.Shalgebra(XOR, ZERO), 2,
-                                                           "spindle"),
-                     (XOR, ZERO), "spindle degeneracies need idempotence: "
-                                  "axiom I fails at (1,): a<a == a"),
     "complex-shalgebra": (lambda tmp: prismatic.build_complex(_unchecked(XOR, SWAP), 2),
                           (XOR, SWAP), "not a shalgebra: axiom YI fails at (0, 0, 0): "
                                        "(a.b)<c == (a<c).(b<c)"),
