@@ -95,15 +95,16 @@ class Chain:
         return self.scaled(-1)
 
     def scaled(self, k):
+        """This chain times k, read through `algebra.integer` as a coefficient is."""
+        if type(k) is not int:
+            with reading("a chain scales by integers only"):
+                k = integer(k)
         res = Chain(self.degree)
         if k:
             res.terms = {g: k * c for g, c in self.terms.items()}
         return res
 
-    def __rmul__(self, k):
-        with reading("a chain scales by integers only"):
-            k = integer(k)
-        return self.scaled(k)
+    __rmul__ = scaled
 
     def items(self):
         return self.terms.items()

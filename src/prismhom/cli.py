@@ -76,11 +76,13 @@ def cmd_axioms(args):
 
 
 def _build_theory(S, theory, N, include_d3, unit_quotient=False):
-    """The complex of a theory; unit_quotient applies to prismatic and group only.
+    """The complex of a theory; unit_quotient applies to prismatic, group and qualgebra.
 
     There it builds the quotient by the prisms holding the unit, when the
     unit allows it (`prismatic._quotient_unit`), which changes no group
-    below the top degree.
+    below the top degree; the qualgebra relation cells stay, less their
+    terms on those prisms.  Rack and normalized keep the full complex, as
+    the quotient changes their groups.
     """
     if not include_d3 and theory != "qualgebra":
         raise StructureError("--no-include-d3 applies to --theory qualgebra only")
@@ -90,7 +92,9 @@ def _build_theory(S, theory, N, include_d3, unit_quotient=False):
         return build_bar_complex(S, N, unit_quotient=unit_quotient)
     if theory == "prismatic":
         return build_complex(S, N, unit_quotient=unit_quotient)
-    return build_complex(S, N, mode=theory, include_d3=include_d3)
+    if theory == "qualgebra":
+        return build_complex(S, N, "qualgebra", include_d3, unit_quotient)
+    return build_complex(S, N, "normalized")
 
 
 def cmd_homology(args):

@@ -22,7 +22,8 @@ The unit quotient.  Let e be a two-sided unit (e·x = x·e = x) with
 e◁x = e and x◁e = x for every x.  The prisms holding e somewhere span a
 subcomplex, and it is acyclic, so the quotient by it has the homology of
 the full complex in every degree below the top one.  `build_complex`
-(plain mode) and `build_bar_complex` build it when asked (unit_quotient).
+(plain and qualgebra modes) and `build_bar_complex` build it when asked
+(unit_quotient).
 
 Closed under the boundary: take a prism holding e as entry c of block j,
 of size k.  A face that keeps this entry keeps e, since the i = 0 face of
@@ -49,6 +50,22 @@ e·x = x·e = x and x◁e = x).  The tuples y holding e span its degenerate
 subcomplex, which is acyclic (Mac Lane, *Homology*, 1963, VIII.6; it is
 zero in degree 0, so leaving out k = 0 changes nothing).  Every graded
 piece being acyclic, so is the span.
+
+The relation cells.  The boundary of a prism holds only prisms, so the
+span U above is a subcomplex of the qualgebra complex C too, whatever the
+relation cells' boundaries are; the cells themselves lie outside U.  The
+long exact sequence of 0 → U → C → C/U → 0, with U acyclic below the
+top degree, makes C → C/U an isomorphism on homology there, so qualgebra
+mode takes the quotient as plain mode does: the cells keep their
+boundaries less the terms on prisms in U.  Normalized mode is already the
+quotient C/D by the degenerate span D (and leaves out D3), and by the same
+sequence the further quotient by U keeps its homology only if U/(U ∩ D)
+is acyclic.  It is not: at N = 4 the quotient reads H_3 one free rank
+lower on Z2, Z3, Z4 and S3, so normalized mode refuses unit_quotient.
+The slices differ too: the unit prisms of the rack slice span a
+subcomplex that is not acyclic (∂(a|e) = ∂(e|a) = 0, so the cycle e of
+degree 1 bounds nothing in it), and its quotient on Z3 reads H_1 = Z^2,
+not Z^3.
 """
 
 from __future__ import annotations
@@ -59,7 +76,8 @@ from itertools import accumulate, product, repeat
 from typing import NamedTuple
 
 from . import chains
-from .algebra import AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, integer, read_degree, reading
+from .algebra import (_INT, AXIOM_NAMES, SHALGEBRA_AXIOMS, Shalgebra, integer, read_degree,
+                      reading)
 from .errors import StructureError, VerificationError
 
 
@@ -98,13 +116,21 @@ class _BracketedFields(NamedTuple):
 class BracketedTuple(_BracketedFields):
     """An ordered partition together with the elements filling its blocks.
 
-    The parts must be positive and sum to the number of elements; `_make`
-    and `_replace` check the same, as they build through the constructor.
+    Both are tuples, and the parts are `int`s (a float or a bool equal to
+    one is refused) that are positive and sum to the number of elements;
+    `_make` and `_replace` check the same, as they build through the
+    constructor.  The elements are checked against a carrier where they
+    are used.
     """
 
     __slots__ = ()
 
     def __new__(cls, partition, elements):
+        if not (isinstance(partition, tuple) and isinstance(elements, tuple)):
+            raise StructureError(f"partition and elements must be tuples: {partition!r}, "
+                                 f"{elements!r}")
+        if not _INT.issuperset(map(type, partition)):
+            raise StructureError(f"partition parts must be integers: {partition}")
         if partition and min(partition) < 1:
             raise StructureError("partition parts must be positive")
         if sum(partition) != len(elements):
@@ -296,23 +322,28 @@ class ExtraCell(NamedTuple):
         return f"{self.kind}({','.join(name(x) for x in self.labels)})"
 
 
+def _prism(partition, elements):
+    """A BracketedTuple built without the constructor's checks, for a shape made to fit."""
+    return tuple.__new__(BracketedTuple, (partition, elements))
+
+
 def _b3_boundary(a, b, S):
-    return chains.Chain(2, ((BracketedTuple((1, 1), (a, b)), 1),
-                            (BracketedTuple((2,), (b, S.act(a, b))), 1),
-                            (BracketedTuple((2,), (a, b)), -1))).terms
+    return chains.Chain(2, ((_prism((1, 1), (a, b)), 1),
+                            (_prism((2,), (b, S.act(a, b))), 1),
+                            (_prism((2,), (a, b)), -1))).terms
 
 
 def _b4_3_boundary(a, b, c, S):
-    return chains.Chain(3, ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
-                            (BracketedTuple((1, 2), (a, c, S.act(b, c))), 1),
-                            (BracketedTuple((1, 2), (a, b, c)), -1))).terms
+    return chains.Chain(3, ((_prism((1, 1, 1), (a, b, c)), 1),
+                            (_prism((1, 2), (a, c, S.act(b, c))), 1),
+                            (_prism((1, 2), (a, b, c)), -1))).terms
 
 
 def _b4_4_boundary(a, b, c, S):
-    return chains.Chain(3, ((BracketedTuple((1, 1, 1), (a, b, c)), 1),
-                            (BracketedTuple((2, 1), (b, S.act(a, b), c)), 1),
+    return chains.Chain(3, ((_prism((1, 1, 1), (a, b, c)), 1),
+                            (_prism((2, 1), (b, S.act(a, b), c)), 1),
                             (ExtraCell("B3", (S.act(a, c), S.act(b, c))), -1),
-                            (BracketedTuple((2, 1), (a, b, c)), -1),
+                            (_prism((2, 1), (a, b, c)), -1),
                             (ExtraCell("B3", (a, b)), 1))).terms
 
 
@@ -684,6 +715,41 @@ def _quotient_unit(S: Shalgebra):
     return None
 
 
+def _relation_cells(S: Shalgebra, N, include_d3):
+    """The relation cells through degree N, with D3 when include_d3, and the twist-cell warnings.
+
+    cells maps a degree to (ExtraCell, boundary terms) pairs in build order,
+    as `PrismaticComplex` takes them.
+    """
+    cells = {3: [], 4: []}
+    warnings = []
+    rng = range(S.size)
+    if N >= 3:
+        for a, b in product(rng, repeat=2):
+            cells[3].append((ExtraCell("B3", (a, b)), _b3_boundary(a, b, S)))
+        if include_d3:
+            for a in rng:
+                cells[3].append((ExtraCell("D3", (a,)), {_prism((1, 1), (a, a)): 1}))
+    if N >= 4:
+        if S.is_group:
+            for kind in ("B4_1", "B4_2"):
+                for a, b in product(rng, repeat=2):
+                    status, terms = resolve_twist_cell(kind, a, b, S)
+                    if status == "ok":
+                        cells[4].append((ExtraCell(kind, (a, b)), terms))
+                    else:
+                        warnings.append({"cell": kind, "labels": (a, b),
+                                         "reason": status})
+        else:
+            warnings.append({"cell": "B4_1/B4_2", "labels": None,
+                             "reason": "not_a_group"})
+        for a, b, c in product(rng, repeat=3):
+            cells[4].append((ExtraCell("B4_3", (a, b, c)), _b4_3_boundary(a, b, c, S)))
+        for a, b, c in product(rng, repeat=3):
+            cells[4].append((ExtraCell("B4_4", (a, b, c)), _b4_4_boundary(a, b, c, S)))
+    return cells, warnings
+
+
 def build_complex(S: Shalgebra, N, mode="plain", include_d3=True,
                   unit_quotient=False) -> PrismaticComplex:
     """Construct the prismatic complex of S through degree N.
@@ -694,54 +760,30 @@ def build_complex(S: Shalgebra, N, mode="plain", include_d3=True,
     boundary-squared check, which doubles as a runtime regression of the
     axiom arithmetic.
 
-    With unit_quotient (plain mode only), the complex is the quotient by
-    every prism holding the unit when `_quotient_unit` finds one, and the
-    full complex otherwise.  Its homology below N is the same; degree N,
-    read with allow_truncation, is not.
+    With unit_quotient (plain and qualgebra modes), the complex is the
+    quotient by every prism holding the unit when `_quotient_unit` finds
+    one, and the full complex otherwise.  Its homology below N is the same;
+    degree N, read with allow_truncation, is not.  Normalized mode refuses
+    it: its quotient by the unit prisms reads other groups (module docstring).
     """
     if mode not in MODES:
         raise StructureError(f"unknown mode {mode!r}; pick one of {MODES}")
-    if unit_quotient and mode != "plain":
-        raise StructureError("the unit quotient applies to mode 'plain' only")
+    if unit_quotient and mode == "normalized":
+        raise StructureError("the unit quotient applies to modes 'plain' and 'qualgebra' only: "
+                             "it does not keep the homology of normalized mode")
     N = _max_degree(N)
     S.report.require(SHALGEBRA_AXIOMS, "not a shalgebra")
     if mode in ("qualgebra", "normalized"):
         S.report.require(AXIOM_NAMES, "not a qualgebra")
 
-    collapsed = None
+    collapsed = cells = None
+    warnings = []
     if mode == "normalized":
         collapsed = degenerate_span(S, N)
-
-    cells = {3: [], 4: []}
-    warnings = []
-    if mode in ("qualgebra", "normalized"):
-        rng = range(S.size)
-        if N >= 3:
-            for a, b in product(rng, repeat=2):
-                cells[3].append((ExtraCell("B3", (a, b)), _b3_boundary(a, b, S)))
-            if include_d3 and mode == "qualgebra":
-                # In normalized mode the idempotence square is collapsed, so
-                # the D3 cells would be boundary-free; they are left out there.
-                for a in rng:
-                    cells[3].append((ExtraCell("D3", (a,)), {BracketedTuple((1, 1), (a, a)): 1}))
-        if N >= 4:
-            if S.is_group:
-                for kind in ("B4_1", "B4_2"):
-                    for a, b in product(rng, repeat=2):
-                        status, terms = resolve_twist_cell(kind, a, b, S)
-                        if status == "ok":
-                            cells[4].append((ExtraCell(kind, (a, b)), terms))
-                        else:
-                            warnings.append({"cell": kind, "labels": (a, b),
-                                             "reason": status})
-            else:
-                warnings.append({"cell": "B4_1/B4_2", "labels": None,
-                                 "reason": "not_a_group"})
-            for a, b, c in product(rng, repeat=3):
-                cells[4].append((ExtraCell("B4_3", (a, b, c)), _b4_3_boundary(a, b, c, S)))
-            for a, b, c in product(rng, repeat=3):
-                cells[4].append((ExtraCell("B4_4", (a, b, c)), _b4_4_boundary(a, b, c, S)))
-
+    if mode != "plain":
+        # In normalized mode the idempotence square is collapsed, so the D3
+        # cells would be boundary-free; they are left out there.
+        cells, warnings = _relation_cells(S, N, include_d3 and mode == "qualgebra")
     unit = _quotient_unit(S) if unit_quotient else None
     return PrismaticComplex(S, N, mode, compositions, cells, collapsed, warnings, unit)
 

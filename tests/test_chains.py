@@ -116,11 +116,14 @@ def test_smith_normal_form_examples():
 
 @pytest.mark.parametrize("k", [2.5, -0.5, "x", float("inf")])
 def test_chains_scale_by_integers_only(k):
-    with pytest.raises(StructureError, match="integers only"):
-        k * Chain(1, {0: 1})
+    # `scaled` reads its factor as `k * chain` does
+    for scale in (lambda: k * Chain(1, {0: 1}), lambda: Chain(1, {0: 1}).scaled(k)):
+        with pytest.raises(StructureError, match="integers only"):
+            scale()
     # an integral float is read as its integer
-    scaled = 2.0 * Chain(1, {0: 1})
-    assert scaled.terms == {0: 2} and type(scaled.terms[0]) is int
+    for scaled in (2.0 * Chain(1, {0: 1}), Chain(1, {0: 1}).scaled(Fraction(4, 2))):
+        assert scaled.terms == {0: 2} and type(scaled.terms[0]) is int
+    assert -Chain(1, {0: 1, 1: -2}) == Chain(1, {0: -1, 1: 2})
 
 
 @pytest.mark.parametrize("matrix", [[[2.7, 0], [0, 1.2]], [[1, "x"]], [[float("nan")]]])

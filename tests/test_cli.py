@@ -129,6 +129,11 @@ PINNED_GROUPS = {
     ("s3", "group"): ((0, (2,)), (0, ()), (0, (6,))),
     ("mm4", "prismatic"): ((0, ()), (0, ()), (0, ())),
     ("mm4", "group"): ((0, ()), (0, ()), (0, ())),
+    ("z2", "qualgebra"): ((0, (2,)), (0, ()), (5, (2, 2))),
+    ("z3", "qualgebra"): ((0, (3,)), (0, ()), (11, (3, 3))),
+    ("z4", "qualgebra"): ((0, (4,)), (0, ()), (19, (4, 4))),
+    ("s3", "qualgebra"): ((0, (2,)), (0, ()), (16, (2, 6))),
+    ("mm4", "qualgebra"): ((0, ()), (0, ()), (20, ())),
 }
 
 
@@ -156,7 +161,8 @@ def _built(monkeypatch):
 @pytest.mark.parametrize("theory", cli.THEORIES)
 def test_only_homology_below_the_top_reads_the_unit_quotient(files, capsys, monkeypatch, theory):
     # the unit quotient is for homology without --allow-truncation, on the
-    # prismatic and group theories; every other command keeps the full complex
+    # prismatic, group and qualgebra theories; every other command keeps the
+    # full complex
     built = _built(monkeypatch)
     runs = [["homology", "--theory", theory, "--max-degree", "3"],
             ["homology", "--theory", theory, "--max-degree", "3", "--allow-truncation"],
@@ -165,10 +171,16 @@ def test_only_homology_below_the_top_reads_the_unit_quotient(files, capsys, monk
     for argv in runs:
         assert main([argv[0], files["z3"], *argv[1:]]) == 0
     capsys.readouterr()
-    assert [K.unit for K in built] == [0 if theory in ("prismatic", "group") else None,
+    assert [K.unit for K in built] == [0 if theory in ("prismatic", "group", "qualgebra") else None,
                                        None, None, None]
-    full = built[1].generator_count(3)
-    assert built[0].generator_count(3) == (full * 8 // 27 if built[0].unit == 0 else full)
+    # the quotient leaves out the prisms holding the unit and keeps every
+    # relation cell: on Z3, 8 of each partition's 27 prisms stay
+    (prisms, cells), (full, full_cells) = (
+        (sum(isinstance(g, prismatic.BracketedTuple) for g in K.generators(3)),
+         sum(isinstance(g, prismatic.ExtraCell) for g in K.generators(3))) for K in built[:2])
+    assert cells == full_cells == (12 if theory == "qualgebra" else 9 if theory == "normalized"
+                                   else 0)
+    assert prisms == (full * 8 // 27 if built[0].unit == 0 else full)
 
 
 def test_truncated_homology_reads_the_full_complex(files, capsys):

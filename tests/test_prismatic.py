@@ -7,9 +7,10 @@ import pytest
 from prismhom import algebra
 from prismhom.chains import Chain, HomologyGroup
 from prismhom.errors import AxiomError, StructureError, VerificationError
-from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, boundary_generator,
-                                bracketed, build_bar_complex, build_complex, build_rack_complex,
-                                compositions, degenerate_span, face, faces, resolve_twist_cell)
+from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, _quotient_unit,
+                                _relation_cells, boundary_generator, bracketed, build_bar_complex,
+                                build_complex, build_rack_complex, compositions, degenerate_span,
+                                face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
                      prism_face, prismatic_differential, rack_differential, rank_mod_p,
@@ -57,6 +58,28 @@ def test_bracketed_tuples_refuse_a_partition_that_does_not_fit(partition, elemen
     with pytest.raises(StructureError, match="does not fit"):
         g._replace(partition=(2,))
     assert g._replace(elements=(2,)) == BracketedTuple._make(((1,), (2,))) == bracketed((1,), (2,))
+
+
+@pytest.mark.parametrize("partition, elements, message", [
+    ([1, 1], (0, 1), "partition and elements must be tuples: [1, 1], (0, 1)"),
+    ((1, 1), [0, 1], "partition and elements must be tuples: (1, 1), [0, 1]"),
+    ((1.0, 1), (0, 1), "partition parts must be integers: (1.0, 1)"),
+    ((2.0,), (0, 1), "partition parts must be integers: (2.0,)"),
+    (("a",), (0,), "partition parts must be integers: ('a',)"),
+    ((True,), (0,), "partition parts must be integers: (True,)")],
+    ids=("partition-list", "elements-list", "float-part", "float-block", "text-part", "bool-part"))
+def test_bracketed_tuples_refuse_what_is_not_a_tuple_of_int_parts(partition, elements, message):
+    # refused where it is built, before a face or label reaches a float
+    # range or an unhashable tuple; `bracketed` reads such input instead
+    g = bracketed((1,), (0,))
+    for build in (lambda: BracketedTuple(partition, elements),
+                  lambda: BracketedTuple._make((partition, elements)),
+                  lambda: g._replace(partition=partition, elements=elements)):
+        with pytest.raises(StructureError) as info:
+            build()
+        assert str(info.value) == message
+    assert bracketed("12", "001") == BracketedTuple((1, 2), (0, 0, 1))
+    assert bracketed([1, 1], [0, 1]) == BracketedTuple((1, 1), (0, 1))
 
 
 def test_face_examples(s3):
@@ -454,8 +477,12 @@ def _all_modes(S, N):
         build_bar_complex(S, N), build_rack_complex(S, N)]
 
 
-def _unit_quotients(S, N):
-    return [build_complex(S, N, unit_quotient=True), build_bar_complex(S, N, unit_quotient=True)]
+def _unit_quotients(S, N, unit_quotient=True):
+    # plain, bar and, on a qualgebra, qualgebra mode; their full complexes
+    # with unit_quotient=False
+    modes = ("plain", "qualgebra") if S.is_qualgebra else ("plain",)
+    return [build_complex(S, N, mode, unit_quotient=unit_quotient) for mode in modes] + [
+        build_bar_complex(S, N, unit_quotient=unit_quotient)]
 
 
 @pytest.mark.parametrize("name", ("z3", "s3"))
@@ -497,7 +524,7 @@ def test_stored_columns_follow_the_docstring_rule(name, request):
     modes = _all_modes(S, 4) if S.is_qualgebra else [
         build_complex(S, 4, "plain"), build_bar_complex(S, 4), build_rack_complex(S, 4)]
     quotients = _unit_quotients(S, 4)
-    assert [K.unit for K in quotients] == [S.unit, S.unit] and S.unit is not None
+    assert S.unit is not None and all(K.unit == S.unit for K in quotients)
     for K in modes + quotients:
         for n in range(1, 5):
             stored = K.cc.boundaries[n]
@@ -511,27 +538,44 @@ def test_stored_columns_follow_the_docstring_rule(name, request):
                                 or not is_degenerate(*f))
                             and K.unit not in f[1]}
                 assert stored[i].terms == expected, (K.mode, n, g)
-    # the quotient holds every prism without the unit
-    for K, full in zip(quotients, (build_complex(S, 4), build_bar_complex(S, 4))):
+    # the quotient holds every prism without the unit, in the same order, and
+    # the same relation cells: each with the full complex's column less its
+    # terms on the prisms that hold the unit
+    for K, full in zip(quotients, _unit_quotients(S, 4, unit_quotient=False)):
         for n in range(1, 5):
-            assert K.generator_count(n) == full.generator_count(n) // S.size ** n * (
-                S.size - 1) ** n
+            prisms = [g for g in full.generators(n) if isinstance(g, BracketedTuple)]
+            cells = [g for g in full.generators(n) if isinstance(g, ExtraCell)]
+            assert list(K.generators(n)) == [g for g in prisms if K.unit not in g.elements] + cells
+            kept = len(K.generators(n)) - len(cells)
+            assert kept == len(prisms) // S.size ** n * (S.size - 1) ** n
+            lower = full.generators(n - 1)
+            for cell in cells:
+                column = full.cc.boundaries[n][full.index_of(cell)].terms.items()
+                assert K.cc.boundaries[n][K.index_of(cell)].terms == {
+                    K.index_of(lower[j]): c for j, c in column
+                    if isinstance(lower[j], ExtraCell) or K.unit not in lower[j].elements}
 
 
 @pytest.mark.parametrize("order, N", ((2, 5), (3, 4)))
 def test_unit_quotients_keep_the_homology_below_the_top(order, N):
     # every labelled shalgebra of the order with 0 a unit that acts and is
-    # acted on trivially: the prisms holding 0 span an acyclic subcomplex
-    carriers = unital_shalgebras(order)
+    # acted on trivially: the prisms holding 0 span an acyclic subcomplex,
+    # of the qualgebra complex too, with or without the D3 cells
+    carriers = [algebra.Shalgebra(dot, tri) for dot, tri in unital_shalgebras(order)]
     assert len(carriers) == {2: 3, 3: 48}[order]
-    for dot, tri in carriers:
-        S = algebra.Shalgebra(dot, tri)
-        for build in (build_complex, build_bar_complex):
+    assert sum(S.is_qualgebra for S in carriers) == {2: 2, 3: 9}[order]
+    builds = [build_complex, build_bar_complex] + [
+        lambda S, N, d3=d3, **quotient: build_complex(S, N, "qualgebra", d3, **quotient)
+        for d3 in (True, False)]
+    for S in carriers:
+        for build in builds if S.is_qualgebra else builds[:2]:
+            # each build checks that the boundary squares to zero
             full, quotient = build(S, N), build(S, N, unit_quotient=True)
             assert quotient.unit == 0 and full.unit is None
+            assert quotient.warnings == full.warnings
             assert quotient.generator_count(N) < full.generator_count(N)
             assert ([quotient.homology(n) for n in range(1, N)]
-                    == [full.homology(n) for n in range(1, N)]), (dot, tri, build.__name__)
+                    == [full.homology(n) for n in range(1, N)]), (S, full.mode)
 
 
 def test_the_unit_quotient_of_one_element_is_empty(one_elt):
@@ -560,8 +604,36 @@ def test_unit_quotient_needs_the_unit_identities(z3):
     # a carrier without a unit gets the full complex
     no_unit = algebra.projection_shalgebra([[0, 0], [0, 0]])
     assert no_unit.unit is None and build_complex(no_unit, 2, unit_quotient=True).unit is None
-    with pytest.raises(StructureError, match="the unit quotient applies to mode 'plain' only"):
-        build_complex(z3, 2, "qualgebra", unit_quotient=True)
+
+
+@pytest.mark.parametrize("name, ranks", (("z2", (5, 4)), ("z3", (11, 10)), ("z4", (19, 18)),
+                                         ("s3", (13, 12))))
+def test_the_unit_quotient_of_normalized_mode_reads_other_groups(name, ranks, request):
+    # the degenerate span and the unit span together: the unit quotient of
+    # the normalized complex, built by hand, reads H_3 one free rank lower,
+    # so build_complex refuses it
+    S = request.getfixturevalue(name) if name != "z4" else algebra.conj_cyclic(4)
+    cells, warnings = _relation_cells(S, 4, include_d3=False)
+    full, quotient = (PrismaticComplex(S, 4, "normalized", compositions, cells,
+                                       degenerate_span(S, 4), warnings, unit)
+                      for unit in (None, _quotient_unit(S)))
+    assert quotient.unit == S.unit == 0
+    assert [full.homology(n) for n in (1, 2)] == [quotient.homology(n) for n in (1, 2)]
+    assert [full.homology(3).free_rank, quotient.homology(3).free_rank] == list(ranks)
+    assert full.homology(3).torsion == quotient.homology(3).torsion
+    assert [full.homology(n) for n in (1, 2, 3)] == [build_complex(S, 4, "normalized").homology(n)
+                                                     for n in (1, 2, 3)]
+    with pytest.raises(StructureError, match="does not keep the homology of normalized mode"):
+        build_complex(S, 4, "normalized", unit_quotient=True)
+
+
+def test_the_unit_quotient_of_the_rack_slice_reads_other_groups(z3):
+    # the unit prisms of the rack slice are not acyclic: e is a cycle of
+    # degree 1 that bounds nothing among them
+    full = build_rack_complex(z3, 3)
+    quotient = PrismaticComplex(z3, 3, "rack", lambda n: ((1,) * n,), unit=_quotient_unit(z3))
+    assert quotient.unit == 0
+    assert full.homology(1) == HomologyGroup(3) and quotient.homology(1) == HomologyGroup(2)
 
 
 

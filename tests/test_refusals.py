@@ -32,6 +32,13 @@ def _zero_complex():
     return chains.ChainComplex({0: 1, 1: 1}, {1: [chains.Chain(0)]})
 
 
+def _holding(terms):
+    """A degree-0 Chain whose terms are set directly, past the reads of the constructor."""
+    ch = chains.Chain(0)
+    ch.terms = terms
+    return ch
+
+
 def _edge_pair():
     """Two vertices joined by two edges: ∂e0 = v1 - v0 and ∂e1 = v0 - v1."""
     return chains.ChainComplex({0: 2, 1: 2}, {1: [chains.Chain(0, {0: -1, 1: 1}),
@@ -47,6 +54,8 @@ READERS = {
                       "declared size 2.5 is not an integer: 2.5 is not an integer"),
     "chain-scale": (lambda: 2.5 * chains.Chain(1, {0: 1}),
                     "a chain scales by integers only: 2.5 is not an integer"),
+    "chain-scaled": (lambda: chains.Chain(0, {0: 1}).scaled(2.5),
+                     "a chain scales by integers only: 2.5 is not an integer"),
     "homology-group": (lambda: chains.HomologyGroup(1.5),
                        "free rank and torsion must be integers: 1.5 is not an integer"),
     "homology-group-fraction": (lambda: chains.HomologyGroup(0, (Fraction(5, 2),)),
@@ -67,15 +76,14 @@ READERS = {
     "chain-coefficient-text": (lambda: chains.Chain(0, {0: "x"}),
                                "chain coefficients must be integers: "
                                "invalid literal for int() with base 10: 'x'"),
-    # `Chain.scaled` does not read its factor, so a boundary can still reach
-    # the complex holding a fraction
+    # every public path into a Chain reads its coefficients, so these
+    # boundaries set their terms directly to reach the complex's own read
     "complex-boundary-coefficient": (lambda: chains.ChainComplex(
-                                         {0: 1, 1: 1}, {1: [chains.Chain(0, {0: 1}).scaled(2.5)]}),
+                                         {0: 1, 1: 1}, {1: [_holding({0: 2.5})]}),
                                      "boundary coefficients must be integers: "
                                      "2.5 is not an integer"),
     "complex-boundary-decimal": (lambda: chains.ChainComplex(
-                                     {0: 1, 1: 1},
-                                     {1: [chains.Chain(0, {0: 1}).scaled(Decimal("2.5"))]}),
+                                     {0: 1, 1: 1}, {1: [_holding({0: Decimal("2.5")})]}),
                                  "boundary coefficients must be integers: "
                                  "Decimal('2.5') is not an integer"),
     "complex-boundary-index-fraction": (lambda: chains.ChainComplex(
@@ -219,9 +227,15 @@ ARGUMENTS = {
                                       {prismatic.BracketedTuple((1,), (1.0,)): 1}, 1),
                                   StructureError, "generator BracketedTuple(partition=(1,), "
                                                   "elements=(1.0,)) is not part of this complex"),
+    "bracketed-tuple-list": (lambda: prismatic.BracketedTuple([1, 1], (0, 1)), StructureError,
+                             "partition and elements must be tuples: [1, 1], (0, 1)"),
+    "bracketed-tuple-part": (lambda: prismatic.BracketedTuple((1.0, 1), (0, 1)), StructureError,
+                             "partition parts must be integers: (1.0, 1)"),
     "unit-quotient-mode": (lambda: prismatic.build_complex(Z2, 2, "normalized",
                                                            unit_quotient=True),
-                           StructureError, "the unit quotient applies to mode 'plain' only"),
+                           StructureError, "the unit quotient applies to modes 'plain' and "
+                                           "'qualgebra' only: it does not keep the homology "
+                                           "of normalized mode"),
     "chain-degree-range": (lambda: _z2_complex().chain(3, {}),
                            StructureError, "degree 3 outside built range 1..2"),
     "chain-generator-degree": (lambda: _z2_complex().chain(
