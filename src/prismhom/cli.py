@@ -139,11 +139,13 @@ def verify_structure(S: Shalgebra, N):
     partition's prisms are compared with it (`Boundary.mismatches`), as
     {generator index: coefficient}; every prism that differs counts.
     Degree by degree from 1 to min(N, 4), every prism is labeled once by
-    `good_labeling`, as a tuple, and each partition's q^n prisms go to one
+    `good_labeling`, as a tuple, through its partition's compiled label
+    function, and each partition's q^n prisms go to one
     `faces_match_algebra` call, which reads them on label columns: their
-    generating labels must read their names, and their geometric faces must
-    carry the label tuples stored for degree n-1 under the indices of their
-    algebraic faces; every prism that fails counts.
+    generating labels must read their names (each column compared whole
+    with its name column), and their geometric faces must carry the label
+    tuples stored for degree n-1 under the indices of their algebraic
+    faces; every prism that fails counts.
     The prisms are dropped before the next partition is labeled, and only
     the previous degree's tuples are kept.  Relation cells the build leaves
     out are named on stderr, as `homology` names them.

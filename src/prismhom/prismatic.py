@@ -719,7 +719,9 @@ def _relation_cells(S: Shalgebra, N, include_d3):
     """The relation cells through degree N, with D3 when include_d3, and the twist-cell warnings.
 
     cells maps a degree to (ExtraCell, boundary terms) pairs in build order,
-    as `PrismaticComplex` takes them.
+    as `PrismaticComplex` takes them.  Cells exist in degrees 3 and 4 only:
+    for N >= 5 one more warning, cell "degree-5+", says the cells above
+    degree 4 are not constructed.
     """
     cells = {3: [], 4: []}
     warnings = []
@@ -747,6 +749,8 @@ def _relation_cells(S: Shalgebra, N, include_d3):
             cells[4].append((ExtraCell("B4_3", (a, b, c)), _b4_3_boundary(a, b, c, S)))
         for a, b, c in product(rng, repeat=3):
             cells[4].append((ExtraCell("B4_4", (a, b, c)), _b4_4_boundary(a, b, c, S)))
+    if N >= 5:
+        warnings.append({"cell": "degree-5+", "labels": None, "reason": "not_constructed"})
     return cells, warnings
 
 

@@ -23,13 +23,18 @@ is the one state a `LabeledPrism` holds; its `edges` dict, vertex pair ->
 label, is derived from that tuple on each access.  A partition's labels
 come from one straight-line program: its edges share their block products
 and acting prefixes, each is computed once, and the labels are read out
-in plan order; each face plan picks the face's labels out of the tuple.
+in plan order.  The program runs compiled: `_label_function` turns it into
+one Python function per partition, so a prism costs one call.  Each face
+plan picks the face's labels out of the tuple.
 `faces_match_algebra` checks that each prism's generating labels (t-1 ->
-t at the base point) read its name, then compares each face, label for
-label, with the tuple stored one degree lower under the algebraic face's
-index from `prismatic._face_tables`.  Stored tuples pass the same check,
-so distinct generators have distinct tuples, and equal labels make the
-geometric face the algebraic one.
+t at the base point) read its name, comparing each label column with its
+name column as a whole and prism by prism only where the two differ.  It
+then compares each face, label for label, with the tuple stored one
+degree lower under the algebraic face's index from
+`prismatic._face_tables`; a run of prisms in index order reads those
+tables as they are.  Stored tuples pass the same check, so distinct
+generators have distinct tuples, and equal labels make the geometric face
+the algebraic one.
 """
 
 from __future__ import annotations
@@ -38,18 +43,25 @@ from functools import lru_cache
 from itertools import combinations, product
 from operator import eq, itemgetter
 
-from .algebra import Shalgebra, diagonal_action, integer, reading
+from .algebra import _INT, Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
 from .prismatic import BracketedTuple, _face_tables, _ranked_plan, partition_ranks
 
 
 class LabeledPrism:
-    """A product of simplices with carrier-labeled directed edges, held as its label tuple."""
+    """A product of simplices with carrier-labeled directed edges, held as its label tuple.
+
+    The block sizes must be `int`s (a float or a bool equal to one is
+    refused, as in `BracketedTuple`) of at least 1, and the labels one per
+    edge.
+    """
 
     __slots__ = ("partition", "label", "labels")
 
     def __init__(self, partition, label, labels):
         self.partition = tuple(partition)
+        if not _INT.issuperset(map(type, self.partition)):
+            raise StructureError(f"partition parts must be integers: {self.partition}")
         self.label = label                     # BracketedTuple or None
         self.labels = tuple(labels)            # in `_edge_plan` order
         count = len(_edge_keys(self.partition))
@@ -118,7 +130,7 @@ def _label_program(partition):
     Slots 0..n-1 hold the elements; step (table, src, t) appends
     table[slot src][element t], table 0 being dot and 1 tri.  Every distinct
     block product and acting prefix, keyed by (start, stop, acting), is one
-    step; `read` picks the labels out of the slots in `_edge_plan` order.
+    step; `read` lists the slots of the labels in `_edge_plan` order.
     """
     steps, slots, read = [], {}, []
     for _, start, stop, acting in _edge_plan(partition):
@@ -131,23 +143,50 @@ def _label_program(partition):
                 steps.append((table, at, t))
             at = slots[key]
         read.append(at)
-    return tuple(steps), _getter(tuple(read))
+    return tuple(steps), tuple(read)
+
+
+@lru_cache(maxsize=None)
+def _label_function(partition):
+    """`_label_program` compiled into one function labels(e, dot, tri) -> label tuple.
+
+    The function unpacks the elements into locals s0..s{n-1}, computes
+    each step once into the next local, s{n} on, and returns the labels
+    in `_edge_plan` order; a prism costs one call, with no loop over the
+    steps.  It is built from source the first time a partition is labeled.
+    """
+    steps, read = _label_program(partition)
+    n = sum(partition)
+    tables = ("dot", "tri")
+    source = ["def labels(e, dot, tri):", "    (" + "".join(f"s{k}, " for k in range(n)) + ") = e"]
+    source += [f"    s{at} = {tables[table]}[s{src}][s{t}]"
+               for at, (table, src, t) in enumerate(steps, n)]
+    source.append("    return (" + "".join(f"s{k}, " for k in read) + ")")
+    namespace = {}
+    exec("\n".join(source), namespace)
+    return namespace["labels"]
 
 
 def good_labels(partition, elements, S: Shalgebra) -> tuple:
-    """The edge labels of the prism of (partition, elements), in `_edge_plan` order."""
-    steps, read = _label_program(partition)
-    tables = (S.dot.rows, S.tri.rows)
-    slots = list(elements)
-    for table, src, t in steps:
-        slots.append(tables[table][slots[src]][slots[t]])
-    return read(slots)
+    """The edge labels of the prism of (partition, elements), in `_edge_plan` order.
+
+    They are computed by the partition's compiled `_label_function`; the
+    elements must number sum(partition).
+    """
+    if len(elements) != sum(partition):
+        raise StructureError(f"partition {partition} does not fit {len(elements)} elements")
+    return _label_function(partition)(elements, S.dot.rows, S.tri.rows)
 
 
 def good_labeling(g: BracketedTuple, S: Shalgebra) -> LabeledPrism:
     """The edge labeling of the prism of `g` determined by the labeling rule."""
     S.check_elements(g.elements)
-    return LabeledPrism(g.partition, g, good_labels(g.partition, g.elements, S))
+    labels = good_labels(g.partition, g.elements, S)
+    # g's parts are positive ints and the labels one per edge, so the
+    # constructor's checks are skipped
+    prism = object.__new__(LabeledPrism)
+    prism.partition, prism.label, prism.labels = g.partition, g, labels
+    return prism
 
 
 def act_on_prism(prism: LabeledPrism, b, S: Shalgebra) -> LabeledPrism:
@@ -271,6 +310,16 @@ def _algebraic_plan(partition):
     return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
 
 
+@lru_cache(maxsize=None)
+def _digit_columns(q, n):
+    """The base-q digits of 0..q^n-1 as n columns, most significant first.
+
+    They are the name columns of a partition's q^n prisms in index order.
+    """
+    return tuple(tuple(x for x in range(q) for _ in range(q ** (n - 1 - k))) * q ** k
+                 for k in range(n))
+
+
 def _check_column(column, prisms, S: Shalgebra, what):
     """Refuse a column of elements, one per prism, naming the first prism that holds a bad one."""
     try:
@@ -308,21 +357,26 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     q, n = S.size, sum(partition)
     labels = [prism.labels for prism in prisms]
     verdicts = [prism.label.partition == partition for prism in prisms]
-    # the names, read in base q, give each prism's place in the face tables
-    position = [0] * len(prisms)
-    names = zip(*(p.label.elements if ok else (0,) * n for p, ok in zip(prisms, verdicts)))
+    names = tuple(zip(*(p.label.elements if ok else (0,) * n
+                        for p, ok in zip(prisms, verdicts))))
     for column, t in zip(names, _generating(partition)):
-        edge = list(map(itemgetter(t), labels))
+        edge = tuple(map(itemgetter(t), labels))
         _check_column(column, prisms, S, "name element")
         _check_column(edge, prisms, S, "generating label")
-        verdicts = [ok and x == y for ok, x, y in zip(verdicts, column, edge)]
-        position = [k * q + x for k, x in zip(position, column)]
-    in_order = position == list(range(q ** n))
+        if edge != column:
+            verdicts = [ok and x == y for ok, x, y in zip(verdicts, column, edge)]
+    # the names, read in base q, give each prism's place in the face tables;
+    # prisms in index order take the tables as they are
+    position = None
+    if names != _digit_columns(q, n):
+        position = [0] * len(prisms)
+        for column in names:
+            position = [k * q + x for k, x in zip(position, column)]
     for (*_, sign, face, gather), entry in zip(_face_plans(partition), _algebraic_plan(partition)):
         if (sign, partition_ranks(n - 1)[face]) != (entry[0], entry[3]):
             return [False] * len(prisms)
         (table,) = _face_tables((entry,), n, S)  # one face's table alive at a time
-        if not in_order:
+        if position is not None:
             table = [table[k] for k in position]
         if not all(map(eq, map(gather, labels), map(below.get, table))):
             for at, (have, k) in enumerate(zip(map(gather, labels), table)):

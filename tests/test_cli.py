@@ -102,6 +102,23 @@ def test_homology_warnings_go_to_stderr(files, capsys):
     assert len(captured.err.splitlines()) == 12
 
 
+def test_missing_degree_five_cells_are_named_on_stderr(files, capsys):
+    # relation cells are built in degrees 3 and 4 only; from --max-degree 5
+    # on, the extended theories and verify say so in one more line after the
+    # twelve Z3 twist-cell lines, and the prismatic theory, which has no
+    # relation cells, says nothing
+    assert main(["homology", files["z3"], "--theory", "qualgebra", "--max-degree", "4"]) == 0
+    twelve = capsys.readouterr().err.splitlines()
+    assert len(twelve) == 12
+    for argv in (["homology", "--theory", "qualgebra"], ["homology", "--theory", "normalized"],
+                 ["verify"]):
+        assert main([*argv, files["z3"], "--max-degree", "5"]) == 0
+        assert capsys.readouterr().err.splitlines() == twelve + [
+            "warning: unresolved cell degree-5+ at all labels: not_constructed"]
+    assert main(["homology", files["z3"], "--max-degree", "5"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_homology_without_unresolved_cells_writes_no_stderr(files, capsys):
     assert main(["homology", files["z2"], "--max-degree", "3"]) == 0
     captured = capsys.readouterr()

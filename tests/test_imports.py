@@ -19,7 +19,9 @@ Importing the package stays cheap: a fresh `python -S` process that runs
 `import prismhom` has not loaded `dataclasses`, `inspect`, `ast` or
 `importlib.resources`, which cost milliseconds at every start of the
 command line tool; only loading a packaged diagram reads
-`importlib.resources`.
+`importlib.resources`.  That process has compiled no edge-label kernel
+either, and generated code runs in one place: only
+`prisms._label_function` calls `exec` (or `eval`, or `compile`).
 The modules of the package, `__init__` aside, import each other without a
 cycle, late imports included.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
@@ -185,14 +187,19 @@ def test_the_check_sees_an_outside_import():
 SLOW_TO_IMPORT = ("dataclasses", "inspect", "ast", "importlib.resources")
 
 
-def _slow_imports_after(statement):
-    """The modules of SLOW_TO_IMPORT loaded once `statement` has run in a fresh
-    `python -S` process (no site packages preloaded) with the package on its path."""
-    probe = (f"import sys; sys.path.insert(0, {os.path.dirname(SOURCE)!r}); {statement}; "
-             f"print(*[m for m in {SLOW_TO_IMPORT!r} if m in sys.modules])")
+def _printed_after(statement):
+    """The words `statement` prints in a fresh `python -S` process (no site
+    packages preloaded) with the package on its path."""
+    probe = f"import sys; sys.path.insert(0, {os.path.dirname(SOURCE)!r}); {statement}"
     done = subprocess.run([sys.executable, "-S", "-c", probe],
                           capture_output=True, text=True, check=True)
     return done.stdout.split()
+
+
+def _slow_imports_after(statement):
+    """The modules of SLOW_TO_IMPORT loaded once `statement` has run in a fresh process."""
+    return _printed_after(f"{statement}; print(*[m for m in {SLOW_TO_IMPORT!r} "
+                          "if m in sys.modules])")
 
 
 def test_importing_the_package_loads_no_slow_module():
@@ -203,6 +210,45 @@ def test_the_check_sees_a_slow_import():
     assert _slow_imports_after("import prismhom; prismhom.load_fixture_diagram('theta')") == [
         "importlib.resources"]
     assert "dataclasses" in _slow_imports_after("import prismhom, dataclasses")
+
+
+def test_importing_the_package_compiles_no_label_kernel():
+    # the edge-label kernels are compiled the first time a partition is
+    # labeled, inside a job, not when the command line tool starts
+    assert _printed_after("import prismhom; "
+                          "print(prismhom.prisms._label_function.cache_info().currsize)") == ["0"]
+
+
+GENERATED_CODE_HOME = ("prisms.py", "_label_function")
+
+
+def _exec_sites(tree):
+    """(top-level definition, line) for every call of `exec`, `eval` or `compile`."""
+    found = []
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if (isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                    and sub.func.id in ("exec", "eval", "compile")):
+                found.append((getattr(node, "name", None), sub.lineno))
+    return found
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_code_is_generated_in_one_place(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    home, function = GENERATED_CODE_HOME
+    sites = [name for name, _ in _exec_sites(tree)]
+    assert sites == ([function] if module == home else []), (
+        f"{module} runs generated code; only prisms._label_function compiles the label kernels")
+
+
+def test_the_check_sees_generated_code():
+    tree = ast.parse("exec('x = 1')\n"
+                     "def kernel(source):\n    ns = {}\n    exec(source, ns)\n    return ns\n"
+                     "class Table:\n    def read(self, text):\n        return eval(text)\n"
+                     "code = compile('1', '<s>', 'eval')\nfunctools.exec\nrunner.exec(1)\n")
+    assert _exec_sites(tree) == [(None, 1), ("kernel", 4), ("Table", 8), (None, 9)]
 
 
 def test_the_project_declares_no_dependencies():

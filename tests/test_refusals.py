@@ -231,6 +231,18 @@ ARGUMENTS = {
                              "partition and elements must be tuples: [1, 1], (0, 1)"),
     "bracketed-tuple-part": (lambda: prismatic.BracketedTuple((1.0, 1), (0, 1)), StructureError,
                              "partition parts must be integers: (1.0, 1)"),
+    # a prism's block sizes are read as a BracketedTuple's parts: a float, a
+    # word or a bool is refused before any edge is counted
+    "labeled-prism-float-part": (lambda: prisms.LabeledPrism((1.0,), None, (0,)), StructureError,
+                                 "partition parts must be integers: (1.0,)"),
+    "labeled-prism-word-part": (lambda: prisms.LabeledPrism(("a",), None, ()), StructureError,
+                                "partition parts must be integers: ('a',)"),
+    "labeled-prism-bool-part": (lambda: prisms.LabeledPrism((True,), None, (0,)), StructureError,
+                                "partition parts must be integers: (True,)"),
+    "good-labels-length": (lambda: prisms.good_labels((1, 1), (1, 2, 3), S3), StructureError,
+                           "partition (1, 1) does not fit 3 elements"),
+    "good-labels-short": (lambda: prisms.good_labels((2, 1), (1,), S3), StructureError,
+                          "partition (2, 1) does not fit 1 elements"),
     "unit-quotient-mode": (lambda: prismatic.build_complex(Z2, 2, "normalized",
                                                            unit_quotient=True),
                            StructureError, "the unit quotient applies to modes 'plain' and "
