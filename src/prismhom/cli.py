@@ -82,19 +82,23 @@ def _build_theory(S, theory, N, include_d3, unit_quotient=False):
     unit allows it (`prismatic._quotient_unit`), which changes no group
     below the top degree; the qualgebra relation cells stay, less their
     terms on those prisms.  Rack and normalized keep the full complex, as
-    the quotient changes their groups.
+    the quotient changes their groups.  Relation cells the build leaves out
+    are named on stderr.
     """
     if not include_d3 and theory != "qualgebra":
         raise StructureError("--no-include-d3 applies to --theory qualgebra only")
     if theory == "rack":
-        return build_rack_complex(S, N)
-    if theory == "group":
-        return build_bar_complex(S, N, unit_quotient=unit_quotient)
-    if theory == "prismatic":
-        return build_complex(S, N, unit_quotient=unit_quotient)
-    if theory == "qualgebra":
-        return build_complex(S, N, "qualgebra", include_d3, unit_quotient)
-    return build_complex(S, N, "normalized")
+        K = build_rack_complex(S, N)
+    elif theory == "group":
+        K = build_bar_complex(S, N, unit_quotient=unit_quotient)
+    elif theory == "prismatic":
+        K = build_complex(S, N, unit_quotient=unit_quotient)
+    elif theory == "qualgebra":
+        K = build_complex(S, N, "qualgebra", include_d3, unit_quotient)
+    else:
+        K = build_complex(S, N, "normalized")
+    _warn_unresolved(K)
+    return K
 
 
 def cmd_homology(args):
@@ -106,7 +110,6 @@ def cmd_homology(args):
     S = load_structure(args.structure)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3,
                       unit_quotient=not args.allow_truncation)
-    _warn_unresolved(K)
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
     groups = [(n, K.homology(n, allow_truncation=args.allow_truncation)) for n in degrees]
     payload = {"theory": args.theory, "max_degree": args.max_degree,
@@ -134,7 +137,8 @@ def verify_structure(S: Shalgebra, N):
 
     Building the complex checks ∂∘∂ = 0 (a violation raises
     VerificationError).  For each partition of degree 2..min(N, 4), the
-    expansion table is then evaluated once on element columns
+    face rule (`_expansion_terms`; a test pins its rows to the copied
+    explicit formulas) is then evaluated once on element columns
     (`_expansion_columns`), and the stored boundary columns of the
     partition's prisms are compared with it (`Boundary.mismatches`), as
     {generator index: coefficient}; every prism that differs counts.
@@ -222,9 +226,9 @@ def cmd_export_matrices(args):
 def _expansion_columns(S: Shalgebra, partition):
     """The expansion of each prism on `partition` as {generator index: coefficient}, in index order.
 
-    The expansion table is evaluated once, on element columns: position k
-    of the tuple becomes the list of e_k over all q^n tuples in index
-    order, and · and ◁ act entry by entry.  Each term then becomes a column
+    The face rule (`_expansion_terms`) is evaluated once, on element columns:
+    position k of the tuple becomes the list of e_k over all q^n tuples in
+    index order, and · and ◁ act entry by entry.  Each term then becomes a column
     of face indices (its partition rank, then its elements read in base q),
     and each prism's signs are summed, a term that sums to 0 dropped.
     """
@@ -256,90 +260,28 @@ def _expansion_columns(S: Shalgebra, partition):
     return columns
 
 
-# The expansion table mirrors the explicit low-degree boundary formulas and
-# backs the symbolic check of `verify`: one entry per partition of degrees
-# 2..4.  Each entry lists (sign, partition, element expression) with
-# expressions over the tuple entries e, through the operations mul (·) and
-# act (◁); cancelling pairs are kept and collapse when the terms are
-# combined.  `_expansion_columns` evaluates it on columns of elements.
 def _expansion_terms(key, e, mul, act):
-    if key == (2,):
-        a, b = e
-        rows = [(1, (1,), (b,)), (-1, (1,), (mul(a, b),)), (1, (1,), (a,))]
-    elif key == (1, 1):
-        a, b = e
-        rows = [(1, (1,), (b,)), (-1, (1,), (b,)),
-                (-1, (1,), (act(a, b),)), (1, (1,), (a,))]
-    elif key == (3,):
-        a, b, c = e
-        rows = [(1, (2,), (b, c)), (-1, (2,), (mul(a, b), c)),
-                (1, (2,), (a, mul(b, c))), (-1, (2,), (a, b))]
-    elif key == (2, 1):
-        a, b, c = e
-        rows = [(1, (1, 1), (b, c)), (-1, (1, 1), (mul(a, b), c)),
-                (1, (1, 1), (a, c)),
-                (1, (2,), (act(a, c), act(b, c))), (-1, (2,), (a, b))]
-    elif key == (1, 2):
-        a, b, c = e
-        rows = [(1, (2,), (b, c)), (-1, (2,), (b, c)),
-                (-1, (1, 1), (act(a, b), c)),
-                (1, (1, 1), (a, mul(b, c))), (-1, (1, 1), (a, b))]
-    elif key == (1, 1, 1):
-        a, b, c = e
-        rows = [(1, (1, 1), (b, c)), (-1, (1, 1), (b, c)),
-                (-1, (1, 1), (act(a, b), c)), (1, (1, 1), (a, c)),
-                (1, (1, 1), (act(a, c), act(b, c))), (-1, (1, 1), (a, b))]
-    elif key == (4,):
-        a, b, c, d = e
-        rows = [(1, (3,), (b, c, d)), (-1, (3,), (mul(a, b), c, d)),
-                (1, (3,), (a, mul(b, c), d)), (-1, (3,), (a, b, mul(c, d))),
-                (1, (3,), (a, b, c))]
-    elif key == (3, 1):
-        a, b, c, d = e
-        rows = [(1, (2, 1), (b, c, d)), (-1, (2, 1), (mul(a, b), c, d)),
-                (1, (2, 1), (a, mul(b, c), d)), (-1, (2, 1), (a, b, d)),
-                (-1, (3,), (act(a, d), act(b, d), act(c, d))),
-                (1, (3,), (a, b, c))]
-    elif key == (2, 2):
-        a, b, c, d = e
-        rows = [(1, (1, 2), (b, c, d)), (-1, (1, 2), (mul(a, b), c, d)),
-                (1, (1, 2), (a, c, d)),
-                (1, (2, 1), (act(a, c), act(b, c), d)),
-                (-1, (2, 1), (a, b, mul(c, d))), (1, (2, 1), (a, b, c))]
-    elif key == (2, 1, 1):
-        a, b, c, d = e
-        rows = [(1, (1, 1, 1), (b, c, d)), (-1, (1, 1, 1), (mul(a, b), c, d)),
-                (1, (1, 1, 1), (a, c, d)),
-                (1, (2, 1), (act(a, c), act(b, c), d)), (-1, (2, 1), (a, b, d)),
-                (-1, (2, 1), (act(a, d), act(b, d), act(c, d))),
-                (1, (2, 1), (a, b, c))]
-    elif key == (1, 3):
-        a, b, c, d = e
-        rows = [(1, (3,), (b, c, d)), (-1, (3,), (b, c, d)),
-                (-1, (1, 2), (act(a, b), c, d)),
-                (1, (1, 2), (a, mul(b, c), d)), (-1, (1, 2), (a, b, mul(c, d))),
-                (1, (1, 2), (a, b, c))]
-    elif key == (1, 2, 1):
-        a, b, c, d = e
-        rows = [(1, (2, 1), (b, c, d)), (-1, (2, 1), (b, c, d)),
-                (-1, (1, 1, 1), (act(a, b), c, d)),
-                (1, (1, 1, 1), (a, mul(b, c), d)), (-1, (1, 1, 1), (a, b, d)),
-                (-1, (1, 2), (act(a, d), act(b, d), act(c, d))),
-                (1, (1, 2), (a, b, c))]
-    elif key == (1, 1, 2):
-        a, b, c, d = e
-        rows = [(1, (1, 2), (b, c, d)), (-1, (1, 2), (b, c, d)),
-                (-1, (1, 2), (act(a, b), c, d)), (1, (1, 2), (a, c, d)),
-                (1, (1, 1, 1), (act(a, c), act(b, c), d)),
-                (-1, (1, 1, 1), (a, b, mul(c, d))),
-                (1, (1, 1, 1), (a, b, c))]
-    elif key == (1, 1, 1, 1):
-        a, b, c, d = e
-        rows = [(1, (1, 1, 1), (b, c, d)), (-1, (1, 1, 1), (b, c, d)),
-                (-1, (1, 1, 1), (act(a, b), c, d)), (1, (1, 1, 1), (a, c, d)),
-                (1, (1, 1, 1), (act(a, c), act(b, c), d)), (-1, (1, 1, 1), (a, b, d)),
-                (-1, (1, 1, 1), (act(a, d), act(b, d), act(c, d))),
-                (1, (1, 1, 1), (a, b, c))]
+    """The faces of a prism on partition `key` with entries e, as (sign, partition, entries) rows.
+
+    The face rule of the `prismatic` docstring, written out again for
+    `verify` to check the complex against: rows in (j, i) order, cancelling
+    pairs kept.  Entries are opaque here: carrier elements or element columns.
+    """
+    e = tuple(e)
+    rows = []
+    start = 0
+    for j, k in enumerate(key):
+        face = key[:j] + ((k - 1,) if k > 1 else ()) + key[j + 1:]
+        before, block, after = e[:start], e[start:start + k], e[start + k:]
+        for i in range(k + 1):
+            if i == 0:
+                entries = tuple(act(x, block[0]) for x in before) + block[1:]
+            elif i < k:
+                entries = before + block[:i - 1] + (mul(block[i - 1], block[i]),) + block[i + 1:]
+            else:
+                entries = before + block[:-1]
+            rows.append(((-1) ** (start + i), face, entries + after))
+        start += k
     return rows
 
 

@@ -327,7 +327,12 @@ def foam_chain(presentation):
 
 
 def foam_invariant(presentation, S: Shalgebra):
-    """Degree-3 class of a foam chain presentation in the normalized extended complex."""
+    """Degree-3 class of a foam chain presentation in the normalized extended complex.
+
+    The complex, `cached_complex(S, 4, "normalized")`, silently lacks the
+    twist cells `resolve_twist_cell` cannot fill (12 on Z3, 60 on S3); its
+    `.warnings` names them.
+    """
     K = cached_complex(S, 4, "normalized")
     terms = foam_chain(presentation)
     try:

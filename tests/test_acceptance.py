@@ -14,7 +14,7 @@ from itertools import product
 
 import pytest
 
-from prismhom import algebra, prisms
+from prismhom import algebra, cli, prisms
 from prismhom.chains import HomologyGroup
 from prismhom.cli import main
 from prismhom.knots import enumerate_colorings, invariant, load_fixture_diagram, move_fixture_pairs
@@ -164,6 +164,23 @@ def test_criterion_02_symbolic_expansions():
             if got != expected:
                 failures.append((partition, elements))
     _report(2, "symbolic expansion oracle", failures)
+
+
+def test_verify_face_rule_reads_the_oracle_rows():
+    # verify's symbolic check evaluates the face rule, not a copied table; on
+    # symbolic entries it must give this module's transcription row for row,
+    # in the same order, cancelling pairs included
+    def m(x, y):
+        return ("m", x, y)
+
+    def t(x, y):
+        return ("t", x, y)
+
+    shapes = [p for n in (2, 3, 4) for p in compositions(n)]
+    assert len(shapes) == 14
+    for partition in shapes:
+        e = tuple("abcd"[:sum(partition)])
+        assert cli._expansion_terms(partition, e, m, t) == _oracle_rows(partition, e, m, t)
 
 
 # -- 3: specialization to the classical differentials ------------------------------

@@ -20,7 +20,7 @@ from prismhom.cli import main
 from prismhom.knots import load_fixture_diagram, save_diagram
 from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex, faces
 
-from oracles import bar_differential, rack_differential
+from oracles import bar_differential, prismatic_differential, rack_differential
 
 
 @pytest.fixture(scope="module")
@@ -117,6 +117,27 @@ def test_missing_degree_five_cells_are_named_on_stderr(files, capsys):
             "warning: unresolved cell degree-5+ at all labels: not_constructed"]
     assert main(["homology", files["z3"], "--max-degree", "5"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_export_matrices_names_missing_cells_on_stderr(files, capsys, tmp_path):
+    # export-matrices builds its complex through the same call as homology,
+    # so it names the same missing cells on stderr: the twelve Z3 twist-cell
+    # lines, then the degree-5 one; stdout and the --out file hold only the
+    # matrices
+    argv = [files["z3"], "--theory", "qualgebra", "--max-degree", "5"]
+    assert main(["homology", *argv]) == 0
+    named = capsys.readouterr().err.splitlines()
+    assert len(named) == 13
+    assert named[-1] == "warning: unresolved cell degree-5+ at all labels: not_constructed"
+    assert main(["export-matrices", *argv]) == 0
+    printed = capsys.readouterr()
+    assert printed.err.splitlines() == named
+    out = tmp_path / "triplets.txt"
+    assert main(["export-matrices", *argv, "--out", str(out)]) == 0
+    written = capsys.readouterr()
+    assert written.err.splitlines() == named
+    assert written.out == f"wrote {out}\n"
+    assert out.read_text(encoding="utf-8") == printed.out
 
 
 def test_homology_without_unresolved_cells_writes_no_stderr(files, capsys):
@@ -719,6 +740,21 @@ def test_verify_numbering_agrees_with_the_complex(make, top):
             for k, prism in enumerate(batch):
                 assert [lower[h] for h in below.asked[k::count]] == [
                     face for _, face in faces(prism.label, S)]
+
+
+@pytest.mark.parametrize("make", [lambda: algebra.conj_cyclic(3),
+                                  lambda: algebra.mul_mod_shalgebra(4)], ids=["z3", "mul-mod-4"])
+def test_the_symbolic_face_rule_holds_past_degree_four(make):
+    # verify stops at degree 4, where the copied formulas stop; the rule it
+    # evaluates does not, and in degree 5 it gives the oracle's differential
+    S = make()
+    for partition in prismatic.compositions(5):
+        for elements in product(range(S.size), repeat=5):
+            combined = Counter()
+            for sign, p, e in cli._expansion_terms(partition, elements, S.mul, S.act):
+                combined[p, e] += sign
+            assert {f: c for f, c in combined.items() if c} == \
+                prismatic_differential(partition, elements, S), (partition, elements)
 
 
 @pytest.mark.parametrize("argv", [
