@@ -24,7 +24,7 @@ from .algebra import (AXIOM_EQUATIONS, AXIOM_NAMES, CLASS_AXIOMS, Shalgebra, che
 from .chains import export_boundary_triplets
 from .errors import AxiomError, NotACycleError, StructureError, VerificationError
 from .knots import invariant, load_diagram
-from .prismatic import (bracketed, build_bar_complex, build_complex,
+from .prismatic import (_element_table, bracketed, build_bar_complex, build_complex,
                         build_rack_complex, compositions, partition_ranks)
 
 EXIT_OK = 0
@@ -227,17 +227,17 @@ def _expansion_columns(S: Shalgebra, partition):
     """The expansion of each prism on `partition` as {generator index: coefficient}, in index order.
 
     The face rule (`_expansion_terms`) is evaluated once, on element columns:
-    position k of the tuple becomes the list of e_k over all q^n tuples in
-    index order, and · and ◁ act entry by entry.  Each term then becomes a column
-    of face indices (its partition rank, then its elements read in base q),
-    and each prism's signs are summed, a term that sums to 0 dropped.
+    position k of the tuple becomes column k of `prismatic._element_table`,
+    e_k over all q^n tuples in index order, and · and ◁ act entry by entry.
+    Each term then becomes a column of face indices (its partition rank,
+    then its elements read in base q), and each prism's signs are summed, a
+    term that sums to 0 dropped.
     """
     n = sum(partition)
     q = S.size
     dot, tri = S.dot.rows, S.tri.rows
     count = q ** n
-    elements = [[x for x in range(q) for _ in range(q ** (n - 1 - k))] * q ** k
-                for k in range(n)]
+    elements = tuple(zip(*_element_table(q, n)))
 
     def mul(xs, ys):
         return [dot[x][y] for x, y in zip(xs, ys)]

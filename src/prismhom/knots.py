@@ -265,6 +265,9 @@ def _extensions(D: KTGDiagram, S: Shalgebra, fixed):
 
 def represented_cycle(D: KTGDiagram, colors, S: Shalgebra) -> dict:
     """The degree-2 chain of a colored diagram; checked to be a cycle."""
+    for arc in D.arcs:
+        if arc not in colors:
+            raise StructureError(f"the coloring gives arc {arc!r} no color")
     terms = chains.Chain(2, [(BracketedTuple(shape, (colors[left], colors[right])), sign)
                              for sign, shape, _, left, right in D.rules]).terms
     residue = chains.Chain(1, [(t, c * ct) for g, c in terms.items()
@@ -313,8 +316,10 @@ def foam_chain(presentation):
     four degree-3 prisms (3), (2,1), (1,2), (1,1,1).
     """
     allowed = {(3,), (2, 1), (1, 2), (1, 1, 1)}
+    with reading("a foam presentation is a list of (sign, partition, elements) triples"):
+        triples = [(sign, partition, elements) for sign, partition, elements in presentation]
     pairs = []
-    for sign, partition, elements in presentation:
+    for sign, partition, elements in triples:
         g = bracketed(partition, elements)
         if g.partition not in allowed:
             raise StructureError(f"not a generalized crossing shape: {g.partition}")

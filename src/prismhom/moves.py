@@ -34,6 +34,7 @@ the diagram ("grow", the default, or "shrink"; any other value is refused):
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import count, islice
 
 from .algebra import Shalgebra, integer, reading
@@ -347,6 +348,8 @@ def apply_move(D: KTGDiagram, move, site, S: Shalgebra):
     """
     if move not in _MOVE_TABLE:
         raise StructureError(f"unknown move {move!r}; choose from {sorted(_MOVE_TABLE)}")
+    if not isinstance(site, Mapping):
+        raise StructureError(f"move site must be a mapping, got {site!r}")
     site = dict(site)
     direction = site.get("direction", "grow")
     if direction not in ("grow", "shrink"):

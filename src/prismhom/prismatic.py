@@ -174,6 +174,22 @@ def bracketed(partition, elements) -> BracketedTuple:
     return BracketedTuple(partition, elements)
 
 
+def _prism(partition, elements):
+    """A BracketedTuple built without the constructor's checks, for a shape made to fit."""
+    return tuple.__new__(BracketedTuple, (partition, elements))
+
+
+@lru_cache(maxsize=1)  # each walk reads one degree at a time
+def _element_table(q, n):
+    """A partition's q^n element tuples in index order: tuple v is v's n digits in base q."""
+    return tuple(product(range(q), repeat=n))
+
+
+def _elements(index, q, n):
+    """The elements of a degree-n prism's full index: row index % q^n of `_element_table`."""
+    return tuple(index // q ** k % q for k in range(n - 1, -1, -1))
+
+
 @lru_cache(maxsize=None)
 def _boundary_plan(partition):
     """The faces of a partition in (j, i) order, as (sign, kind, position, face partition).
@@ -218,8 +234,7 @@ def _faces(e, plan, S: Shalgebra):
 def faces(g: BracketedTuple, S: Shalgebra):
     """All signed faces of a generator, (sign, BracketedTuple), in (j, i) order."""
     S.check_elements(g.elements)
-    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-    return ((sign, new(BracketedTuple, (partition, f)))
+    return ((sign, _prism(partition, f))
             for sign, partition, f in _faces(g.elements, _boundary_plan(g.partition), S))
 
 
@@ -261,31 +276,18 @@ def degenerate_span(S: Shalgebra, N):
     """The prisms that normalized mode collapses, per degree 1..N.
 
     A prism is degenerate when two neighbouring blocks are singletons
-    holding equal entries.  Each degree lists its prisms by partition in
-    `compositions` order, then by elements in lexicographic order.
+    holding equal entries.  Each degree filters each partition's
+    `_element_table` in `compositions` order, so the elements of a partition
+    come in index order, which is lexicographic.
     """
-    N = _max_degree(N)
-    new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-
-    def grow(prefix, n, at):
-        # the tuples extending prefix, in lexicographic order, that repeat
-        # the entry before at a position in `at`
-        p = len(prefix)
-        hit = prefix[-1] if p in at else None
-        for x in range(S.size):
-            if x == hit:
-                yield from (prefix + (x,) + t for t in product(range(S.size), repeat=n - p - 1))
-            elif p < max(at, default=-1):
-                yield from grow(prefix + (x,), n, at)
-
-    def positions(partition):
-        # the first entry of a singleton block that follows a singleton block
-        return {p for p, k1, k2 in zip(accumulate(partition), partition, partition[1:])
-                if k1 == k2 == 1}
-
-    return {n: tuple(new(BracketedTuple, (p, e)) for p in compositions(n)
-                     for e in grow((), n, positions(p)))
-            for n in range(1, N + 1)}
+    span = {n: [] for n in range(1, _max_degree(N) + 1)}
+    for n, prisms in span.items():
+        table = _element_table(S.size, n)
+        for p in compositions(n):
+            # the positions (t - 1, t) of two neighbouring singleton blocks
+            at = [(t - 1, t) for t, k1, k2 in zip(accumulate(p), p, p[1:]) if k1 == k2 == 1]
+            prisms += [_prism(p, e) for e in table if at and any(e[a] == e[b] for a, b in at)]
+    return {n: tuple(prisms) for n, prisms in span.items()}
 
 
 # -- qualgebra extension cells ---------------------------------------------------
@@ -320,11 +322,6 @@ class ExtraCell(NamedTuple):
             return names[x] if names else str(x)
 
         return f"{self.kind}({','.join(name(x) for x in self.labels)})"
-
-
-def _prism(partition, elements):
-    """A BracketedTuple built without the constructor's checks, for a shape made to fit."""
-    return tuple.__new__(BracketedTuple, (partition, elements))
 
 
 def _b3_boundary(a, b, S):
@@ -468,7 +465,7 @@ def _face_tables(plan, n, S, unit=None):
 
 
 class _Generators(Sequence):
-    """The generators of one degree of a complex: decoded from an index, or walked in order."""
+    """A degree's generators: one index decoded by `_elements`, or walked off `_element_table`."""
 
     def __init__(self, K, n):
         self._K = K
@@ -478,6 +475,8 @@ class _Generators(Sequence):
         return self._K.generator_count(self._n)
 
     def __getitem__(self, i):
+        with reading("generator indices must be integers"):
+            i = integer(i)
         K, n, count = self._K, self._n, len(self)
         if i < 0:
             i += count
@@ -487,26 +486,16 @@ class _Generators(Sequence):
         if i >= prisms:
             return K._cells[n][i - prisms]
         full = K._kept[n][i] if n in K._kept else i
-        elements = []
-        for _ in range(n):
-            full, x = divmod(full, K.S.size)
-            elements.append(x)
-        return BracketedTuple(K._shapes[n][full], tuple(reversed(elements)))
+        return _prism(K._shapes[n][full // K.S.size ** n], _elements(full, K.S.size, n))
 
     def __iter__(self):
-        # a quotient decodes only its kept full indices; the full complex
-        # walks every tuple of every partition
         K, n = self._K, self._n
-        q, shapes = K.S.size, K._shapes.get(n, ())
-        new = tuple.__new__  # BracketedTuple without the Python-level __new__ call
-        if n in K._kept:
-            tuples = list(product(range(q), repeat=n))
-            yield from (new(BracketedTuple, (shapes[r], tuples[v]))
-                        for r, v in map(divmod, K._kept[n], repeat(q ** n)))
-        else:
-            for partition in shapes:
-                yield from (new(BracketedTuple, (partition, e))
-                            for e in product(range(q), repeat=n))
+        shapes = K._shapes.get(n)
+        if shapes:
+            table = _element_table(K.S.size, n)
+            kept = K._kept.get(n, range(len(shapes) * len(table)))
+            yield from (_prism(shapes[r], table[v])
+                        for r, v in map(divmod, kept, repeat(len(table))))
         yield from K._cells.get(n, ())
 
 
@@ -534,9 +523,10 @@ class PrismaticComplex:
     Numbering, in every mode: the degree-n prism with partition P and
     elements (e1, ..., en) has full index r·|G|^n + (e1...en read in base
     |G|, e1 most significant), where r is the rank of P among the mode's
-    partitions (`compositions(n)`, or the one partition of a slice).  The
-    prisms set to zero are skipped and the rest keep their order.  The
-    relation cells come after the prisms, in build order:
+    partitions (`compositions(n)`, or the one partition of a slice); only
+    `_element_table` and `_elements` decode it.  The prisms set to zero are
+    skipped and the rest keep their order.  The relation cells come after
+    the prisms, in build order:
     B3 and D3 in degree 3, then B4_1, B4_2 (those that resolve), B4_3 and
     B4_4 in degree 4, each kind in lexicographic label order.
 
@@ -624,9 +614,9 @@ class PrismaticComplex:
                     i = off + v
                     if gone is not None and i in gone:
                         if col:
-                            e = tuple(i // q ** k % q for k in reversed(range(n)))
-                            raise VerificationError("degenerate span is not closed under the "
-                                                    f"boundary at {BracketedTuple(partition, e)}")
+                            raise VerificationError(
+                                "degenerate span is not closed under the boundary at "
+                                f"{BracketedTuple(partition, _elements(i, q, n))}")
                         continue
                     slots[i] = len(kept)
                     kept.append(i)

@@ -31,8 +31,8 @@ t at the base point) read its name, comparing each label column with its
 name column as a whole and prism by prism only where the two differ.  It
 then compares each face, label for label, with the tuple stored one
 degree lower under the algebraic face's index from
-`prismatic._face_tables`; a run of prisms in index order reads those
-tables as they are.  Stored tuples pass the same check, so distinct
+`prismatic._face_tables`; a run named in `_element_table` order reads
+those tables as they are.  Stored tuples pass the same check, so distinct
 generators have distinct tuples, and equal labels make the geometric face
 the algebraic one.
 """
@@ -45,7 +45,8 @@ from operator import eq, itemgetter
 
 from .algebra import _INT, Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
-from .prismatic import BracketedTuple, _face_tables, _ranked_plan, partition_ranks
+from .prismatic import (BracketedTuple, _element_table, _elements, _face_tables, _ranked_plan,
+                        partition_ranks)
 
 
 class LabeledPrism:
@@ -310,16 +311,6 @@ def _algebraic_plan(partition):
     return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
 
 
-@lru_cache(maxsize=None)
-def _digit_columns(q, n):
-    """The base-q digits of 0..q^n-1 as n columns, most significant first.
-
-    They are the name columns of a partition's q^n prisms in index order.
-    """
-    return tuple(tuple(x for x in range(q) for _ in range(q ** (n - 1 - k))) * q ** k
-                 for k in range(n))
-
-
 def _check_column(column, prisms, S: Shalgebra, what):
     """Refuse a column of elements, one per prism, naming the first prism that holds a bad one."""
     try:
@@ -357,21 +348,18 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     q, n = S.size, sum(partition)
     labels = [prism.labels for prism in prisms]
     verdicts = [prism.label.partition == partition for prism in prisms]
-    names = tuple(zip(*(p.label.elements if ok else (0,) * n
-                        for p, ok in zip(prisms, verdicts))))
+    rows = tuple(p.label.elements if ok else (0,) * n for p, ok in zip(prisms, verdicts))
+    names = tuple(zip(*rows))
     for column, t in zip(names, _generating(partition)):
         edge = tuple(map(itemgetter(t), labels))
         _check_column(column, prisms, S, "name element")
         _check_column(edge, prisms, S, "generating label")
         if edge != column:
             verdicts = [ok and x == y for ok, x, y in zip(verdicts, column, edge)]
-    # the names, read in base q, give each prism's place in the face tables;
-    # prisms in index order take the tables as they are
-    position = None
-    if names != _digit_columns(q, n):
-        position = [0] * len(prisms)
-        for column in names:
-            position = [k * q + x for k, x in zip(position, column)]
+    # each prism's place in the face tables is its name's row in the element
+    # table; prisms in index order take the tables as they are
+    tuples = _element_table(q, n)
+    position = None if rows == tuples else [*map({e: v for v, e in enumerate(tuples)}.get, rows)]
     for (*_, sign, face, gather), entry in zip(_face_plans(partition), _algebraic_plan(partition)):
         if (sign, partition_ranks(n - 1)[face]) != (entry[0], entry[3]):
             return [False] * len(prisms)
@@ -381,9 +369,8 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
         if not all(map(eq, map(gather, labels), map(below.get, table))):
             for at, (have, k) in enumerate(zip(map(gather, labels), table)):
                 want = below.get(k)
-                if want is None:  # the elements of index k are its digits in base q
-                    digits = (k // q ** d % q for d in range(n - 2, -1, -1))
-                    want = good_labels(face, tuple(digits), S)
+                if want is None:
+                    want = good_labels(face, _elements(k, q, n - 1), S)
                 if have != want:
                     verdicts[at] = False
     return verdicts

@@ -4,8 +4,8 @@ The library builds the group and rack theories as the one-block and
 all-singleton slices of the prismatic complex; these transcriptions of the
 simplicial differential of the multiplication and the cubical differential
 of the action share no code with it.  The degeneracy predicate is written
-from the `degenerate_span` docstring, one tuple at a time, where the
-library generates the degenerate tuples from digit patterns.  The coloring
+from the `degenerate_span` docstring, one block list at a time, where the
+library filters its one table of element tuples by neighbouring positions.  The coloring
 oracle is written from the coloring rules as the `knots` docstring states
 them, not from the rule tuples the search uses.  The prism edge labels are
 computed edge by edge from the labeling rule of the `prisms` docstring,
@@ -16,6 +16,8 @@ index tables.  The unit-pivot elimination scans every column at every
 step, where the library keeps its columns in a queue by length.  The
 GF(p) rank reduces columns mod p, where the library computes integer
 invariant factors, so the universal coefficient theorem ties the two.  The
+tensor-algebra homology is worked out from closed-form group homology by
+the Künneth formula on (rank, prime powers) pairs, with no chains at all.  The
 conjugation tables of permutation groups are built here from their
 products, and the small unital shalgebras by trying every table.  Random
 operation tables are plain lists of rows, and the implication IY ∧ T ⇒ III
@@ -27,6 +29,7 @@ read through their attributes, operation tables and public methods only.
 """
 
 from itertools import product
+from math import gcd
 
 
 def _blocks(partition, elements):
@@ -346,3 +349,48 @@ def dense_matrix(cc, n):
         for g, c in cc.boundary_of(n, j).items():
             M[g][j] = c
     return M
+
+
+def prime_powers(orders) -> list:
+    """Cyclic orders, such as invariant factors, split into their prime-power parts, sorted."""
+    out = []
+    for m in orders:
+        p = 2
+        while m > 1:
+            q = 1
+            while m % p == 0:
+                m, q = m // p, q * p
+            if q > 1:
+                out.append(q)
+            p += 1
+    return sorted(out)
+
+
+def tensor_algebra_homology(reduced, top) -> dict:
+    """H_1..H_top of the tensor algebra ⊕_{k≥1} C^{⊗k}, from H_*(C) alone.
+
+    C is a free chain complex that is zero below degree 1, and reduced[d]
+    is H_d(C) as (free rank, prime-power orders).  The powers of C follow
+    from the Künneth formula over Z: H_n(A ⊗ B) is the sum of H_i(A) ⊗
+    H_j(B) over i + j = n and of Tor(H_i(A), H_j(B)) over i + j = n - 1,
+    where Z ⊗ Z/m = Z/m, Z/p^a ⊗ Z/p^b = Tor(Z/p^a, Z/p^b) = Z/p^min(a,b),
+    and cyclic groups of coprime orders give 0.  Returns {n: (rank, orders)}.
+    """
+    def tensor(A, B):
+        out = {}
+        for (i, (ra, ta)), (j, (rb, tb)) in product(A.items(), B.items()):
+            tor = [gcd(x, y) for x in ta for y in tb if gcd(x, y) > 1]
+            for n, rank, torsion in ((i + j, ra * rb, ta * rb + tb * ra + tor),
+                                     (i + j + 1, 0, tor)):
+                if n <= top:
+                    r, t = out.get(n, (0, []))
+                    out[n] = (r + rank, t + torsion)
+        return out
+
+    total = {n: (0, []) for n in range(1, top + 1)}
+    power = {d: group for d, group in reduced.items() if 1 <= d <= top}
+    while power:  # the k-th power starts in degree k
+        for n, (r, t) in power.items():
+            total[n] = (total[n][0] + r, total[n][1] + t)
+        power = tensor(power, reduced)
+    return {n: (r, sorted(t)) for n, (r, t) in total.items()}

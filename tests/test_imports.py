@@ -23,7 +23,9 @@ command line tool; only loading a packaged diagram reads
 either, and generated code runs in one place: only
 `prisms._label_function` calls `exec` (or `eval`, or `compile`).
 The modules of the package, `__init__` aside, import each other without a
-cycle, late imports included.
+cycle, late imports included.  Only `prismatic` reads base-q digits (a
+`divmod`, or `k // q ** d % q`): it alone turns a prism index into its
+elements.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
 stays an independent check of the stored boundary.  The benchmark's tracer
 (`perfbench/tracing.py`) names the functions it wraps by string; every
@@ -249,6 +251,28 @@ def test_the_check_sees_generated_code():
                      "class Table:\n    def read(self, text):\n        return eval(text)\n"
                      "code = compile('1', '<s>', 'eval')\nfunctools.exec\nrunner.exec(1)\n")
     assert _exec_sites(tree) == [(None, 1), ("kernel", 4), ("Table", 8), (None, 9)]
+
+
+def _digit_reads(tree):
+    """Lines that read base-q digits: a `divmod`, or an `x // y % z`."""
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Name) and node.id == "divmod"
+                  or isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mod)
+                  and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.FloorDiv))
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "prismatic.py"])
+def test_only_prismatic_decodes_a_prism_index(module):
+    with open(os.path.join(SOURCE, module), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read(), filename=module)
+    assert _digit_reads(tree) == [], (
+        f"{module} reads digits by hand; use prismatic._element_table or _elements")
+
+
+def test_the_check_sees_a_digit_read():
+    tree = ast.parse("r, v = divmod(i, q)\nd = (k // q ** t % q)\nm = map(divmod, a, b)\n"
+                     "x = k % q\ny = k // q\nz = (k % q) // q\n")
+    assert _digit_reads(tree) == [1, 2, 3]
 
 
 def test_the_project_declares_no_dependencies():

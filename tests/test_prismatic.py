@@ -7,14 +7,14 @@ import pytest
 from prismhom import algebra
 from prismhom.chains import Chain, HomologyGroup
 from prismhom.errors import AxiomError, StructureError, VerificationError
-from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, _quotient_unit,
-                                _relation_cells, boundary_generator, bracketed, build_bar_complex,
-                                build_complex, build_rack_complex, compositions, degenerate_span,
-                                face, faces, resolve_twist_cell)
+from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, _element_table,
+                                _elements, _quotient_unit, _relation_cells, boundary_generator,
+                                bracketed, build_bar_complex, build_complex, build_rack_complex,
+                                compositions, degenerate_span, face, faces, resolve_twist_cell)
 
 from oracles import (bar_differential, conjugation_tables, is_degenerate, permutation_group,
-                     prism_face, prismatic_differential, rack_differential, rank_mod_p,
-                     unital_shalgebras)
+                     prime_powers, prism_face, prismatic_differential, rack_differential,
+                     rank_mod_p, tensor_algebra_homology, unital_shalgebras)
 
 
 def test_compositions_order_and_count():
@@ -231,6 +231,31 @@ def test_degenerate_span_matches_oracle(name, request):
         expected = [BracketedTuple(p, e) for p in compositions(n)
                     for e in product(range(S.size), repeat=n) if is_degenerate(p, e)]
         assert list(span[n]) == expected, n
+
+
+@pytest.mark.parametrize("mode, unit_quotient", [("plain", False), ("plain", True),
+                                                  ("normalized", False)])
+def test_random_access_reads_the_walk_without_a_table(s3, mode, unit_quotient):
+    # the full complex, the unit quotient and the collapsed span each number
+    # their generators one way: indexing gives what the walk gives, index for
+    # index, and decodes a single index without building a q^n table
+    K = build_complex(s3, 3, mode, unit_quotient=unit_quotient)
+    for n in (1, 2, 3):
+        walked = list(K.generators(n))
+        assert len(walked) == K.generator_count(n)
+        _element_table.cache_clear()
+        assert [K.generators(n)[i] for i in range(len(walked))] == walked
+        assert _element_table.cache_info().currsize == 0
+        assert all(K.index_of(g) == i for i, g in enumerate(walked))
+
+
+def test_the_element_table_and_the_index_decode_agree():
+    for q, n in ((1, 3), (2, 5), (3, 4), (6, 2)):
+        table = _element_table(q, n)
+        assert table == tuple(product(range(q), repeat=n))
+        # a full index carries the partition rank above the n digits
+        assert all(_elements(r * q ** n + v, q, n) == e for r in (0, 1, 7)
+                   for v, e in enumerate(table))
 
 
 def test_degenerate_spans_closed_under_boundary(z3, s3):
@@ -768,6 +793,60 @@ def test_plain_d4_homology_holds_its_group_homology(d4):
                       HomologyGroup(0, (2,) * 18 + (4,))]
     for group, summand in zip(groups, [(2, 2), (2,), (2, 2, 4)]):
         assert not Counter(summand) - Counter(group.torsion)
+
+
+def _split(group):
+    """A homology group as (free rank, prime-power orders), the tensor-algebra oracle's form."""
+    return group.free_rank, prime_powers(group.torsion)
+
+
+def _cyclic_group_homology(n, top):
+    # H_d(Z/n) is Z/n in odd degrees and 0 in positive even ones
+    return {d: (0, prime_powers([n] if d % 2 else [])) for d in range(1, top + 1)}
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_plain_homology_of_a_cyclic_group_is_its_tensor_algebra(n):
+    # plain homology of a group under conjugation reads the tensor algebra
+    # on its reduced group homology, degree by degree (the unit quotient,
+    # exact below N)
+    K = build_complex(algebra.conj_cyclic(n), 5, unit_quotient=True)
+    predicted = tensor_algebra_homology(_cyclic_group_homology(n, 4), 4)
+    assert [_split(K.homology(d)) for d in range(1, 5)] == [predicted[d] for d in range(1, 5)]
+
+
+@pytest.mark.parametrize("carrier, reduced", [
+    ("s3", {1: (0, [2]), 2: (0, []), 3: (0, [2, 3])}),
+    ("d4", {1: (0, [2, 2]), 2: (0, [2]), 3: (0, [2, 2, 4])})])
+def test_plain_homology_of_s3_and_d4_is_their_tensor_algebra(carrier, reduced, request):
+    # H_1..H_3 of S3 (Z/2, 0, Z/6) and of D4 (Z/2², Z/2, Z/2² + Z/4), as
+    # the bar-complex closed forms above pin them
+    K = build_complex(request.getfixturevalue(carrier), 4, unit_quotient=True)
+    predicted = tensor_algebra_homology(reduced, 3)
+    assert [_split(K.homology(d)) for d in range(1, 4)] == [predicted[d] for d in range(1, 4)]
+
+
+def test_the_tensor_algebra_needs_the_conjugation_action():
+    # Z/2 multiplied as a group but acting by x◁y = 0 is a shalgebra whose
+    # plain H_1..H_4 vanish, while its multiplication alone predicts Z/2 in
+    # degree 1: the prediction holds for the conjugation action, not for
+    # every action
+    S = algebra.Shalgebra([[0, 1], [1, 0]], [[0, 0], [0, 0]])
+    K = build_complex(S, 5, unit_quotient=True)
+    assert [_split(K.homology(d)) for d in range(1, 5)] == [(0, [])] * 4
+    assert tensor_algebra_homology(_cyclic_group_homology(2, 4), 4) == {
+        1: (0, [2]), 2: (0, [2]), 3: (0, [2, 2, 2]), 4: (0, [2] * 5)}
+
+
+def test_the_tensor_algebra_oracle_on_free_and_coprime_pieces():
+    # Z² in degree 1 gives Z^(2^n) in degree n; Z/2 and Z/3 in degree 1
+    # tensor to 0 and Tor to 0, so degree 2 holds only the two squares, and
+    # degree 3 the two cubes and Tor(Z/2, Z/2), Tor(Z/3, Z/3)
+    assert tensor_algebra_homology({1: (2, [])}, 4) == {1: (2, []), 2: (4, []), 3: (8, []),
+                                                        4: (16, [])}
+    assert tensor_algebra_homology({1: (0, [2, 3])}, 3) == {
+        1: (0, [2, 3]), 2: (0, [2, 3]), 3: (0, [2, 2, 3, 3])}
+    assert prime_powers([12, 1, 7]) == [3, 4, 7]
 
 
 def test_mod_p_homology_follows_universal_coefficients(s3):

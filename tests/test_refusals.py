@@ -114,6 +114,11 @@ READERS = {
                         "degree must be an integer: Fraction(3, 2) is not an integer"),
     "degree-decimal": (lambda: prismatic.compositions(Decimal("2.5")),
                        "degree must be an integer: Decimal('2.5') is not an integer"),
+    "generator-index": (lambda: _z2_complex().generators(2)[1.5],
+                        "generator indices must be integers: 1.5 is not an integer"),
+    "generator-index-text": (lambda: _z2_complex().generators(2)["x"],
+                             "generator indices must be integers: "
+                             "invalid literal for int() with base 10: 'x'"),
     "bracketed": (lambda: prismatic.bracketed((1,), (0.5,)),
                   "partition and elements must be integers: 0.5 is not an integer"),
     "appended-block": (lambda: prisms.inductive_labeling(
@@ -164,6 +169,13 @@ def test_a_read_that_succeeds_passes_through():
 
 
 Z2 = algebra.conj_cyclic(2)
+
+
+def test_a_generator_index_reads_as_an_integer():
+    # as `ChainComplex.boundary` reads generator indices
+    generators = _z2_complex().generators(2)
+    assert generators[1.0] == generators["1"] == generators[1]
+    assert generators[Fraction(-2, 1)] == generators[-2]
 
 # the square 0|0 with its first edge relabeled by a transposition, so its
 # two paths from corner to corner conjugate by different elements
@@ -309,6 +321,22 @@ ARGUMENTS = {
     "fixture-name": (lambda: knots.load_fixture_diagram("nope"),
                      StructureError, "no packaged diagram named 'nope'"),
     "prism-edge": (lambda: _PRISM.edge((0,), (0,)), StructureError, "no edge (0,) -> (0,)"),
+    # a foam presentation, a move site and a coloring are read whole before use
+    "foam-entry": (lambda: knots.foam_chain([(1, (3,))]), StructureError,
+                   "a foam presentation is a list of (sign, partition, elements) triples: "
+                   "not enough values to unpack (expected 3, got 2)"),
+    "foam-presentation": (lambda: knots.foam_chain(5), StructureError,
+                          "a foam presentation is a list of (sign, partition, elements) "
+                          "triples: 'int' object is not iterable"),
+    "foam-invariant-entry": (lambda: knots.foam_invariant([5], Z2), StructureError,
+                             "a foam presentation is a list of (sign, partition, elements) "
+                             "triples: cannot unpack non-iterable int object"),
+    "move-site-mapping": (lambda: moves.apply_move(knots.load_fixture_diagram("unknot"), "I", 5,
+                                                   algebra.conj_cyclic(3)),
+                          StructureError, "move site must be a mapping, got 5"),
+    "coloring-missing-arc": (lambda: knots.represented_cycle(
+                                 knots.load_fixture_diagram("trefoil"), {}, Z2),
+                             StructureError, "the coloring gives arc 'x' no color"),
 }
 
 
