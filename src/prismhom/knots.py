@@ -116,6 +116,8 @@ class KTGDiagram:
         for i, v in enumerate(self.vertices):
             if v.role not in ("zip", "unzip"):
                 raise StructureError(f"vertex {i} has unknown role {v.role!r}")
+            if v.sign not in (1, -1):
+                raise StructureError(f"vertex {i} has sign {v.sign}")
             if len(v.arcs) != 3:
                 raise StructureError(f"vertex {i} must have three arcs")
             for k, a in enumerate(v.arcs):

@@ -405,11 +405,6 @@ def partition_ranks(n):
     return _rank_table(_compositions(n))
 
 
-def _ranked_plan(partition, ranks):
-    """`_boundary_plan` with each face partition replaced by its rank in `ranks`."""
-    return tuple((sign, kind, p, ranks[f]) for sign, kind, p, f in _boundary_plan(partition))
-
-
 def _digit_values(q, n, unit=None):
     """values[k] for k in 0..n: the k-digit tuples over 0..q-1 without `unit`, read in base q.
 
@@ -425,27 +420,30 @@ def _digit_values(q, n, unit=None):
     return values
 
 
-def _face_tables(plan, n, S, unit=None):
-    """The faces of the degree-n element tuples as full indices, one list per ranked-plan entry.
+def _face_tables(partition, ranks, S, unit=None):
+    """One walk of a partition's faces: (sign, face rank, index table) per face, in (j, i) order.
 
-    The tuples are those that do not hold `unit` (all of them for None), in
-    lexicographic order.  Item t of an entry's list is the full index
-    (`_full`) of that face of the t-th tuple.  A face at position p
-    keeps the k digits after p (after p + 1 for a product) as they are, so
-    the list adds each value of those k digits to each value of the digits
-    up to there (`_digit_values` lists both).  A deletion drops digit p; a
-    product replaces digits p and p + 1 by their ·-product; an action drops
-    digit h = e_p and maps the value of the digits before p through ◁ h,
-    read off a table of all p-digit values built one digit at a time.
+    The walk follows `_boundary_plan`, with each face partition ranked in
+    `ranks`.  The degree-n tuples are those that do not hold `unit` (all of
+    them for None), in lexicographic order, and item t of a face's table is
+    the full index (`_full`) of that face of the t-th tuple.  A face at
+    position p keeps the k digits after p (after p + 1 for a product) as
+    they are, so the table adds each value of those k digits to each value
+    of the digits up to there (`_digit_values` lists both).  A deletion
+    drops digit p; a product replaces digits p and p + 1 by their
+    ·-product; an action drops digit h = e_p and maps the value of the
+    digits before p through ◁ h, read off a table of all p-digit values
+    built one digit at a time.  The digit values, the operation tables
+    restricted to the digits and that action table are built once and
+    shared by the faces; each index table is made when its face is reached.
     """
-    q = S.size
+    q, n = S.size, sum(partition)
     values = _digit_values(q, max(n - 1, 1), unit)  # faces have n - 1 digits; values[1] are the digits
     digits = values[1]
     dot = [[row[y] for y in digits] for row in S.dot.rows]
     tri = [[row[h] for h in digits] for row in S.tri.rows]
     acted = [[[0] * len(digits)]]  # acted[p][v][h]: the v-th p-digit tuple, each digit ◁ digit h
-    out = []
-    for sign, kind, p, rank in plan:
+    for sign, kind, p, face in _boundary_plan(partition):
         if kind == 1:
             starts = [v * q + d for v in values[p] for x in digits for d in dot[x]]
             k = n - 2 - p
@@ -458,10 +456,10 @@ def _face_tables(plan, n, S, unit=None):
             else:
                 starts = [v for v in values[p] for _ in digits]
             k = n - 1 - p
+        rank = ranks[face]
         off, run = rank * q ** (n - 1), q ** k
         starts = [off + v * run for v in starts]
-        out.append(starts if not k else [s + t for s in starts for t in values[k]])
-    return out
+        yield sign, rank, (starts if not k else [s + t for s in starts for t in values[k]])
 
 
 class _Generators(Sequence):
@@ -577,10 +575,10 @@ class PrismaticComplex:
         prism is left out, the kept ones go onto `_kept[n]`, `_slots[n]`
         maps every full index to its position there (None if left out), and
         a prism in `gone` must have an empty column.  Each partition's faces
-        come from `_face_tables`, one table per face of the plan; the columns
-        sum the signs of the faces in (j, i) order.  When degree n - 1 has
-        prisms left out, the tables are first mapped through its slots, and
-        the terms on those faces (None) are dropped.
+        come from one `_face_tables` walk, a table at a time, and the columns
+        sum their signs in (j, i) order.  When degree n - 1 has prisms left
+        out, each table is mapped through its slots as it is read, and the
+        terms on those faces (None) are dropped.
         """
         S = self.S
         q = S.size
@@ -592,12 +590,10 @@ class PrismaticComplex:
             kept = self._kept[n] = []
             slots = self._slots[n] = [None] * (len(self._shapes[n]) * q ** n)
         for r, partition in enumerate(self._shapes[n]):
-            plan = _ranked_plan(partition, ranks) if n > 1 else ()
-            tables = _face_tables(plan, n, S, self.unit)
-            if compact is not None:
-                tables = [[compact[j] for j in table] for table in tables]
             cols = [{} for _ in values[n]]
-            for (sign, *_), table in zip(plan, tables):
+            for sign, _, table in _face_tables(partition, ranks, S, self.unit) if n > 1 else ():
+                if compact is not None:
+                    table = map(compact.__getitem__, table)
                 for col, j in zip(cols, table):
                     c = col.get(j, 0) + sign
                     if c:

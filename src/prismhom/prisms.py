@@ -29,9 +29,10 @@ plan picks the face's labels out of the tuple.
 `faces_match_algebra` checks that each prism's generating labels (t-1 ->
 t at the base point) read its name, comparing each label column with its
 name column as a whole and prism by prism only where the two differ.  It
-then compares each face, label for label, with the tuple stored one
-degree lower under the algebraic face's index from
-`prismatic._face_tables`; a run named in `_element_table` order reads
+then walks the partition's algebraic faces once, `prismatic._face_tables`
+yielding each one's sign, rank and index table in (j, i) order, and
+compares each geometric face, label for label, with the tuple stored one
+degree lower under that index; a run named in `_element_table` order reads
 those tables as they are.  Stored tuples pass the same check, so distinct
 generators have distinct tuples, and equal labels make the geometric face
 the algebraic one.
@@ -45,8 +46,7 @@ from operator import eq, itemgetter
 
 from .algebra import _INT, Shalgebra, diagonal_action, integer, reading
 from .errors import StructureError, VerificationError
-from .prismatic import (BracketedTuple, _element_table, _elements, _face_tables, _ranked_plan,
-                        partition_ranks)
+from .prismatic import BracketedTuple, _element_table, _elements, _face_tables, partition_ranks
 
 
 class LabeledPrism:
@@ -305,12 +305,6 @@ def geometric_faces(prism: LabeledPrism, S: Shalgebra):
     return out
 
 
-@lru_cache(maxsize=None)
-def _algebraic_plan(partition):
-    """The boundary plan of a partition, its face partitions replaced by their ranks."""
-    return _ranked_plan(partition, partition_ranks(sum(partition) - 1))
-
-
 def _check_column(column, prisms, S: Shalgebra, what):
     """Refuse a column of elements, one per prism, naming the first prism that holds a bad one."""
     try:
@@ -332,8 +326,9 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     indices of one degree lower to their label tuples.  A prism matches when
     its generating labels read its name, and each face (j, i) has the sign
     and partition of algebraic face (j, i) and carries the tuple stored under
-    its index, read off `_face_tables` a face at a time (`good_labels` of the
-    index's tuple where `below` has none, so `{}` checks from scratch).
+    its index; one `_face_tables` walk per run yields them a face at a time
+    (`good_labels` of the index's tuple where `below` has none, so `{}`
+    checks from scratch).
     """
     prisms = list(prisms)
     if not prisms:
@@ -360,10 +355,11 @@ def faces_match_algebra(prisms, S: Shalgebra, below) -> list:
     # table; prisms in index order take the tables as they are
     tuples = _element_table(q, n)
     position = None if rows == tuples else [*map({e: v for v, e in enumerate(tuples)}.get, rows)]
-    for (*_, sign, face, gather), entry in zip(_face_plans(partition), _algebraic_plan(partition)):
-        if (sign, partition_ranks(n - 1)[face]) != (entry[0], entry[3]):
+    ranks = partition_ranks(n - 1)
+    walk = zip(_face_plans(partition), _face_tables(partition, ranks, S))  # a table at a time
+    for (*_, sign, face, gather), (algebraic_sign, rank, table) in walk:
+        if (sign, ranks[face]) != (algebraic_sign, rank):
             return [False] * len(prisms)
-        (table,) = _face_tables((entry,), n, S)  # one face's table alive at a time
         if position is not None:
             table = [table[k] for k in position]
         if not all(map(eq, map(gather, labels), map(below.get, table))):

@@ -490,12 +490,12 @@ def test_verify_catches_a_wrong_face_table_entry(files, capsys, monkeypatch):
     tables = prismatic._face_tables
     planted = []
 
-    def wrong(plan, n, S, *unit):
-        out = tables(plan, n, S, *unit)
-        if n == 3 and not planted:
-            planted.append(out[0][5])
-            out[0][5] ^= 1
-        return out
+    def wrong(partition, *args):
+        for sign, rank, table in tables(partition, *args):
+            if sum(partition) == 3 and not planted:
+                planted.append(table[5])
+                table[5] ^= 1
+            yield sign, rank, table
 
     monkeypatch.setattr(prismatic, "_face_tables", wrong)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
@@ -582,13 +582,15 @@ def test_verify_reports_face_mismatches(files, capsys, monkeypatch):
     # the first algebraic face of every generator changes sign, so no
     # prism's signed geometric faces match any more; the complex itself is
     # built from prismatic's own plans and stays correct
-    algebraic = prisms._algebraic_plan
+    tables = prisms._face_tables
 
-    def flipped(partition):
-        (sign, *face), *rest = algebraic(partition)
-        return ((-sign, *face), *rest)
+    def flipped(*args):
+        walk = tables(*args)
+        sign, *face = next(walk)
+        yield -sign, *face
+        yield from walk
 
-    monkeypatch.setattr(prisms, "_algebraic_plan", flipped)
+    monkeypatch.setattr(prisms, "_face_tables", flipped)
     assert main(["verify", files["z2"], "--max-degree", "3"]) == 1
     out = capsys.readouterr().out.splitlines()
     assert out == ["boundary-squared: ok through degree 3 (qualgebra mode)",

@@ -185,6 +185,41 @@ def test_move_fixture_pairs_apply_and_biject(z2, s3):
             assert len(set(mapped)) == len(mapped)
 
 
+# per move: the sign and shape of a degree-3 generator whose boundary is the
+# change of the represented cycle, and whether the change may be 0
+MOVE_CELLS = {"H": (1, (3,), True), "YI": (1, (2, 1), False), "IY": (-1, (1, 2), False),
+              "III": (1, (1, 1, 1), True), "II": (None, None, True),
+              "I": (1, "B3", False), "T": (1, "B3", False)}
+
+
+@pytest.mark.parametrize("name", ("z3", "s3", "d4"))
+def test_each_move_changes_the_cycle_by_one_cell(name, request):
+    # Δz = z(after, fwd(c)) - z(before, c) is 0 or the signed boundary of one
+    # degree-3 generator of the move's shape, found by a search of ∂_3's
+    # columns; where labels repeat several generators share a boundary, and
+    # the I move's B3(a, a) always shares it with D3(a)
+    S = request.getfixturevalue(name)
+    K = prismatic.build_complex(S, 3, "qualgebra")
+    cells = {}
+    for g, column in zip(K.generators(3), K.cc.boundaries[3]):
+        shape = g.kind if isinstance(g, prismatic.ExtraCell) else g.partition
+        for sign in (1, -1):
+            cells.setdefault(frozenset(column.scaled(sign).items()), set()).add((sign, shape))
+    pairs = move_fixture_pairs()
+    assert {p["move"] for p in pairs} == set(MOVE_CELLS)
+    for entry in pairs:
+        sign, shape, vanishes = MOVE_CELLS[entry["move"]]
+        before = entry["before"]
+        after, fwd = apply_move(before, entry["move"], entry["site"], S)
+        for c in enumerate_colorings(before, S):
+            change = (K.chain(2, represented_cycle(after, fwd(c), S))
+                      - K.chain(2, represented_cycle(before, c, S)))
+            found = cells.get(frozenset(change.items()), set())
+            assert (not change and vanishes) or (sign, shape) in found, (entry["move"], c)
+            if entry["move"] == "I":
+                assert (1, "D3") in found
+
+
 def test_move_ii_roundtrip(s3):
     # creating and deleting a slide returns the original diagram
     D = theta()

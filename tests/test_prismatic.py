@@ -4,7 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
-from prismhom import algebra
+from prismhom import algebra, prismatic
 from prismhom.chains import Chain, HomologyGroup
 from prismhom.errors import AxiomError, StructureError, VerificationError
 from prismhom.prismatic import (BracketedTuple, ExtraCell, PrismaticComplex, _element_table,
@@ -581,6 +581,30 @@ def test_stored_columns_follow_the_docstring_rule(name, request):
                     if isinstance(lower[j], ExtraCell) or K.unit not in lower[j].elements}
 
 
+@pytest.mark.parametrize("unit_quotient", (False, True), ids=("full", "unit-quotient"))
+@pytest.mark.parametrize("name", ("z3", "s3", "proj4"))
+def test_each_face_table_holds_that_face_of_each_tuple(name, unit_quotient, request):
+    # one walk per partition yields `_boundary_plan`'s signs and ranked face
+    # partitions in order, and item t of a face's table is the full index of
+    # that face of the t-th tuple without the unit: each face on its own,
+    # before the stored columns combine like terms
+    S = request.getfixturevalue(name)
+    unit = _quotient_unit(S) if unit_quotient else None
+    assert unit_quotient == (unit is not None)
+    full = build_complex(S, 3)
+    for n in (2, 3, 4):
+        ranks = prismatic.partition_ranks(n - 1)
+        tuples = [e for e in product(range(S.size), repeat=n) if unit not in e]
+        for partition in compositions(n):
+            walk = list(prismatic._face_tables(partition, ranks, S, unit))
+            assert [(sign, rank) for sign, rank, _ in walk] == [
+                (sign, ranks[f]) for sign, *_, f in prismatic._boundary_plan(partition)]
+            vertices = [(j, i) for j, k in enumerate(partition, 1) for i in range(k + 1)]
+            for (j, i), (*_, table) in zip(vertices, walk, strict=True):
+                assert table == [full.index_of(face(BracketedTuple(partition, e), j, i, S)[1])
+                                 for e in tuples], (partition, j, i)
+
+
 @pytest.mark.parametrize("order, N", ((2, 5), (3, 4)))
 def test_unit_quotients_keep_the_homology_below_the_top(order, N):
     # every labelled shalgebra of the order with 0 a unit that acts and is
@@ -747,6 +771,16 @@ def _even_permutations(n):
     return [p for p in permutations(range(n)) if even(p)], mul
 
 
+@pytest.fixture(scope="module")
+def q8():
+    return algebra.Shalgebra(*conjugation_tables(*_quaternion_group()))
+
+
+@pytest.fixture(scope="module")
+def a4():
+    return algebra.Shalgebra(*conjugation_tables(*_even_permutations(4)))
+
+
 @pytest.mark.parametrize("group, order, expected", [
     pytest.param(lambda: permutation_group([(1, 2, 3, 0), (0, 3, 2, 1)]), 8,
                  ["Z/2 + Z/2", "Z/2", "Z/2 + Z/2 + Z/4"], id="d4"),
@@ -817,10 +851,13 @@ def test_plain_homology_of_a_cyclic_group_is_its_tensor_algebra(n):
 
 @pytest.mark.parametrize("carrier, reduced", [
     ("s3", {1: (0, [2]), 2: (0, []), 3: (0, [2, 3])}),
-    ("d4", {1: (0, [2, 2]), 2: (0, [2]), 3: (0, [2, 2, 4])})])
+    ("d4", {1: (0, [2, 2]), 2: (0, [2]), 3: (0, [2, 2, 4])}),
+    ("q8", {1: (0, [2, 2]), 2: (0, []), 3: (0, [8])}),
+    ("a4", {1: (0, [3]), 2: (0, [2]), 3: (0, [2, 3])})])
 def test_plain_homology_of_s3_and_d4_is_their_tensor_algebra(carrier, reduced, request):
-    # H_1..H_3 of S3 (Z/2, 0, Z/6) and of D4 (Z/2², Z/2, Z/2² + Z/4), as
-    # the bar-complex closed forms above pin them
+    # H_1..H_3 of S3 (Z/2, 0, Z/6), of D4 (Z/2², Z/2, Z/2² + Z/4), of Q8
+    # (Z/2², 0, Z/8) and of A4 (Z/3, Z/2, Z/6), as the bar-complex closed
+    # forms above pin them
     K = build_complex(request.getfixturevalue(carrier), 4, unit_quotient=True)
     predicted = tensor_algebra_homology(reduced, 3)
     assert [_split(K.homology(d)) for d in range(1, 4)] == [predicted[d] for d in range(1, 4)]

@@ -187,6 +187,13 @@ def _z2_complex():
     return prismatic.build_complex(Z2, 2)
 
 
+def _theta_signed(sign):
+    """The packaged theta diagram, read back with its first vertex's sign set to `sign`."""
+    data = knots.load_fixture_diagram("theta").to_dict()
+    data["vertices"][0]["sign"] = sign
+    return knots.KTGDiagram.from_dict(data)
+
+
 # site: (call, error type, message); the argument checks of the chain,
 # complex, carrier and diagram constructors and of their lookups
 ARGUMENTS = {
@@ -318,6 +325,11 @@ ARGUMENTS = {
                                  "vertices": [{"role": "zip", "arcs": ["a", "a", "b"]}]}),
                             StructureError, "malformed diagram: arc 'a' used twice: "
                                             "vertex 0 (input) and vertex 0 (input)"),
+    # a vertex sign other than ±1 would make the represented chain no cycle
+    "diagram-vertex-sign-two": (lambda: _theta_signed(2), StructureError,
+                                "malformed diagram: vertex 0 has sign 2"),
+    "diagram-vertex-sign-zero": (lambda: _theta_signed(0), StructureError,
+                                 "malformed diagram: vertex 0 has sign 0"),
     "fixture-name": (lambda: knots.load_fixture_diagram("nope"),
                      StructureError, "no packaged diagram named 'nope'"),
     "prism-edge": (lambda: _PRISM.edge((0,), (0,)), StructureError, "no edge (0,) -> (0,)"),
