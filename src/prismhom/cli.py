@@ -42,9 +42,9 @@ def _emit(args, payload, text):
         print(text)
 
 
-def _warn_unresolved(K):
-    """One stderr line per relation cell the build of K left out."""
-    for w in K.warnings:
+def _warn_unresolved(warnings):
+    """One stderr line per relation cell a build left out, from its `warnings`."""
+    for w in warnings:
         labels = "all labels" if w["labels"] is None else f"labels {w['labels']}"
         print(f"warning: unresolved cell {w['cell']} at {labels}: {w['reason']}",
               file=sys.stderr)
@@ -97,7 +97,7 @@ def _build_theory(S, theory, N, include_d3, unit_quotient=False):
         K = build_complex(S, N, "qualgebra", include_d3, unit_quotient)
     else:
         K = build_complex(S, N, "normalized")
-    _warn_unresolved(K)
+    _warn_unresolved(K.warnings)
     return K
 
 
@@ -105,11 +105,17 @@ def cmd_homology(args):
     """Homology below the top degree, read off the unit quotient where there is one.
 
     With --allow-truncation the top degree is reported too, and it needs
-    the full complex: there the quotient's group differs.
+    the full complex: there the quotient's group differs.  The extended
+    theories build relation cells in degrees 3 and 4 only, so a reported
+    H_4 lacks the degree-5 cells; a complex built through degree 5 names
+    them itself, and at --max-degree 4 the same line is printed here.
     """
     S = load_structure(args.structure)
     K = _build_theory(S, args.theory, args.max_degree, args.include_d3,
                       unit_quotient=not args.allow_truncation)
+    if args.allow_truncation and args.max_degree == 4 and args.theory in ("qualgebra",
+                                                                           "normalized"):
+        _warn_unresolved([{"cell": "degree-5+", "labels": None, "reason": "not_constructed"}])
     degrees = range(1, args.max_degree + (1 if args.allow_truncation else 0))
     groups = [(n, K.homology(n, allow_truncation=args.allow_truncation)) for n in degrees]
     payload = {"theory": args.theory, "max_degree": args.max_degree,
@@ -138,10 +144,12 @@ def verify_structure(S: Shalgebra, N):
     Building the complex checks ∂∘∂ = 0 (a violation raises
     VerificationError).  For each partition of degree 2..min(N, 4), the
     face rule (`_expansion_terms`; a test pins its rows to the copied
-    explicit formulas) is then evaluated once on element columns
-    (`_expansion_columns`), and the stored boundary columns of the
-    partition's prisms are compared with it (`Boundary.mismatches`), as
-    {generator index: coefficient}; every prism that differs counts.
+    explicit formulas) runs compiled: `_expansion_function` generates one
+    kernel per partition from `_expansion_terms` on symbolic entries, and
+    `_expansion_columns` runs it over the partition's prisms.  The stored
+    boundary columns of those prisms are compared with its columns
+    (`Boundary.mismatches`), as {generator index: coefficient}; every prism
+    that differs counts.
     Degree by degree from 1 to min(N, 4), every prism is labeled once by
     `good_labeling`, as a tuple, through its partition's compiled label
     function, and each partition's q^n prisms go to one
@@ -155,7 +163,7 @@ def verify_structure(S: Shalgebra, N):
     out are named on stderr, as `homology` names them.
     """
     K = build_complex(S, N, mode="qualgebra" if S.is_qualgebra else "plain")
-    _warn_unresolved(K)
+    _warn_unresolved(K.warnings)
     top = min(N, 4)
     sym_bad = face_bad = 0
     below = {0: ()}  # the empty tuple, the one generator of degree 0
@@ -226,38 +234,59 @@ def cmd_export_matrices(args):
 def _expansion_columns(S: Shalgebra, partition):
     """The expansion of each prism on `partition` as {generator index: coefficient}, in index order.
 
-    The face rule (`_expansion_terms`) is evaluated once, on element columns:
-    position k of the tuple becomes column k of `prismatic._element_table`,
-    e_k over all q^n tuples in index order, and · and ◁ act entry by entry.
-    Each term then becomes a column of face indices (its partition rank,
-    then its elements read in base q), and each prism's signs are summed, a
-    term that sums to 0 dropped.
+    The face rule runs compiled: the partition's kernel, generated from
+    `_expansion_terms` by `_expansion_function`, runs over the element
+    tuples of `prismatic._element_table` with S's tables bound, so a prism
+    costs one pass of straight-line code.
+    """
+    q = S.size
+    return _expansion_function(partition)(_element_table(q, sum(partition)),
+                                          S.dot.rows, S.tri.rows, q)
+
+
+@cache
+def _expansion_function(partition):
+    """The face rule on `partition` compiled into expand(elements, dot, tri, q) -> column list.
+
+    The source is `_expansion_terms` run on symbolic entries: element k is
+    the local s{k}, a product of x and y reads dot[x][y] and an action
+    tri[x][y].  For each element tuple the function builds one
+    {face index: coefficient} dict, term by term in (j, i) order: an inline
+    index expression (the face's partition rank, then its entries read in
+    base q) and an inline sum that deletes the key when it reaches 0, so
+    keys come in the order the complex stores its rows.  The function is
+    built the first time a partition is expanded.
     """
     n = sum(partition)
-    q = S.size
-    dot, tri = S.dot.rows, S.tri.rows
-    count = q ** n
-    elements = tuple(zip(*_element_table(q, n)))
-
-    def mul(xs, ys):
-        return [dot[x][y] for x, y in zip(xs, ys)]
-
-    def act(xs, ys):
-        return [tri[x][y] for x, y in zip(xs, ys)]
-
     ranks = partition_ranks(n - 1)
-    columns = [{} for _ in range(count)]
-    for sign, face, entries in _expansion_terms(partition, elements, mul, act):
-        index = [ranks[face]] * count
-        for entry in entries:
-            index = [i * q + x for i, x in zip(index, entry)]
-        for column, j in zip(columns, index):
-            c = column.get(j, 0) + sign
-            if c:
-                column[j] = c
-            else:
-                del column[j]
-    return columns
+    symbols = [f"s{k}" for k in range(n)]
+    terms = _expansion_terms(partition, symbols, "dot[{}][{}]".format, "tri[{}][{}]".format)
+    offsets = sorted({ranks[face] for _, face, _ in terms} - {0})
+    source = ["def expand(elements, dot, tri, q):", "    p1 = q"]
+    source += [f"    p{k} = p{k - 1} * q" for k in range(2, n)]
+    source += [f"    r{r} = {r} * p{n - 1}" for r in offsets]
+
+    def index(face, entries):
+        digits = [f"{x} * p{k}" if k else x for x, k in zip(entries, range(n - 2, -1, -1))]
+        return " + ".join([f"r{ranks[face]}"] * bool(ranks[face]) + digits)
+
+    (sign, first), *rest = [(sign, index(face, entries)) for sign, face, entries in terms]
+    source += ["    columns = []",
+               "    for " + "".join(f"{s}, " for s in symbols) + "in elements:",
+               f"        column = {{{first}: {sign}}}"]
+    for sign, term in rest:
+        source += [f"        k = {term}",
+                   "        if k in column:",
+                   f"            c = column[k] {'+-'[sign < 0]} 1",
+                   "            if c:",
+                   "                column[k] = c",
+                   "            else:",
+                   "                del column[k]",
+                   "        else:",
+                   f"            column[k] = {sign}"]
+    source += ["        columns.append(column)",
+               "    return columns"]
+    return prisms._compiled(source, "expand")
 
 
 def _expansion_terms(key, e, mul, act):

@@ -163,9 +163,19 @@ def _label_function(partition):
     source += [f"    s{at} = {tables[table]}[s{src}][s{t}]"
                for at, (table, src, t) in enumerate(steps, n)]
     source.append("    return (" + "".join(f"s{k}, " for k in read) + ")")
+    return _compiled(source, "labels")
+
+
+def _compiled(source, name):
+    """The function `name` defined by the Python source lines `source`.
+
+    This is the one place where generated code runs: the label kernels
+    here and `verify`'s expansion kernels (`cli._expansion_function`) are
+    built through it.  The source sees no module globals.
+    """
     namespace = {}
     exec("\n".join(source), namespace)
-    return namespace["labels"]
+    return namespace[name]
 
 
 def good_labels(partition, elements, S: Shalgebra) -> tuple:

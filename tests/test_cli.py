@@ -119,6 +119,26 @@ def test_missing_degree_five_cells_are_named_on_stderr(files, capsys):
     assert capsys.readouterr().err == ""
 
 
+def test_a_truncated_degree_four_names_the_missing_degree_five_cells(files, capsys):
+    # with --allow-truncation at --max-degree 4 the extended theories report
+    # H_4, which the missing degree-5 relation cells would change, so the
+    # same line follows the twelve Z3 twist-cell lines; stdout is as it was
+    # without the line, and the prismatic theory still says nothing
+    argv = [files["z3"], "--max-degree", "4", "--allow-truncation"]
+    assert main(["homology", files["z3"], "--theory", "qualgebra", "--max-degree", "4"]) == 0
+    twelve = capsys.readouterr().err.splitlines()
+    assert len(twelve) == 12
+    for theory in ("qualgebra", "normalized"):
+        assert main(["homology", *argv, "--theory", theory]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == twelve + [
+            "warning: unresolved cell degree-5+ at all labels: not_constructed"]
+        if theory == "qualgebra":
+            assert captured.out == "H_1 = Z/3\nH_2 = 0\nH_3 = Z^11 + Z/3 + Z/3\nH_4 = Z^614\n"
+    assert main(["homology", *argv]) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_export_matrices_names_missing_cells_on_stderr(files, capsys, tmp_path):
     # export-matrices builds its complex through the same call as homology,
     # so it names the same missing cells on stderr: the twelve Z3 twist-cell
@@ -717,7 +737,9 @@ class _Recorded(dict):
     ids=["z3", "s3", "mul-mod-4", "d4"])
 def test_verify_numbering_agrees_with_the_complex(make, top):
     # verify's per-partition expansion columns and face indices name the same
-    # generators as the complex's own tuple lookup
+    # generators as the complex's own tuple lookup, and each column's keys
+    # come in the order of the stored column's rows, which keeps
+    # `Boundary.mismatches` on its flat comparison
     S = make()
     K = prismatic.build_complex(S, top)
     for n in range(2, top + 1):
@@ -728,10 +750,12 @@ def test_verify_numbering_agrees_with_the_complex(make, top):
                    for column in cli._expansion_columns(S, partition)]
         generators = list(K.generators(n))
         assert len(columns) == len(generators)
-        for g, column in zip(generators, columns):
+        stored = K.cc.boundaries[n]
+        for i, (g, column) in enumerate(zip(generators, columns)):
             rows = cli._expansion_terms(g.partition, g.elements, S.mul, S.act)
             by_tuple = K.chain(n - 1, [(bracketed(p, e), sign) for sign, p, e in rows])
             assert column == by_tuple.terms
+            assert list(column) == [row for row, _ in stored.column(i)]
         count = S.size ** n
         for start in range(0, len(generators), count):
             batch = [prisms.good_labeling(g, S) for g in generators[start:start + count]]

@@ -20,14 +20,17 @@ Importing the package stays cheap: a fresh `python -S` process that runs
 `importlib.resources`, which cost milliseconds at every start of the
 command line tool; only loading a packaged diagram reads
 `importlib.resources`.  That process has compiled no edge-label kernel
-either, and generated code runs in one place: only
-`prisms._label_function` calls `exec` (or `eval`, or `compile`).
+either, and one that imports `prismhom.cli` no expansion kernel; generated
+code runs in one place: only `prisms._compiled`, which both kernel builders
+call, calls `exec` (or `eval`, or `compile`).
 The modules of the package, `__init__` aside, import each other without a
 cycle, late imports included.  Only `prismatic` reads base-q digits (a
 `divmod`, or `k // q ** d % q`): it alone turns a prism index into its
 elements.
 The symbolic check of `verify` reads none of `prismatic`'s face code, so it
-stays an independent check of the stored boundary.  The benchmark's tracer
+stays an independent check of the stored boundary; its face rule runs
+compiled per partition, from kernels generated from `cli._expansion_terms`,
+and the kernel builder is held to the same rule.  The benchmark's tracer
 (`perfbench/tracing.py`) names the functions it wraps by string; every
 (module, attribute) pair of its tables resolves to a callable of prismhom
 and every span it requires is one of them, so a rename fails here rather
@@ -221,7 +224,14 @@ def test_importing_the_package_compiles_no_label_kernel():
                           "print(prismhom.prisms._label_function.cache_info().currsize)") == ["0"]
 
 
-GENERATED_CODE_HOME = ("prisms.py", "_label_function")
+def test_importing_the_command_line_compiles_no_expansion_kernel():
+    # verify's expansion kernels are compiled the first time a partition is
+    # expanded, inside a job, not when the command line module is imported
+    assert _printed_after("import prismhom.cli; "
+                          "print(prismhom.cli._expansion_function.cache_info().currsize)") == ["0"]
+
+
+GENERATED_CODE_HOME = ("prisms.py", "_compiled")
 
 
 def _exec_sites(tree):
@@ -242,7 +252,7 @@ def test_code_is_generated_in_one_place(module):
     home, function = GENERATED_CODE_HOME
     sites = [name for name, _ in _exec_sites(tree)]
     assert sites == ([function] if module == home else []), (
-        f"{module} runs generated code; only prisms._label_function compiles the label kernels")
+        f"{module} runs generated code; only prisms._compiled compiles kernels")
 
 
 def test_the_check_sees_generated_code():
@@ -449,7 +459,8 @@ def test_the_check_sees_a_carrier_operation():
 
 
 FACE_CODE = {"_face_tables", "_faces", "faces", "boundary_generator", "_ranked_plan"}
-SYMBOLIC_CHECK = ("verify_structure", "_expansion_columns", "_expansion_terms")
+SYMBOLIC_CHECK = ("verify_structure", "_expansion_columns", "_expansion_function",
+                  "_expansion_terms")
 
 
 def _face_code_named(tree, functions):
