@@ -57,10 +57,13 @@ def integer(value):
 
     A string is parsed by int(), which refuses "1.5" itself.  Any other
     non-int must equal its int: 2.0, Fraction(4, 2) and Decimal("3") read
-    as ints, while 1.5, Fraction(3, 2) and Decimal("0.5") are refused.
+    as ints, while 1.5, Fraction(3, 2) and Decimal("0.5") are refused.  A
+    bool is refused too, so JSON's true and false never read as 1 and 0.
     """
     if type(value) is int:  # the common case, on every table and index read
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not an integer")
     out = int(value)
     if out != value and not isinstance(value, (str, bytes, bytearray)):
         raise ValueError(f"{value!r} is not an integer")

@@ -84,11 +84,15 @@ class Chain:
                 and self.terms == other.terms)
 
     def __add__(self, other):
+        if not isinstance(other, Chain):
+            return NotImplemented
         if self.degree != other.degree:
             raise StructureError(f"degree mismatch: {self.degree} vs {other.degree}")
         return Chain(self.degree, chain(self.terms.items(), other.terms.items()))
 
     def __sub__(self, other):
+        if not isinstance(other, Chain):
+            return NotImplemented
         return self + -other
 
     def __neg__(self):

@@ -303,12 +303,16 @@ def invariant(D: KTGDiagram, S: Shalgebra) -> InvariantResult:
     The extended complex must reach degree 3 so that the degree-2 classes
     see the relation cells; it is built (and cached) here.  Its D3 cells
     change no degree-2 class: axiom I makes ∂D3(a) = (a|a) = ∂B3(a, a).
+    H_2 is read off the moduli of the class table the classes sum over
+    (torsion factors, then a 0 per free one), so ∂_3 is eliminated once.
     """
     K = cached_complex(S, 3, "qualgebra", True)
     colorings = enumerate_colorings(D, S)
     classes = tuple(sorted(K.class_of(represented_cycle(D, colors, S), 2)
                            for colors in colorings))
-    return InvariantResult(len(colorings), K.homology(2), classes)
+    moduli, _ = K.cc._class_data(2)
+    group = chains.HomologyGroup(moduli.count(0), tuple(filter(None, moduli)))
+    return InvariantResult(len(colorings), group, classes)
 
 
 def foam_chain(presentation):

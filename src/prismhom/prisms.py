@@ -21,9 +21,10 @@ verification suite leans on.
 A prism is its label tuple: the edge labels in `_edge_plan` order, which
 is the one state a `LabeledPrism` holds; its `edges` dict, vertex pair ->
 label, is derived from that tuple on each access.  A partition's labels
-come from one straight-line program: its edges share their block products
-and acting prefixes, each is computed once, and the labels are read out
-in plan order.  The program runs compiled: `_label_function` turns it into
+come from one kernel generated from the rule: `_label_function` runs the
+rule on symbols and writes each operation into a local the first time an
+edge needs it, so the block products and acting prefixes the edges share
+are computed once, and the labels come out in plan order.  The kernel is
 one Python function per partition, so a prism costs one call.  Each face
 plan picks the face's labels out of the tuple.
 `faces_match_algebra` checks that each prism's generating labels (t-1 ->
@@ -40,7 +41,7 @@ the algebraic one.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from itertools import combinations, product
 from operator import eq, itemgetter
 
@@ -125,43 +126,29 @@ def _edge_plan(partition):
 
 
 @lru_cache(maxsize=None)
-def _label_program(partition):
-    """The edge labels of a partition as a straight-line program: (steps, read).
-
-    Slots 0..n-1 hold the elements; step (table, src, t) appends
-    table[slot src][element t], table 0 being dot and 1 tri.  Every distinct
-    block product and acting prefix, keyed by (start, stop, acting), is one
-    step; `read` lists the slots of the labels in `_edge_plan` order.
-    """
-    steps, slots, read = [], {}, []
-    for _, start, stop, acting in _edge_plan(partition):
-        at = start
-        chain = [(0, t, (start, t + 1, ())) for t in range(start + 1, stop)]
-        chain += [(1, t, (start, stop, acting[:k + 1])) for k, t in enumerate(acting)]
-        for table, t, key in chain:
-            if key not in slots:
-                slots[key] = sum(partition) + len(steps)
-                steps.append((table, at, t))
-            at = slots[key]
-        read.append(at)
-    return tuple(steps), tuple(read)
-
-
-@lru_cache(maxsize=None)
 def _label_function(partition):
-    """`_label_program` compiled into one function labels(e, dot, tri) -> label tuple.
+    """The labeling rule compiled into one function labels(e, dot, tri) -> label tuple.
 
-    The function unpacks the elements into locals s0..s{n-1}, computes
-    each step once into the next local, s{n} on, and returns the labels
-    in `_edge_plan` order; a prism costs one call, with no loop over the
-    steps.  It is built from source the first time a partition is labeled.
+    The kernel is generated by running `_edge_plan`'s rule on the symbols
+    s0..s{n-1}: each edge folds dot over its block entries, then tri over
+    its acting entries.  An operation (table, operand, element) becomes the
+    next local, s{n} on, the first time an edge needs it, so every block
+    product and acting prefix the edges share is computed once; the
+    function returns the labels in `_edge_plan` order, and a prism costs
+    one call.  It is built from source the first time a partition is labeled.
     """
-    steps, read = _label_program(partition)
     n = sum(partition)
-    tables = ("dot", "tri")
+    local = {}  # "table[s{operand}][s{element}]" -> k, computed once into s{k}
+
+    def apply(table, at, t):
+        return local.setdefault(f"{table}[s{at}][s{t}]", n + len(local))
+
+    read = []
+    for _, start, stop, acting in _edge_plan(partition):
+        block = reduce(partial(apply, "dot"), range(start + 1, stop), start)
+        read.append(reduce(partial(apply, "tri"), acting, block))
     source = ["def labels(e, dot, tri):", "    (" + "".join(f"s{k}, " for k in range(n)) + ") = e"]
-    source += [f"    s{at} = {tables[table]}[s{src}][s{t}]"
-               for at, (table, src, t) in enumerate(steps, n)]
+    source += [f"    s{k} = {operation}" for operation, k in local.items()]
     source.append("    return (" + "".join(f"s{k}, " for k in read) + ")")
     return _compiled(source, "labels")
 

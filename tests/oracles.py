@@ -19,7 +19,10 @@ invariant factors, so the universal coefficient theorem ties the two.  The
 tensor-algebra homology is worked out from closed-form group homology by
 the Künneth formula on (rank, prime powers) pairs, with no chains at all.  The
 conjugation tables of permutation groups are built here from their
-products, and the small unital shalgebras by trying every table.  Random
+products, and the small unital shalgebras by trying every table.  The
+census of small qualgebras takes the quandle tables (I, II, III) first,
+fills a dot table cell by cell, pruned by H, YI, IY and T, and keeps one
+pair per class under all n! relabelings.  Random
 operation tables are plain lists of rows, and the implication IY ∧ T ⇒ III
 is checked on such lists from the axiom equations of the `algebra`
 docstring.  The dense matrix of a boundary map is read one generator at a
@@ -28,7 +31,8 @@ Nothing here imports `prismhom`: structures, diagrams and complexes are
 read through their attributes, operation tables and public methods only.
 """
 
-from itertools import product
+from functools import lru_cache
+from itertools import permutations, product
 from math import gcd
 
 
@@ -272,6 +276,73 @@ def unital_shalgebras(n):
                    and T[T[a][b]][c] == T[T[a][c]][T[b][c]] for a, b, c in product(r, repeat=3)):
                 out.append((D, T))
     return out
+
+
+def quandle_tables(n):
+    """Every ◁ table on 0..n-1 with I, II and III, as lists of rows.
+
+    Axioms I and II make column b, x -> x◁b, a permutation fixing b; III is
+    checked on each table those columns make.
+    """
+    r = range(n)
+    columns = [[p for p in permutations(r) if p[b] == b] for b in r]
+    tables = ([[column[a] for column in cols] for a in r] for cols in product(*columns))
+    return [T for T in tables
+            if all(T[T[a][b]][c] == T[T[a][c]][T[b][c]] for a, b, c in product(r, repeat=3))]
+
+
+def _dot_tables(T):
+    """Every · table making (·, T) satisfy H, YI, IY and T, filled cell by cell."""
+    r = range(len(T))
+    D = [[None] * len(T) for _ in r]
+    cells = list(product(r, repeat=2))
+
+    def dot(x, y):
+        return None if x is None or y is None else D[x][y]
+
+    def violated(lhs, rhs):
+        return lhs is not None and rhs is not None and lhs != rhs
+
+    def pruned():
+        return (any(violated(dot(dot(a, b), c), dot(a, dot(b, c)))               # H
+                    or violated(None if D[a][b] is None else T[D[a][b]][c],
+                                dot(T[a][c], T[b][c]))                            # YI
+                    or violated(T[T[a][b]][c],
+                                None if D[b][c] is None else T[a][D[b][c]])       # IY
+                    for a, b, c in product(r, repeat=3))
+                or any(violated(D[a][b], D[b][T[a][b]]) for a, b in cells))      # T
+
+    def fill(k):
+        if k == len(cells):
+            yield [row[:] for row in D]
+            return
+        a, b = cells[k]
+        for v in r:
+            D[a][b] = v
+            if not pruned():
+                yield from fill(k + 1)
+        D[a][b] = None
+
+    return list(fill(0))
+
+
+def _canonical(*tables):
+    """The least relabeling of the tables over every permutation of the carrier, as tuples."""
+    r = range(len(tables[0]))
+    # p[x] is x's new name and q[y] the element renamed y
+    return min(tuple(tuple(tuple(p[table[q[a]][q[b]]] for b in r) for a in r) for table in tables)
+               for p in permutations(r) for q in [sorted(r, key=p.__getitem__)])
+
+
+@lru_cache(maxsize=None)
+def qualgebra_census(n):
+    """One (·, ◁) pair per isomorphism class of qualgebras on 0..n-1, as tuples of rows.
+
+    Each class of quandles is searched once, at its least relabeling, as
+    every qualgebra is a relabeling of one on such a quandle.
+    """
+    quandles = {_canonical(T) for T in quandle_tables(n)}
+    return tuple(sorted({_canonical(D, T) for (T,) in quandles for D in _dot_tables(T)}))
 
 
 def random_tables(size, rng):

@@ -7,7 +7,7 @@ import pytest
 from prismhom import algebra
 from prismhom.errors import AxiomError, StructureError
 
-from oracles import axiom_dependency_check, random_tables
+from oracles import axiom_dependency_check, qualgebra_census, random_tables
 
 
 def test_operation_table_validation():
@@ -270,3 +270,16 @@ def test_structure_json_errors(tmp_path):
     path.write_text(json.dumps({"size": 5, "dot": [[0]], "tri": [[0]]}))
     with pytest.raises(StructureError, match="size"):
         algebra.load_structure_tables(path)
+
+
+@pytest.mark.parametrize("order, classes, trivial", ((1, 1, 1), (2, 3, 3), (3, 12, 12),
+                                                     (4, 60, 58)))
+def test_the_census_of_small_qualgebras(order, classes, trivial):
+    # qualgebras up to isomorphism; under the trivial action x◁y = x, T makes
+    # the product commutative and YI, IY and III hold, so those classes are
+    # the commutative semigroups, 1, 3, 12, 58 (OEIS A001426)
+    census = qualgebra_census(order)
+    assert len(census) == classes
+    assert sum(all(row == (a,) * order for a, row in enumerate(tri))
+               for _, tri in census) == trivial
+    assert all(algebra.check_axioms(dot, tri).qualgebra_ok for dot, tri in census)

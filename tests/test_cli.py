@@ -20,7 +20,8 @@ from prismhom.cli import main
 from prismhom.knots import load_fixture_diagram, save_diagram
 from prismhom.prismatic import boundary_generator, bracketed, build_rack_complex, faces
 
-from oracles import bar_differential, prismatic_differential, rack_differential
+from oracles import (bar_differential, prismatic_differential, qualgebra_census,
+                     rack_differential)
 
 
 @pytest.fixture(scope="module")
@@ -1021,3 +1022,11 @@ def test_one_process_parses_each_command_as_a_fresh_one_does(files):
     assert together == [[p.returncode, p.stdout, p.stderr] for p in apart]
     assert [code for code, _, _ in together] == [0, 2, 0, 1]
     assert "invalid int value: 'three'" in together[1][2]
+
+
+@pytest.mark.parametrize("order", (1, 2, 3, 4))
+def test_every_small_qualgebra_passes_verify(order):
+    # the census carriers, one per isomorphism class of order <= 4
+    for dot, tri in qualgebra_census(order):
+        ok, lines = cli.verify_structure(algebra.Shalgebra(dot, tri), 3)
+        assert ok, (dot, tri, lines)

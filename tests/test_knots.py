@@ -532,7 +532,7 @@ def test_foam_move_shift_preserves_classes(z3):
 def test_class_coordinates_build_no_homology(z3, monkeypatch):
     # a class needs the elimination of the full boundary above it and two
     # dense Smith reductions, and none of the coreduced boundaries behind
-    # homology; only `invariant`, which reports H_2, builds those
+    # homology; `invariant` reads the H_2 it reports off the same class table
     counts = Counter()
 
     def counted(name, f):
@@ -555,8 +555,31 @@ def test_class_coordinates_build_no_homology(z3, monkeypatch):
     assert K.class_of(square, 2) == K.class_of(triangles, 2)
     assert counts == {"snf": 4}
     result = invariant(load_fixture_diagram("trefoil"), z3)
-    assert counts["coreduced"] > 0
+    assert counts == {"snf": 6}
     assert result.group == K.homology(2)
+
+
+@pytest.mark.parametrize("name", ("z3", "s3", "d4"))
+def test_invariant_reports_the_homology_of_its_complex(name, request):
+    S = request.getfixturevalue(name)
+    K = prismatic.build_complex(S, 3, "qualgebra")
+    for fixture in ("unknot", "trefoil", "theta", "handcuff_flat", "handcuff_knotted"):
+        assert invariant(load_fixture_diagram(fixture), S).group == K.homology(2), fixture
+
+
+def test_invariant_eliminates_the_boundary_above_once(s3, monkeypatch):
+    eliminate, calls = chains._eliminate, []
+
+    def spy(columns):
+        calls.append(len(columns))
+        return eliminate(columns)
+
+    monkeypatch.setattr(chains, "_eliminate", spy)
+    monkeypatch.setattr(knots, "cached_complex", lambda S, N, mode, include_d3=True:
+                        prismatic.build_complex(S, N, mode, include_d3))
+    K = prismatic.build_complex(s3, 3, "qualgebra")
+    invariant(load_fixture_diagram("trefoil"), s3)
+    assert calls == [K.generator_count(3)]
 
 
 def test_invariant_result_equality(s3):

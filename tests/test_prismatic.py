@@ -313,8 +313,12 @@ def test_every_builder_refuses_degrees_below_one(z3, N):
 
 
 def test_integral_degrees_are_read_as_integers(z3):
-    K = build_complex(z3, True)
+    K = build_complex(z3, 1.0)
     assert K.N == 1 and type(K.N) is int and "N=1 " in repr(K)
+    # a bool is no degree, though Python counts it as an int
+    with pytest.raises(StructureError,
+                       match=r"^degree must be an integer: True is not an integer$"):
+        build_complex(z3, True)
     assert build_complex(z3, "3").N == 3 and build_rack_complex(z3, 2.0).N == 2
     assert compositions(3.0) == compositions(3)
     assert degenerate_span(z3, "2") == degenerate_span(z3, 2)

@@ -1,4 +1,5 @@
 import random
+import re
 from itertools import permutations, product
 
 import pytest
@@ -395,7 +396,7 @@ def _agrees_with_the_rule(partition, elements, S):
 
 @pytest.mark.parametrize("name", sorted(_CARRIERS))
 def test_every_partition_is_labeled_by_the_rule(name):
-    # the straight-line programs of all 31 partitions of degree 1..5, each
+    # the label kernels of all 31 partitions of degree 1..5, each
     # against the rule applied edge by edge
     S = _CARRIERS[name]
     rnd = random.Random(name)
@@ -413,6 +414,27 @@ def test_labels_agree_with_the_rule(name, shape):
     S = _CARRIERS[name]
     partition, elements = shape
     _agrees_with_the_rule(partition, tuple(x % S.size for x in elements), S)
+
+
+# assignments per label kernel, partition by partition in `compositions` order
+_KERNEL_OPERATIONS = {1: [0], 2: [1, 1], 3: [4, 3, 4, 3], 4: [11, 8, 9, 6, 11, 8, 9, 6]}
+
+
+@pytest.mark.parametrize("degree", sorted(_KERNEL_OPERATIONS))
+def test_a_label_kernel_computes_each_shared_operation_once(degree, monkeypatch):
+    sources = []
+    monkeypatch.setattr(prisms, "_compiled", lambda source, name: sources.append(source))
+    counts = []
+    for partition in compositions(degree):
+        prisms._label_function.__wrapped__(partition)  # past the cache, to see the source
+        assignments = [re.fullmatch(r"    s(\d+) = (dot|tri)\[s(\d+)\]\[s(\d+)\]", line)
+                       for line in sources.pop()[2:-1]]
+        assert all(assignments)
+        operations = [m.group(2, 3, 4) for m in assignments]
+        assert len(set(operations)) == len(operations), partition
+        assert [int(m.group(1)) for m in assignments] == [*range(degree, degree + len(assignments))]
+        counts.append(len(assignments))
+    assert counts == _KERNEL_OPERATIONS[degree]
 
 
 def test_a_label_on_another_partition_matches_no_faces(s3):

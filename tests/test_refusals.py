@@ -49,6 +49,21 @@ READERS = {
     "operation-table": (lambda: algebra.OperationTable([[0.5]]),
                         "operation table must be a square array of integers: "
                         "0.5 is not an integer"),
+    # JSON's true and false are bools, which Python counts as ints
+    "operation-table-bool": (lambda: algebra.OperationTable([[False]]),
+                             "operation table must be a square array of integers: "
+                             "False is not an integer"),
+    "declared-size-bool": (lambda: algebra.parse_structure_tables(
+                               {"size": True, "dot": [[0]], "tri": [[0]]}),
+                           "declared size True is not an integer: True is not an integer"),
+    "diagram-sign-bool": (lambda: knots.KTGDiagram.from_dict(
+                              {"arcs": ["a", "b"], "crossings": [
+                                  {"over": "a", "under_in": "b", "under_out": "b", "sign": True}]}),
+                          "malformed diagram: True is not an integer"),
+    "degree-bool": (lambda: prismatic.compositions(True),
+                    "degree must be an integer: True is not an integer"),
+    "bracketed-bool": (lambda: prismatic.bracketed((True,), (False,)),
+                       "partition and elements must be integers: True is not an integer"),
     "declared-size": (lambda: algebra.parse_structure_tables(
                           {"size": 2.5, "dot": [[0]], "tri": [[0]]}),
                       "declared size 2.5 is not an integer: 2.5 is not an integer"),
@@ -210,6 +225,11 @@ ARGUMENTS = {
                                "generator indices must be integers: 0.5 is not an integer"),
     "complex-boundaries-missing": (lambda: chains.ChainComplex({0: 1, 1: 1}, {}),
                                    StructureError, "missing boundaries for degree 1"),
+    # a chain adds and subtracts chains only; Python names the other operand
+    "chain-plus-number": (lambda: chains.Chain(1, {0: 1}) + 5, TypeError,
+                          "unsupported operand type(s) for +: 'Chain' and 'int'"),
+    "chain-minus-number": (lambda: chains.Chain(1, {0: 1}) - 5, TypeError,
+                           "unsupported operand type(s) for -: 'Chain' and 'int'"),
     "smith-rows": (lambda: chains.smith_normal_form([[1, 2], [3]]),
                    StructureError, "matrix rows have unequal lengths"),
     "boundary-degree": (lambda: chains.ChainComplex({0: 1}, {}).boundary(chains.Chain(0, {0: 1})),
