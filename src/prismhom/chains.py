@@ -35,7 +35,19 @@ and a cycle's coordinates are sums of its generators' rows of that table.
 
 ∂∘∂ = 0 is checked once, when a `ChainComplex` is constructed (hand-built
 ones included): a violation raises `VerificationError` there, so homology
-and class coordinates never see a matrix that is not a complex.
+and class coordinates never see a matrix that is not a complex.  The check
+sums exact big integers, one per column.  Column g of ∂_{n−1} is packed
+into P_g = Σ v·2^(k·h) over its entries (h, v); column j of ∂_n fails when
+Σ c·P_g over its entries (g, c) is not 0.  That sum is Σ_h d_h·2^(k·h),
+where d_h is row h of ∂_{n−1}∂_n(j), and |d_h| ≤ L·C·V < 2^k for the lane
+width k = bit_length(L·C·V), with L the longest column of ∂_n and C and V
+the largest absolute coefficients of ∂_n and ∂_{n−1}.  If some d_h were
+not 0, the lowest such one would equal −2^k times the sum of the higher
+digits, so a nonzero multiple of 2^k, yet it is smaller than 2^k: the sum
+is 0 exactly when every d_h is.  Each stored entry of ∂_{n−1} costs one
+shift and add, and each entry of ∂_n one multiply-add on an int of at most
+count(n−2)·k bits, all inside `map` and `sum`, so the cost per entry grows
+slowly with the number of degree-(n−2) generators.
 """
 
 from __future__ import annotations
@@ -44,8 +56,8 @@ from array import array
 from collections import defaultdict
 from collections.abc import Sequence
 from heapq import heappop, heappush
-from itertools import accumulate, chain, islice, repeat
-from operator import ne, sub
+from itertools import accumulate, chain, compress, islice, repeat
+from operator import lshift, mul, ne, sub
 from typing import NamedTuple
 
 from .algebra import integer, read_degree, reading
@@ -148,19 +160,44 @@ class Boundary(Sequence):
         """Append a list of {row: nonzero coefficient} dicts as the next columns.
 
         A row outside 0..lower-1 is refused, naming the first column that
-        holds one; the bounds of all rows are checked at once first.
+        holds one; the bounds of all rows are checked at once first.  Only
+        when that check or the array raises TypeError are the rows read
+        through `algebra.integer`: 1.0 reads as 1, while 0.5, "x" or None is
+        refused with StructureError.  Coefficients are stored as given, and
+        read by `largest_coefficient`.
         """
         rows = list(chain.from_iterable(columns))
-        if rows and (min(rows) < 0 or max(rows) >= self.lower):
-            j, g = next((j, g) for j, col in enumerate(columns, len(self))
-                        for g in col if not 0 <= g < self.lower)
-            raise StructureError(
-                f"boundary of ({self.degree},{j}) hits unknown generator ({self.degree - 1},{g})")
-        self.rows.fromlist(rows)
+        try:
+            if rows and (min(rows) < 0 or max(rows) >= self.lower):
+                j, g = next((j, g) for j, col in enumerate(columns, len(self))
+                            for g in col if not 0 <= g < self.lower)
+                raise StructureError(f"boundary of ({self.degree},{j}) hits unknown "
+                                     f"generator ({self.degree - 1},{g})")
+            self.rows.fromlist(rows)  # all or nothing: a TypeError leaves the array as it was
+        except TypeError:
+            with reading("generator indices must be integers"):
+                return self.extend([{integer(g): c for g, c in col.items()} for col in columns])
         self.coefs += chain.from_iterable(map(dict.values, columns))
         ends = list(accumulate(map(len, columns), initial=self.offsets[-1]))
         del ends[0]
         self.offsets.fromlist(ends)
+
+    def largest_coefficient(self):
+        """The largest absolute value of a stored coefficient, 0 for none.
+
+        The coefficients are summed first.  When the sum is not an int (a
+        float, Fraction or Decimal among them makes it one), each one that
+        is not an int is read through `algebra.integer` and stored as read:
+        2.0 becomes 2, while 1.5 is refused with StructureError, and so is a
+        sum that cannot be taken ("x", None, or a float after an int too
+        large for one).  A store of ints thus costs one sum and one set of
+        its values, both in C.  A bool is an int, and reads as the 0 or 1 it
+        equals.
+        """
+        with reading("boundary coefficients must be integers"):
+            if type(sum(self.coefs)) is not int:
+                self.coefs = [c if isinstance(c, int) else integer(c) for c in self.coefs]
+        return max(map(abs, set(self.coefs)), default=0)
 
     def __len__(self):
         return len(self.offsets) - 1
@@ -547,22 +584,17 @@ class ChainComplex:
                 raise StructureError(
                     f"degree {n}: {len(given)} boundaries for {self.count(n)} generators")
             lower = self.count(n - 1)
-            if isinstance(given, Boundary):
-                if (given.degree, given.lower) != (n, lower):
-                    raise StructureError(f"degree {n}: a store of ∂_{given.degree} on "
-                                         f"{given.lower} rows, not {lower}")
-                store = given
-            else:
+            if not isinstance(given, Boundary):
                 for idx, ch in enumerate(given):
                     if ch.degree != n - 1:
                         raise StructureError(f"boundary of generator ({n},{idx}) has wrong degree")
-                with reading("generator indices must be integers"):
-                    columns = [{integer(g): c for g, c in ch.terms.items()} for ch in given]
-                with reading("boundary coefficients must be integers"):
-                    columns = [{g: integer(c) for g, c in col.items()} for col in columns]
-                store = Boundary(n, lower)
-                store.extend(columns)
-            self.boundaries[n] = store
+                columns = [ch.terms for ch in given]
+                given = Boundary(n, lower)
+                given.extend(columns)
+            elif (given.degree, given.lower) != (n, lower):
+                raise StructureError(f"degree {n}: a store of ∂_{given.degree} on "
+                                     f"{given.lower} rows, not {lower}")
+            self.boundaries[n] = given
         for n in range(1, self.top + 1):
             if self.count(n) and n not in self.boundaries:
                 raise StructureError(f"missing boundaries for degree {n}")
@@ -612,24 +644,26 @@ class ChainComplex:
     def d_squared_violations(self):
         """Generators whose boundary is not itself a cycle, as (degree, index) pairs.
 
-        The columns of ∂_{n-1} are read once as tuples of pairs; one iterator
-        then walks the pairs of ∂_n, each column taking its length from it.
+        Each column of ∂_{n-1} is packed into one int, P_g = Σ v·2^(k·h)
+        over its entries (h, v), and column j of ∂_n is reported when
+        Σ c·P_g over its entries (g, c) is not 0 (see the module docstring
+        for why that sum is exact).  Both are sums of `map`s over the flat
+        arrays, so no interpreter loop runs per stored entry.  The first
+        pass takes every store's `Boundary.largest_coefficient`, which also
+        reads or refuses a coefficient that is not an int, in a store of
+        any degree, paired or not.
         """
+        largest = {n: store.largest_coefficient() for n, store in self.boundaries.items()}
         bad = []
         for n in range(2, self.top + 1):
             upper, lower = self.boundaries.get(n), self.boundaries.get(n - 1)
-            if not upper or not lower:
-                continue
-            below = list(map(tuple, map(islice, repeat(zip(lower.rows, lower.coefs)),
-                                        lower.lengths())))
-            pairs = zip(upper.rows, upper.coefs)
-            for idx, k in enumerate(upper.lengths()):
-                out = {}
-                for g, c in islice(pairs, k):
-                    for h, v in below[g]:
-                        out[h] = out.get(h, 0) + c * v
-                if any(out.values()):
-                    bad.append((n, idx))
+            if upper and lower:
+                k = (max(upper.lengths()) * largest[n] * largest[n - 1]).bit_length()
+                terms = map(lshift, lower.coefs, map(mul, lower.rows, repeat(k)))
+                packed = list(map(sum, map(islice, repeat(terms), lower.lengths())))
+                products = map(mul, upper.coefs, map(packed.__getitem__, upper.rows))
+                sums = map(sum, map(islice, repeat(products), upper.lengths()))
+                bad += zip(repeat(n), compress(range(len(upper)), sums))
         return bad
 
     # -- homology --------------------------------------------------------

@@ -254,13 +254,19 @@ def _expansion_function(partition):
     {face index: coefficient} dict, term by term in (j, i) order: an inline
     index expression (the face's partition rank, then its entries read in
     base q) and an inline sum that deletes the key when it reaches 0, so
-    keys come in the order the complex stores its rows.  The function is
-    built the first time a partition is expanded.
+    keys come in the order the complex stores its rows.  A first block of
+    size 1 gives the rule two first terms that always cancel (the block
+    loses its one entry at i = 0 and at i = 1, with opposite signs); no
+    code is emitted for them, which leaves each column and its key order
+    as they were.  The function is built the first time a partition is
+    expanded.
     """
     n = sum(partition)
     ranks = partition_ranks(n - 1)
     symbols = [f"s{k}" for k in range(n)]
     terms = _expansion_terms(partition, symbols, "dot[{}][{}]".format, "tri[{}][{}]".format)
+    if partition[0] == 1:
+        del terms[:2]  # the pair that always cancels (docstring)
     offsets = sorted({ranks[face] for _, face, _ in terms} - {0})
     source = ["def expand(elements, dot, tri, q):", "    p1 = q"]
     source += [f"    p{k} = p{k - 1} * q" for k in range(2, n)]

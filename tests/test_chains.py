@@ -431,6 +431,102 @@ def test_a_filled_store_refuses_a_row_outside_its_degree():
         ChainComplex({0: 0, 1: 4, 2: 2}, {2: store})
 
 
+@st.composite
+def _arbitrary_complexes(draw):
+    """(counts, columns) like `_stored_complexes`, but a column may hold any
+    generator of degree n - 1, so ∂∘∂ is mostly not 0."""
+    top = draw(st.integers(1, 4))
+    counts = [draw(st.integers(0, 4)) for _ in range(top + 1)]
+    coefficients = st.one_of(st.integers(-2, 2), _COEFFICIENTS).filter(bool)
+    columns = {n: [draw(st.dictionaries(st.integers(0, counts[n - 1] - 1), coefficients,
+                                        max_size=4)) if counts[n - 1] else {}
+                   for _ in range(counts[n])] for n in range(1, top + 1)}
+    return dict(enumerate(counts)), columns
+
+
+def _composite_violations(columns):
+    """The (degree, index) of each column of ∂_n whose image under ∂_{n-1} is
+    not 0, read off the column dicts with nested loops."""
+    bad = []
+    for n in sorted(columns):
+        if n - 1 not in columns:
+            continue
+        for j, col in enumerate(columns[n]):
+            image = {}
+            for g, c in col.items():
+                for h, v in columns[n - 1][g].items():
+                    image[h] = image.get(h, 0) + c * v
+            if any(image.values()):
+                bad.append((n, j))
+    return bad
+
+
+def _checked(counts, columns):
+    """d_squared_violations of the complex whose boundary columns are `columns`.
+
+    The complex is built on stores of the same rows with every coefficient
+    0, which pass the constructor's check; the coefficients are then put
+    in the stores it keeps, and the check runs again.
+    """
+    stores = {}
+    for n, cols in columns.items():
+        stores[n] = chains.Boundary(n, counts[n - 1])
+        stores[n].extend([dict.fromkeys(col, 0) for col in cols])
+    cc = ChainComplex(counts, stores)
+    for n, cols in columns.items():
+        stores[n].coefs[:] = [c for col in cols for c in col.values()]
+    return cc.d_squared_violations()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_stored_complexes(), _arbitrary_complexes()))
+def test_d_squared_violations_are_the_columns_whose_composite_is_not_zero(case):
+    counts, columns = case
+    bad = _composite_violations(columns)
+    assert _checked(counts, columns) == bad
+    chained = {n: [Chain(n - 1, col) for col in cols] for n, cols in columns.items()}
+    if not bad:
+        assert ChainComplex(counts, chained).d_squared_violations() == []
+        return
+    n, j = bad[0]
+    with pytest.raises(VerificationError) as info:
+        ChainComplex(counts, chained)
+    assert str(info.value) == (f"boundary squared is nonzero on generator {j} "
+                               f"of degree {n} (+{len(bad) - 1} more)")
+
+
+# ∂_1 and the one column of ∂_2 of a complex whose ∂² is (2^w, -1), where w
+# is the lane width of a bound that leaves out one factor: the column
+# length (1-bit lanes, or 2-bit ones with a spare bit), the largest ∂_1
+# coefficient or the largest ∂_2 coefficient
+_LANE_EDGES = {
+    "length": ([{0: 1}] * 2 + [{1: -1}], dict.fromkeys(range(3), 1)),
+    "length-spare-bit": ([{0: 1}] * 4 + [{1: -1}], dict.fromkeys(range(5), 1)),
+    "lower-coefficient": ([{0: 4}, {1: -1}], {0: 1, 1: 1}),
+    "upper-coefficient": ([{0: 1}, {1: -1}], {0: 4, 1: 1}),
+}
+
+
+@pytest.mark.parametrize("edge", sorted(_LANE_EDGES))
+def test_a_composite_entry_at_the_edge_of_a_narrower_lane_is_seen(edge):
+    lower, column = _LANE_EDGES[edge]
+    counts = {0: 2, 1: len(lower), 2: 1}
+    columns = {1: lower, 2: [column]}
+    assert _composite_violations(columns) == [(2, 0)]
+    assert _checked(counts, columns) == [(2, 0)]
+
+
+def test_two_bad_columns_name_the_first_and_count_the_other():
+    # the boundaries of generator 1 of degree 2 and of generator 0 of degree 3
+    # are not cycles
+    d1 = [Chain(0, {0: 1}), Chain(0, {0: -1}), Chain(0)]
+    d2 = [Chain(1, {0: 1, 1: 1}), Chain(1, {0: 1}), Chain(1)]
+    d3 = [Chain(2, {1: 1})]
+    with pytest.raises(VerificationError) as info:
+        ChainComplex({0: 1, 1: 3, 2: 3, 3: 1}, {1: d1, 2: d2, 3: d3})
+    assert str(info.value) == "boundary squared is nonzero on generator 1 of degree 2 (+1 more)"
+
+
 def test_a_stored_nonzero_costs_under_20_bytes():
     # the S3 qualgebra complex through degree 4: 11,796 columns, 44,622
     # nonzeros; what the store holds is what dropping it frees

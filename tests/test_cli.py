@@ -732,6 +732,24 @@ class _Recorded(dict):
         return super().get(key, default)
 
 
+@pytest.mark.parametrize("degree", [2, 3, 4, 5])
+def test_an_expansion_kernel_computes_each_face_once(degree, monkeypatch):
+    # a first block of size 1 loses its entry at i = 0 and at i = 1, two
+    # faces that always cancel; the kernel leaves that pair out, so every
+    # face index it computes is a different expression
+    sources = []
+    monkeypatch.setattr(prisms, "_compiled", lambda source, name: sources.append(source))
+    for partition in prismatic.compositions(degree):
+        cli._expansion_function.__wrapped__(partition)  # past the cache, to see the source
+        source = sources.pop()
+        opener = next(line for line in source if line.startswith("        column = {"))
+        keys = [opener[len("        column = {"):opener.rindex(":")]]
+        keys += [line[len("        k = "):] for line in source if line.startswith("        k = ")]
+        assert len(set(keys)) == len(keys), partition
+        terms = cli._expansion_terms(partition, range(degree), "dot".format, "tri".format)
+        assert len(keys) == len(terms) - 2 * (partition[0] == 1), partition
+
+
 @pytest.mark.parametrize("make, top", [
     (lambda: algebra.conj_cyclic(3), 4), (lambda: algebra.conj_symmetric(3), 4),
     (lambda: algebra.mul_mod_shalgebra(4), 4), (_dihedral4, 3)],

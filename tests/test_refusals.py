@@ -39,6 +39,13 @@ def _holding(terms):
     return ch
 
 
+def _store(degree, lower, *columns):
+    """A caller-filled `Boundary` of ∂_degree holding `columns`."""
+    store = chains.Boundary(degree, lower)
+    store.extend(list(columns))
+    return store
+
+
 def _edge_pair():
     """Two vertices joined by two edges: ∂e0 = v1 - v0 and ∂e1 = v0 - v1."""
     return chains.ChainComplex({0: 2, 1: 2}, {1: [chains.Chain(0, {0: -1, 1: 1}),
@@ -106,6 +113,32 @@ READERS = {
                                             {1: [chains.Chain(0, {Fraction(3, 2): 1})]}),
                                         "generator indices must be integers: "
                                         "Fraction(3, 2) is not an integer"),
+    # a caller-filled store is read by the complex's ∂∘∂ check, in a pair of
+    # degrees or alone
+    "store-coefficient": (lambda: chains.ChainComplex(
+                              {0: 1, 1: 1, 2: 1}, {1: _store(1, 1, {0: 1}),
+                                                   2: _store(2, 1, {0: 1.5})}),
+                          "boundary coefficients must be integers: 1.5 is not an integer"),
+    "store-coefficient-alone": (lambda: chains.ChainComplex({0: 1, 1: 1},
+                                                            {1: _store(1, 1, {0: 1.5})}),
+                                "boundary coefficients must be integers: 1.5 is not an integer"),
+    "store-coefficient-text": (lambda: chains.ChainComplex({0: 1, 1: 1},
+                                                           {1: _store(1, 1, {0: "x"})}),
+                               "boundary coefficients must be integers: "
+                               "unsupported operand type(s) for +: 'int' and 'str'"),
+    "store-coefficient-none": (lambda: chains.ChainComplex({0: 1, 1: 1, 2: 1},
+                                                           {1: _store(1, 1, {0: None}),
+                                                            2: _store(2, 1, {})}),
+                               "boundary coefficients must be integers: "
+                               "unsupported operand type(s) for +: 'int' and 'NoneType'"),
+    "store-row": (lambda: _store(1, 2, {0.5: 1}),
+                  "generator indices must be integers: 0.5 is not an integer"),
+    "store-row-text": (lambda: _store(1, 2, {}, {"x": 1}),
+                       "generator indices must be integers: "
+                       "invalid literal for int() with base 10: 'x'"),
+    "store-row-none": (lambda: _store(1, 2, {None: 1}),
+                       "generator indices must be integers: int() argument must be a string, "
+                       "a bytes-like object or a real number, not 'NoneType'"),
     "boundary-coefficient": (lambda: _zero_complex().boundary(chains.Chain(1, {0: 1.5})),
                              "chain coefficients must be integers: 1.5 is not an integer"),
     "boundary-index": (lambda: _edge_pair().boundary(chains.Chain(1, {0.5: 1})),
@@ -181,6 +214,19 @@ def test_a_read_that_succeeds_passes_through():
     assert prismatic.face(_G, 1.0, "1", S3) == prismatic.face(_G, 1, 1, S3)
     assert (prisms.path_endomorphism(_PRISM, ("0",), (2.0,), S3)
             == prisms.path_endomorphism(_PRISM, (0,), (2,), S3))
+
+
+def test_a_store_reads_its_integral_entries():
+    # 0.0 and 2.0 read as 0 and 2; a bool coefficient is the int it equals
+    store = _store(1, 2, {0.0: 2.0}, {1: True})
+    assert store.rows.tolist() == [0, 1]
+    K = chains.ChainComplex({0: 2, 1: 2}, {1: store})
+    assert [ch.terms for ch in K.boundaries[1]] == [{0: 2}, {1: 1}]
+    assert list(map(type, store.coefs)) == [int, bool]
+    # a row that fails the array's read leaves the store as it was
+    with pytest.raises(StructureError):
+        store.extend([{1: 1}, {0.5: 1}])
+    assert (len(store), store.rows.tolist(), store.coefs) == (2, [0, 1], [2, True])
 
 
 Z2 = algebra.conj_cyclic(2)
